@@ -18,6 +18,7 @@ linear basis of the quotient, making the remainder-zero test exact.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
@@ -344,31 +345,151 @@ def _monic_prepare(polys: Iterable[ConformalPolynomial]):
     return out
 
 
-def interreduce(rset: RelationSet) -> bool:
+class SupportIndex:
+    """Which members of a relation set a newly added leading word can reduce.
+
+    Every term word of every indexed relation contributes its factor slices
+    (kind 1: letters p..q-1 with more letters after them) and its suffix
+    slices (kind 2: letters p..end), as the flat letter-and-junction tuples
+    that ``RelationSet`` looks leading words up by; each (kind, slice) key
+    maps the relations having it to their greatest D power there.  A leading
+    word s can reduce a term exactly when s is D-free and its flat tuple is a
+    factor slice of the term, or its flat tuple is a suffix slice of a term
+    whose D power is at least s's.
+
+    ``dirty`` holds the relations not yet checked irreducible against the
+    set since the last add that could reduce them.  The index follows the
+    append-only ``RelationSet._relations`` log, so relations added by any
+    path (including lazy materialization) are seen at the next ``sync``;
+    ``synced`` is the length of the log indexed so far.
+    """
+
+    def __init__(self, rset: RelationSet):
+        self.rset = rset
+        self.dirty: set = set()
+        self.synced = 0
+        # visit key of each indexed relation: (word key of the lead,
+        # -position in the log, relation); ascending order is the reverse of
+        # the interreduction visit order
+        self.visit_key: Dict[Relation, tuple] = {}
+        self._support: Dict[tuple, Dict[Relation, int]] = {}
+
+    def sync(self) -> List[Relation]:
+        """Index the relations appended since the last sync.
+
+        Each of them is marked dirty, as is every indexed relation its
+        leading word can reduce; returns the relations that this call
+        turned from clean to dirty.
+        """
+        log = self.rset._relations
+        marked: List[Relation] = []
+        for pos in range(self.synced, len(log)):
+            if log[pos].alive:
+                self._add(log[pos], pos, marked)
+        self.synced = len(log)
+        return marked
+
+    def _mark(self, rel: Relation, marked: List[Relation]) -> None:
+        if rel not in self.dirty:
+            self.dirty.add(rel)
+            marked.append(rel)
+
+    def _add(self, rel: Relation, pos: int, marked: List[Relation]) -> None:
+        lead, flat = rel.lead, rel.lead_flat
+        if lead.is_dfree:
+            for other in self._support.get((1, flat), ()):
+                self._mark(other, marked)
+        for other, dpow in self._support.get((2, flat), {}).items():
+            if dpow >= lead.dpow:
+                self._mark(other, marked)
+        self._mark(rel, marked)
+        self.visit_key[rel] = (self.rset.sig.word_key(lead), -pos, rel)
+        for w in rel.poly.terms:
+            for key in _support_keys(w):
+                owners = self._support.setdefault(key, {})
+                if owners.get(rel, -1) < w.dpow:
+                    owners[rel] = w.dpow
+
+    def remove(self, rel: Relation) -> None:
+        """Forget a relation removed from the set."""
+        self.dirty.discard(rel)
+        del self.visit_key[rel]
+        for w in rel.poly.terms:
+            for key in _support_keys(w):
+                owners = self._support.get(key)
+                if owners is not None:
+                    owners.pop(rel, None)
+                    if not owners:
+                        del self._support[key]
+
+
+def _support_keys(w: NormalWord):
+    """The (kind, flat slice) keys of a word's factor and suffix slices."""
+    f, K = w.flat(), w.length
+    for p in range(K):
+        for q in range(p + 1, K):
+            yield 1, f[2 * p: 2 * q - 1]
+        yield 2, f[2 * p:]
+
+
+def interreduce(rset: RelationSet,
+                index: Optional[SupportIndex] = None) -> bool:
     """Reduce every member against the others until a fixpoint.
 
     Members whose remainder vanishes are dropped; changed members are
     replaced by their monic remainders.  At the fixpoint each member's
     support is irreducible against the rest.
+
+    Each pass visits the members live at its start in descending order of
+    leading word (ties in insertion order), but probes only the members the
+    support index holds dirty; the others are skipped.  This gives the same
+    adds and removes, in the same order, as probing every member:
+
+    * removing a relation never creates a reduction, since every pattern
+      found afterwards was available before;
+    * so a member found irreducible can become reducible only when a
+      relation is added whose leading word occurs in its support as a
+      pattern would find it, and that add marks the member dirty again;
+    * a clean member would thus be found irreducible and left alone, and
+      the visit order is the one of the full rescan, so every pass makes
+      the same decisions in the same sequence and the results are identical.
+
+    ``index`` lets a caller keep one index over many calls on the same set
+    (``complete`` does); without it a fresh index is built, holding every
+    member dirty.
     """
-    sig = rset.sig
+    if index is None:
+        index = SupportIndex(rset)
+    dirty, visit_key = index.dirty, index.visit_key
     changed_any = False
     while True:
+        index.sync()
+        horizon = -index.synced        # members at or after it join next pass
+        pending = sorted(visit_key[rel] for rel in dirty)
         changed = False
-        for rel in sorted(rset.relations(),
-                          key=lambda r: sig.word_key(r.lead), reverse=True):
+        while pending:
+            item = pending.pop()
+            rel = item[2]
             if not rel.alive:
                 continue
             if not any(rset.has_reduction(w, exclude=rel)
                        for w in rel.poly.terms):
-                continue
-            trace = reduce_poly(rel.poly, rset, exclude=rel)
-            if not trace.steps:
-                continue
-            rset.remove(rel)
-            if not trace.remainder.is_zero():
-                rset.add(trace.remainder.monic())
-            changed = changed_any = True
+                dirty.discard(rel)
+            else:
+                trace = reduce_poly(rel.poly, rset, exclude=rel)
+                if trace.steps:
+                    rset.remove(rel)
+                    index.remove(rel)
+                    if not trace.remainder.is_zero():
+                        rset.add(trace.remainder.monic())
+                    changed = changed_any = True
+            # sync after every probe, not only after a change: a probe can
+            # materialize schema relations, and indexing them at once keeps
+            # the pass exact without relying on when the set materializes
+            for other in index.sync():
+                key = visit_key[other]
+                if key[1] > horizon and key < item:
+                    insort(pending, key)
         if not changed:
             return changed_any
 
@@ -387,7 +508,8 @@ def complete(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
     an explicit diagnostic when a limit trips; the partial basis is returned.
     """
     rset = RelationSet(sig, _monic_prepare(polys))
-    interreduce(rset)
+    index = SupportIndex(rset)
+    interreduce(rset, index)
     added_total = 0
     rounds = 0
     for rounds in range(1, limits.max_rounds + 1):
@@ -410,7 +532,7 @@ def complete(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
                     f"leading word {rem.leading()} exceeds the length limit "
                     f"{limits.max_lead_length}")
             rset.add(rem)
-            interreduce(rset)
+            interreduce(rset, index)
             added_this_round += 1
             added_total += 1
             if len(rset) > limits.max_basis:

@@ -346,7 +346,10 @@ def reduce_poly(p: ConformalPolynomial, rset: RelationSet, *,
         c = cur[w]
         ev = eval_pattern(sig, pat)
         _accum(cur, ev, -c)
-        assert w not in cur, "pattern substitution must cancel the leading word"
+        if w in cur:
+            raise RelationError(
+                f"substituting {pat.describe()} did not cancel the leading "
+                f"word {w}")
         steps.append(TraceStep(w, pat, Fraction(c)))
     return ReductionTrace(steps, ConformalPolynomial(sig, remainder, _frozen=True))
 

@@ -3,8 +3,11 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from conformal import (CompletionLimits, RelationSet, check_gsb, complete,
                        minimalize, parse_poly, reduce_basis, reduce_poly)
+from conftest import SIG_A2, a2_presentations, within_budget
 
 
 F = "a (1) a - a (0) D a"
@@ -138,3 +141,41 @@ def test_reduce_basis_tolerates_non_basis_input(sig_a2):
     single = [parse_poly(F, sig_a2)]
     out = reduce_basis(single, sig_a2)
     assert out == single
+
+
+FUZZ_LIMITS = CompletionLimits(max_rounds=4, max_basis=40, max_lead_length=4)
+nonzero_rationals = st.builds(Fraction, st.sampled_from([-5, -2, -1, 1, 3]),
+                              st.integers(1, 4))
+
+
+def complete_a2(polys):
+    return complete(polys, SIG_A2, SIG_A2.generators, limits=FUZZ_LIMITS)
+
+
+@settings(max_examples=30, deadline=None)
+@given(a2_presentations, st.randoms(use_true_random=False),
+       st.lists(nonzero_rationals, min_size=4, max_size=4))
+def test_completion_invariant_under_permutation_and_scaling(ps, rng, scales):
+    shuffled = list(ps)
+    rng.shuffle(shuffled)
+    scaled = [p.scale(c) for p, c in zip(shuffled, scales)]
+    res, again = within_budget(lambda: (complete_a2(ps), complete_a2(scaled)))
+    assert again.basis == res.basis
+    assert (again.completed, again.diagnostic) == (res.completed,
+                                                   res.diagnostic)
+
+
+@settings(max_examples=30, deadline=None)
+@given(a2_presentations, nonzero_rationals)
+def test_completed_basis_is_the_unique_fixpoint(ps, c):
+    res = within_budget(lambda: complete_a2(ps))
+    if not res.completed:
+        return
+    # idempotent: the reduced basis completes to itself with nothing added
+    again = within_budget(lambda: complete_a2(res.basis))
+    assert again.completed and again.added == 0
+    assert again.basis == res.basis
+    # a redundant generator of the same ideal changes nothing
+    extra = within_budget(lambda: complete_a2(ps + [ps[0] + ps[-1].scale(c)]))
+    if extra.completed:
+        assert extra.basis == res.basis

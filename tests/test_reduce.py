@@ -109,3 +109,12 @@ def test_kd_basis_empty_relations(sig_a2):
     a = gen("a")
     assert words == [make_word(sig_a2, a), make_word(sig_a2, a, 0, a),
                      make_word(sig_a2, a, 1, a)]
+
+
+def test_non_cancelling_substitution_raises(sig_a2, monkeypatch):
+    # the cancellation check is a raised error, so it also holds under -O
+    import conformal.rewriting as rewriting
+    f = parse_poly("a (1) a - a (0) D a", sig_a2)
+    monkeypatch.setattr(rewriting, "eval_pattern", lambda sig, pat: {})
+    with pytest.raises(RelationError, match="did not cancel"):
+        reduce_poly(parse_poly("a (1) a", sig_a2), RelationSet(sig_a2, [f]))
