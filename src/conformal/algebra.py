@@ -183,15 +183,9 @@ class ConformalPolynomial:
     def is_monic(self) -> bool:
         return bool(self.terms) and self.terms[self.leading()] == 1
 
-    def is_dfree(self) -> bool:
-        return all(w.dpow == 0 for w in self.terms)
-
     def items_desc(self):
         return sorted(self.terms.items(),
                       key=lambda it: self.sig.word_key(it[0]), reverse=True)
-
-    def support(self):
-        return set(self.terms)
 
     def canonical_key(self) -> tuple:
         """Hashable form: terms sorted descending, exact coefficients."""

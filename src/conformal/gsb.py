@@ -107,7 +107,8 @@ def pair_compositions(sig: AlgebraSignature, f: Relation,
             c = gl.suffix_from(ell)
             a = fl.prefix_to(Kf - ell)
             n = juncs_f[Kf - ell - 1]
-            w = NormalWord(fl.body + ((fl.tail, m),) + c.body, c.tail, c.dpow)
+            w = NormalWord(fl.body + (fl.tail.pair(m),) + c.body, c.tail,
+                           c.dpow)
             left = ConformalPolynomial(sig, dict(eval_pattern(
                 sig, Pattern(1, f, None, None, m=m, suffix=c))))
             right = ConformalPolynomial(sig, dict(eval_pattern(

@@ -65,12 +65,12 @@ class Pattern:
     def leading_word(self) -> NormalWord:
         s = self.relation.lead
         if self.kind == 1:
-            tail_part = s.body + ((s.tail, self.m),) + self.suffix.body
+            tail_part = s.body + (s.tail.pair(self.m),) + self.suffix.body
             w = NormalWord(tail_part, self.suffix.tail, self.suffix.dpow)
         else:
             w = s.append_D(self.dshift)
         if self.prefix is not None:
-            body = self.prefix.body + ((self.prefix.tail, self.n),) + w.body
+            body = self.prefix.body + (self.prefix.tail.pair(self.n),) + w.body
             w = NormalWord(body, w.tail, w.dpow)
         return w
 

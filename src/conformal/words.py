@@ -7,12 +7,19 @@ the word's ``dpow``.  Words are compared by the lexicographic order of their
 weight tuples  (length, b1, n1, ..., bk, nk, b(k+1), dpow),  generators being
 compared by the signature's generator order.  Length dominates, so the order
 is a well order whenever the generator order is.
+
+Words are the keys of every memo cache and terms dict, so they are made cheap
+to hash and compare: generators are interned (one object per name and index,
+compared by identity), word bodies are built from pairs that each generator
+shares out, and a word computes its hash once and keeps it.  The generator
+table and the per-generator pair tables are the only process-wide state;
+both grow through ``dict.setdefault``, which is atomic under the GIL.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from dataclasses import FrozenInstanceError, dataclass, field
+from typing import Iterable, Optional, Sequence, Tuple
 
 
 class ConformalError(Exception):
@@ -23,16 +30,49 @@ class SignatureError(ConformalError):
     """A generator or word does not belong to the signature at hand."""
 
 
-@dataclass(frozen=True, slots=True)
 class GeneratorSymbol:
-    """A generator, either a bare name (``a``) or an indexed one (``L_-3``)."""
+    """A generator, either a bare name (``a``) or an indexed one (``L_-3``).
 
-    name: str
-    index: Optional[int] = None
+    Generators are interned: equal ``(name, index)`` give one object, so
+    equality and hashing are by identity.  Each generator also hands out the
+    shared ``(self, n)`` pairs that word bodies are made of.
+    """
 
-    def __post_init__(self):
-        if not self.name:
+    __slots__ = ("name", "index", "_pairs")
+    _table: dict = {}
+
+    def __new__(cls, name: str, index: Optional[int] = None):
+        g = cls._table.get((name, index))
+        if g is not None:
+            return g
+        if not name:
             raise SignatureError("generator name must be nonempty")
+        g = object.__new__(cls)
+        object.__setattr__(g, "name", name)
+        object.__setattr__(g, "index", index)
+        object.__setattr__(g, "_pairs", {})
+        return cls._table.setdefault((name, index), g)
+
+    def __setattr__(self, attr, value):
+        raise FrozenInstanceError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr):
+        raise FrozenInstanceError(f"cannot delete field {attr!r}")
+
+    def __reduce__(self):
+        return (GeneratorSymbol, (self.name, self.index))
+
+    def pair(self, n: int) -> Tuple["GeneratorSymbol", int]:
+        """The shared body pair ``(self, n)``; a negative ``n`` is not kept."""
+        p = self._pairs.get(n)
+        if p is None:
+            if n < 0:
+                return (self, n)
+            p = self._pairs.setdefault(n, (self, n))
+        return p
+
+    def __repr__(self):
+        return f"GeneratorSymbol(name={self.name!r}, index={self.index!r})"
 
     def __str__(self):
         if self.index is None:
@@ -47,20 +87,18 @@ def gen(name: str, index: Optional[int] = None) -> GeneratorSymbol:
 class GeneratorOrder:
     """Strict total order on generators, exposed as a sort key.
 
-    Three kinds are supported:
+    Two kinds are supported:
 
     * ``listed``: generators are ranked by their position in an explicit list.
     * ``abs_then_signed``: indexed families, ranked first by family name, then
       by ``|index|``, then by ``index`` (so L_2 > L_-2 > L_1 > L_-1 > L_0).
-    * ``custom``: an arbitrary user key function.
     """
 
-    __slots__ = ("kind", "_rank", "_fn")
+    __slots__ = ("kind", "_rank")
 
-    def __init__(self, kind: str, rank=None, fn=None):
+    def __init__(self, kind: str, rank):
         self.kind = kind
         self._rank = rank
-        self._fn = fn
 
     @classmethod
     def listed(cls, gens: Sequence[GeneratorSymbol]) -> "GeneratorOrder":
@@ -72,24 +110,18 @@ class GeneratorOrder:
         """Indexed families; ``name_ranking`` ascending (last name greatest)."""
         return cls("abs_then_signed", rank={n: i for i, n in enumerate(name_ranking)})
 
-    @classmethod
-    def custom(cls, fn: Callable[[GeneratorSymbol], tuple]) -> "GeneratorOrder":
-        return cls("custom", fn=fn)
-
     def key(self, g: GeneratorSymbol) -> tuple:
         if self.kind == "listed":
             try:
                 return (self._rank[g],)
             except KeyError:
                 raise SignatureError(f"generator {g} not in the listed order")
-        if self.kind == "abs_then_signed":
-            try:
-                fam = self._rank[g.name]
-            except KeyError:
-                raise SignatureError(f"generator family {g.name!r} not ranked")
-            idx = g.index if g.index is not None else 0
-            return (fam, abs(idx), idx)
-        return tuple(self._fn(g))
+        try:
+            fam = self._rank[g.name]
+        except KeyError:
+            raise SignatureError(f"generator family {g.name!r} not ranked")
+        idx = g.index if g.index is not None else 0
+        return (fam, abs(idx), idx)
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,12 +130,34 @@ class NormalWord:
 
     ``body`` holds the (generator, junction index) pairs before the tail
     letter, ``tail`` is the last generator, and ``dpow`` the D power on it.
-    The empty body gives length-1 words D^i b.
+    The empty body gives length-1 words D^i b.  The hash is computed on first
+    use and kept in ``_hash``, which equality, repr and pickling ignore.
     """
 
     body: Tuple[Tuple[GeneratorSymbol, int], ...]
     tail: GeneratorSymbol
     dpow: int = 0
+    _hash: Optional[int] = field(default=None, init=False, repr=False,
+                                 compare=False)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.body, self.tail, self.dpow))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not NormalWord:
+            return NotImplemented
+        h, k = self._hash, other._hash
+        return ((h is None or k is None or h == k) and self.tail is other.tail
+                and self.dpow == other.dpow and self.body == other.body)
+
+    def __reduce__(self):
+        return (NormalWord, (self.body, self.tail, self.dpow))
 
     @property
     def length(self) -> int:
@@ -141,23 +195,19 @@ class NormalWord:
         return NormalWord(self.body, self.tail, self.dpow + l)
 
     def prepend(self, g: GeneratorSymbol, n: int) -> "NormalWord":
-        return NormalWord(((g, n),) + self.body, self.tail, self.dpow)
+        return NormalWord((g.pair(n),) + self.body, self.tail, self.dpow)
 
     def prefix_to(self, p: int) -> Optional["NormalWord"]:
         """D-free word made of the first ``p`` letters, or None when p == 0."""
         if p == 0:
             return None
-        letters = self.letters()
-        juncs = self.junctions()
-        body = tuple((letters[i], juncs[i]) for i in range(p - 1))
-        return NormalWord(body, letters[p - 1], 0)
+        body = self.body
+        tail = body[p - 1][0] if p <= len(body) else self.tail
+        return NormalWord(body[:p - 1], tail, 0)
 
     def suffix_from(self, p: int) -> "NormalWord":
         """Word made of the letters from position ``p`` on, keeping dpow."""
-        letters = self.letters()
-        juncs = self.junctions()
-        body = tuple((letters[i], juncs[i]) for i in range(p, self.length - 1))
-        return NormalWord(body, self.tail, self.dpow)
+        return NormalWord(self.body[p:], self.tail, self.dpow)
 
     def __str__(self):
         parts = []
@@ -182,7 +232,7 @@ def make_word(sig: "AlgebraSignature", *items, dpow: int = 0) -> NormalWord:
     body = tuple((items[i], items[i + 1]) for i in range(0, len(items) - 1, 2))
     w = NormalWord(body, items[-1], dpow)
     sig.check_word(w)
-    return w
+    return NormalWord(tuple(g.pair(n) for g, n in body), w.tail, dpow)
 
 
 def splice(sig: "AlgebraSignature", u: NormalWord, v: NormalWord) -> NormalWord:
@@ -193,7 +243,7 @@ def splice(sig: "AlgebraSignature", u: NormalWord, v: NormalWord) -> NormalWord:
     power, every junction from the seam on being the maximal index N-1.
     """
     nm1 = sig.N - 1
-    body = u.body + ((u.tail, nm1),) + tuple((g, nm1) for g, _ in v.body)
+    body = u.body + (u.tail.pair(nm1),) + tuple(g.pair(nm1) for g, _ in v.body)
     return NormalWord(body, v.tail, v.dpow)
 
 

@@ -1,10 +1,15 @@
+import copy
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conformal import (AlgebraSignature, GeneratorOrder, SignatureError,
-                       compare_words, gen, make_word, parse_word, splice)
+from conformal import (AlgebraSignature, GeneratorOrder, GeneratorSymbol,
+                       NormalWord, SignatureError, compare_words, gen,
+                       make_word, parse_word, splice)
 from conftest import random_word
 
 
@@ -100,3 +105,110 @@ def test_listed_order_rejects_unknown():
     order = GeneratorOrder.listed([gen("a")])
     with pytest.raises(SignatureError):
         order.key(gen("z"))
+
+
+# interning and representation ------------------------------------------------
+
+
+def test_generators_are_interned():
+    g = GeneratorSymbol("L", 3)
+    assert g is gen("L", 3)
+    assert GeneratorSymbol(name="L", index=3) is g
+    assert gen("L", -3) is not g
+    assert copy.deepcopy(g) is g
+    assert copy.copy(g) is g
+    assert pickle.loads(pickle.dumps(g)) is g
+
+
+def test_generators_are_immutable():
+    g = gen("a")
+    with pytest.raises(AttributeError):
+        g.name = "b"
+    with pytest.raises(AttributeError):
+        g.index = 1
+    with pytest.raises(AttributeError):
+        del g.name
+    assert g is gen("a") and g.name == "a" and g.index is None
+
+
+def test_invalid_generators_and_junctions_raise(sig_a2):
+    with pytest.raises(SignatureError):
+        GeneratorSymbol("")
+    a = gen("a")
+    with pytest.raises(SignatureError):
+        make_word(sig_a2, a, -1, a)
+    assert a.pair(-1) == (a, -1)
+
+
+def test_pickled_word_recomputes_its_hash(sig_xy3):
+    x, y = sig_xy3.generators
+    w = make_word(sig_xy3, x, 2, y, 0, x, dpow=1)
+    hash(w)
+    back = pickle.loads(pickle.dumps(w))
+    assert back == w and back.tail is x
+    assert back._hash is None
+    assert hash(back) == hash(NormalWord(w.body, w.tail, w.dpow))
+    assert copy.deepcopy(w) == w
+    assert "_hash" not in repr(w)
+
+
+def test_prepend_shares_body_pairs(sig_xy3):
+    x, y = sig_xy3.generators
+    u = make_word(sig_xy3, y, 0, x).prepend(x, 2)
+    v = make_word(sig_xy3, y, dpow=2).prepend(x, 2)
+    assert u.body[0] is v.body[0] is x.pair(2)
+    assert make_word(sig_xy3, x, 2, y).body[0] is x.pair(2)
+
+
+def _reference_prefix(w, p):
+    letters, juncs = w.letters(), w.junctions()
+    return NormalWord(tuple((letters[i], juncs[i]) for i in range(p - 1)),
+                      letters[p - 1], 0)
+
+
+def _reference_suffix(w, p):
+    letters, juncs = w.letters(), w.junctions()
+    return NormalWord(tuple((letters[i], juncs[i])
+                            for i in range(p, w.length - 1)), w.tail, w.dpow)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_prefix_and_suffix_match_letter_reference(seed):
+    sig = AlgebraSignature.finite(["x", "y"], 3)
+    w = random_word(random.Random(seed), sig, max_len=5)
+    assert w.prefix_to(0) is None
+    for p in range(1, w.length + 1):
+        assert w.prefix_to(p) == _reference_prefix(w, p)
+    for p in range(0, w.length):
+        assert w.suffix_from(p) == _reference_suffix(w, p)
+
+
+def test_interning_is_race_free_across_threads():
+    # more threads than cores, switching as often as possible, all creating
+    # the same fresh generators and pairs: each must end with one object
+    names = [f"race{i}" for i in range(5000)]
+    results = [None] * 8
+    start = threading.Barrier(len(results))
+
+    def work(slot):
+        start.wait()
+        results[slot] = [(g, g.pair(1))
+                         for g in (GeneratorSymbol(n, 5) for n in names)]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(len(results))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    for got in results[1:]:
+        assert all(g is h and p is q
+                   for (g, p), (h, q) in zip(got, results[0], strict=True))
+    assert results[0][0][0] is gen("race0", 5)
