@@ -3,10 +3,10 @@ algebras with a uniform locality bound."""
 
 from .words import (AlgebraSignature, ConformalError, GeneratorOrder,
                     GeneratorSymbol, NormalWord, SignatureError, compare_words,
-                    gen, make_word, splice)
+                    gen, make_word)
 from .algebra import (ConformalPolynomial, Deriv, Expr, Gen, LinComb, Prod,
                       apply_D, locality_bound, mult, normalize, poly_mult,
-                      word_expr, word_leq)
+                      word_expr)
 from .rewriting import (Pattern, ReductionTrace, Relation, RelationError,
                         RelationSet, eval_pattern, irr_enumerate, kd_basis,
                         normal_words, reduce_poly)
@@ -23,6 +23,6 @@ from .envelope import (BuiltinExample, EmbeddingReport, EquivalenceReport,
                        virasoro_table)
 from .dsl import (ParseError, PresentationFile, RelationSchema, parse_poly,
                   parse_presentation, parse_schema, parse_word, poly_str,
-                  presentation_str, word_str)
+                  presentation_str)
 
 __version__ = "0.1.0"

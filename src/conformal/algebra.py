@@ -13,6 +13,10 @@ The three recursive primitives are ``_gen_mult`` (generator times word),
 ``_word_D`` (one derivation of a word) and ``_word_mult`` (word times word);
 the first two are memoized on the signature.  Cached dicts are frozen by
 convention: callers must copy before mutating.
+
+Unevaluated input is one expression tree (``Gen``, ``Deriv``, ``Prod``,
+``LinComb``): the parser builds it, a relation schema's template is such a
+tree whose leaves may carry index forms, and ``normalize`` evaluates it.
 """
 
 from __future__ import annotations
@@ -248,10 +252,18 @@ class Expr:
 
 
 class Gen(Expr):
-    __slots__ = ("gen",)
+    """A generator leaf.  A subscripted leaf keeps its ``IndexForm`` in
+    ``sub``, and ``gen`` is its generator with every index variable zero."""
+    __slots__ = ("gen", "sub")
 
-    def __init__(self, g: GeneratorSymbol):
+    def __init__(self, g: GeneratorSymbol, sub=None):
         self.gen = g
+        self.sub = sub
+
+    def instantiate(self, env: Dict[str, int]) -> "Gen":
+        if self.sub is None or not self.sub.vars:
+            return self
+        return Gen(GeneratorSymbol(self.gen.name, self.sub.eval(env)))
 
 
 class Deriv(Expr):
@@ -262,6 +274,9 @@ class Deriv(Expr):
             raise ArithmeticError_("negative D power")
         self.expr = expr
         self.power = power
+
+    def instantiate(self, env: Dict[str, int]) -> "Deriv":
+        return Deriv(self.expr.instantiate(env), self.power)
 
 
 class Prod(Expr):
@@ -275,12 +290,19 @@ class Prod(Expr):
         self.left = left
         self.right = right
 
+    def instantiate(self, env: Dict[str, int]) -> "Prod":
+        return Prod(self.n, self.left.instantiate(env),
+                    self.right.instantiate(env))
+
 
 class LinComb(Expr):
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[Tuple[Fraction, Expr]]):
         self.parts = tuple(parts)
+
+    def instantiate(self, env: Dict[str, int]) -> "LinComb":
+        return LinComb((c, e.instantiate(env)) for c, e in self.parts)
 
 
 def word_expr(w: NormalWord) -> Expr:
@@ -366,12 +388,3 @@ def locality_bound(sig: AlgebraSignature, u: NormalWord, v: NormalWord) -> int:
     slack = sum(N - 1 - n for n in v.junctions())
     return u.dpow + N + v.dpow + slack
 
-
-def word_leq(sig: AlgebraSignature, u: Optional[NormalWord],
-             v: Optional[NormalWord]) -> bool:
-    """Order comparison with None as the bottom element (the zero word)."""
-    if u is None:
-        return True
-    if v is None:
-        return False
-    return sig.word_key(u) <= sig.word_key(v)

@@ -38,7 +38,7 @@ from .gsb import (CompletionLimits, MultBounds, check_gsb_rset, complete,
                   minimalize, reduce_basis)
 from .envelope import (IndexWindow, SchemaIndex, builtin_example,
                        comp_window_filter, embedding_check, equivalence_check,
-                       instantiate_schemas, schema_shapes)
+                       instantiate_schemas)
 
 OK, FAIL, INCONCLUSIVE, INPUT_ERROR = 0, 1, 2, 3
 
@@ -129,7 +129,6 @@ class _Context:
     rset: RelationSet
     gens: tuple
     window: Optional[IndexWindow]
-    shapes: list
 
 
 def _load_context(args) -> _Context:
@@ -148,14 +147,12 @@ def _load_context(args) -> _Context:
             options[key] = v
     window = None
     lazy = None
-    shapes = []
     polys = pf.concrete_relations()
     if pf.schemas:
         window = IndexWindow(options.get("window", 2),
                              options.get("relation_multiplier", 4))
-        polys = polys + instantiate_schemas(pf.schemas, pf.sig, window.radius)
         lazy = SchemaIndex(pf.schemas)
-        shapes = schema_shapes(pf.schemas)
+        polys = polys + instantiate_schemas(pf.schemas, pf.sig, window.radius)
     if pf.sig.generators is not None:
         gens = pf.sig.generators
     else:
@@ -163,7 +160,7 @@ def _load_context(args) -> _Context:
     rset = RelationSet(pf.sig, [p.monic() for p in polys if not p.is_zero()],
                        lazy=lazy)
     args._digest = _digest(text, json.dumps(options, sort_keys=True))
-    return _Context(pf, pf.sig, options, rset, gens, window, shapes)
+    return _Context(pf, pf.sig, options, rset, gens, window)
 
 
 def _bounds(ctx) -> MultBounds:
@@ -272,15 +269,16 @@ def _cmd_reduce(ctx, args):
 def _check_core(ctx):
     return check_gsb_rset(ctx.rset, ctx.sig, ctx.gens,
                           comp_filter=_comp_filter(ctx),
-                          bounds=_bounds(ctx),
-                          shapes=ctx.shapes or None)
+                          bounds=_bounds(ctx))
 
 
-def _gsb_exit(report):
-    if report.is_gsb:
-        return OK
-    return INCONCLUSIVE if report.n_inconclusive and not report.n_nontrivial \
-        else FAIL
+def _gsb_outcome(rep):
+    """Exit code and report verdict of a composition check."""
+    if rep.is_gsb:
+        return OK, "ok"
+    if rep.n_inconclusive and not rep.n_nontrivial:
+        return INCONCLUSIVE, "inconclusive"
+    return FAIL, "fail"
 
 
 def _cmd_compositions(ctx, args):
@@ -289,22 +287,19 @@ def _cmd_compositions(ctx, args):
         print(f"{v.verdict:12s} {v.comp.describe()}")
         if v.verdict != "trivial":
             print(f"             remainder: {poly_str(v.remainder)}")
-    code = _gsb_exit(rep)
-    return code, _report(args, "compositions", ctx.options,
-                         verdict="ok" if rep.is_gsb else "fail",
-                         details=rep.to_json(with_trace=args.trace))
+    code, verdict = _gsb_outcome(rep)
+    return code, _report(args, "compositions", ctx.options, verdict,
+                         rep.to_json(with_trace=args.trace))
 
 
 def _cmd_check(ctx, args):
     rep = _check_core(ctx)
-    verdict = "ok" if rep.is_gsb else (
-        "inconclusive" if rep.n_inconclusive and not rep.n_nontrivial
-        else "fail")
+    code, verdict = _gsb_outcome(rep)
     print(f"basis: {'yes' if rep.is_gsb else 'no'} "
           f"({rep.n_trivial} trivial, {rep.n_nontrivial} nontrivial, "
           f"{rep.n_inconclusive} inconclusive compositions)")
-    return _gsb_exit(rep), _report(args, "check", ctx.options, verdict,
-                                   rep.to_json(with_trace=args.trace))
+    return code, _report(args, "check", ctx.options, verdict,
+                         rep.to_json(with_trace=args.trace))
 
 
 def _cmd_complete(ctx, args):
@@ -380,9 +375,9 @@ def _run_example(args):
         print(f"basis: {'yes' if rep.is_gsb else 'no'} "
               f"({rep.n_trivial} trivial, {rep.n_nontrivial} nontrivial, "
               f"{rep.n_inconclusive} inconclusive)")
-        verdict = "ok" if rep.is_gsb else "fail"
-        return _gsb_exit(rep), Report("example check", args._digest, params,
-                                      verdict, rep.to_json())
+        code, verdict = _gsb_outcome(rep)
+        return code, Report("example check", args._digest, params, verdict,
+                            rep.to_json())
 
     if args.action in ("irr", "kdbasis"):
         rset = ex.basis_rset()

@@ -14,6 +14,11 @@ literals, or (inside relation schemas) index variables and sums like
 ``L_{i+j+k}``.  A presentation file holds an ``algebra`` block, a
 ``relations`` block (one named polynomial or schema per line), and an
 optional ``options`` block.
+
+The parser builds the expression tree of ``algebra`` (``Gen``, ``Deriv``,
+``Prod``, ``LinComb``) directly.  Every subscripted leaf keeps its
+``IndexForm`` in ``Gen.sub``, constants included, so a schema's template is
+the same tree and ``instantiate(env)`` is a substitution.
 """
 
 from __future__ import annotations
@@ -130,9 +135,6 @@ class IndexForm:
     def eval(self, env: Dict[str, int]) -> int:
         return self.const + sum(c * env[v] for v, c in self.vars)
 
-    def free_vars(self):
-        return {v for v, _ in self.vars}
-
     def __str__(self):
         parts = []
         for v, c in self.vars:
@@ -148,61 +150,6 @@ class IndexForm:
         for sign, txt in parts:
             out += (sign if out or sign == "-" else "") + txt
         return out
-
-
-# template expressions ------------------------------------------------------
-
-
-class TExpr:
-    __slots__ = ()
-
-    def instantiate(self, env: Dict[str, int]) -> Expr:
-        raise NotImplementedError
-
-
-class TGen(TExpr):
-    __slots__ = ("name", "sub")
-
-    def __init__(self, name: str, sub: Optional[IndexForm]):
-        self.name = name
-        self.sub = sub
-
-    def instantiate(self, env):
-        idx = self.sub.eval(env) if self.sub is not None else None
-        return Gen(GeneratorSymbol(self.name, idx))
-
-
-class TDeriv(TExpr):
-    __slots__ = ("expr", "power")
-
-    def __init__(self, expr, power):
-        self.expr = expr
-        self.power = power
-
-    def instantiate(self, env):
-        return Deriv(self.expr.instantiate(env), self.power)
-
-
-class TProd(TExpr):
-    __slots__ = ("n", "left", "right")
-
-    def __init__(self, n, left, right):
-        self.n = n
-        self.left = left
-        self.right = right
-
-    def instantiate(self, env):
-        return Prod(self.n, self.left.instantiate(env), self.right.instantiate(env))
-
-
-class TLin(TExpr):
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        self.parts = tuple(parts)
-
-    def instantiate(self, env):
-        return LinComb((c, e.instantiate(env)) for c, e in self.parts)
 
 
 # constraints -----------------------------------------------------------------
@@ -317,7 +264,7 @@ def _parse_indexsum(s: _Stream, varnames) -> IndexForm:
     return IndexForm(const=const, vars=vars_)
 
 
-def _parse_factor(s: _Stream, varnames) -> TExpr:
+def _parse_factor(s: _Stream, varnames) -> Expr:
     dpow = 0
     while True:
         t = s.peek()
@@ -335,7 +282,8 @@ def _parse_factor(s: _Stream, varnames) -> TExpr:
         sub = None
         if s.accept("op", "_"):
             sub = _parse_subscript(s, varnames)
-        out: TExpr = TGen(t.text, sub)
+        g = GeneratorSymbol(t.text, None if sub is None else sub.const)
+        out: Expr = Gen(g, sub)
     elif t.kind == "op" and t.text == "(":
         s.next()
         out = _parse_expr(s, varnames)
@@ -343,11 +291,11 @@ def _parse_factor(s: _Stream, varnames) -> TExpr:
     else:
         s.error("expected a generator or '('")
     if dpow:
-        out = TDeriv(out, dpow)
+        out = Deriv(out, dpow)
     return out
 
 
-def _parse_product(s: _Stream, varnames) -> TExpr:
+def _parse_product(s: _Stream, varnames) -> Expr:
     chain = [_parse_factor(s, varnames)]
     indices = []
     while True:
@@ -364,7 +312,7 @@ def _parse_product(s: _Stream, varnames) -> TExpr:
         break
     out = chain[-1]
     for fac, n in zip(reversed(chain[:-1]), reversed(indices)):
-        out = TProd(n, fac, out)
+        out = Prod(n, fac, out)
     return out
 
 
@@ -378,7 +326,7 @@ def _parse_rational(s: _Stream) -> Fraction:
     return Fraction(num)
 
 
-def _parse_term(s: _Stream, varnames) -> Tuple[Fraction, Optional[TExpr]]:
+def _parse_term(s: _Stream, varnames) -> Tuple[Fraction, Optional[Expr]]:
     t = s.peek()
     if t.kind == "int":
         c = _parse_rational(s)
@@ -392,7 +340,7 @@ def _parse_term(s: _Stream, varnames) -> Tuple[Fraction, Optional[TExpr]]:
     return Fraction(1), _parse_product(s, varnames)
 
 
-def _parse_expr(s: _Stream, varnames) -> TExpr:
+def _parse_expr(s: _Stream, varnames) -> LinComb:
     parts = []
     sign = Fraction(1)
     if s.accept("op", "-"):
@@ -409,7 +357,7 @@ def _parse_expr(s: _Stream, varnames) -> TExpr:
             sign = Fraction(-1)
         else:
             break
-    return TLin(parts)
+    return LinComb(parts)
 
 
 def _parse_constraint(s: _Stream, varnames) -> Constraint:
@@ -466,7 +414,7 @@ def _parse_catom(s, varnames):
 # public expression API -------------------------------------------------------
 
 
-def parse_template(text: str, varnames: Sequence[str] = ()) -> TExpr:
+def parse_template(text: str, varnames: Sequence[str] = ()) -> LinComb:
     """Parse an expression that may mention the given index variables."""
     s = _Stream(tokenize(text))
     e = _parse_expr(s, frozenset(varnames))
@@ -477,7 +425,7 @@ def parse_template(text: str, varnames: Sequence[str] = ()) -> TExpr:
 
 def parse_poly(text: str, sig: AlgebraSignature) -> ConformalPolynomial:
     """Parse and normalize a concrete polynomial."""
-    return normalize(parse_template(text).instantiate({}), sig)
+    return normalize(parse_template(text), sig)
 
 
 def parse_word(text: str, sig: AlgebraSignature) -> NormalWord:
@@ -505,7 +453,7 @@ class RelationSchema:
     name: str
     vars: Tuple[str, ...]
     constraint: Constraint
-    template: TExpr
+    template: LinComb
 
     def instantiate(self, env: Dict[str, int],
                     sig: AlgebraSignature) -> ConformalPolynomial:
@@ -626,7 +574,7 @@ def parse_presentation(text: str) -> PresentationFile:
         if schema.vars:
             pf.schemas.append(schema)
         else:
-            poly = normalize(schema.template.instantiate({}), sig)
+            poly = normalize(schema.template, sig)
             pf.relations.append((schema.name, poly))
     return pf
 
@@ -714,10 +662,6 @@ def _parse_algebra_block(lines: List[List[Token]]) -> AlgebraSignature:
 # printing --------------------------------------------------------------------
 
 
-def word_str(w: NormalWord) -> str:
-    return str(w)
-
-
 def coeff_str(c: Fraction) -> str:
     c = Fraction(c)
     if c.denominator == 1:
@@ -725,20 +669,19 @@ def coeff_str(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
+def _signed_sum(terms) -> str:
+    """Text of a sum of (coefficient, term text) pairs; "0" when empty."""
+    parts = []
+    for c, text in terms:
+        body = text if abs(c) == 1 else f"{coeff_str(abs(c))} * {text}"
+        sign = "- " if c < 0 else ("+ " if parts else "")
+        parts.append(sign + body)
+    return " ".join(parts) if parts else "0"
+
+
 def poly_str(p: ConformalPolynomial) -> str:
     """Canonical text form: terms descending, reduced fractional coefficients."""
-    if p.is_zero():
-        return "0"
-    parts = []
-    for i, (w, c) in enumerate(p.items_desc()):
-        neg = c < 0
-        mag = -c if neg else c
-        body = str(w) if mag == 1 else f"{coeff_str(mag)} * {w}"
-        if i == 0:
-            parts.append(("- " if neg else "") + body)
-        else:
-            parts.append(("- " if neg else "+ ") + body)
-    return " ".join(parts)
+    return _signed_sum((c, str(w)) for w, c in p.items_desc())
 
 
 def presentation_str(pf: PresentationFile) -> str:
@@ -777,33 +720,24 @@ def presentation_str(pf: PresentationFile) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _template_str(t: TExpr, prec: int = 0) -> str:
-    if isinstance(t, TLin):
-        parts = []
-        for i, (c, e) in enumerate(t.parts):
-            neg = c < 0
-            mag = -c if neg else c
-            body = _template_str(e, 1) if mag == 1 else \
-                f"{coeff_str(mag)} * {_template_str(e, 1)}"
-            if i == 0:
-                parts.append(("- " if neg else "") + body)
-            else:
-                parts.append(("- " if neg else "+ ") + body)
-        out = " ".join(parts) if parts else "0"
+def _template_str(t: Expr, prec: int = 0) -> str:
+    if isinstance(t, LinComb):
+        out = _signed_sum((c, _template_str(e, 1)) for c, e in t.parts)
         return f"( {out} )" if prec > 0 and len(t.parts) > 1 else out
-    if isinstance(t, TProd):
+    if isinstance(t, Prod):
         left = _template_str(t.left, 2)
         right = _template_str(t.right, 2)
         return f"{left} ({t.n}) {right}"
-    if isinstance(t, TDeriv):
+    if isinstance(t, Deriv):
         d = "D" if t.power == 1 else f"D^{t.power}"
         return f"{d} {_template_str(t.expr, 2)}"
-    if isinstance(t, TGen):
+    if isinstance(t, Gen):
+        name = t.gen.name
         if t.sub is None:
-            return t.name
+            return name
         sub = str(t.sub)
         if t.sub.vars and (len(t.sub.vars) > 1 or t.sub.const
                            or t.sub.vars[0][1] != 1):
-            return f"{t.name}_{{{sub}}}"
-        return f"{t.name}_{sub}"
+            return f"{name}_{{{sub}}}"
+        return f"{name}_{sub}"
     raise TypeError(type(t).__name__)

@@ -26,10 +26,11 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .words import (AlgebraSignature, ConformalError, GeneratorSymbol,
                     NormalWord)
-from .algebra import ConformalPolynomial, _accum, _gen_mult, apply_D
-from .dsl import RelationSchema, TDeriv, TGen, TProd, parse_schema
+from .algebra import (ConformalPolynomial, Deriv, Gen, Prod, _accum, _gen_mult,
+                      apply_D)
+from .dsl import ParseError, RelationSchema, _template_str, parse_schema
 from .rewriting import Relation, RelationSet, reduce_poly
-from .gsb import (CompletionLimits, CompletionResult, complete,
+from .gsb import (CompletionLimits, CompletionResult, _monic_prepare, complete,
                   shape_could_reduce)
 
 
@@ -123,19 +124,14 @@ def enveloping_presentation(table: LieTable) -> List[ConformalPolynomial]:
     pairs collapse after normalization.
     """
     sig = table.sig
-    out: List[ConformalPolynomial] = []
-    seen = set()
-    for (x, n, y), val in table.entries.items():
-        lead = ConformalPolynomial(sig, dict(_gen_mult(
-            sig, x, n, NormalWord((), y, 0))))
-        rel = lead - conjugate(sig, y, n, x) - val
-        if rel.is_zero():
-            continue
-        rel = rel.monic()
-        key = rel.canonical_key()
-        if key not in seen:
-            seen.add(key)
-            out.append(rel)
+
+    def relations():
+        for (x, n, y), val in table.entries.items():
+            lead = ConformalPolynomial(sig, dict(_gen_mult(
+                sig, x, n, NormalWord((), y, 0))))
+            yield lead - conjugate(sig, y, n, x) - val
+
+    out = _monic_prepare(relations())
     out.sort(key=lambda p: (sig.word_key(p.leading()), p.canonical_key()))
     return out
 
@@ -147,58 +143,18 @@ def instantiate_schemas(schemas: Sequence[RelationSchema],
                         sig: AlgebraSignature, radius: int
                         ) -> List[ConformalPolynomial]:
     """All monic instances with free indices in [-radius, radius], deduped."""
-    out: List[ConformalPolynomial] = []
-    seen = set()
     rng = range(-radius, radius + 1)
-    for sc in schemas:
-        for values in product(rng, repeat=len(sc.vars)):
-            env = dict(zip(sc.vars, values))
-            if not sc.admits(env):
-                continue
-            p = sc.instantiate(env, sig)
-            if p.is_zero():
-                continue
-            p = p.monic()
-            key = p.canonical_key()
-            if key not in seen:
-                seen.add(key)
-                out.append(p)
+
+    def instances():
+        for sc in schemas:
+            for values in product(rng, repeat=len(sc.vars)):
+                env = dict(zip(sc.vars, values))
+                if sc.admits(env):
+                    yield sc.instantiate(env, sig)
+
+    out = _monic_prepare(instances())
     out.sort(key=lambda p: (sig.word_key(p.leading()), p.canonical_key()))
     return out
-
-
-def schema_shapes(schemas: Sequence[RelationSchema]) -> List[tuple]:
-    """Letter-name and junction shapes of all schema terms.
-
-    Used as a conservative out-of-window test: a stalled word that matches
-    no shape is definitively irreducible under the full families.
-    """
-    shapes = []
-    for sc in schemas:
-        for _, t in sc.template.parts:
-            shape = _term_shape(t)
-            if shape is not None:
-                shapes.append(shape)
-    return shapes
-
-
-def _term_shape(t) -> Optional[tuple]:
-    names: List[str] = []
-    juncs: List[int] = []
-    while isinstance(t, TProd):
-        if not isinstance(t.left, TGen):
-            return None
-        names.append(t.left.name)
-        juncs.append(t.n)
-        t = t.right
-    dpow = 0
-    if isinstance(t, TDeriv):
-        dpow = t.power
-        t = t.expr
-    if not isinstance(t, TGen):
-        return None
-    names.append(t.name)
-    return (tuple(names), tuple(juncs), dpow)
 
 
 def comp_window_filter(sig: AlgebraSignature, radius: int):
@@ -229,25 +185,22 @@ class _TermTemplate:
 
 
 def _term_template(schema: RelationSchema, t) -> Optional[_TermTemplate]:
-    names: List[str] = []
+    """Split a chain  b1 (n1) ... (nk) D^j b  of leaves; None for other terms."""
+    leaves: List[Gen] = []
     juncs: List[int] = []
-    forms: List[object] = []
-    while isinstance(t, TProd):
-        if not isinstance(t.left, TGen):
-            return None
-        names.append(t.left.name)
-        forms.append(t.left.sub)
+    while isinstance(t, Prod) and isinstance(t.left, Gen):
+        leaves.append(t.left)
         juncs.append(t.n)
         t = t.right
     dpow = 0
-    if isinstance(t, TDeriv):
+    if isinstance(t, Deriv):
         dpow = t.power
         t = t.expr
-    if not isinstance(t, TGen):
+    if not isinstance(t, Gen):
         return None
-    names.append(t.name)
-    forms.append(t.sub)
-    return _TermTemplate(schema, tuple(names), tuple(juncs), tuple(forms), dpow)
+    leaves.append(t)
+    return _TermTemplate(schema, tuple(g.gen.name for g in leaves),
+                         tuple(juncs), tuple(g.sub for g in leaves), dpow)
 
 
 def _solve_index_equations(varnames: Sequence[str], eqs, bound: int):
@@ -319,17 +272,30 @@ def _solve_index_equations(varnames: Sequence[str], eqs, bound: int):
 
 
 class SchemaIndex:
-    """On-demand instantiation of schema instances matching a factor word."""
+    """On-demand instantiation of schema instances matching a factor word.
+
+    ``shapes`` holds the (names, junctions, dpow) shape of every schema
+    term, subscript values ignored; ``gsb.is_trivial`` tests remainders
+    against them (``gsb.shape_could_reduce``), so that a word an instance
+    outside the window might reduce gives an inconclusive verdict.  A term
+    that is not a chain of generator leaves would be invisible to both the
+    shapes and the lazy lookup, so such a schema is rejected.
+    """
 
     def __init__(self, schemas: Sequence[RelationSchema]):
         self.by_shape: Dict[tuple, List[_TermTemplate]] = {}
         self.lengths = set()
+        self.shapes: List[tuple] = []
         for sc in schemas:
             for _, term in sc.template.parts:
                 tt = _term_template(sc, term)
-                if tt is not None:
-                    self.by_shape.setdefault((tt.names, tt.juncs), []).append(tt)
-                    self.lengths.add(len(tt.names))
+                if tt is None:
+                    raise ParseError(
+                        f"schema {sc.name!r}: term {_template_str(term)!r} is "
+                        f"not a chain b1 (n1) ... (nk) D^j b of generators")
+                self.by_shape.setdefault((tt.names, tt.juncs), []).append(tt)
+                self.lengths.add(len(tt.names))
+                self.shapes.append((tt.names, tt.juncs, tt.dpow))
 
     def instances_for(self, sig: AlgebraSignature,
                       letters: Sequence[GeneratorSymbol],
@@ -339,22 +305,21 @@ class SchemaIndex:
         if not templates:
             return []
         bound = max((abs(g.index or 0) for g in letters), default=0) + 4
-        out = []
-        seen = set()
-        for tt in templates:
-            eqs = [(form, g.index or 0) for form, g in zip(tt.forms, letters)]
-            for env in _solve_index_equations(tt.schema.vars, eqs, bound):
-                if not tt.schema.admits(env):
-                    continue
-                p = tt.schema.instantiate(env, sig)
-                if p.is_zero():
-                    continue
-                p = p.monic()
-                ck = p.canonical_key()
-                if ck not in seen:
-                    seen.add(ck)
-                    out.append(p)
-        return out
+
+        def instances():
+            for tt in templates:
+                eqs = [(form, g.index or 0)
+                       for form, g in zip(tt.forms, letters)]
+                for env in _solve_index_equations(tt.schema.vars, eqs, bound):
+                    if tt.schema.admits(env):
+                        yield tt.schema.instantiate(env, sig)
+
+        return _monic_prepare(instances())
+
+
+def schema_shapes(schemas: Sequence[RelationSchema]) -> List[tuple]:
+    """The term shapes of the schemas (``SchemaIndex.shapes``)."""
+    return SchemaIndex(schemas).shapes
 
 
 # built-in families -----------------------------------------------------------

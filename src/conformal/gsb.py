@@ -266,13 +266,20 @@ def shape_could_reduce(word: NormalWord, shapes) -> bool:
 
 
 def is_trivial(comp: Composition, rset: RelationSet, *,
-               shapes=None, strategy: str = "leftmost") -> CompositionVerdict:
-    """Reduce the composition polynomial; trivial means zero remainder."""
+               strategy: str = "leftmost") -> CompositionVerdict:
+    """Reduce the composition polynomial; trivial means zero remainder.
+
+    A nonzero remainder is inconclusive when one of its words matches a
+    term shape of the set's schema index: an instance beyond the indices
+    the lazy lookup tries might still reduce it.
+    """
     trace = reduce_poly(comp.poly, rset, strategy=strategy)
     rem = trace.remainder
+    lazy = rset._lazy
     if rem.is_zero():
         verdict = "trivial"
-    elif shapes and any(shape_could_reduce(w, shapes) for w in rem.terms):
+    elif lazy is not None and any(shape_could_reduce(w, lazy.shapes)
+                                  for w in rem.terms):
         verdict = "inconclusive"
     else:
         verdict = "nontrivial"
@@ -282,8 +289,7 @@ def is_trivial(comp: Composition, rset: RelationSet, *,
 def check_gsb(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
               gens: Sequence[GeneratorSymbol], *,
               comp_filter: Optional[Callable[[Relation], bool]] = None,
-              bounds: MultBounds = MultBounds(),
-              shapes=None) -> GsbReport:
+              bounds: MultBounds = MultBounds()) -> GsbReport:
     """Check every composition of the (monic) set for triviality.
 
     ``comp_filter`` restricts which relations act as composition sources
@@ -291,18 +297,18 @@ def check_gsb(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
     """
     rset = RelationSet(sig, polys)
     return check_gsb_rset(rset, sig, gens, comp_filter=comp_filter,
-                          bounds=bounds, shapes=shapes)
+                          bounds=bounds)
 
 
 def check_gsb_rset(rset: RelationSet, sig: AlgebraSignature,
                    gens: Sequence[GeneratorSymbol], *,
-                   comp_filter=None, bounds: MultBounds = MultBounds(),
-                   shapes=None) -> GsbReport:
+                   comp_filter=None, bounds: MultBounds = MultBounds()
+                   ) -> GsbReport:
     source = rset.relations()
     if comp_filter is not None:
         source = [r for r in source if comp_filter(r)]
     comps = enumerate_compositions(sig, source, gens, bounds)
-    verdicts = [is_trivial(c, rset, shapes=shapes) for c in comps]
+    verdicts = [is_trivial(c, rset) for c in comps]
     counts: Dict[str, int] = {}
     for c in comps:
         counts[c.ctype] = counts.get(c.ctype, 0) + 1
@@ -333,6 +339,7 @@ class CompletionResult:
 
 
 def _monic_prepare(polys: Iterable[ConformalPolynomial]):
+    """Monic forms of the nonzero polynomials, each kept once, in order."""
     out = []
     seen = set()
     for p in polys:

@@ -222,8 +222,8 @@ class RelationSet:
                     if rel.alive and rel is not exclude]
             if hits:
                 prefix = w.prefix_to(p)
-                n = w.junctions()[p - 1] if p > 0 else None
-                m = w.junctions()[p + L - 1]
+                n = w.body[p - 1][1] if p > 0 else None
+                m = w.body[p + L - 1][1]
                 suffix = w.suffix_from(p + L)
                 out = [Pattern(1, rel, prefix, n, m=m, suffix=suffix)
                        for rel in hits]
@@ -233,7 +233,7 @@ class RelationSet:
                     and w.dpow >= rel.lead.dpow]
             if hits:
                 prefix = w.prefix_to(p)
-                n = w.junctions()[p - 1] if p > 0 else None
+                n = w.body[p - 1][1] if p > 0 else None
                 out = [Pattern(2, rel, prefix, n, dshift=w.dpow - rel.lead.dpow)
                        for rel in hits]
         return out

@@ -184,11 +184,6 @@ class NormalWord:
 
     # structural edits -----------------------------------------------------
 
-    def strip_tail_D(self) -> "NormalWord":
-        if self.dpow == 0:
-            return self
-        return NormalWord(self.body, self.tail, 0)
-
     def append_D(self, l: int) -> "NormalWord":
         if l == 0:
             return self
@@ -233,18 +228,6 @@ def make_word(sig: "AlgebraSignature", *items, dpow: int = 0) -> NormalWord:
     w = NormalWord(body, items[-1], dpow)
     sig.check_word(w)
     return NormalWord(tuple(g.pair(n) for g, n in body), w.tail, dpow)
-
-
-def splice(sig: "AlgebraSignature", u: NormalWord, v: NormalWord) -> NormalWord:
-    """Join u (tail D stripped) to v, junctions at and after the seam N-1.
-
-    The result bounds the leading word of any product of u and v: u's
-    junctions survive, while v contributes only its letters and tail D
-    power, every junction from the seam on being the maximal index N-1.
-    """
-    nm1 = sig.N - 1
-    body = u.body + (u.tail.pair(nm1),) + tuple(g.pair(nm1) for g, _ in v.body)
-    return NormalWord(body, v.tail, v.dpow)
 
 
 class AlgebraSignature:

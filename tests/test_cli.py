@@ -42,6 +42,22 @@ options {
 }
 """
 
+# the schema f reduces L_0 (0) L_0 only through instances with k > 20, which
+# the lazy lookup (k in [-4, 4] here) never reaches
+INCONCLUSIVE_FILE = """
+algebra {
+    N = 2
+    family L
+}
+relations {
+    f[i, k | k > 20]: L_i (0) L_i - L_{i+k}
+    g: L_1 (1) L_1 - L_0 (0) L_0
+}
+options {
+    window = 1
+}
+"""
+
 
 @pytest.fixture
 def ex00(tmp_path):
@@ -204,3 +220,51 @@ def test_trace_json_deterministic(ex00, tmp_path, capsys):
 def test_example_flags_between_positionals(capsys):
     assert main(["example", "virasoro", "--window", "2", "check"]) == 0
     assert "basis: yes" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["check", "compositions"])
+def test_inconclusive_only_run(command, tmp_path, capsys):
+    f = tmp_path / "incon.alg"
+    f.write_text(INCONCLUSIVE_FILE)
+    out = tmp_path / "r.json"
+    assert main([command, "-f", str(f), "--json", str(out)]) == 2
+    data = json.loads(out.read_text())
+    assert data["verdict"] == "inconclusive"
+    assert data["details"]["inconclusive"] == 4
+    assert data["details"]["nontrivial"] == 0
+
+
+def test_gsb_outcome_mapping():
+    from conformal.cli import _gsb_outcome
+    from conformal.gsb import GsbReport
+
+    def rep(n_t, n_n, n_i):
+        return GsbReport([], n_n == 0 and n_i == 0, {}, n_t, n_n, n_i)
+
+    assert _gsb_outcome(rep(3, 0, 0)) == (0, "ok")
+    assert _gsb_outcome(rep(3, 0, 2)) == (2, "inconclusive")
+    assert _gsb_outcome(rep(3, 1, 2)) == (1, "fail")
+    assert _gsb_outcome(rep(0, 1, 0)) == (1, "fail")
+
+
+def test_non_chain_schema_term_is_an_input_error(tmp_path, capsys):
+    text = """
+algebra {
+    N = 2
+    family L
+}
+relations {
+    %s
+}
+options {
+    window = 1
+}
+"""
+    bad = tmp_path / "bad.alg"
+    bad.write_text(text % "f[i]: D (L_i (0) L_0) - L_0 (1) L_i")
+    assert main(["check", "-f", str(bad)]) == 3
+    assert "schema 'f'" in capsys.readouterr().err
+    # a concrete relation may take any form
+    good = tmp_path / "good.alg"
+    good.write_text(text % "f: D (L_1 (0) L_0) - L_0 (1) L_1")
+    assert main(["check", "-f", str(good)]) in (0, 1)

@@ -1,9 +1,11 @@
 """Composition enumeration and triviality on the single-generator example."""
 
-from conformal import (RelationSet, check_gsb, is_trivial,
-                       mult_compositions, pair_compositions, parse_poly,
-                       parse_word)
-from conformal.gsb import MultBounds
+from conformal import (AlgebraSignature, ConformalPolynomial, RelationSet,
+                       check_gsb, gen, is_trivial, mult_compositions,
+                       pair_compositions, parse_poly, parse_schema, parse_word)
+from conformal.envelope import SchemaIndex
+from conformal.gsb import Composition, MultBounds
+from conformal.rewriting import Relation
 
 
 def _rels(sig, *texts):
@@ -109,3 +111,22 @@ def test_right_intersection_enumerated(sig_a2):
             for c in pair_compositions(sig_a2, r1, r2)}
     # w = (a(0)a(0)Da) D = a (0) [a(0)D^2 a]
     assert ("right_intersection", "a (0) a (0) D^2 a") in pair
+
+
+def test_out_of_reach_instance_makes_verdict_inconclusive():
+    # the instance i = 0, k = 21 reduces L_0 (0) L_0, but the lazy lookup
+    # only tries k in [-4, 4]: the relation set cannot see that reduction,
+    # so a remainder carrying the word must not count as nontrivial
+    sig = AlgebraSignature.indexed(["L"], 2)
+    lazy = SchemaIndex([parse_schema("f[i, k | k > 20]: L_i (0) L_i - L_{i+k}")])
+    rset = RelationSet(sig, [], lazy=lazy)
+    w = parse_word("L_0 (0) L_0", sig)
+    assert rset.is_irreducible(w)
+    mono = ConformalPolynomial.monomial(sig, w)
+    comp = Composition("left_mult", Relation(mono), None, None, gen("L", 0),
+                       2, mono)
+    v = is_trivial(comp, rset)
+    assert v.verdict == "inconclusive"
+    assert v.remainder == mono
+    # without a schema index nothing lies beyond the set
+    assert is_trivial(comp, RelationSet(sig, [])).verdict == "nontrivial"

@@ -86,6 +86,21 @@ def test_schema_parse_and_instantiate():
     assert p == parse_poly("L_2 (0) L_-1 - L_0 (0) L_1", sig)
 
 
+def test_template_leaves_keep_index_forms():
+    from conformal import Gen, GeneratorSymbol, Prod
+    from conformal.dsl import IndexForm, parse_template
+    (c, t), = parse_template("L_3 (0) L_{i-1}", ["i"]).parts
+    assert c == 1 and isinstance(t, Prod)
+    # a constant subscript keeps its form: the lazy lookup solves with it
+    assert t.left.sub == IndexForm(const=3)
+    assert t.left.gen is GeneratorSymbol("L", 3)
+    assert t.right.sub == IndexForm(const=-1, vars=(("i", 1),))
+    assert t.left.instantiate({"i": 7}) is t.left
+    assert t.right.instantiate({"i": 7}).gen is GeneratorSymbol("L", 6)
+    plain = Gen(GeneratorSymbol("a"))
+    assert plain.sub is None and plain.instantiate({}) is plain
+
+
 def test_presentation_file_parse(tmp_path):
     text = """
 # a one-generator presentation

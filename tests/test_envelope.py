@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from conformal import (AlgebraSignature, ConformalPolynomial, IndexWindow,
                        LieTable, RelationSet, apply_D, builtin_example,
                        conjugate, enveloping_presentation, equivalence_check,
@@ -275,15 +277,43 @@ def test_kd_basis_builtins():
 
 def test_shape_matcher_conservative():
     from conformal.gsb import shape_could_reduce
-    from conformal import parse_schema
-    from conformal.envelope import schema_shapes
-    shapes = schema_shapes([parse_schema(
-        "q1[i, j | i != 0]: H_i (1) L_j - H_0 (1) L_{i+j}")])
+    from conformal.envelope import SchemaIndex
+    shapes = SchemaIndex([parse_schema(
+        "q1[i, j | i != 0]: H_i (1) L_j - H_0 (1) L_{i+j}")]).shapes
     sig = AlgebraSignature.indexed(["H", "L"], 2)
     assert shape_could_reduce(parse_word("H_0 (1) L_4", sig), shapes)
     assert shape_could_reduce(parse_word("H_0 (1) D^3 L_4", sig), shapes)
     assert not shape_could_reduce(parse_word("H_0 (0) L_4", sig), shapes)
     assert not shape_could_reduce(parse_word("L_0 (1) L_4", sig), shapes)
+
+
+@pytest.mark.parametrize("line", [
+    "f[i]: D (L_i (0) L_0) - L_0 (1) L_i",
+    "f[i, j]: 2 * (L_i (0) L_j) - L_{i+j}",
+    "f[i, j]: (L_i (0) L_j) (1) L_0 - L_{i+j}",
+])
+def test_schema_index_rejects_non_chain_terms(line):
+    from conformal import ParseError
+    from conformal.envelope import SchemaIndex
+    with pytest.raises(ParseError, match="schema 'f'"):
+        SchemaIndex([parse_schema(line)])
+
+
+def test_non_chain_instance_was_invisible():
+    # i = 5 leads with L_5 (0) D L_0; the schema must be written as a chain
+    # for the lazy lookup and the shapes to see that word
+    from conformal.envelope import SchemaIndex
+    from conformal.gsb import shape_could_reduce
+    sig = AlgebraSignature.indexed(["L"], 2)
+    inst = parse_schema("f[i]: D (L_i (0) L_0) - L_0 (1) L_i").instantiate(
+        {"i": 5}, sig)
+    w = parse_word("L_5 (0) D L_0", sig)
+    assert inst.leading() == w
+    chain = parse_schema("f[i]: L_i (0) D L_0 - L_0 (1) L_i")
+    assert chain.instantiate({"i": 5}, sig) == inst
+    lazy = SchemaIndex([chain])
+    assert not RelationSet(sig, [], lazy=lazy).is_irreducible(w)
+    assert shape_could_reduce(w, lazy.shapes)
 
 
 def test_shipped_presentation_files_match_builtins():

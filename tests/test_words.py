@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from conformal import (AlgebraSignature, GeneratorOrder, GeneratorSymbol,
                        NormalWord, SignatureError, compare_words, gen,
-                       make_word, parse_word, splice)
+                       make_word, parse_word)
 from conftest import random_word
+from props import splice, strip_tail_D
 
 
 def test_weight_orders_by_length_first(sig_a2):
@@ -55,10 +56,10 @@ def test_signature_mismatch_raises(sig_a2, sig_xy3):
 def test_strip_and_append_d(sig_a2):
     a = gen("a")
     w = make_word(sig_a2, a, 1, a, dpow=3)
-    assert w.strip_tail_D() == make_word(sig_a2, a, 1, a)
+    assert strip_tail_D(w) == make_word(sig_a2, a, 1, a)
     assert w.append_D(0) is w
     assert make_word(sig_a2, a, dpow=1).append_D(1) == make_word(sig_a2, a, dpow=2)
-    assert make_word(sig_a2, a, dpow=2).strip_tail_D() == make_word(sig_a2, a)
+    assert strip_tail_D(make_word(sig_a2, a, dpow=2)) == make_word(sig_a2, a)
 
 
 def test_splice_junction_indices():
