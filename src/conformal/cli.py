@@ -31,11 +31,11 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from .words import AlgebraSignature, ConformalError, compare_words
-from .dsl import (ParseError, PresentationFile, parse_poly, parse_presentation,
+from .dsl import (_KNOWN_OPTIONS, ParseError, parse_poly, parse_presentation,
                   parse_word, poly_str)
 from .rewriting import RelationSet, irr_enumerate, kd_basis, reduce_poly
-from .gsb import (CompletionLimits, MultBounds, check_gsb_rset, complete,
-                  minimalize, reduce_basis)
+from .gsb import (CompletionLimits, MultBounds, _monic_prepare,
+                  check_gsb_rset, complete, minimalize, reduce_basis)
 from .envelope import (IndexWindow, SchemaIndex, builtin_example,
                        comp_window_filter, embedding_check, equivalence_check,
                        instantiate_schemas)
@@ -123,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 @dataclass
 class _Context:
-    pf: PresentationFile
     sig: AlgebraSignature
     options: dict
     rset: RelationSet
@@ -131,20 +130,21 @@ class _Context:
     window: Optional[IndexWindow]
 
 
+def _options(args, defaults: dict) -> dict:
+    """The defaults overridden by every option flag that was given."""
+    options = dict(defaults)
+    for key in sorted(_KNOWN_OPTIONS):
+        v = getattr(args, key, None)
+        if v is not None:
+            options[key] = v
+    return options
+
+
 def _load_context(args) -> _Context:
     with open(args.file, encoding="utf-8") as fh:
         text = fh.read()
     pf = parse_presentation(text)
-    options = dict(pf.options)
-    for key, attr in [("window", "window"),
-                      ("relation_multiplier", "relation_multiplier"),
-                      ("max_length", "max_length"), ("max_dpow", "max_dpow"),
-                      ("mult_bound_left", "mult_bound_left"),
-                      ("mult_bound_right", "mult_bound_right"),
-                      ("max_iters", "max_iters"), ("max_basis", "max_basis")]:
-        v = getattr(args, attr, None)
-        if v is not None:
-            options[key] = v
+    options = _options(args, pf.options)
     window = None
     lazy = None
     polys = pf.concrete_relations()
@@ -157,10 +157,9 @@ def _load_context(args) -> _Context:
         gens = pf.sig.generators
     else:
         gens = pf.sig.family_generators(window.W if window else 2)
-    rset = RelationSet(pf.sig, [p.monic() for p in polys if not p.is_zero()],
-                       lazy=lazy)
+    rset = RelationSet(pf.sig, _monic_prepare(polys), lazy=lazy)
     args._digest = _digest(text, json.dumps(options, sort_keys=True))
-    return _Context(pf, pf.sig, options, rset, gens, window)
+    return _Context(pf.sig, options, rset, gens, window)
 
 
 def _bounds(ctx) -> MultBounds:
@@ -216,15 +215,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _dispatch(args):
     if args.command == "example":
         return _run_example(args)
-    ctx = _load_context(args)
-    handler = {
-        "normalize": _cmd_normalize, "order": _cmd_order,
-        "reduce": _cmd_reduce, "compositions": _cmd_compositions,
-        "check": _cmd_check, "complete": _cmd_complete,
-        "minimalize": _cmd_minimalize, "reduce-basis": _cmd_reduce_basis,
-        "irr": _cmd_irr, "kdbasis": _cmd_kdbasis,
-    }[args.command]
-    return handler(ctx, args)
+    return _HANDLERS[args.command](_load_context(args), args)
 
 
 def _report(args, command, params, verdict="ok", details=None) -> Report:
@@ -339,87 +330,76 @@ def _irr_bounds(ctx):
     return (ctx.options.get("max_length", 3), ctx.options.get("max_dpow", 2))
 
 
-def _cmd_irr(ctx, args):
-    max_len, max_dpow = _irr_bounds(ctx)
-    words = irr_enumerate(ctx.rset, ctx.sig, ctx.gens, max_len, max_dpow)
+def _words_report(ctx, args, command, words):
     for w in words:
         print(w)
-    return OK, _report(args, "irr", ctx.options,
+    return OK, _report(args, command, ctx.options,
                        details={"count": len(words),
                                 "words": [str(w) for w in words]})
+
+
+def _cmd_irr(ctx, args):
+    max_len, max_dpow = _irr_bounds(ctx)
+    return _words_report(ctx, args, "irr", irr_enumerate(
+        ctx.rset, ctx.sig, ctx.gens, max_len, max_dpow))
 
 
 def _cmd_kdbasis(ctx, args):
-    max_len, _ = _irr_bounds(ctx)
-    words = kd_basis(ctx.rset, ctx.sig, ctx.gens, max_len)
-    for w in words:
-        print(w)
-    return OK, _report(args, "kdbasis", ctx.options,
-                       details={"count": len(words),
-                                "words": [str(w) for w in words]})
+    words = kd_basis(ctx.rset, ctx.sig, ctx.gens, _irr_bounds(ctx)[0])
+    return _words_report(ctx, args, "kdbasis", words)
+
+
+def _cmd_embed(ctx, args):
+    gsb = _check_core(ctx)
+    emb = embedding_check(ctx.rset, ctx.sig, ctx.gens, _irr_bounds(ctx)[1])
+    ok = gsb.is_gsb and emb.embedded
+    print(f"embedded: {'yes' if ok else 'no'}")
+    if emb.inconclusive:
+        return INCONCLUSIVE, _report(args, "embed", ctx.options,
+                                     "inconclusive", emb.to_json())
+    return (OK if ok else FAIL), _report(
+        args, "embed", ctx.options, "ok" if ok else "fail",
+        {"gsb": gsb.is_gsb, **emb.to_json()})
 
 
 def _run_example(args):
-    window = IndexWindow(args.window or 2, args.relation_multiplier or 4)
+    options = _options(args, {"window": 2, "relation_multiplier": 4})
+    window = IndexWindow(options["window"], options["relation_multiplier"])
     ex = builtin_example(args.name, window)
     args._digest = _digest(args.name, str(window.W), str(window.M))
-    params = {"example": ex.name, "window": window.W,
-              "relation_multiplier": window.M}
-    max_len = args.max_length or 3
-    max_dpow = args.max_dpow if args.max_dpow is not None else 2
-
-    if args.action == "check":
-        rset = ex.basis_rset()
-        rep = check_gsb_rset(rset, ex.sig, ex.gens(),
-                             comp_filter=comp_window_filter(ex.sig, window.W))
-        print(f"basis: {'yes' if rep.is_gsb else 'no'} "
-              f"({rep.n_trivial} trivial, {rep.n_nontrivial} nontrivial, "
-              f"{rep.n_inconclusive} inconclusive)")
-        code, verdict = _gsb_outcome(rep)
-        return code, Report("example check", args._digest, params, verdict,
-                            rep.to_json())
-
+    if args.action == "equiv":
+        eq = equivalence_check(ex)
+        print(f"ideals equal over the window: {'yes' if eq.ok else 'no'}")
+        code, verdict = ((INCONCLUSIVE, "inconclusive")
+                         if not eq.completion.completed
+                         else (OK, "ok") if eq.ok else (FAIL, "fail"))
+        rep = _report(args, "equiv", options, verdict, eq.to_json())
+    else:
+        ctx = _Context(ex.sig, options, ex.basis_rset(), ex.gens(), window)
+        code, rep = _HANDLERS[args.action](ctx, args)
     if args.action in ("irr", "kdbasis"):
-        rset = ex.basis_rset()
-        if args.action == "kdbasis":
-            words = kd_basis(rset, ex.sig, ex.gens(), max_len)
-            expected = set(ex.irr_expected(window.W, max_len, 0))
-        else:
-            words = irr_enumerate(rset, ex.sig, ex.gens(), max_len, max_dpow)
-            expected = set(ex.irr_expected(window.W, max_len, max_dpow))
-        for w in words:
-            print(w)
-        match = set(words) == expected
+        # kdbasis lists the D-free words of the closed-form family
+        max_len, max_dpow = _irr_bounds(ctx)
+        expected = ex.irr_expected(
+            window.W, max_len, max_dpow if args.action == "irr" else 0)
+        match = set(rep.details["words"]) == {str(w) for w in expected}
         print(f"matches closed form: {'yes' if match else 'no'}")
-        return (OK if match else FAIL), Report(
-            f"example {args.action}", args._digest, params,
-            "ok" if match else "fail",
-            {"count": len(words), "matches_closed_form": match,
-             "words": [str(w) for w in words]})
+        rep.details["matches_closed_form"] = match
+        if not match:
+            code, rep.verdict = FAIL, "fail"
+    rep.command = f"example {args.action}"
+    rep.params = {"example": ex.name, "window": window.W,
+                  "relation_multiplier": window.M}
+    return code, rep
 
-    if args.action == "embed":
-        rset = ex.basis_rset()
-        gsb = check_gsb_rset(rset, ex.sig, ex.gens(),
-                             comp_filter=comp_window_filter(ex.sig, window.W))
-        emb = embedding_check(rset, ex.sig, ex.gens(), max_dpow)
-        ok = gsb.is_gsb and emb.embedded
-        print(f"embedded: {'yes' if ok else 'no'}")
-        if emb.inconclusive:
-            return INCONCLUSIVE, Report("example embed", args._digest, params,
-                                        "inconclusive", emb.to_json())
-        return (OK if ok else FAIL), Report(
-            "example embed", args._digest, params, "ok" if ok else "fail",
-            {"gsb": gsb.is_gsb, **emb.to_json()})
 
-    # equiv
-    eq = equivalence_check(ex)
-    print(f"ideals equal over the window: {'yes' if eq.ok else 'no'}")
-    if not eq.completion.completed:
-        return INCONCLUSIVE, Report("example equiv", args._digest, params,
-                                    "inconclusive", eq.to_json())
-    return (OK if eq.ok else FAIL), Report(
-        "example equiv", args._digest, params, "ok" if eq.ok else "fail",
-        eq.to_json())
+# file subcommands; example check|irr|kdbasis|embed run on the family's context
+_HANDLERS = {
+    "normalize": _cmd_normalize, "order": _cmd_order, "reduce": _cmd_reduce,
+    "compositions": _cmd_compositions, "check": _cmd_check,
+    "complete": _cmd_complete, "minimalize": _cmd_minimalize,
+    "reduce-basis": _cmd_reduce_basis, "irr": _cmd_irr,
+    "kdbasis": _cmd_kdbasis, "embed": _cmd_embed}
 
 
 if __name__ == "__main__":

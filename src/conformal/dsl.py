@@ -721,16 +721,17 @@ def presentation_str(pf: PresentationFile) -> str:
 
 
 def _template_str(t: Expr, prec: int = 0) -> str:
+    # prec: 1 summand, 2 right product operand, 3 left one or D's operand
     if isinstance(t, LinComb):
         out = _signed_sum((c, _template_str(e, 1)) for c, e in t.parts)
-        return f"( {out} )" if prec > 0 and len(t.parts) > 1 else out
+        bare = len(t.parts) == 1 and t.parts[0][0] == 1 and prec < 3
+        return out if prec == 0 or bare else f"( {out} )"
     if isinstance(t, Prod):
-        left = _template_str(t.left, 2)
-        right = _template_str(t.right, 2)
-        return f"{left} ({t.n}) {right}"
+        out = f"{_template_str(t.left, 3)} ({t.n}) {_template_str(t.right, 2)}"
+        return f"( {out} )" if prec > 2 else out
     if isinstance(t, Deriv):
         d = "D" if t.power == 1 else f"D^{t.power}"
-        return f"{d} {_template_str(t.expr, 2)}"
+        return f"{d} {_template_str(t.expr, 3)}"
     if isinstance(t, Gen):
         name = t.gen.name
         if t.sub is None:

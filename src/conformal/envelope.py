@@ -22,16 +22,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import factorial
+from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .words import (AlgebraSignature, ConformalError, GeneratorSymbol,
                     NormalWord)
 from .algebra import (ConformalPolynomial, Deriv, Gen, Prod, _accum, _gen_mult,
                       apply_D)
-from .dsl import ParseError, RelationSchema, _template_str, parse_schema
+from .dsl import (ParseError, RelationSchema, _template_str,
+                  parse_presentation)
 from .rewriting import Relation, RelationSet, reduce_poly
 from .gsb import (CompletionLimits, CompletionResult, _monic_prepare, complete,
                   shape_could_reduce)
+
+
+class WindowError(ConformalError, ValueError):
+    """A window parameter below 1."""
 
 
 @dataclass(frozen=True)
@@ -43,7 +49,7 @@ class IndexWindow:
 
     def __post_init__(self):
         if self.W < 1 or self.M < 1:
-            raise ValueError("window parameters must be positive")
+            raise WindowError("window parameters must be positive")
 
     @property
     def radius(self) -> int:
@@ -84,24 +90,6 @@ class LieTable:
     def value(self, x, n, y) -> ConformalPolynomial:
         return self.entries.get((x, n, y), ConformalPolynomial.zero(self.sig))
 
-    def bracket_conjugate(self, y, n, x) -> ConformalPolynomial:
-        """{y [n] x} computed inside the table's own bracket."""
-        sig = self.sig
-        out = ConformalPolynomial.zero(sig)
-        for k in range(0, sig.N - n):
-            c = Fraction((-1) ** (n + k), factorial(k))
-            out = out + apply_D(self.value(y, n + k, x), k).scale(c)
-        return out
-
-    def fill_skew(self, pairs: Iterable[Tuple[GeneratorSymbol, GeneratorSymbol]]
-                  ) -> "LieTable":
-        """Add the (y, n, x) entries determined by anti-commutativity."""
-        entries = dict(self.entries)
-        for x, y in pairs:
-            for n in range(self.sig.N):
-                entries[(y, n, x)] = -self.bracket_conjugate(x, n, y)
-        return LieTable(self.sig, entries)
-
 
 def conjugate(sig: AlgebraSignature, y: GeneratorSymbol, n: int,
               x: GeneratorSymbol) -> ConformalPolynomial:
@@ -131,9 +119,8 @@ def enveloping_presentation(table: LieTable) -> List[ConformalPolynomial]:
                 sig, x, n, NormalWord((), y, 0))))
             yield lead - conjugate(sig, y, n, x) - val
 
-    out = _monic_prepare(relations())
-    out.sort(key=lambda p: (sig.word_key(p.leading()), p.canonical_key()))
-    return out
+    return sorted(_monic_prepare(relations()),
+                  key=ConformalPolynomial.canonical_key)
 
 
 # windowed schema instantiation ---------------------------------------------
@@ -152,9 +139,8 @@ def instantiate_schemas(schemas: Sequence[RelationSchema],
                 if sc.admits(env):
                     yield sc.instantiate(env, sig)
 
-    out = _monic_prepare(instances())
-    out.sort(key=lambda p: (sig.word_key(p.leading()), p.canonical_key()))
-    return out
+    return sorted(_monic_prepare(instances()),
+                  key=ConformalPolynomial.canonical_key)
 
 
 def comp_window_filter(sig: AlgebraSignature, radius: int):
@@ -316,6 +302,14 @@ class SchemaIndex:
 
         return _monic_prepare(instances())
 
+    def check_signature(self, sig: AlgebraSignature) -> None:
+        """Reject a junction at or above N: normalization rewrites it, so
+        neither the lookup nor the shapes would see the instance's lead."""
+        for tt in (tt for tts in self.by_shape.values() for tt in tts):
+            if max(tt.juncs, default=0) >= sig.N:
+                raise ParseError(f"schema {tt.schema.name!r}: a junction is "
+                                 f"not below N = {sig.N}")
+
 
 def schema_shapes(schemas: Sequence[RelationSchema]) -> List[tuple]:
     """The term shapes of the schemas (``SchemaIndex.shapes``)."""
@@ -324,25 +318,7 @@ def schema_shapes(schemas: Sequence[RelationSchema]) -> List[tuple]:
 
 # built-in families -----------------------------------------------------------
 
-_VIRASORO_S1 = [
-    "s0[i, j | i != 0]: L_i (0) L_j - L_0 (0) L_{i+j}",
-    "s1[i, j]: L_i (1) L_j + L_{i+j}",
-]
-
-# The all-negative branch of the q0 side condition admits equal indices;
-# with a strict inequality the instances with i = j would be missing and
-# the family would leave H_{2i} (0) L_k uncovered.
-_LHV_S1 = [
-    "s0[i, j | i != 0]: L_i (0) L_j - L_0 (0) L_{i+j}",
-    "s1[i, j]: L_i (1) L_j - L_{i+j}",
-    "g0[i, j]: L_i (0) H_j + H_j (1) D L_i - 2 * H_j (0) L_i - D H_{i+j}",
-    "g1[i, j]: L_i (1) H_j + H_j (1) L_i - H_{i+j}",
-    "q0[i, j, k | |i| >= |j| and i > 0 > j or i > j > 0 or i <= j < 0]: "
-    "H_i (0) L_{j+k} - H_{i+j} (0) L_k + H_j (0) L_{i+k} - H_0 (0) L_{i+j+k}",
-    "q1[i, j | i != 0]: H_i (1) L_j - H_0 (1) L_{i+j}",
-    "r0[i, j | i != 0]: H_i (0) H_j - H_0 (0) H_{i+j}",
-    "r1[i, j]: H_i (1) H_j",
-]
+_PRESENTATIONS = Path(__file__).resolve().parents[2] / "presentations"
 
 
 @dataclass
@@ -358,9 +334,8 @@ class BuiltinExample:
     basis: List[ConformalPolynomial]             # its instances within the window
     irr_expected: Callable[[int, int, int], List[NormalWord]]
 
-    def gens(self, radius: Optional[int] = None) -> Tuple[GeneratorSymbol, ...]:
-        return self.sig.family_generators(
-            self.window.W if radius is None else radius)
+    def gens(self) -> Tuple[GeneratorSymbol, ...]:
+        return self.sig.family_generators(self.window.W)
 
     def basis_rset(self) -> RelationSet:
         """The instantiated basis, extended on demand beyond the window."""
@@ -392,8 +367,8 @@ def heisenberg_virasoro_table(sig: AlgebraSignature, radius: int) -> LieTable:
     """Loop Heisenberg-Virasoro bracket.
 
     L_i[0]L_j = D L_{i+j}, L_i[1]L_j = 2 L_{i+j}, L_i[0]H_j = D H_{i+j},
-    L_i[1]H_j = H_{i+j}, H brackets vanish; the H-against-L entries follow
-    from anti-commutativity.
+    L_i[1]H_j = H_{i+j}, H_j[0]L_i = 0, H_j[1]L_i = H_{i+j} (the
+    anti-commutativity of the L-against-H entries), H brackets vanish.
     """
     entries = {}
     rng = range(-radius, radius + 1)
@@ -404,11 +379,11 @@ def heisenberg_virasoro_table(sig: AlgebraSignature, radius: int) -> LieTable:
             entries[(_L(i), 1, _L(j))] = kd_element(sig, [(Fraction(2), 0, _L(i + j))])
             entries[(_L(i), 0, _H(j))] = kd_element(sig, [(Fraction(1), 1, _H(i + j))])
             entries[(_L(i), 1, _H(j))] = kd_element(sig, [(Fraction(1), 0, _H(i + j))])
+            entries[(_H(i), 0, _L(j))] = zero
+            entries[(_H(i), 1, _L(j))] = kd_element(sig, [(Fraction(1), 0, _H(i + j))])
             entries[(_H(i), 0, _H(j))] = zero
             entries[(_H(i), 1, _H(j))] = zero
-    table = LieTable(sig, entries)
-    pairs = [(_L(i), _H(j)) for i in rng for j in rng]
-    return table.fill_skew(pairs)
+    return LieTable(sig, entries)
 
 
 def virasoro_irr_words(idx_radius: int, max_length: int,
@@ -453,25 +428,32 @@ def heisenberg_virasoro_irr_words(idx_radius: int, max_length: int,
     return out
 
 
+# name -> (presentation file stem, Lie table, closed-form irreducible words).
+# The all-negative branch of the q0 side condition in heisenberg_virasoro.alg
+# admits equal indices; with a strict inequality the instances with i = j
+# would be missing and the family would leave H_{2i} (0) L_k uncovered.
+_BUILTINS = {
+    "virasoro": ("virasoro", virasoro_table, virasoro_irr_words),
+    "heisenberg-virasoro": ("heisenberg_virasoro", heisenberg_virasoro_table,
+                            heisenberg_virasoro_irr_words),
+}
+_BUILTINS["heisenberg_virasoro"] = _BUILTINS["heisenberg-virasoro"]
+
+
 def builtin_example(name: str, window: IndexWindow) -> BuiltinExample:
-    radius = window.radius
-    if name == "virasoro":
-        sig = AlgebraSignature.indexed(["L"], 2)
-        table = virasoro_table(sig, radius)
-        schemas = [parse_schema(s) for s in _VIRASORO_S1]
-        irr = virasoro_irr_words
-    elif name in ("heisenberg-virasoro", "heisenberg_virasoro"):
-        sig = AlgebraSignature.indexed(["H", "L"], 2)
-        table = heisenberg_virasoro_table(sig, radius)
-        schemas = [parse_schema(s) for s in _LHV_S1]
-        irr = heisenberg_virasoro_irr_words
-    else:
+    """The signature and schemas of ``presentations/<stem>.alg`` over the
+    window; the file's options block is ignored."""
+    if name not in _BUILTINS:
         raise ConformalError(f"unknown example {name!r}; "
                              f"try 'virasoro' or 'heisenberg-virasoro'")
-    presentation = enveloping_presentation(table)
-    basis = instantiate_schemas(schemas, sig, radius)
-    return BuiltinExample(name, sig, window, table, presentation, schemas,
-                          basis, irr)
+    stem, table_fn, irr = _BUILTINS[name]
+    pf = parse_presentation(
+        (_PRESENTATIONS / f"{stem}.alg").read_text(encoding="utf-8"))
+    table = table_fn(pf.sig, window.radius)
+    return BuiltinExample(
+        name, pf.sig, window, table, enveloping_presentation(table),
+        pf.schemas, instantiate_schemas(pf.schemas, pf.sig, window.radius),
+        irr)
 
 
 # windowed checks ------------------------------------------------------------
@@ -529,8 +511,6 @@ def equivalence_check(ex: BuiltinExample, *,
                 back_fail.append(p)
 
     targets = instantiate_schemas(ex.schemas, sig, W)
-    completion = None
-    fwd_fail = targets
     src = W
     while True:
         completion = complete(ex.presentation, sig,

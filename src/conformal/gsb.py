@@ -569,15 +569,14 @@ def minimalize(polys: Iterable[ConformalPolynomial],
     """
     prepared = _monic_prepare(polys)
     by_lead: Dict[tuple, ConformalPolynomial] = {}
-    for p in sorted(prepared, key=lambda q: (sig.word_key(q.leading()),
-                                             q.canonical_key())):
+    for p in sorted(prepared, key=ConformalPolynomial.canonical_key):
         by_lead.setdefault(sig.word_key(p.leading()), p)
     rset = RelationSet(sig, list(by_lead.values()))
     out = []
     for rel in rset.relations():
         if rset.find_one(rel.lead, exclude=rel) is None:
             out.append(rel.poly)
-    out.sort(key=lambda p: (sig.word_key(p.leading()), p.canonical_key()))
+    out.sort(key=ConformalPolynomial.canonical_key)
     return out
 
 
@@ -596,5 +595,5 @@ def reduce_basis(polys: Iterable[ConformalPolynomial],
         tail = rel.poly - lead_mono
         rem = reduce_poly(tail, rset).remainder
         out.append(lead_mono + rem)
-    out.sort(key=lambda p: (sig.word_key(p.leading()), p.canonical_key()))
+    out.sort(key=ConformalPolynomial.canonical_key)
     return out

@@ -137,6 +137,8 @@ class RelationSet:
         self._lens: Dict[int, int] = {}
         self._lens_set = None
         self._canon = set()
+        if lazy is not None:
+            lazy.check_signature(sig)
         self._lazy = lazy
         self._lazy_tried = set()
         self.materialized = 0
@@ -144,8 +146,7 @@ class RelationSet:
         for p in polys:
             if p.is_zero():
                 raise RelationError("zero polynomial cannot be a relation")
-        for p in sorted(polys, key=lambda q: (sig.word_key(q.leading()),
-                                              q.canonical_key())):
+        for p in sorted(polys, key=ConformalPolynomial.canonical_key):
             if p.canonical_key() not in self._canon:
                 self.add(p)
 
@@ -155,10 +156,8 @@ class RelationSet:
         return [r for r in self._relations if r.alive]
 
     def polys(self) -> List[ConformalPolynomial]:
-        out = [r.poly for r in self.relations()]
-        out.sort(key=lambda p: (self.sig.word_key(p.leading()),
-                                p.canonical_key()))
-        return out
+        return sorted((r.poly for r in self.relations()),
+                      key=ConformalPolynomial.canonical_key)
 
     def __len__(self):
         return sum(1 for r in self._relations if r.alive)

@@ -1,10 +1,17 @@
 """Command dispatch, exit codes, and report determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conformal.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+VIRASORO_ALG = str(ROOT / "presentations" / "virasoro.alg")
 
 EX00 = """
 algebra {
@@ -268,3 +275,46 @@ options {
     good = tmp_path / "good.alg"
     good.write_text(text % "f: D (L_1 (0) L_0) - L_0 (1) L_1")
     assert main(["check", "-f", str(good)]) in (0, 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "-f", VIRASORO_ALG, "--window", "0"],
+    ["example", "virasoro", "check", "--window", "-1"],
+    ["example", "virasoro", "check", "--window", "0"],
+])
+def test_window_below_one_is_an_input_error(argv, capsys):
+    assert main(argv) == 3
+    assert "window parameters must be positive" in capsys.readouterr().err
+
+
+def test_schema_junction_at_or_above_n_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.alg"
+    bad.write_text("algebra {\n N = 2\n family L\n}\nrelations {\n"
+                   " f[i]: L_i (2) D L_0 - L_0 (0) L_i\n}\n")
+    assert main(["check", "-f", str(bad), "--window", "1"]) == 3
+    assert "schema 'f'" in capsys.readouterr().err
+
+
+def test_example_check_is_check_on_the_shipped_file(tmp_path, capsys):
+    ex, fl = tmp_path / "ex.json", tmp_path / "file.json"
+    assert main(["example", "virasoro", "check", "--window", "1",
+                 "--json", str(ex)]) == 0
+    assert main(["check", "-f", VIRASORO_ALG, "--window", "1",
+                 "--relation-multiplier", "4", "--json", str(fl)]) == 0
+    ex_data, file_data = json.loads(ex.read_text()), json.loads(fl.read_text())
+    assert ex_data["command"] == "example check"
+    assert ex_data["details"] == file_data["details"]
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == out[1]
+
+
+def test_example_runs_outside_the_checkout(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-m", "conformal.cli", "example", "virasoro",
+         "check", "--window", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("basis: yes")

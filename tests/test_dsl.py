@@ -165,6 +165,22 @@ options {
     assert [s.name for s in pf2.schemas] == [s.name for s in pf.schemas]
 
 
+@pytest.mark.parametrize("schema", [
+    "f[i]: 2 * (L_i (1) L_0) (0) L_0 - L_i",
+    "f[i, j]: (L_i (0) L_j) (1) L_0",
+])
+def test_presentation_round_trip_keeps_left_nested_products(schema):
+    pf = parse_presentation(
+        "algebra {\n N = 2\n family L\n}\nrelations {\n" + schema + "\n}")
+    printed = presentation_str(pf)
+    assert "( L_i" in printed
+    pf2 = parse_presentation(printed)
+    for i, j in [(1, 0), (-2, 3)]:
+        env = {"i": i, "j": j}
+        assert pf2.schemas[0].instantiate(env, pf.sig) == \
+            pf.schemas[0].instantiate(env, pf.sig)
+
+
 def test_presentation_errors():
     with pytest.raises(ParseError):
         parse_presentation("relations { f: a }")        # missing algebra

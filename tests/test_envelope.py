@@ -76,7 +76,7 @@ def test_lie_table_skew_fill():
     sig = AlgebraSignature.indexed(["H", "L"], 2)
     table = heisenberg_virasoro_table(sig, 1)
     H, L = gen("H", 1), gen("L", -1)
-    # H_i [0] L_j = 0 and H_i [1] L_j = H_{i+j} follow from the fill
+    # H_i [0] L_j = 0 and H_i [1] L_j = H_{i+j}, by anti-commutativity
     assert table.value(H, 0, L).is_zero()
     assert table.value(H, 1, L) == kd_element(sig, [(1, 0, gen("H", 0))])
 
@@ -316,20 +316,43 @@ def test_non_chain_instance_was_invisible():
     assert shape_could_reduce(w, lazy.shapes)
 
 
-def test_shipped_presentation_files_match_builtins():
-    from pathlib import Path
-    from conformal import parse_presentation, instantiate_schemas
-    root = Path(__file__).resolve().parent.parent / "presentations"
-    for fname, name in [("virasoro.alg", "virasoro"),
-                        ("heisenberg_virasoro.alg", "heisenberg-virasoro")]:
-        pf = parse_presentation((root / fname).read_text())
-        W = pf.options["window"]
-        M = pf.options["relation_multiplier"]
-        ex = builtin_example(name, IndexWindow(W=W, M=M))
-        file_basis = instantiate_schemas(pf.schemas, pf.sig, W)
-        builtin_basis = instantiate_schemas(ex.schemas, ex.sig, W)
-        assert [p.canonical_key() for p in file_basis] == \
-            [p.canonical_key() for p in builtin_basis], fname
+@pytest.mark.parametrize("name", ["virasoro", "heisenberg-virasoro"])
+def test_builtin_tables_are_skew_symmetric(name):
+    # x [n] y = -{y [n] x} = -sum_k (-1)^(n+k) / k! D^k (y [n+k] x)
+    from math import factorial
+    table = builtin_example(name, IndexWindow(W=1, M=2)).table
+    sig = table.sig
+    for (x, n, y), val in table.entries.items():
+        assert (y, n, x) in table.entries
+        conj = ConformalPolynomial.zero(sig)
+        for k in range(sig.N - n):
+            conj = conj + apply_D(table.value(y, n + k, x), k).scale(
+                Fraction((-1) ** (n + k), factorial(k)))
+        assert val == -conj, (x, n, y)
+
+
+def test_index_window_rejects_non_positive():
+    from conformal import ConformalError
+    for W, M in [(0, 4), (-1, 4), (2, 0)]:
+        with pytest.raises(ConformalError) as err:
+            IndexWindow(W, M)
+        assert isinstance(err.value, ValueError)
+
+
+def test_schema_junction_at_or_above_n_is_rejected():
+    # a junction >= N is rewritten by normalization: instance i = 7 leads
+    # with L_7 (1) L_0, a shape the index keyed by junction 2 never sees
+    from conformal import ParseError
+    from conformal.envelope import SchemaIndex
+    sig = AlgebraSignature.indexed(["L"], 2)
+    f = parse_schema("f[i]: L_i (2) D L_0 - L_0 (0) L_i")
+    assert f.instantiate({"i": 7}, sig) == parse_poly(
+        "2 * L_7 (1) L_0 - L_0 (0) L_7", sig)
+    with pytest.raises(ParseError, match="schema 'f'"):
+        RelationSet(sig, [], lazy=SchemaIndex([f]))
+    # the same schema is fine where N = 3 makes (2) a normal junction
+    sig3 = AlgebraSignature.indexed(["L"], 3)
+    RelationSet(sig3, [], lazy=SchemaIndex([f]))
 
 
 def test_completion_idempotent(sig_a2):
