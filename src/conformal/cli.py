@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 class _Context:
     sig: AlgebraSignature
     options: dict
-    rset: RelationSet
+    rset: Optional[RelationSet]
     gens: tuple
     window: Optional[IndexWindow]
 
@@ -366,16 +366,23 @@ def _run_example(args):
     options = _options(args, {"window": 2, "relation_multiplier": 4})
     window = IndexWindow(options["window"], options["relation_multiplier"])
     ex = builtin_example(args.name, window)
-    args._digest = _digest(args.name, str(window.W), str(window.M))
+    # flags beyond the window enter params and the digest only when given,
+    # so a default run keeps its digest
+    flags = {k: v for k, v in sorted(options.items())
+             if k not in ("window", "relation_multiplier")}
+    args._digest = _digest(args.name, str(window.W), str(window.M),
+                           *(f"{k}={v}" for k, v in flags.items()))
+    # equiv builds its own relation sets
+    ctx = _Context(ex.sig, options, None, ex.gens(), window)
     if args.action == "equiv":
-        eq = equivalence_check(ex)
+        eq = equivalence_check(ex, limits=_limits(ctx), bounds=_bounds(ctx))
         print(f"ideals equal over the window: {'yes' if eq.ok else 'no'}")
         code, verdict = ((INCONCLUSIVE, "inconclusive")
                          if not eq.completion.completed
                          else (OK, "ok") if eq.ok else (FAIL, "fail"))
         rep = _report(args, "equiv", options, verdict, eq.to_json())
     else:
-        ctx = _Context(ex.sig, options, ex.basis_rset(), ex.gens(), window)
+        ctx.rset = ex.basis_rset()
         code, rep = _HANDLERS[args.action](ctx, args)
     if args.action in ("irr", "kdbasis"):
         # kdbasis lists the D-free words of the closed-form family
@@ -389,7 +396,7 @@ def _run_example(args):
             code, rep.verdict = FAIL, "fail"
     rep.command = f"example {args.action}"
     rep.params = {"example": ex.name, "window": window.W,
-                  "relation_multiplier": window.M}
+                  "relation_multiplier": window.M, **flags}
     return code, rep
 
 

@@ -18,8 +18,10 @@ may draw on instances within [-M*W, M*W].
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import factorial
 from pathlib import Path
@@ -32,8 +34,8 @@ from .algebra import (ConformalPolynomial, Deriv, Gen, Prod, _accum, _gen_mult,
 from .dsl import (ParseError, RelationSchema, _template_str,
                   parse_presentation)
 from .rewriting import Relation, RelationSet, reduce_poly
-from .gsb import (CompletionLimits, CompletionResult, _monic_prepare, complete,
-                  shape_could_reduce)
+from .gsb import (CompletionLimits, CompletionResult, MultBounds,
+                  _monic_prepare, complete)
 
 
 class WindowError(ConformalError, ValueError):
@@ -258,30 +260,43 @@ def _solve_index_equations(varnames: Sequence[str], eqs, bound: int):
 
 
 class SchemaIndex:
-    """On-demand instantiation of schema instances matching a factor word.
+    """The schema terms that can lead an instance, keyed by their shape.
 
-    ``shapes`` holds the (names, junctions, dpow) shape of every schema
-    term, subscript values ignored; ``gsb.is_trivial`` tests remainders
-    against them (``gsb.shape_could_reduce``), so that a word an instance
-    outside the window might reduce gives an inconclusive verdict.  A term
-    that is not a chain of generator leaves would be invisible to both the
-    shapes and the lazy lookup, so such a schema is rejected.
+    Length dominates the word order, so a term leads an instance only if
+    every longer term cancels there, and a nonzero term without a twin of
+    its (names, junctions, dpow) shape never cancels.  ``by_shape`` and
+    ``lengths`` keep the nonzero terms no shorter than the longest twinless
+    one.  Dropping the rest materializes the same instances: the lazy lookup
+    keeps one only when its lead's flat word is the probed slice, that lead
+    comes from a kept term, and terms of one length are kept or dropped
+    together.  A term that is not a chain of generator leaves would be
+    invisible to the index, so such a schema is rejected.
     """
 
     def __init__(self, schemas: Sequence[RelationSchema]):
         self.by_shape: Dict[tuple, List[_TermTemplate]] = {}
         self.lengths = set()
-        self.shapes: List[tuple] = []
+        self._top_junc = (0, "")      # highest junction of any term, schema
         for sc in schemas:
-            for _, term in sc.template.parts:
+            terms = []
+            for c, term in sc.template.parts:
                 tt = _term_template(sc, term)
                 if tt is None:
                     raise ParseError(
                         f"schema {sc.name!r}: term {_template_str(term)!r} is "
                         f"not a chain b1 (n1) ... (nk) D^j b of generators")
-                self.by_shape.setdefault((tt.names, tt.juncs), []).append(tt)
-                self.lengths.add(len(tt.names))
-                self.shapes.append((tt.names, tt.juncs, tt.dpow))
+                self._top_junc = max([self._top_junc] +
+                                     [(n, sc.name) for n in tt.juncs])
+                if c:
+                    terms.append(tt)
+            shapes = Counter((tt.names, tt.juncs, tt.dpow) for tt in terms)
+            floor = max((len(shape[0]) for shape, k in shapes.items()
+                         if k == 1), default=0)
+            for tt in terms:
+                if len(tt.names) >= floor:
+                    self.by_shape.setdefault((tt.names, tt.juncs),
+                                             []).append(tt)
+                    self.lengths.add(len(tt.names))
 
     def instances_for(self, sig: AlgebraSignature,
                       letters: Sequence[GeneratorSymbol],
@@ -302,18 +317,34 @@ class SchemaIndex:
 
         return _monic_prepare(instances())
 
+    def could_reduce(self, word: NormalWord) -> bool:
+        """Whether an instance at any indices might reduce the word: a kept
+        term matches a slice as ``RelationSet._patterns_at`` matches a lead
+        (interior: D-free; suffix: at most the word's D power)."""
+        names = tuple(g.name for g in word.letters())
+        juncs = word.junctions()
+        K = word.length
+        for L in self.lengths:
+            for p in range(K - L + 1):
+                key = (names[p:p + L], juncs[p:p + L - 1])
+                if any(tt.dpow == 0 if p + L < K else word.dpow >= tt.dpow
+                       for tt in self.by_shape.get(key, ())):
+                    return True
+        return False
+
     def check_signature(self, sig: AlgebraSignature) -> None:
-        """Reject a junction at or above N: normalization rewrites it, so
-        neither the lookup nor the shapes would see the instance's lead."""
-        for tt in (tt for tts in self.by_shape.values() for tt in tts):
-            if max(tt.juncs, default=0) >= sig.N:
-                raise ParseError(f"schema {tt.schema.name!r}: a junction is "
-                                 f"not below N = {sig.N}")
+        """Reject a junction at or above N in any term: normalization
+        rewrites it, so the index would not see the instance's lead."""
+        top, name = self._top_junc
+        if top >= sig.N:
+            raise ParseError(f"schema {name!r}: a junction is "
+                             f"not below N = {sig.N}")
 
 
 def schema_shapes(schemas: Sequence[RelationSchema]) -> List[tuple]:
-    """The term shapes of the schemas (``SchemaIndex.shapes``)."""
-    return SchemaIndex(schemas).shapes
+    """The (names, junctions, dpow) shapes of the lead-capable terms."""
+    return [(tt.names, tt.juncs, tt.dpow)
+            for tts in SchemaIndex(schemas).by_shape.values() for tt in tts]
 
 
 # built-in families -----------------------------------------------------------
@@ -323,16 +354,28 @@ _PRESENTATIONS = Path(__file__).resolve().parents[2] / "presentations"
 
 @dataclass
 class BuiltinExample:
-    """A named enveloping example with its closed-form expected basis."""
+    """A named enveloping example with its closed-form expected basis.
+
+    The Lie table and its commutator presentation are built on first use:
+    only the equivalence check reads them.
+    """
 
     name: str
     sig: AlgebraSignature
     window: IndexWindow
-    table: LieTable
-    presentation: List[ConformalPolynomial]      # instantiated commutator relations
+    table_fn: Callable[[AlgebraSignature, int], LieTable]
     schemas: List[RelationSchema]                # the known completed family
     basis: List[ConformalPolynomial]             # its instances within the window
     irr_expected: Callable[[int, int, int], List[NormalWord]]
+
+    @cached_property
+    def table(self) -> LieTable:
+        return self.table_fn(self.sig, self.window.radius)
+
+    @cached_property
+    def presentation(self) -> List[ConformalPolynomial]:
+        """The instantiated commutator relations."""
+        return enveloping_presentation(self.table)
 
     def gens(self) -> Tuple[GeneratorSymbol, ...]:
         return self.sig.family_generators(self.window.W)
@@ -449,11 +492,9 @@ def builtin_example(name: str, window: IndexWindow) -> BuiltinExample:
     stem, table_fn, irr = _BUILTINS[name]
     pf = parse_presentation(
         (_PRESENTATIONS / f"{stem}.alg").read_text(encoding="utf-8"))
-    table = table_fn(pf.sig, window.radius)
     return BuiltinExample(
-        name, pf.sig, window, table, enveloping_presentation(table),
-        pf.schemas, instantiate_schemas(pf.schemas, pf.sig, window.radius),
-        irr)
+        name, pf.sig, window, table_fn, pf.schemas,
+        instantiate_schemas(pf.schemas, pf.sig, window.radius), irr)
 
 
 # windowed checks ------------------------------------------------------------
@@ -490,7 +531,8 @@ class EquivalenceReport:
 
 
 def equivalence_check(ex: BuiltinExample, *,
-                      limits: CompletionLimits = CompletionLimits()
+                      limits: CompletionLimits = CompletionLimits(),
+                      bounds: MultBounds = MultBounds()
                       ) -> EquivalenceReport:
     """Windowed two-sided ideal equality of the presentation and the basis.
 
@@ -515,7 +557,7 @@ def equivalence_check(ex: BuiltinExample, *,
     while True:
         completion = complete(ex.presentation, sig,
                               sig.family_generators(src),
-                              limits=limits,
+                              bounds=bounds, limits=limits,
                               comp_filter=comp_window_filter(sig, src))
         comp_rset = RelationSet(sig, completion.basis)
         fwd_fail = [p for p in targets
@@ -546,14 +588,16 @@ class EmbeddingReport:
 
 
 def embedding_check(rset: RelationSet, sig: AlgebraSignature,
-                    gens: Sequence[GeneratorSymbol], max_dpow: int,
-                    shapes=None) -> EmbeddingReport:
+                    gens: Sequence[GeneratorSymbol],
+                    max_dpow: int) -> EmbeddingReport:
     """Check that every D^t b is irreducible for the given relation set.
 
     A found reduction is a definite failure.  A word that no windowed
-    instance reduces but whose shape matches some schema term is reported
-    as a boundary case, never as a clean pass.
+    instance reduces but that the set's schema index says an instance
+    might (``SchemaIndex.could_reduce``) is reported as a boundary case,
+    never as a clean pass.
     """
+    lazy = rset._lazy
     reducible = []
     boundary = []
     for b in gens:
@@ -561,7 +605,7 @@ def embedding_check(rset: RelationSet, sig: AlgebraSignature,
             w = NormalWord((), b, t)
             if not rset.is_irreducible(w):
                 reducible.append(w)
-            elif shapes and shape_could_reduce(w, shapes):
+            elif lazy is not None and lazy.could_reduce(w):
                 boundary.append(w)
     return EmbeddingReport(not reducible and not boundary, bool(boundary),
                            reducible, boundary)

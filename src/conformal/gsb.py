@@ -237,49 +237,20 @@ class GsbReport:
         }
 
 
-def shape_could_reduce(word: NormalWord, shapes) -> bool:
-    """Whether some schema term shape matches a factor or suffix of the word.
-
-    Shapes are (names, junctions, dpow) triples with subscript values
-    ignored; a match means an out-of-window relation instance might reduce
-    the word, so irreducibility cannot be certified from windowed instances
-    alone.  Conservative: never reports False when a true instance exists.
-    """
-    names = tuple(g.name for g in word.letters())
-    juncs = word.junctions()
-    K = word.length
-    for snames, sjuncs, sdpow in shapes:
-        L = len(snames)
-        if L > K:
-            continue
-        for p in range(K - L + 1):
-            if names[p:p + L] != snames:
-                continue
-            if juncs[p:p + L - 1] != sjuncs:
-                continue
-            if p + L < K:
-                if sdpow == 0:
-                    return True
-            elif word.dpow >= sdpow:
-                return True
-    return False
-
-
 def is_trivial(comp: Composition, rset: RelationSet, *,
                strategy: str = "leftmost") -> CompositionVerdict:
     """Reduce the composition polynomial; trivial means zero remainder.
 
-    A nonzero remainder is inconclusive when one of its words matches a
-    term shape of the set's schema index: an instance beyond the indices
-    the lazy lookup tries might still reduce it.
+    A nonzero remainder is inconclusive when the set's schema index says an
+    instance might reduce one of its words (``SchemaIndex.could_reduce``):
+    it may lie beyond the indices the lazy lookup tries.
     """
     trace = reduce_poly(comp.poly, rset, strategy=strategy)
     rem = trace.remainder
     lazy = rset._lazy
     if rem.is_zero():
         verdict = "trivial"
-    elif lazy is not None and any(shape_could_reduce(w, lazy.shapes)
-                                  for w in rem.terms):
+    elif lazy is not None and any(lazy.could_reduce(w) for w in rem.terms):
         verdict = "inconclusive"
     else:
         verdict = "nontrivial"

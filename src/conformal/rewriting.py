@@ -123,8 +123,10 @@ class RelationSet:
     """An indexed set of monic relations supporting occurrence search.
 
     Relations are kept in a deterministic order (by leading word, then by
-    full canonical form); lookups index interior factors and suffixes of
-    leading words by their letter-and-junction shape.
+    full canonical form); one index maps the flat letter-and-junction word
+    of each leading word to its relations, which a slice of a searched
+    word looks up: an interior slice takes the D-free leads, a suffix slice
+    the leads with at most the word's D power.
     """
 
     def __init__(self, sig: AlgebraSignature,
@@ -132,8 +134,7 @@ class RelationSet:
                  lazy=None):
         self.sig = sig
         self._relations: List[Relation] = []
-        self._factor_index: Dict[tuple, List[Relation]] = {}
-        self._suffix_index: Dict[tuple, List[Relation]] = {}
+        self._lead_index: Dict[tuple, List[Relation]] = {}
         self._lens: Dict[int, int] = {}
         self._lens_set = None
         self._canon = set()
@@ -166,14 +167,11 @@ class RelationSet:
         rel = Relation(poly)
         self._relations.append(rel)
         self._canon.add(rel.canon)
-        lead = rel.lead
-        L = lead.length
+        L = rel.lead.length
         if L not in self._lens:
             self._lens_set = None
         self._lens[L] = self._lens.get(L, 0) + 1
-        if lead.is_dfree:
-            self._factor_index.setdefault(rel.lead_flat, []).append(rel)
-        self._suffix_index.setdefault(rel.lead_flat, []).append(rel)
+        self._lead_index.setdefault(rel.lead_flat, []).append(rel)
         return rel
 
     def remove(self, rel: Relation) -> None:
@@ -184,13 +182,10 @@ class RelationSet:
         if self._lens[L] == 0:
             del self._lens[L]
             self._lens_set = None
-        if rel.lead.is_dfree:
-            self._factor_index[rel.lead_flat].remove(rel)
-            if not self._factor_index[rel.lead_flat]:
-                del self._factor_index[rel.lead_flat]
-        self._suffix_index[rel.lead_flat].remove(rel)
-        if not self._suffix_index[rel.lead_flat]:
-            del self._suffix_index[rel.lead_flat]
+        rels = self._lead_index[rel.lead_flat]
+        rels.remove(rel)
+        if not rels:
+            del self._lead_index[rel.lead_flat]
 
     def _materialize(self, sub: tuple) -> None:
         """Instantiate schema relations whose leading word equals ``sub``."""
@@ -211,31 +206,25 @@ class RelationSet:
     def _patterns_at(self, w: NormalWord, flat: tuple, p: int, L: int,
                      exclude: Optional[Relation]) -> List[Pattern]:
         """Patterns whose occurrence starts at letter position p with length L."""
-        K = w.length
-        out: List[Pattern] = []
         sub = flat[2 * p: 2 * (p + L) - 1]
         if self._lazy is not None:
             self._materialize(sub)
-        if p + L < K:
-            hits = [rel for rel in self._factor_index.get(sub, ())
-                    if rel.alive and rel is not exclude]
-            if hits:
-                prefix = w.prefix_to(p)
-                n = w.body[p - 1][1] if p > 0 else None
-                m = w.body[p + L - 1][1]
-                suffix = w.suffix_from(p + L)
-                out = [Pattern(1, rel, prefix, n, m=m, suffix=suffix)
-                       for rel in hits]
-        else:
-            hits = [rel for rel in self._suffix_index.get(sub, ())
-                    if rel.alive and rel is not exclude
-                    and w.dpow >= rel.lead.dpow]
-            if hits:
-                prefix = w.prefix_to(p)
-                n = w.body[p - 1][1] if p > 0 else None
-                out = [Pattern(2, rel, prefix, n, dshift=w.dpow - rel.lead.dpow)
-                       for rel in hits]
-        return out
+        interior = p + L < w.length
+        hits = [rel for rel in self._lead_index.get(sub, ())
+                if rel.alive and rel is not exclude
+                and (rel.lead.dpow == 0 if interior
+                     else w.dpow >= rel.lead.dpow)]
+        if not hits:
+            return []
+        prefix = w.prefix_to(p)
+        n = w.body[p - 1][1] if p > 0 else None
+        if interior:
+            m = w.body[p + L - 1][1]
+            suffix = w.suffix_from(p + L)
+            return [Pattern(1, rel, prefix, n, m=m, suffix=suffix)
+                    for rel in hits]
+        return [Pattern(2, rel, prefix, n, dshift=w.dpow - rel.lead.dpow)
+                for rel in hits]
 
     def _length_set(self):
         lens = self._lens_set

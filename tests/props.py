@@ -12,6 +12,7 @@ from conformal import (AlgebraSignature, ConformalPolynomial, Deriv,
                        LinComb, NormalWord, Prod, RelationSet, apply_D,
                        eval_pattern, locality_bound, mult, normalize,
                        poly_mult, reduce_poly, word_expr)
+from conformal.envelope import _term_template
 from conformal.rewriting import Pattern
 from conftest import random_word, random_poly
 
@@ -291,3 +292,33 @@ def run_all(cases_per_check: int, seed: int = 20240817) -> int:
     for i, check in enumerate(ALL_CHECKS):
         total += check(random.Random(seed + i), cases_per_check)
     return total
+
+
+# schema shape matching ---------------------------------------------------------
+
+
+def all_term_shapes(schemas):
+    """The (names, junctions, dpow) shape of every schema term, zero
+    coefficients and terms that cannot lead included."""
+    templates = (_term_template(sc, term)
+                 for sc in schemas for _, term in sc.template.parts)
+    return [(tt.names, tt.juncs, tt.dpow) for tt in templates]
+
+
+def all_shapes_could_reduce(word: NormalWord, shapes) -> bool:
+    """Reference matcher over every term shape, subscripts ignored.
+
+    A shape matches an interior slice of the word when it is D-free, and
+    the suffix slice when the word carries at least its D power.
+    """
+    names = tuple(g.name for g in word.letters())
+    juncs = word.junctions()
+    K = word.length
+    for snames, sjuncs, sdpow in shapes:
+        L = len(snames)
+        for p in range(K - L + 1):
+            if names[p:p + L] != snames or juncs[p:p + L - 1] != sjuncs:
+                continue
+            if (sdpow == 0) if p + L < K else word.dpow >= sdpow:
+                return True
+    return False

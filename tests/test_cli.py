@@ -49,9 +49,10 @@ options {
 }
 """
 
-# the schema f reduces L_0 (0) L_0 only through instances with k > 20, which
-# the lazy lookup (k in [-4, 4] here) never reaches
-INCONCLUSIVE_FILE = """
+# every instance of f leads with L_i (0) L_i, reachable only through k > 20,
+# which the lazy lookup (k in [-4, 4] here) never tries; g's compositions
+# leave L_x (1) L_0 (1) L_0 remainders that no instance of f can reduce
+NONTRIVIAL_FILE = """
 algebra {
     N = 2
     family L
@@ -59,6 +60,22 @@ algebra {
 relations {
     f[i, k | k > 20]: L_i (0) L_i - L_{i+k}
     g: L_1 (1) L_1 - L_0 (0) L_0
+}
+options {
+    window = 1
+}
+"""
+
+# over N = 1 every remainder carries a word L_i (0) L_i that an out-of-reach
+# instance of f might reduce
+INCONCLUSIVE_FILE = """
+algebra {
+    N = 1
+    family L
+}
+relations {
+    f[i, k | k > 20]: L_i (0) L_i - L_{i+k}
+    g: L_1 (0) L_1 (0) L_1 - L_0 (0) L_0
 }
 options {
     window = 1
@@ -229,16 +246,53 @@ def test_example_flags_between_positionals(capsys):
     assert "basis: yes" in capsys.readouterr().out
 
 
+def _composition_counts(tmp_path, command, text, code):
+    f = tmp_path / "incon.alg"
+    f.write_text(text)
+    out = tmp_path / "r.json"
+    assert main([command, "-f", str(f), "--json", str(out)]) == code
+    data = json.loads(out.read_text())
+    return (data["verdict"], data["details"]["nontrivial"],
+            data["details"]["inconclusive"])
+
+
 @pytest.mark.parametrize("command", ["check", "compositions"])
 def test_inconclusive_only_run(command, tmp_path, capsys):
-    f = tmp_path / "incon.alg"
-    f.write_text(INCONCLUSIVE_FILE)
+    assert _composition_counts(tmp_path, command, INCONCLUSIVE_FILE, 2) == \
+        ("inconclusive", 0, 2)
+
+
+@pytest.mark.parametrize("command", ["check", "compositions"])
+def test_remainder_no_instance_can_lead_is_nontrivial(command, tmp_path,
+                                                      capsys):
+    assert _composition_counts(tmp_path, command, NONTRIVIAL_FILE, 1) == \
+        ("fail", 3, 1)
+
+
+def test_example_records_result_changing_flags(tmp_path, capsys):
+    def report(*flags):
+        out = tmp_path / "r.json"
+        assert main(["example", "virasoro", "check", "--window", "1",
+                     *flags, "--json", str(out)]) == 0
+        return json.loads(out.read_text())
+
+    default, wide = report(), report("--mult-bound-left", "3")
+    assert default["details"]["trivial"] == 93
+    assert wide["details"]["trivial"] == 120
+    assert default["params"] == {"example": "virasoro", "window": 1,
+                                 "relation_multiplier": 4}
+    assert wide["params"] == {**default["params"], "mult_bound_left": 3}
+    assert default["inputs"]["digest"] != wide["inputs"]["digest"]
+
+
+def test_example_equiv_honours_limits(tmp_path, capsys):
     out = tmp_path / "r.json"
-    assert main([command, "-f", str(f), "--json", str(out)]) == 2
+    assert main(["example", "virasoro", "equiv", "--window", "1",
+                 "--max-iters", "1", "--json", str(out)]) == 2
     data = json.loads(out.read_text())
     assert data["verdict"] == "inconclusive"
-    assert data["details"]["inconclusive"] == 4
-    assert data["details"]["nontrivial"] == 0
+    assert data["details"]["completion_rounds"] == 1
+    assert data["params"]["max_iters"] == 1
 
 
 def test_gsb_outcome_mapping():

@@ -3,16 +3,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import props
 
 from conformal import (AlgebraSignature, ConformalPolynomial, IndexWindow,
-                       LieTable, RelationSet, apply_D, builtin_example,
-                       conjugate, enveloping_presentation, equivalence_check,
-                       embedding_check, gen, instantiate_schemas, kd_element,
-                       make_word, mult, parse_poly, parse_schema, parse_word,
-                       reduce_poly)
+                       LieTable, NormalWord, RelationSet, apply_D,
+                       builtin_example, conjugate, enveloping_presentation,
+                       equivalence_check, embedding_check, gen,
+                       instantiate_schemas, kd_element, make_word, mult,
+                       parse_poly, parse_schema, parse_word, reduce_poly)
 from conformal.envelope import (comp_window_filter,
                                 heisenberg_virasoro_table, virasoro_table)
-from conformal.gsb import check_gsb_rset
+from conformal.gsb import _monic_prepare, check_gsb_rset
 from conformal.rewriting import irr_enumerate
 
 
@@ -276,15 +279,131 @@ def test_kd_basis_builtins():
 
 
 def test_shape_matcher_conservative():
-    from conformal.gsb import shape_could_reduce
     from conformal.envelope import SchemaIndex
-    shapes = SchemaIndex([parse_schema(
-        "q1[i, j | i != 0]: H_i (1) L_j - H_0 (1) L_{i+j}")]).shapes
+    index = SchemaIndex([parse_schema(
+        "q1[i, j | i != 0]: H_i (1) L_j - H_0 (1) L_{i+j}")])
     sig = AlgebraSignature.indexed(["H", "L"], 2)
-    assert shape_could_reduce(parse_word("H_0 (1) L_4", sig), shapes)
-    assert shape_could_reduce(parse_word("H_0 (1) D^3 L_4", sig), shapes)
-    assert not shape_could_reduce(parse_word("H_0 (0) L_4", sig), shapes)
-    assert not shape_could_reduce(parse_word("L_0 (1) L_4", sig), shapes)
+    assert index.could_reduce(parse_word("H_0 (1) L_4", sig))
+    assert index.could_reduce(parse_word("H_0 (1) D^3 L_4", sig))
+    assert not index.could_reduce(parse_word("H_0 (0) L_4", sig))
+    assert not index.could_reduce(parse_word("L_0 (1) L_4", sig))
+
+
+@pytest.mark.parametrize("line, word, expected", [
+    # the length-1 term never leads: the lone length-2 term outranks it
+    ("s1[i, j]: L_i (1) L_j + L_{i+j}", "D L_3", False),
+    ("s1[i, j]: L_i (1) L_j + L_{i+j}", "L_2 (1) L_3", True),
+    # the twins cancel at i = j, where D L_{2i} leads
+    ("t[i, j]: L_i (0) L_j - L_j (0) L_i + D L_{i+j}", "D L_3", True),
+    ("t[i, j]: L_i (0) L_j - L_j (0) L_i + D L_{i+j}", "L_3", False),
+    # a zero coefficient is no term
+    ("z[i]: 0 * L_i (0) L_i + D L_i", "D L_3", True),
+    ("z[i]: 0 * L_i (0) L_i + D L_i", "L_1 (0) L_1", False),
+])
+def test_could_reduce_reads_lead_capable_terms(line, word, expected):
+    from conformal.envelope import SchemaIndex
+    sig = AlgebraSignature.indexed(["L"], 2)
+    assert SchemaIndex([parse_schema(line)]).could_reduce(
+        parse_word(word, sig)) is expected
+
+
+def test_lead_capable_terms_keep_every_instance_lead():
+    from conformal.envelope import SchemaIndex
+    sig = AlgebraSignature.indexed(["L"], 2)
+    t = parse_schema("t[i, j]: L_i (0) L_j - L_j (0) L_i + D L_{i+j}")
+    index = SchemaIndex([t])
+    assert index.lengths == {1, 2}
+    assert t.instantiate({"i": 2, "j": 2}, sig).leading() == \
+        parse_word("D L_4", sig)
+    assert SchemaIndex([parse_schema("s1[i, j]: L_i (1) L_j + L_{i+j}")
+                        ]).lengths == {2}
+
+
+def test_embedding_reports_boundary_words():
+    # only instances with k > 20 reduce D^t L_i, beyond both the window and
+    # the lazy lookup: no word is reducible, every one is a boundary case
+    from conformal.envelope import SchemaIndex
+    sig = AlgebraSignature.indexed(["L"], 2)
+    f = parse_schema("f[i, k | k > 20]: D L_i - L_{i+k}")
+    window = IndexWindow(W=1)
+    rset = RelationSet(sig, instantiate_schemas([f], sig, window.radius),
+                       lazy=SchemaIndex([f]))
+    gens = sig.family_generators(window.W)
+    emb = embedding_check(rset, sig, gens, 1)
+    assert emb.inconclusive and not emb.embedded
+    assert not emb.reducible
+    assert emb.boundary == [make_word(sig, g, dpow=d) for g in gens
+                            for d in range(2)]
+
+
+_SUBS = ["i", "j", "0", "1", "{i+j}", "{j-i}"]
+
+
+@st.composite
+def _chains(draw, max_len=3):
+    """Text of a chain  b1 (n1) ... (nk) D^d b  with indexed subscripts."""
+    k = draw(st.integers(1, max_len))
+    letters = [f"{draw(st.sampled_from('HL'))}_{draw(st.sampled_from(_SUBS))}"
+               for _ in range(k)]
+    d = draw(st.integers(0, 2))
+    if d:
+        letters[-1] = f"D^{d} {letters[-1]}"
+    text = letters[0]
+    for b in letters[1:]:
+        text += f" ({draw(st.integers(0, 1))}) {b}"
+    return text
+
+
+@st.composite
+def _schema_lines(draw):
+    terms = draw(st.lists(st.tuples(st.sampled_from([-1, 0, 1, 2]), _chains()),
+                          min_size=1, max_size=4))
+    return "f[i, j]: " + " ".join(f"{'-' if c < 0 else '+'} {abs(c)} * {t}"
+                                  for c, t in terms)
+
+
+@st.composite
+def _probe_words(draw, sig, leads):
+    """A lead with letters and D around it, or a random word."""
+    gens = sig.family_generators(3)
+    if leads and draw(st.booleans()):
+        w = draw(st.sampled_from(leads))
+        if draw(st.booleans()):
+            w = NormalWord(((draw(st.sampled_from(gens)),
+                             draw(st.integers(0, 1))),) + w.body, w.tail,
+                           w.dpow)
+        if w.is_dfree and draw(st.booleans()):
+            w = NormalWord(w.body + (w.tail.pair(draw(st.integers(0, 1))),),
+                           draw(st.sampled_from(gens)), 0)
+        return w.append_D(draw(st.integers(0, 1)))
+    body = tuple((draw(st.sampled_from(gens)), draw(st.integers(0, 1)))
+                 for _ in range(draw(st.integers(0, 3))))
+    return NormalWord(body, draw(st.sampled_from(gens)),
+                      draw(st.integers(0, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_schema_lines(), st.data())
+def test_could_reduce_sees_every_instance_hypothesis(line, data):
+    # sound: an instance in the index box that reduces w makes could_reduce
+    # hold; no wider than the old matcher over every term shape
+    from conformal.envelope import SchemaIndex
+    sig = AlgebraSignature.indexed(["H", "L"], 2)
+    schema = parse_schema(line)
+    index = SchemaIndex([schema])
+    shapes = props.all_term_shapes([schema])
+    box = range(-2, 3)
+    insts = _monic_prepare(schema.instantiate({"i": i, "j": j}, sig)
+                           for i in box for j in box)
+    rset = RelationSet(sig, insts)
+    leads = sorted({p.leading() for p in insts}, key=sig.word_key)
+    for _ in range(8):
+        w = data.draw(_probe_words(sig, leads))
+        hit = index.could_reduce(w)
+        if rset.has_reduction(w):
+            assert hit, (line, str(w))
+        if hit:
+            assert props.all_shapes_could_reduce(w, shapes), (line, str(w))
 
 
 @pytest.mark.parametrize("line", [
@@ -301,9 +420,8 @@ def test_schema_index_rejects_non_chain_terms(line):
 
 def test_non_chain_instance_was_invisible():
     # i = 5 leads with L_5 (0) D L_0; the schema must be written as a chain
-    # for the lazy lookup and the shapes to see that word
+    # for the lazy lookup and could_reduce to see that word
     from conformal.envelope import SchemaIndex
-    from conformal.gsb import shape_could_reduce
     sig = AlgebraSignature.indexed(["L"], 2)
     inst = parse_schema("f[i]: D (L_i (0) L_0) - L_0 (1) L_i").instantiate(
         {"i": 5}, sig)
@@ -313,7 +431,7 @@ def test_non_chain_instance_was_invisible():
     assert chain.instantiate({"i": 5}, sig) == inst
     lazy = SchemaIndex([chain])
     assert not RelationSet(sig, [], lazy=lazy).is_irreducible(w)
-    assert shape_could_reduce(w, lazy.shapes)
+    assert lazy.could_reduce(w)
 
 
 @pytest.mark.parametrize("name", ["virasoro", "heisenberg-virasoro"])
