@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success (normalized / is a basis / embedded / equal),
-1 definite failure, 2 inconclusive (window boundary or completion limits),
-3 input error.
+The exit code follows the report verdict: 0 ``ok`` (normalized / is a
+basis / embedded / equal), 1 ``fail``, 2 ``inconclusive`` (window boundary
+or completion limits); 3 is an input error.
 
 JSON reports (``--json OUT``) always carry exactly these keys:
 
@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -40,7 +39,8 @@ from .envelope import (IndexWindow, SchemaIndex, builtin_example,
                        comp_window_filter, embedding_check, equivalence_check,
                        instantiate_schemas)
 
-OK, FAIL, INCONCLUSIVE, INPUT_ERROR = 0, 1, 2, 3
+EXIT_CODES = {"ok": 0, "fail": 1, "inconclusive": 2}
+INPUT_ERROR = 3
 
 
 @dataclass
@@ -69,6 +69,12 @@ def _digest(*parts: str) -> str:
     return h.hexdigest()[:16]
 
 
+# the positional arguments of the file subcommands that take any; these
+# commands record them as their params, the others the effective options
+_POSITIONALS = {"normalize": ("expr",), "order": ("left", "right"),
+                "reduce": ("poly",)}
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="OUT", help="write a JSON report")
@@ -95,16 +101,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "algebras with uniform locality")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def filecmd(name, help_, extra=()):
+    def filecmd(name, help_):
         p = sub.add_parser(name, help=help_, parents=[common])
         p.add_argument("-f", "--file", required=True, help="presentation file")
-        for argname in extra:
+        for argname in _POSITIONALS.get(name, ()):
             p.add_argument(argname)
         return p
 
-    filecmd("normalize", "normalize an expression", ["expr"])
-    filecmd("order", "compare two normal words", ["left", "right"])
-    filecmd("reduce", "divide a polynomial by the relations", ["poly"])
+    filecmd("normalize", "normalize an expression")
+    filecmd("order", "compare two normal words")
+    filecmd("reduce", "divide a polynomial by the relations")
     filecmd("compositions", "list all compositions and their verdicts")
     filecmd("check", "decide whether the relations form a basis")
     filecmd("complete", "run Shirshov completion")
@@ -123,11 +129,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 @dataclass
 class _Context:
+    """One run: its report header (command, params, digest) and its inputs."""
+    command: str
+    params: dict
+    digest: str
     sig: AlgebraSignature
     options: dict
     rset: Optional[RelationSet]
     gens: tuple
     window: Optional[IndexWindow]
+
+    def report(self, verdict="ok", details=None) -> Report:
+        return Report(self.command, self.digest, self.params, verdict,
+                      details or {})
 
 
 def _options(args, defaults: dict) -> dict:
@@ -158,8 +172,12 @@ def _load_context(args) -> _Context:
     else:
         gens = pf.sig.family_generators(window.W if window else 2)
     rset = RelationSet(pf.sig, _monic_prepare(polys), lazy=lazy)
-    args._digest = _digest(text, json.dumps(options, sort_keys=True))
-    return _Context(pf.sig, options, rset, gens, window)
+    positionals = _POSITIONALS.get(args.command, ())
+    params = ({k: getattr(args, k) for k in positionals} if positionals
+              else options)
+    return _Context(args.command, params,
+                    _digest(text, json.dumps(options, sort_keys=True)),
+                    pf.sig, options, rset, gens, window)
 
 
 def _bounds(ctx) -> MultBounds:
@@ -167,23 +185,11 @@ def _bounds(ctx) -> MultBounds:
                       ctx.options.get("mult_bound_right"))
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConformalError(f"environment variable {name} must be an "
-                             f"integer, got {raw!r}")
-
-
 def _limits(ctx) -> CompletionLimits:
+    default = CompletionLimits()
     return CompletionLimits(
-        max_rounds=ctx.options.get("max_iters",
-                                   _env_int("CONFORMAL_MAX_ITERS", 50)),
-        max_basis=ctx.options.get("max_basis",
-                                  _env_int("CONFORMAL_MAX_BASIS", 100000)))
+        max_rounds=ctx.options.get("max_iters", default.max_rounds),
+        max_basis=ctx.options.get("max_basis", default.max_basis))
 
 
 def _comp_filter(ctx):
@@ -200,7 +206,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return INPUT_ERROR if exc.code not in (0, None) else 0
     t0 = time.monotonic()
     try:
-        code, report = _dispatch(args)
+        report = _dispatch(args)
     except (ParseError, ConformalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
@@ -209,25 +215,19 @@ def main(argv: Optional[List[str]] = None) -> int:
             report.timings = {"total_s": round(time.monotonic() - t0, 3)}
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
-    return code
+    return EXIT_CODES[report.verdict]
 
 
-def _dispatch(args):
+def _dispatch(args) -> Report:
     if args.command == "example":
         return _run_example(args)
     return _HANDLERS[args.command](_load_context(args), args)
 
 
-def _report(args, command, params, verdict="ok", details=None) -> Report:
-    return Report(command, getattr(args, "_digest", _digest(command)),
-                  params, verdict, details or {})
-
-
 def _cmd_normalize(ctx, args):
     p = parse_poly(args.expr, ctx.sig)
     print(poly_str(p))
-    return OK, _report(args, "normalize", {"expr": args.expr},
-                       details={"result": poly_str(p)})
+    return ctx.report(details={"result": poly_str(p)})
 
 
 def _cmd_order(ctx, args):
@@ -236,9 +236,7 @@ def _cmd_order(ctx, args):
     c = compare_words(ctx.sig, u, v)
     word = {-1: "less", 0: "equal", 1: "greater"}[c]
     print(word)
-    return OK, _report(args, "order",
-                       {"left": args.left, "right": args.right},
-                       details={"result": word})
+    return ctx.report(details={"result": word})
 
 
 def _cmd_reduce(ctx, args):
@@ -249,12 +247,11 @@ def _cmd_reduce(ctx, args):
         for st in trace.steps:
             print(f"  eliminated {st.word} via {st.pattern.describe()} "
                   f"(coefficient {st.coeff})")
-    rep = _report(args, "reduce", {"poly": args.poly},
-                  details={"remainder": poly_str(trace.remainder),
-                           "steps": len(trace.steps)})
+    rep = ctx.report(details={"remainder": poly_str(trace.remainder),
+                              "steps": len(trace.steps)})
     if args.trace:
         rep.traces = [trace.to_json()]
-    return OK, rep
+    return rep
 
 
 def _check_core(ctx):
@@ -263,13 +260,13 @@ def _check_core(ctx):
                           bounds=_bounds(ctx))
 
 
-def _gsb_outcome(rep):
-    """Exit code and report verdict of a composition check."""
+def _gsb_verdict(rep) -> str:
+    """Report verdict of a composition check."""
     if rep.is_gsb:
-        return OK, "ok"
+        return "ok"
     if rep.n_inconclusive and not rep.n_nontrivial:
-        return INCONCLUSIVE, "inconclusive"
-    return FAIL, "fail"
+        return "inconclusive"
+    return "fail"
 
 
 def _cmd_compositions(ctx, args):
@@ -278,19 +275,15 @@ def _cmd_compositions(ctx, args):
         print(f"{v.verdict:12s} {v.comp.describe()}")
         if v.verdict != "trivial":
             print(f"             remainder: {poly_str(v.remainder)}")
-    code, verdict = _gsb_outcome(rep)
-    return code, _report(args, "compositions", ctx.options, verdict,
-                         rep.to_json(with_trace=args.trace))
+    return ctx.report(_gsb_verdict(rep), rep.to_json(with_trace=args.trace))
 
 
 def _cmd_check(ctx, args):
     rep = _check_core(ctx)
-    code, verdict = _gsb_outcome(rep)
     print(f"basis: {'yes' if rep.is_gsb else 'no'} "
           f"({rep.n_trivial} trivial, {rep.n_nontrivial} nontrivial, "
           f"{rep.n_inconclusive} inconclusive compositions)")
-    return code, _report(args, "check", ctx.options, verdict,
-                         rep.to_json(with_trace=args.trace))
+    return ctx.report(_gsb_verdict(rep), rep.to_json(with_trace=args.trace))
 
 
 def _cmd_complete(ctx, args):
@@ -305,64 +298,60 @@ def _cmd_complete(ctx, args):
                "added": res.added}
     if res.diagnostic:
         details["diagnostic"] = res.diagnostic
-    return (OK if res.completed else INCONCLUSIVE), _report(
-        args, "complete", ctx.options,
-        "ok" if res.completed else "inconclusive", details)
+    return ctx.report("ok" if res.completed else "inconclusive", details)
 
 
 def _cmd_minimalize(ctx, args):
     out = minimalize(ctx.rset.polys(), ctx.sig)
     for p in out:
         print(poly_str(p))
-    return OK, _report(args, "minimalize", ctx.options,
-                       details={"basis": [poly_str(p) for p in out]})
+    return ctx.report(details={"basis": [poly_str(p) for p in out]})
 
 
 def _cmd_reduce_basis(ctx, args):
     out = reduce_basis(ctx.rset.polys(), ctx.sig)
     for p in out:
         print(poly_str(p))
-    return OK, _report(args, "reduce-basis", ctx.options,
-                       details={"basis": [poly_str(p) for p in out]})
+    return ctx.report(details={"basis": [poly_str(p) for p in out]})
 
 
 def _irr_bounds(ctx):
     return (ctx.options.get("max_length", 3), ctx.options.get("max_dpow", 2))
 
 
-def _words_report(ctx, args, command, words):
+def _words_report(ctx, words):
     for w in words:
         print(w)
-    return OK, _report(args, command, ctx.options,
-                       details={"count": len(words),
-                                "words": [str(w) for w in words]})
+    return ctx.report(details={"count": len(words),
+                               "words": [str(w) for w in words]})
 
 
 def _cmd_irr(ctx, args):
     max_len, max_dpow = _irr_bounds(ctx)
-    return _words_report(ctx, args, "irr", irr_enumerate(
+    return _words_report(ctx, irr_enumerate(
         ctx.rset, ctx.sig, ctx.gens, max_len, max_dpow))
 
 
 def _cmd_kdbasis(ctx, args):
     words = kd_basis(ctx.rset, ctx.sig, ctx.gens, _irr_bounds(ctx)[0])
-    return _words_report(ctx, args, "kdbasis", words)
+    return _words_report(ctx, words)
 
 
 def _cmd_embed(ctx, args):
+    """A boundary word is inconclusive and a reducible ``D^t b`` a failure;
+    with every ``D^t b`` irreducible the verdict is that of ``check``."""
     gsb = _check_core(ctx)
     emb = embedding_check(ctx.rset, ctx.sig, ctx.gens, _irr_bounds(ctx)[1])
-    ok = gsb.is_gsb and emb.embedded
-    print(f"embedded: {'yes' if ok else 'no'}")
     if emb.inconclusive:
-        return INCONCLUSIVE, _report(args, "embed", ctx.options,
-                                     "inconclusive", emb.to_json())
-    return (OK if ok else FAIL), _report(
-        args, "embed", ctx.options, "ok" if ok else "fail",
-        {"gsb": gsb.is_gsb, **emb.to_json()})
+        rep = ctx.report("inconclusive", emb.to_json())
+    else:
+        rep = ctx.report(_gsb_verdict(gsb) if emb.embedded else "fail",
+                         {"gsb": gsb.is_gsb, **emb.to_json()})
+    print(f"embedded: {'yes' if rep.verdict == 'ok' else 'no'}")
+    return rep
 
 
-def _run_example(args):
+def _run_example(args) -> Report:
     options = _options(args, {"window": 2, "relation_multiplier": 4})
     window = IndexWindow(options["window"], options["relation_multiplier"])
     ex = builtin_example(args.name, window)
@@ -370,20 +359,23 @@ def _run_example(args):
     # so a default run keeps its digest
     flags = {k: v for k, v in sorted(options.items())
              if k not in ("window", "relation_multiplier")}
-    args._digest = _digest(args.name, str(window.W), str(window.M),
-                           *(f"{k}={v}" for k, v in flags.items()))
-    # equiv builds its own relation sets
-    ctx = _Context(ex.sig, options, None, ex.gens(), window)
+    ctx = _Context(
+        f"example {args.action}",
+        {"example": ex.name, "window": window.W,
+         "relation_multiplier": window.M, **flags},
+        _digest(args.name, str(window.W), str(window.M),
+                *(f"{k}={v}" for k, v in flags.items())),
+        ex.sig, options, None, ex.gens(), window)
     if args.action == "equiv":
+        # equiv builds its own relation sets; both directions reducing to
+        # zero proves the windowed equality even when completion stopped
         eq = equivalence_check(ex, limits=_limits(ctx), bounds=_bounds(ctx))
         print(f"ideals equal over the window: {'yes' if eq.ok else 'no'}")
-        code, verdict = ((INCONCLUSIVE, "inconclusive")
-                         if not eq.completion.completed
-                         else (OK, "ok") if eq.ok else (FAIL, "fail"))
-        rep = _report(args, "equiv", options, verdict, eq.to_json())
-    else:
-        ctx.rset = ex.basis_rset()
-        code, rep = _HANDLERS[args.action](ctx, args)
+        verdict = ("ok" if eq.ok else "inconclusive"
+                   if not eq.completion.completed else "fail")
+        return ctx.report(verdict, eq.to_json())
+    ctx.rset = ex.basis_rset()
+    rep = _HANDLERS[args.action](ctx, args)
     if args.action in ("irr", "kdbasis"):
         # kdbasis lists the D-free words of the closed-form family
         max_len, max_dpow = _irr_bounds(ctx)
@@ -393,11 +385,8 @@ def _run_example(args):
         print(f"matches closed form: {'yes' if match else 'no'}")
         rep.details["matches_closed_form"] = match
         if not match:
-            code, rep.verdict = FAIL, "fail"
-    rep.command = f"example {args.action}"
-    rep.params = {"example": ex.name, "window": window.W,
-                  "relation_multiplier": window.M, **flags}
-    return code, rep
+            rep.verdict = "fail"
+    return rep
 
 
 # file subcommands; example check|irr|kdbasis|embed run on the family's context

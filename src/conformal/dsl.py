@@ -85,14 +85,13 @@ def tokenize(text: str) -> List[Token]:
 
 
 class _Stream:
-    def __init__(self, toks: List[Token], skip_nl: bool = True):
+    def __init__(self, toks: List[Token]):
         self.toks = toks
         self.i = 0
-        self.skip_nl = skip_nl
 
     def peek(self) -> Token:
         i = self.i
-        while self.skip_nl and self.toks[i].kind == "nl":
+        while self.toks[i].kind == "nl":
             i += 1
         return self.toks[i]
 
@@ -465,7 +464,10 @@ class RelationSchema:
 
 def parse_schema(line: str) -> RelationSchema:
     """Parse ``name[i, j | constraint]: expr`` (constraint optional)."""
-    s = _Stream(tokenize(line))
+    return _parse_schema(_Stream(tokenize(line)))
+
+
+def _parse_schema(s: _Stream) -> RelationSchema:
     name = s.expect("name").text
     varnames: List[str] = []
     constraint = TRUE
@@ -560,7 +562,7 @@ def parse_presentation(text: str) -> PresentationFile:
     sig = _parse_algebra_block(blocks["algebra"])
     pf = PresentationFile(sig)
     for line in blocks.get("options", []):
-        s = _Stream(line + [Token("eof", "", line[0].line, 0)])
+        s = _line_stream(line)
         key = _joined_name(s)
         s.expect("op", "=")
         neg = s.accept("op", "-") is not None
@@ -569,8 +571,7 @@ def parse_presentation(text: str) -> PresentationFile:
             s.error(f"unknown option {key!r}")
         pf.options[key] = -val if neg else val
     for line in blocks.get("relations", []):
-        text_line = _untokenize(line)
-        schema = parse_schema(text_line)
+        schema = _parse_schema(_line_stream(line))
         if schema.vars:
             pf.schemas.append(schema)
         else:
@@ -579,8 +580,11 @@ def parse_presentation(text: str) -> PresentationFile:
     return pf
 
 
-def _untokenize(line: List[Token]) -> str:
-    return " ".join(t.text for t in line)
+def _line_stream(line: List[Token]) -> _Stream:
+    """The tokens of one block line, ending just past its last token."""
+    last = line[-1]
+    return _Stream(line + [Token("eof", "", last.line,
+                                 last.col + len(last.text))])
 
 
 def _joined_name(s: _Stream) -> str:
@@ -598,7 +602,7 @@ def _parse_algebra_block(lines: List[List[Token]]) -> AlgebraSignature:
     order_kind = None
     ranking: Optional[List[str]] = None
     for line in lines:
-        s = _Stream(line + [Token("eof", "", line[0].line, 0)])
+        s = _line_stream(line)
         key = s.expect("name").text
         if key == "N":
             s.expect("op", "=")

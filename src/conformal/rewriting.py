@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional
 
 from .words import AlgebraSignature, ConformalError, NormalWord
-from .algebra import ConformalPolynomial, _accum, _word_D, _word_mult
+from .algebra import ConformalPolynomial, _accum, _word_mult, apply_D
 
 
 class RelationError(ConformalError):
@@ -97,18 +97,7 @@ def eval_pattern(sig: AlgebraSignature, pat: Pattern) -> Dict[NormalWord, Fracti
         for u, cu in rel.poly.terms.items():
             _accum(inner, _word_mult(sig, u, pat.m, pat.suffix), cu)
     else:
-        if pat.dshift == 0:
-            inner = dict(rel.poly.terms)
-        else:
-            inner = {}
-            for u, cu in rel.poly.terms.items():
-                terms = {u: 1}
-                for _ in range(pat.dshift):
-                    nxt: Dict[NormalWord, Fraction] = {}
-                    for w, c in terms.items():
-                        _accum(nxt, _word_D(sig, w), c)
-                    terms = nxt
-                _accum(inner, terms, cu)
+        inner = apply_D(rel.poly, pat.dshift).terms
     if pat.prefix is not None:
         if not pat.prefix.is_dfree:
             raise RelationError("pattern prefixes must be D-free")

@@ -6,6 +6,10 @@ from hypothesis import reject, strategies as st
 
 from conformal import AlgebraSignature, ConformalPolynomial, NormalWord
 
+# props.py is a shared helper, not a test module: pytest rewrites its asserts
+# only when told to, and only rewritten asserts survive python -O
+pytest.register_assert_rewrite("props")
+
 # verdict lines recorded by the acceptance tests, echoed in the summary
 ACCEPTANCE_LINES = []
 

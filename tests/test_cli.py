@@ -5,9 +5,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from conformal import cli
 from conformal.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -202,13 +204,16 @@ def test_input_error_exit(tmp_path, capsys):
     assert main(["check", "-f", str(tmp_path / "missing.alg")]) == 3
     assert main(["normalize", "-f", str(tmp_path / "missing.alg"), "a"]) == 3
 
-def test_env_var_limits(ex00, monkeypatch, capsys):
+def test_limit_env_vars_change_nothing(ex00, tmp_path, monkeypatch,
+                                      capsys):
+    # completion limits come from flags and the options block only, both
+    # recorded in params and the digest
+    plain, env = tmp_path / "plain.json", tmp_path / "env.json"
+    assert main(["complete", "-f", ex00, "--json", str(plain)]) == 0
     monkeypatch.setenv("CONFORMAL_MAX_ITERS", "1")
-    assert main(["complete", "-f", ex00]) == 2
-    monkeypatch.setenv("CONFORMAL_MAX_ITERS", "50")
-    assert main(["complete", "-f", ex00]) == 0
-    monkeypatch.setenv("CONFORMAL_MAX_ITERS", "junk")
-    assert main(["complete", "-f", ex00]) == 3
+    monkeypatch.setenv("CONFORMAL_MAX_BASIS", "junk")
+    assert main(["complete", "-f", ex00, "--json", str(env)]) == 0
+    assert env.read_bytes() == plain.read_bytes()
 
 
 def test_mult_bound_flags(ex00, capsys):
@@ -287,25 +292,66 @@ def test_example_records_result_changing_flags(tmp_path, capsys):
 
 def test_example_equiv_honours_limits(tmp_path, capsys):
     out = tmp_path / "r.json"
+    # both directions reduce to zero after one round, which proves the
+    # windowed equality although completion stopped at the limit
     assert main(["example", "virasoro", "equiv", "--window", "1",
-                 "--max-iters", "1", "--json", str(out)]) == 2
+                 "--max-iters", "1", "--json", str(out)]) == 0
     data = json.loads(out.read_text())
-    assert data["verdict"] == "inconclusive"
+    assert data["verdict"] == "ok"
     assert data["details"]["completion_rounds"] == 1
     assert data["params"]["max_iters"] == 1
+    assert "ideals equal over the window: yes" in capsys.readouterr().out
+    # a failed direction after a stopped completion proves nothing
+    assert main(["example", "virasoro", "equiv", "--window", "1",
+                 "--max-basis", "5", "--json", str(out)]) == 2
+    data = json.loads(out.read_text())
+    assert data["verdict"] == "inconclusive"
+    assert data["details"]["forward_failures"]
+    assert data["details"]["completion_completed"] is False
+    assert data["params"]["max_basis"] == 5
 
 
 def test_gsb_outcome_mapping():
-    from conformal.cli import _gsb_outcome
+    from conformal.cli import EXIT_CODES, _gsb_verdict
     from conformal.gsb import GsbReport
 
     def rep(n_t, n_n, n_i):
         return GsbReport([], n_n == 0 and n_i == 0, {}, n_t, n_n, n_i)
 
-    assert _gsb_outcome(rep(3, 0, 0)) == (0, "ok")
-    assert _gsb_outcome(rep(3, 0, 2)) == (2, "inconclusive")
-    assert _gsb_outcome(rep(3, 1, 2)) == (1, "fail")
-    assert _gsb_outcome(rep(0, 1, 0)) == (1, "fail")
+    assert _gsb_verdict(rep(3, 0, 0)) == "ok"
+    assert _gsb_verdict(rep(3, 0, 2)) == "inconclusive"
+    assert _gsb_verdict(rep(3, 1, 2)) == "fail"
+    assert _gsb_verdict(rep(0, 1, 0)) == "fail"
+    assert EXIT_CODES == {"ok": 0, "fail": 1, "inconclusive": 2}
+
+
+def test_embed_with_only_inconclusive_compositions(tmp_path, capsys):
+    # every D^t b is irreducible and no word is on the boundary, but the
+    # compositions are inconclusive, so the basis is not known
+    f = tmp_path / "incon.alg"
+    f.write_text(INCONCLUSIVE_FILE)
+    args = SimpleNamespace(command="embed", file=str(f))
+    rep = cli._cmd_embed(cli._load_context(args), args)
+    assert rep.verdict == "inconclusive"
+    assert rep.details == {"gsb": False, "embedded": True,
+                           "inconclusive": False, "reducible": [],
+                           "boundary": []}
+    assert capsys.readouterr().out == "embedded: no\n"
+
+
+def test_timings_add_only_the_total(ex00, tmp_path, capsys):
+    plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+    assert main(["complete", "-f", ex00, "--json", str(plain)]) == 0
+    assert main(["complete", "-f", ex00, "--timings", "--json",
+                 str(timed)]) == 0
+    plain_data, timed_data = (json.loads(plain.read_text()),
+                              json.loads(timed.read_text()))
+    timings = timed_data.pop("timings")
+    assert set(timings) == {"total_s"}
+    assert isinstance(timings["total_s"], float)
+    assert timed_data == {k: v for k, v in plain_data.items()
+                          if k != "timings"}
+    assert plain_data["timings"] is None
 
 
 def test_non_chain_schema_term_is_an_input_error(tmp_path, capsys):

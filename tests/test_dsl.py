@@ -193,6 +193,25 @@ def test_presentation_errors():
             "algebra { N = 2\n generators = a }\nalgebra { N = 1\n generators = b }")
 
 
+def test_relation_errors_point_into_the_file():
+    text = ("algebra {\n"
+            "    N = 2\n"
+            "    family L\n"
+            "}\n"
+            "relations {\n"
+            "    s1[i, j]: L_i (1) L_j + L_{i+j}\n"
+            "  f[i]: L_i (0) L_0 - L_k\n"
+            "}\n")
+    with pytest.raises(ParseError) as err:
+        parse_presentation(text)
+    assert (err.value.line, err.value.col) == (7, 25)
+    assert str(err.value) == "line 7, col 25: unknown index variable 'k'"
+    with pytest.raises(ParseError) as err:
+        parse_presentation(text.replace("L_k", "L_0 L_1"))
+    assert (err.value.line, err.value.col) == (7, 27)
+    assert "trailing input" in str(err.value)
+
+
 def test_finite_generators_with_abs_order():
     text = """
 algebra {

@@ -101,7 +101,8 @@ def result_fields(res):
 
 def complete_file(name):
     """``conformal complete -f presentations/NAME --window 1``, as a call."""
-    args = SimpleNamespace(file=os.path.join(PRESENTATIONS, name), window=1)
+    args = SimpleNamespace(command="complete",
+                           file=os.path.join(PRESENTATIONS, name), window=1)
     ctx = cli._load_context(args)
 
     def run():
@@ -130,6 +131,7 @@ def test_standalone_interreduce_with_lazy_schemas():
     # probes materialize out-of-window schema instances, which then take
     # part in the interreduction; a prefix of the set keeps this quick
     args = SimpleNamespace(
+        command="complete",
         file=os.path.join(PRESENTATIONS, "heisenberg_virasoro.alg"), window=1)
     ctx = cli._load_context(args)
     polys = ctx.rset.polys()[:130]
