@@ -1,8 +1,13 @@
 """Exact polynomial arithmetic and the normalization engine.
 
 Every element of the free algebra is stored as a rational linear combination
-of normal words.  The engine rewrites arbitrary products into that basis
-using only the defining identities:
+of normal words.  A coefficient is stored as a Python ``int`` when it is
+integral and as a reduced ``fractions.Fraction`` otherwise (``_coeff``);
+there are no floats.  ``Fraction(3) == 3`` and the two hash alike, so the
+stored form never shows in equality, hashing, ordering or printing.
+
+The engine rewrites arbitrary products into that basis using only the
+defining identities:
 
 * D-shift:        Da (n) b = -n a(n-1) b           (zero for n = 0)
 * Leibniz:        D(a (n) b) = Da (n) b + a (n) Db
@@ -23,29 +28,44 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, perm
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 from .words import (AlgebraSignature, ConformalError, GeneratorSymbol,
                     NormalWord, SignatureError)
 
-Terms = Dict[NormalWord, Fraction]
+Coeff = Union[int, Fraction]
+Terms = Dict[NormalWord, Coeff]
 
 
 class ArithmeticError_(ConformalError):
     """Illegal polynomial operation (monic of zero, negative index, ...)."""
 
 
+def _coeff(c) -> Coeff:
+    """The stored form of a coefficient: an ``int`` when ``c`` is integral,
+    a reduced ``Fraction`` otherwise."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _accum(dst: Terms, src: Terms, c) -> None:
+    """dst += c * src, for stored coefficients ``src`` and ``c``."""
     for w, cw in src.items():
         v = dst.get(w, 0) + c * cw
         if v:
+            if type(v) is not int and v.denominator == 1:
+                v = v.numerator
             dst[w] = v
         else:
             dst.pop(w, None)
 
 
 def _scaled(src: Terms, c) -> Terms:
-    return {w: c * cw for w, cw in src.items()}
+    """c * src; an int times a Fraction may be integral, so every product
+    is normalized."""
+    return {w: _coeff(c * cw) for w, cw in src.items()}
 
 
 def _gen_mult(sig: AlgebraSignature, g: GeneratorSymbol, n: int,
@@ -151,7 +171,7 @@ class ConformalPolynomial:
         elif _frozen:
             self.terms = terms
         else:
-            self.terms = {w: Fraction(c) for w, c in terms.items() if c}
+            self.terms = {w: _coeff(c) for w, c in terms.items() if c}
 
     # constructors ----------------------------------------------------------
 
@@ -164,7 +184,7 @@ class ConformalPolynomial:
         sig.check_word(w)
         if not c:
             return cls(sig, None)
-        return cls(sig, {w: Fraction(c)}, _frozen=True)
+        return cls(sig, {w: _coeff(c)}, _frozen=True)
 
     # basic queries ----------------------------------------------------------
 
@@ -180,9 +200,9 @@ class ConformalPolynomial:
             return None
         return max(self.terms, key=self.sig.word_key)
 
-    def leading_coeff(self) -> Fraction:
+    def leading_coeff(self) -> Coeff:
         lw = self.leading()
-        return Fraction(self.terms[lw]) if lw is not None else Fraction(0)
+        return self.terms[lw] if lw is not None else 0
 
     def is_monic(self) -> bool:
         return bool(self.terms) and self.terms[self.leading()] == 1
@@ -193,8 +213,7 @@ class ConformalPolynomial:
 
     def canonical_key(self) -> tuple:
         """Hashable form: terms sorted descending, exact coefficients."""
-        return tuple((self.sig.word_key(w), Fraction(c))
-                     for w, c in self.items_desc())
+        return tuple((self.sig.word_key(w), c) for w, c in self.items_desc())
 
     # arithmetic ---------------------------------------------------------------
 
@@ -220,7 +239,7 @@ class ConformalPolynomial:
     def scale(self, c) -> "ConformalPolynomial":
         if not c:
             return ConformalPolynomial.zero(self.sig)
-        return ConformalPolynomial(self.sig, _scaled(self.terms, Fraction(c)),
+        return ConformalPolynomial(self.sig, _scaled(self.terms, _coeff(c)),
                                    _frozen=True)
 
     def monic(self) -> "ConformalPolynomial":
@@ -229,7 +248,7 @@ class ConformalPolynomial:
         lc = self.terms[self.leading()]
         if lc == 1:
             return self
-        return self.scale(Fraction(1, 1) / lc)
+        return self.scale(1 / Fraction(lc))
 
     def __eq__(self, other):
         return (isinstance(other, ConformalPolynomial)
@@ -298,7 +317,7 @@ class Prod(Expr):
 class LinComb(Expr):
     __slots__ = ("parts",)
 
-    def __init__(self, parts: Iterable[Tuple[Fraction, Expr]]):
+    def __init__(self, parts: Iterable[Tuple[Coeff, Expr]]):
         self.parts = tuple(parts)
 
     def instantiate(self, env: Dict[str, int]) -> "LinComb":
@@ -336,7 +355,7 @@ def normalize(e, sig: AlgebraSignature) -> ConformalPolynomial:
     if isinstance(e, LinComb):
         out: Terms = {}
         for c, part in e.parts:
-            _accum(out, normalize(part, sig).terms, Fraction(c))
+            _accum(out, normalize(part, sig).terms, _coeff(c))
         return ConformalPolynomial(sig, out, _frozen=True)
     raise TypeError(f"cannot normalize object of type {type(e).__name__}")
 

@@ -338,15 +338,14 @@ def _cmd_kdbasis(ctx, args):
 
 
 def _cmd_embed(ctx, args):
-    """A boundary word is inconclusive and a reducible ``D^t b`` a failure;
-    with every ``D^t b`` irreducible the verdict is that of ``check``."""
+    """A reducible ``D^t b`` is a failure; otherwise a boundary word is
+    inconclusive, and with every ``D^t b`` irreducible and none on the
+    boundary the verdict is that of ``check``."""
     gsb = _check_core(ctx)
     emb = embedding_check(ctx.rset, ctx.sig, ctx.gens, _irr_bounds(ctx)[1])
-    if emb.inconclusive:
-        rep = ctx.report("inconclusive", emb.to_json())
-    else:
-        rep = ctx.report(_gsb_verdict(gsb) if emb.embedded else "fail",
-                         {"gsb": gsb.is_gsb, **emb.to_json()})
+    verdict = ("inconclusive" if emb.inconclusive
+               else _gsb_verdict(gsb) if emb.embedded else "fail")
+    rep = ctx.report(verdict, {"gsb": gsb.is_gsb, **emb.to_json()})
     print(f"embedded: {'yes' if rep.verdict == 'ok' else 'no'}")
     return rep
 

@@ -666,18 +666,11 @@ def _parse_algebra_block(lines: List[List[Token]]) -> AlgebraSignature:
 # printing --------------------------------------------------------------------
 
 
-def coeff_str(c: Fraction) -> str:
-    c = Fraction(c)
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
-
-
 def _signed_sum(terms) -> str:
     """Text of a sum of (coefficient, term text) pairs; "0" when empty."""
     parts = []
     for c, text in terms:
-        body = text if abs(c) == 1 else f"{coeff_str(abs(c))} * {text}"
+        body = text if abs(c) == 1 else f"{abs(c)} * {text}"
         sign = "- " if c < 0 else ("+ " if parts else "")
         parts.append(sign + body)
     return " ".join(parts) if parts else "0"

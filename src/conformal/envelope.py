@@ -29,8 +29,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .words import (AlgebraSignature, ConformalError, GeneratorSymbol,
                     NormalWord)
-from .algebra import (ConformalPolynomial, Deriv, Gen, Prod, _accum, _gen_mult,
-                      apply_D)
+from .algebra import (Coeff, ConformalPolynomial, Deriv, Gen, Prod, _accum,
+                      _gen_mult, apply_D)
 from .dsl import (ParseError, RelationSchema, _template_str,
                   parse_presentation)
 from .rewriting import Relation, RelationSet, reduce_poly
@@ -59,14 +59,14 @@ class IndexWindow:
 
 
 def kd_element(sig: AlgebraSignature,
-               parts: Iterable[Tuple[Fraction, int, GeneratorSymbol]]
+               parts: Iterable[Tuple[Coeff, int, GeneratorSymbol]]
                ) -> ConformalPolynomial:
     """Combination  sum c * D^t b  of derived generators."""
     terms = {}
     for c, t, b in parts:
         sig.check_gen(b)
         w = NormalWord((), b, t)
-        terms[w] = terms.get(w, 0) + Fraction(c)
+        terms[w] = terms.get(w, 0) + c
     return ConformalPolynomial(sig, terms)
 
 
@@ -400,9 +400,9 @@ def virasoro_table(sig: AlgebraSignature, radius: int) -> LieTable:
     for i in rng:
         for j in rng:
             entries[(_L(i), 0, _L(j))] = kd_element(
-                sig, [(Fraction(-1), 1, _L(i + j))])
+                sig, [(-1, 1, _L(i + j))])
             entries[(_L(i), 1, _L(j))] = kd_element(
-                sig, [(Fraction(-2), 0, _L(i + j))])
+                sig, [(-2, 0, _L(i + j))])
     return LieTable(sig, entries)
 
 
@@ -418,12 +418,12 @@ def heisenberg_virasoro_table(sig: AlgebraSignature, radius: int) -> LieTable:
     zero = ConformalPolynomial.zero(sig)
     for i in rng:
         for j in rng:
-            entries[(_L(i), 0, _L(j))] = kd_element(sig, [(Fraction(1), 1, _L(i + j))])
-            entries[(_L(i), 1, _L(j))] = kd_element(sig, [(Fraction(2), 0, _L(i + j))])
-            entries[(_L(i), 0, _H(j))] = kd_element(sig, [(Fraction(1), 1, _H(i + j))])
-            entries[(_L(i), 1, _H(j))] = kd_element(sig, [(Fraction(1), 0, _H(i + j))])
+            entries[(_L(i), 0, _L(j))] = kd_element(sig, [(1, 1, _L(i + j))])
+            entries[(_L(i), 1, _L(j))] = kd_element(sig, [(2, 0, _L(i + j))])
+            entries[(_L(i), 0, _H(j))] = kd_element(sig, [(1, 1, _H(i + j))])
+            entries[(_L(i), 1, _H(j))] = kd_element(sig, [(1, 0, _H(i + j))])
             entries[(_H(i), 0, _L(j))] = zero
-            entries[(_H(i), 1, _L(j))] = kd_element(sig, [(Fraction(1), 0, _H(i + j))])
+            entries[(_H(i), 1, _L(j))] = kd_element(sig, [(1, 0, _H(i + j))])
             entries[(_H(i), 0, _H(j))] = zero
             entries[(_H(i), 1, _H(j))] = zero
     return LieTable(sig, entries)
@@ -592,10 +592,11 @@ def embedding_check(rset: RelationSet, sig: AlgebraSignature,
                     max_dpow: int) -> EmbeddingReport:
     """Check that every D^t b is irreducible for the given relation set.
 
-    A found reduction is a definite failure.  A word that no windowed
-    instance reduces but that the set's schema index says an instance
-    might (``SchemaIndex.could_reduce``) is reported as a boundary case,
-    never as a clean pass.
+    A found reduction is a definite failure, whatever else is found.  A
+    word that no windowed instance reduces but that the set's schema index
+    says an instance might (``SchemaIndex.could_reduce``) is reported as a
+    boundary case; with no reducible word it makes the result
+    inconclusive, never a clean pass.
     """
     lazy = rset._lazy
     reducible = []
@@ -607,5 +608,6 @@ def embedding_check(rset: RelationSet, sig: AlgebraSignature,
                 reducible.append(w)
             elif lazy is not None and lazy.could_reduce(w):
                 boundary.append(w)
-    return EmbeddingReport(not reducible and not boundary, bool(boundary),
+    return EmbeddingReport(not reducible and not boundary,
+                           bool(boundary) and not reducible,
                            reducible, boundary)

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from .words import AlgebraSignature, GeneratorSymbol, NormalWord
-from .algebra import (ConformalPolynomial, _accum, _gen_mult, _word_mult,
-                      apply_D, locality_bound)
+from .algebra import (ConformalPolynomial, Terms, _accum, _gen_mult,
+                      _word_mult, apply_D, locality_bound)
 from .rewriting import (Pattern, ReductionTrace, Relation, RelationSet,
                         eval_pattern, reduce_poly)
 
@@ -165,7 +164,7 @@ def mult_compositions(sig: AlgebraSignature, f: Relation,
     right_ns = right_mult_ranges(sig, f, bounds)
     for b in gens:
         for n in left_rng:
-            terms: Dict[NormalWord, Fraction] = {}
+            terms: Terms = {}
             for u, cu in f.poly.terms.items():
                 _accum(terms, _gen_mult(sig, b, n, u), cu)
             out.append(Composition("left_mult", f, None, None, b, n,

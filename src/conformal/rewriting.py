@@ -16,11 +16,11 @@ trace whose steps reconstruct the input exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional
 
 from .words import AlgebraSignature, ConformalError, NormalWord
-from .algebra import ConformalPolynomial, _accum, _word_mult, apply_D
+from .algebra import (Coeff, ConformalPolynomial, Terms, _accum, _word_mult,
+                      apply_D)
 
 
 class RelationError(ConformalError):
@@ -83,7 +83,7 @@ class Pattern:
         return f"[{head}{d}s] with s = {self.relation.lead}"
 
 
-def eval_pattern(sig: AlgebraSignature, pat: Pattern) -> Dict[NormalWord, Fraction]:
+def eval_pattern(sig: AlgebraSignature, pat: Pattern) -> Terms:
     """Normalized substitution of the relation into the pattern (frozen dict)."""
     rel = pat.relation
     key = (pat.kind, pat.prefix, pat.n, pat.m, pat.suffix, pat.dshift)
@@ -93,7 +93,7 @@ def eval_pattern(sig: AlgebraSignature, pat: Pattern) -> Dict[NormalWord, Fracti
     if pat.kind == 1:
         if not rel.lead.is_dfree:
             raise RelationError("interior patterns need a D-free leading word")
-        inner: Dict[NormalWord, Fraction] = {}
+        inner: Terms = {}
         for u, cu in rel.poly.terms.items():
             _accum(inner, _word_mult(sig, u, pat.m, pat.suffix), cu)
     else:
@@ -272,7 +272,7 @@ class RelationSet:
 class TraceStep:
     word: NormalWord
     pattern: Pattern
-    coeff: Fraction
+    coeff: Coeff
 
 
 @dataclass
@@ -293,7 +293,7 @@ class ReductionTrace:
         return {
             "steps": [{"word": str(st.word),
                        "pattern": st.pattern.describe(),
-                       "coeff": str(Fraction(st.coeff))}
+                       "coeff": str(st.coeff)}
                       for st in self.steps],
             "remainder": repr(self.remainder),
         }
@@ -311,7 +311,7 @@ def reduce_poly(p: ConformalPolynomial, rset: RelationSet, *,
     """
     sig = p.sig
     cur = dict(p.terms)
-    remainder: Dict[NormalWord, Fraction] = {}
+    remainder: Terms = {}
     steps: List[TraceStep] = []
     wkey = sig.word_key
     while cur:
@@ -327,7 +327,7 @@ def reduce_poly(p: ConformalPolynomial, rset: RelationSet, *,
             raise RelationError(
                 f"substituting {pat.describe()} did not cancel the leading "
                 f"word {w}")
-        steps.append(TraceStep(w, pat, Fraction(c)))
+        steps.append(TraceStep(w, pat, c))
     return ReductionTrace(steps, ConformalPolynomial(sig, remainder, _frozen=True))
 
 

@@ -1,5 +1,6 @@
 import random
 import signal
+from fractions import Fraction
 
 import pytest
 from hypothesis import reject, strategies as st
@@ -64,6 +65,13 @@ a2_words = st.builds(
     st.lists(st.integers(0, SIG_A2.N - 1), max_size=2), st.integers(0, 2))
 a2_polys = st.dictionaries(a2_words, st.sampled_from([-3, -2, -1, 1, 2, 3]),
                            min_size=1, max_size=3).map(
+    lambda terms: ConformalPolynomial(SIG_A2, terms))
+# the same with rational coefficients, some of them integral Fractions, so
+# that the non-integer arithmetic and the int normalization are exercised
+a2_rational_coeffs = st.sampled_from(
+    [-3, Fraction(-1, 2), 1, Fraction(2, 3), Fraction(3)])
+a2_rational_polys = st.dictionaries(a2_words, a2_rational_coeffs,
+                                    min_size=1, max_size=3).map(
     lambda terms: ConformalPolynomial(SIG_A2, terms))
 # small presentations: 1 to 4 polynomials, words of length <= 3, D^<=2
 a2_presentations = st.lists(a2_polys, min_size=1, max_size=4)

@@ -339,6 +339,38 @@ def test_embed_with_only_inconclusive_compositions(tmp_path, capsys):
     assert capsys.readouterr().out == "embedded: no\n"
 
 
+EMBED_MIXED_FILE = """
+algebra {
+    N = 2
+    family L
+}
+relations {
+    f[i, k | k > 20]: D^2 L_i - L_{i+k}
+    g: L_1 - L_0
+}
+options {
+    window = 1
+}
+"""
+
+
+def test_embed_fails_on_a_reducible_word_beside_boundary_words(
+        tmp_path, capsys):
+    # g reduces L_1 and its derivatives, a definite failure, while f's
+    # out-of-window instances leave the other words on the boundary
+    f = tmp_path / "mixed.alg"
+    f.write_text(EMBED_MIXED_FILE)
+    args = SimpleNamespace(command="embed", file=str(f))
+    rep = cli._cmd_embed(cli._load_context(args), args)
+    assert rep.verdict == "fail" and cli.EXIT_CODES[rep.verdict] == 1
+    details = rep.details
+    assert details["reducible"] == ["L_1", "D L_1", "D^2 L_1"]
+    assert details["boundary"]
+    assert details["inconclusive"] is False and details["embedded"] is False
+    assert "gsb" in details
+    assert capsys.readouterr().out == "embedded: no\n"
+
+
 def test_timings_add_only_the_total(ex00, tmp_path, capsys):
     plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
     assert main(["complete", "-f", ex00, "--json", str(plain)]) == 0
