@@ -41,6 +41,7 @@ from .envelope import (IndexWindow, SchemaIndex, builtin_example,
 
 EXIT_CODES = {"ok": 0, "fail": 1, "inconclusive": 2}
 INPUT_ERROR = 3
+_WINDOW_KEYS = ("window", "relation_multiplier")   # checked by IndexWindow
 
 
 @dataclass
@@ -145,12 +146,16 @@ class _Context:
 
 
 def _options(args, defaults: dict) -> dict:
-    """The defaults overridden by every option flag that was given."""
+    """The defaults overridden by every option flag that was given; a
+    negative bound or limit is an input error."""
     options = dict(defaults)
     for key in sorted(_KNOWN_OPTIONS):
         v = getattr(args, key, None)
         if v is not None:
             options[key] = v
+        if key not in _WINDOW_KEYS and options.get(key, 0) < 0:
+            raise ConformalError(f"option {key} (--{key.replace('_', '-')}) "
+                                 f"must not be negative, got {options[key]}")
     return options
 
 
@@ -159,25 +164,27 @@ def _load_context(args) -> _Context:
         text = fh.read()
     pf = parse_presentation(text)
     options = _options(args, pf.options)
-    window = None
-    lazy = None
+    window = lazy = None
     polys = pf.concrete_relations()
-    if pf.schemas:
+    if pf.schemas or pf.sig.generators is None:
         window = IndexWindow(options.get("window", 2),
                              options.get("relation_multiplier", 4))
+    if pf.schemas:
         lazy = SchemaIndex(pf.schemas)
         polys = polys + instantiate_schemas(pf.schemas, pf.sig, window.radius)
     if pf.sig.generators is not None:
         gens = pf.sig.generators
     else:
-        gens = pf.sig.family_generators(window.W if window else 2)
+        gens = pf.sig.family_generators(window.W)
     rset = RelationSet(pf.sig, _monic_prepare(polys), lazy=lazy)
     positionals = _POSITIONALS.get(args.command, ())
     params = ({k: getattr(args, k) for k in positionals} if positionals
               else options)
+    # only schema instances are windowed; concrete relations all compose
     return _Context(args.command, params,
                     _digest(text, json.dumps(options, sort_keys=True)),
-                    pf.sig, options, rset, gens, window)
+                    pf.sig, options, rset, gens,
+                    window if pf.schemas else None)
 
 
 def _bounds(ctx) -> MultBounds:
@@ -357,7 +364,7 @@ def _run_example(args) -> Report:
     # flags beyond the window enter params and the digest only when given,
     # so a default run keeps its digest
     flags = {k: v for k, v in sorted(options.items())
-             if k not in ("window", "relation_multiplier")}
+             if k not in _WINDOW_KEYS}
     ctx = _Context(
         f"example {args.action}",
         {"example": ex.name, "window": window.W,

@@ -33,7 +33,7 @@ from .algebra import (Coeff, ConformalPolynomial, Deriv, Gen, Prod, _accum,
                       _gen_mult, apply_D)
 from .dsl import (ParseError, RelationSchema, _template_str,
                   parse_presentation)
-from .rewriting import Relation, RelationSet, reduce_poly
+from .rewriting import Relation, RelationSet, dpow_fits, reduce_poly, slices
 from .gsb import (CompletionLimits, CompletionResult, MultBounds,
                   _monic_prepare, complete)
 
@@ -319,17 +319,13 @@ class SchemaIndex:
 
     def could_reduce(self, word: NormalWord) -> bool:
         """Whether an instance at any indices might reduce the word: a kept
-        term matches a slice as ``RelationSet._patterns_at`` matches a lead
-        (interior: D-free; suffix: at most the word's D power)."""
-        names = tuple(g.name for g in word.letters())
-        juncs = word.junctions()
-        K = word.length
-        for L in self.lengths:
-            for p in range(K - L + 1):
-                key = (names[p:p + L], juncs[p:p + L - 1])
-                if any(tt.dpow == 0 if p + L < K else word.dpow >= tt.dpow
-                       for tt in self.by_shape.get(key, ())):
-                    return True
+        term has the names and junctions of a slice of the word, and
+        ``dpow_fits`` admits the term's D power there."""
+        for _, sub, interior in slices(word, sorted(self.lengths)):
+            key = (tuple(g.name for g in sub[0::2]), sub[1::2])
+            if any(dpow_fits(tt.dpow, interior, word.dpow)
+                   for tt in self.by_shape.get(key, ())):
+                return True
         return False
 
     def check_signature(self, sig: AlgebraSignature) -> None:

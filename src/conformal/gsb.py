@@ -26,7 +26,7 @@ from .words import AlgebraSignature, GeneratorSymbol, NormalWord
 from .algebra import (ConformalPolynomial, Terms, _accum, _gen_mult,
                       _word_mult, apply_D, locality_bound)
 from .rewriting import (Pattern, ReductionTrace, Relation, RelationSet,
-                        eval_pattern, reduce_poly)
+                        dpow_fits, eval_pattern, reduce_poly, slices)
 
 
 @dataclass(frozen=True)
@@ -69,62 +69,39 @@ def pair_compositions(sig: AlgebraSignature, f: Relation,
     out: List[Composition] = []
     fl, gl = f.lead, g.lead
     Kf, Kg = fl.length, gl.length
-    flat_f, flat_g = f.lead_flat, g.lead_flat
-    juncs_f = fl.junctions()
 
-    # interior occurrences of gl inside fl (remainder c nonempty)
-    if gl.is_dfree and Kg < Kf:
-        for p in range(0, Kf - Kg):
-            if flat_f[2 * p: 2 * (p + Kg) - 1] != flat_g:
-                continue
-            pat = Pattern(1, g, fl.prefix_to(p),
-                          juncs_f[p - 1] if p > 0 else None,
-                          m=juncs_f[p + Kg - 1],
-                          suffix=fl.suffix_from(p + Kg))
-            poly = f.poly - ConformalPolynomial(
-                sig, dict(eval_pattern(sig, pat)))
-            out.append(Composition("inclusion", f, g, fl, None, None, poly))
+    def at(rel: Relation, w: NormalWord, p: int) -> ConformalPolynomial:
+        return ConformalPolynomial(sig, dict(eval_pattern(
+            sig, Pattern.at(rel, w, p))))
 
-    # suffix occurrence: fl = a(n) gl D^i
-    p = Kf - Kg
-    if p >= 0 and flat_f[2 * p:] == flat_g and fl.dpow >= gl.dpow:
-        i = fl.dpow - gl.dpow
-        if not (f is g and i == 0):
-            pat = Pattern(2, g, fl.prefix_to(p),
-                          juncs_f[p - 1] if p > 0 else None, dshift=i)
-            poly = f.poly - ConformalPolynomial(
-                sig, dict(eval_pattern(sig, pat)))
-            out.append(Composition("right_inclusion", f, g, fl, None, None,
-                                   poly))
+    # occurrences of gl in fl: interior ones are inclusions; the suffix one
+    # is a right inclusion fl = a(n) gl D^i, or, when gl carries more D
+    # powers, a right intersection fl D^i = a(n) gl
+    for p, sub, interior in slices(fl, (Kg,)):
+        if sub != g.lead_flat:
+            continue
+        if dpow_fits(gl.dpow, interior, fl.dpow):
+            if f is not g:              # every lead is its own suffix
+                out.append(Composition(
+                    "inclusion" if interior else "right_inclusion", f, g,
+                    fl, None, None, f.poly - at(g, fl, p)))
+        elif not interior and p > 0:
+            i = gl.dpow - fl.dpow
+            w = fl.append_D(i)
+            out.append(Composition("right_intersection", f, g, w, None, None,
+                                   apply_D(f.poly, i) - at(g, w, p)))
 
-    # proper overlap: a suffix of fl is a prefix of gl
+    # proper overlap w = fl (m) c = a(n) gl: fl occurs in w as an interior
+    # slice, so it must be D-free
     if fl.is_dfree:
         for ell in range(1, min(Kf, Kg)):
-            if flat_f[2 * (Kf - ell):] != flat_g[: 2 * ell - 1]:
+            if f.lead_flat[2 * (Kf - ell):] != g.lead_flat[: 2 * ell - 1]:
                 continue
-            m = gl.junctions()[ell - 1]
             c = gl.suffix_from(ell)
-            a = fl.prefix_to(Kf - ell)
-            n = juncs_f[Kf - ell - 1]
-            w = NormalWord(fl.body + (fl.tail.pair(m),) + c.body, c.tail,
-                           c.dpow)
-            left = ConformalPolynomial(sig, dict(eval_pattern(
-                sig, Pattern(1, f, None, None, m=m, suffix=c))))
-            right = ConformalPolynomial(sig, dict(eval_pattern(
-                sig, Pattern(2, g, a, n, dshift=0))))
+            w = NormalWord(fl.body + (fl.tail.pair(gl.body[ell - 1][1]),)
+                           + c.body, c.tail, c.dpow)
             out.append(Composition("intersection", f, g, w, None, None,
-                                   left - right))
-
-    # gl equals a strict suffix of fl with extra D powers
-    if Kg < Kf and flat_f[2 * (Kf - Kg):] == flat_g and gl.dpow > fl.dpow:
-        i = gl.dpow - fl.dpow
-        a = fl.prefix_to(Kf - Kg)
-        n = juncs_f[Kf - Kg - 1]
-        w = fl.append_D(i)
-        right = ConformalPolynomial(sig, dict(eval_pattern(
-            sig, Pattern(2, g, a, n, dshift=0))))
-        out.append(Composition("right_intersection", f, g, w, None, None,
-                               apply_D(f.poly, i) - right))
+                                   at(f, w, 0) - at(g, w, Kf - ell)))
     return out
 
 
@@ -326,14 +303,11 @@ def _monic_prepare(polys: Iterable[ConformalPolynomial]):
 class SupportIndex:
     """Which members of a relation set a newly added leading word can reduce.
 
-    Every term word of every indexed relation contributes its factor slices
-    (kind 1: letters p..q-1 with more letters after them) and its suffix
-    slices (kind 2: letters p..end), as the flat letter-and-junction tuples
-    that ``RelationSet`` looks leading words up by; each (kind, slice) key
-    maps the relations having it to their greatest D power there.  A leading
-    word s can reduce a term exactly when s is D-free and its flat tuple is a
-    factor slice of the term, or its flat tuple is a suffix slice of a term
-    whose D power is at least s's.
+    Every term word of every indexed relation contributes all its slices,
+    as the ``slices`` walk yields them to ``RelationSet``'s lookup; each
+    (interior, flat slice) key maps the relations having it to their
+    greatest D power there.  A leading word s can reduce a term exactly when
+    its flat tuple is a slice of the term and ``dpow_fits`` admits s there.
 
     ``dirty`` holds the relations not yet checked irreducible against the
     set since the last add that could reduce them.  The index follows the
@@ -373,13 +347,12 @@ class SupportIndex:
             marked.append(rel)
 
     def _add(self, rel: Relation, pos: int, marked: List[Relation]) -> None:
-        lead, flat = rel.lead, rel.lead_flat
-        if lead.is_dfree:
-            for other in self._support.get((1, flat), ()):
-                self._mark(other, marked)
-        for other, dpow in self._support.get((2, flat), {}).items():
-            if dpow >= lead.dpow:
-                self._mark(other, marked)
+        lead = rel.lead
+        for interior in (True, False):
+            owners = self._support.get((interior, rel.lead_flat), {})
+            for other, dpow in owners.items():
+                if dpow_fits(lead.dpow, interior, dpow):
+                    self._mark(other, marked)
         self._mark(rel, marked)
         self.visit_key[rel] = (self.rset.sig.word_key(lead), -pos, rel)
         for w in rel.poly.terms:
@@ -402,12 +375,9 @@ class SupportIndex:
 
 
 def _support_keys(w: NormalWord):
-    """The (kind, flat slice) keys of a word's factor and suffix slices."""
-    f, K = w.flat(), w.length
-    for p in range(K):
-        for q in range(p + 1, K):
-            yield 1, f[2 * p: 2 * q - 1]
-        yield 2, f[2 * p:]
+    """The (interior, flat slice) keys of every slice of a word."""
+    for _, sub, interior in slices(w, range(1, w.length + 1)):
+        yield interior, sub
 
 
 def interreduce(rset: RelationSet,

@@ -1,13 +1,17 @@
 """Relation sets, normal S-word patterns, and the division algorithm.
 
-A pattern records one occurrence of a relation's leading word inside a
-normal word.  Writing s for the leading word of the relation, kind 1 is an
+Everything here rests on one notion, an occurrence of a leading word s
+inside a normal word w.  ``slices`` walks the letter slices of w, leftmost
+first and then shortest first, each as its flat letter-and-junction tuple
+(the form leads are indexed by) and whether letters follow it.  A lead with
+that flat tuple occurs there when ``dpow_fits``, the one D-power rule,
+holds: an interior slice takes a D-free lead, the suffix slice a lead with
+at most w's D power.  ``Pattern.at`` records the occurrence.  Kind 1 is an
 interior occurrence  a(n) s (m) c  with nonempty remainder c (the prefix a
-and s itself carry no D by construction); kind 2 is a suffix occurrence
-a(n) s D^i  where the target word carries i more D powers than s.
-Evaluating a pattern substitutes the full relation for its leading word and
-normalizes; the result's leading word is exactly the pattern's declared
-word, with coefficient 1 for monic relations.
+and s itself carry no D); kind 2 is a suffix occurrence  a(n) s D^i  where
+w carries i more D powers than s.  Evaluating a pattern substitutes the full
+relation for its leading word and normalizes; the result's leading word is
+exactly the pattern's declared word, with coefficient 1 for monic relations.
 
 Reduction repeatedly eliminates the greatest reducible word, producing a
 trace whose steps reconstruct the input exactly.
@@ -15,6 +19,7 @@ trace whose steps reconstruct the input exactly.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
@@ -25,6 +30,23 @@ from .algebra import (Coeff, ConformalPolynomial, Terms, _accum, _word_mult,
 
 class RelationError(ConformalError):
     """Raised for non-monic relations or malformed patterns."""
+
+
+def slices(w: NormalWord, lengths: Iterable[int]):
+    """The slices of w of the given (ascending) letter lengths, leftmost
+    first, then shortest first: (start letter, flat slice, interior)."""
+    flat, K = w.flat(), w.length
+    for p in range(K):
+        for L in lengths:
+            if p + L > K:
+                break
+            yield p, flat[2 * p: 2 * (p + L) - 1], p + L < K
+
+
+def dpow_fits(s_dpow: int, interior: bool, w_dpow: int) -> bool:
+    """Whether a lead with D power s_dpow occurs at a matching slice of a
+    word with D power w_dpow: D-free when interior, else at most w_dpow."""
+    return s_dpow == 0 if interior else s_dpow <= w_dpow
 
 
 class Relation:
@@ -61,6 +83,16 @@ class Pattern:
     m: Optional[int] = None         # kind 1: junction to the remainder
     suffix: Optional[NormalWord] = None   # kind 1: nonempty remainder
     dshift: int = 0                 # kind 2: extra D power
+
+    @classmethod
+    def at(cls, rel: Relation, w: NormalWord, p: int) -> "Pattern":
+        """The occurrence of rel's lead at letters p, p+1, ... of w."""
+        q = p + rel.lead.length
+        n = w.body[p - 1][1] if p > 0 else None
+        if q < w.length:
+            return cls(1, rel, w.prefix_to(p), n, m=w.body[q - 1][1],
+                       suffix=w.suffix_from(q))
+        return cls(2, rel, w.prefix_to(p), n, dshift=w.dpow - rel.lead.dpow)
 
     def leading_word(self) -> NormalWord:
         s = self.relation.lead
@@ -111,11 +143,10 @@ def eval_pattern(sig: AlgebraSignature, pat: Pattern) -> Terms:
 class RelationSet:
     """An indexed set of monic relations supporting occurrence search.
 
-    Relations are kept in a deterministic order (by leading word, then by
-    full canonical form); one index maps the flat letter-and-junction word
-    of each leading word to its relations, which a slice of a searched
-    word looks up: an interior slice takes the D-free leads, a suffix slice
-    the leads with at most the word's D power.
+    One index maps the flat letter-and-junction word of each leading word
+    to its relations in canonical order (by leading word, then by the whole
+    polynomial), which each slice of a searched word looks up under the
+    D-power rule; the slice walk order then is the order of the patterns.
     """
 
     def __init__(self, sig: AlgebraSignature,
@@ -160,7 +191,8 @@ class RelationSet:
         if L not in self._lens:
             self._lens_set = None
         self._lens[L] = self._lens.get(L, 0) + 1
-        self._lead_index.setdefault(rel.lead_flat, []).append(rel)
+        insort(self._lead_index.setdefault(rel.lead_flat, []), rel,
+               key=lambda r: r.canon)
         return rel
 
     def remove(self, rel: Relation) -> None:
@@ -192,29 +224,6 @@ class RelationSet:
 
     # pattern search ----------------------------------------------------------
 
-    def _patterns_at(self, w: NormalWord, flat: tuple, p: int, L: int,
-                     exclude: Optional[Relation]) -> List[Pattern]:
-        """Patterns whose occurrence starts at letter position p with length L."""
-        sub = flat[2 * p: 2 * (p + L) - 1]
-        if self._lazy is not None:
-            self._materialize(sub)
-        interior = p + L < w.length
-        hits = [rel for rel in self._lead_index.get(sub, ())
-                if rel.alive and rel is not exclude
-                and (rel.lead.dpow == 0 if interior
-                     else w.dpow >= rel.lead.dpow)]
-        if not hits:
-            return []
-        prefix = w.prefix_to(p)
-        n = w.body[p - 1][1] if p > 0 else None
-        if interior:
-            m = w.body[p + L - 1][1]
-            suffix = w.suffix_from(p + L)
-            return [Pattern(1, rel, prefix, n, m=m, suffix=suffix)
-                    for rel in hits]
-        return [Pattern(2, rel, prefix, n, dshift=w.dpow - rel.lead.dpow)
-                for rel in hits]
-
     def _length_set(self):
         lens = self._lens_set
         if lens is None:
@@ -224,26 +233,22 @@ class RelationSet:
             self._lens_set = lens
         return lens
 
-    def _positions(self, w: NormalWord):
-        K = w.length
-        for p in range(K):
-            for L in self._length_set():
-                if p + L <= K:
-                    yield p, L
+    def _hits(self, w: NormalWord, exclude: Optional[Relation]):
+        """(start letter, relation) of every occurrence in w, in slice walk
+        order and by canonical form within a slice; a slice materializes
+        its schema instances before it is looked up."""
+        for p, sub, interior in slices(w, self._length_set()):
+            if self._lazy is not None:
+                self._materialize(sub)
+            for rel in self._lead_index.get(sub, ()):
+                if rel is not exclude and \
+                        dpow_fits(rel.lead.dpow, interior, w.dpow):
+                    yield p, rel
 
     def find_reductions(self, w: NormalWord,
                         exclude: Optional[Relation] = None) -> List[Pattern]:
         """All patterns with leading word w, leftmost first, kind 1 before 2."""
-        flat = w.flat()
-        found: List[Pattern] = []
-        for p, L in self._positions(w):
-            found.extend(self._patterns_at(w, flat, p, L, exclude))
-        found.sort(key=lambda pat: (
-            pat.prefix.length if pat.prefix is not None else 0,
-            pat.kind,
-            self.sig.word_key(pat.relation.lead),
-            pat.relation.canon))
-        return found
+        return [Pattern.at(rel, w, p) for p, rel in self._hits(w, exclude)]
 
     def find_one(self, w: NormalWord, strategy: str = "leftmost",
                  exclude: Optional[Relation] = None) -> Optional[Pattern]:
@@ -261,11 +266,7 @@ class RelationSet:
 
     def has_reduction(self, w: NormalWord,
                       exclude: Optional[Relation] = None) -> bool:
-        flat = w.flat()
-        for p, L in self._positions(w):
-            if self._patterns_at(w, flat, p, L, exclude):
-                return True
-        return False
+        return next(self._hits(w, exclude), None) is not None
 
 
 @dataclass

@@ -13,6 +13,7 @@ from conformal import (AlgebraSignature, ConformalPolynomial, Deriv,
                        eval_pattern, locality_bound, mult, normalize,
                        poly_mult, reduce_poly, word_expr)
 from conformal.envelope import _term_template
+from conformal.gsb import Composition
 from conformal.rewriting import Pattern
 from conftest import random_word, random_poly
 
@@ -322,3 +323,72 @@ def all_shapes_could_reduce(word: NormalWord, shapes) -> bool:
             if (sdpow == 0) if p + L < K else word.dpow >= sdpow:
                 return True
     return False
+
+
+# pair compositions ---------------------------------------------------------------
+
+
+def reference_pair_compositions(sig, f, g):
+    """The four pair compositions of (f, g), each case scanned on its own
+    and every pattern built field by field: the reference that
+    ``pair_compositions``, reading the shared occurrence walk, must match."""
+    out = []
+    fl, gl = f.lead, g.lead
+    Kf, Kg = fl.length, gl.length
+    flat_f, flat_g = f.lead_flat, g.lead_flat
+    juncs_f = fl.junctions()
+
+    # interior occurrences of gl inside fl (remainder c nonempty)
+    if gl.is_dfree and Kg < Kf:
+        for p in range(0, Kf - Kg):
+            if flat_f[2 * p: 2 * (p + Kg) - 1] != flat_g:
+                continue
+            pat = Pattern(1, g, fl.prefix_to(p),
+                          juncs_f[p - 1] if p > 0 else None,
+                          m=juncs_f[p + Kg - 1],
+                          suffix=fl.suffix_from(p + Kg))
+            poly = f.poly - ConformalPolynomial(
+                sig, dict(eval_pattern(sig, pat)))
+            out.append(Composition("inclusion", f, g, fl, None, None, poly))
+
+    # suffix occurrence: fl = a(n) gl D^i
+    p = Kf - Kg
+    if p >= 0 and flat_f[2 * p:] == flat_g and fl.dpow >= gl.dpow:
+        i = fl.dpow - gl.dpow
+        if not (f is g and i == 0):
+            pat = Pattern(2, g, fl.prefix_to(p),
+                          juncs_f[p - 1] if p > 0 else None, dshift=i)
+            poly = f.poly - ConformalPolynomial(
+                sig, dict(eval_pattern(sig, pat)))
+            out.append(Composition("right_inclusion", f, g, fl, None, None,
+                                   poly))
+
+    # proper overlap: a suffix of fl is a prefix of gl
+    if fl.is_dfree:
+        for ell in range(1, min(Kf, Kg)):
+            if flat_f[2 * (Kf - ell):] != flat_g[: 2 * ell - 1]:
+                continue
+            m = gl.junctions()[ell - 1]
+            c = gl.suffix_from(ell)
+            a = fl.prefix_to(Kf - ell)
+            n = juncs_f[Kf - ell - 1]
+            w = NormalWord(fl.body + (fl.tail.pair(m),) + c.body, c.tail,
+                           c.dpow)
+            left = ConformalPolynomial(sig, dict(eval_pattern(
+                sig, Pattern(1, f, None, None, m=m, suffix=c))))
+            right = ConformalPolynomial(sig, dict(eval_pattern(
+                sig, Pattern(2, g, a, n, dshift=0))))
+            out.append(Composition("intersection", f, g, w, None, None,
+                                   left - right))
+
+    # gl equals a strict suffix of fl with extra D powers
+    if Kg < Kf and flat_f[2 * (Kf - Kg):] == flat_g and gl.dpow > fl.dpow:
+        i = gl.dpow - fl.dpow
+        a = fl.prefix_to(Kf - Kg)
+        n = juncs_f[Kf - Kg - 1]
+        w = fl.append_D(i)
+        right = ConformalPolynomial(sig, dict(eval_pattern(
+            sig, Pattern(2, g, a, n, dshift=0))))
+        out.append(Composition("right_intersection", f, g, w, None, None,
+                               apply_D(f.poly, i) - right))
+    return out

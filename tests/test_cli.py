@@ -419,6 +419,52 @@ def test_window_below_one_is_an_input_error(argv, capsys):
     assert "window parameters must be positive" in capsys.readouterr().err
 
 
+# one concrete relation over a family: no schema, so nothing is windowed
+# but the generator slice, whose radius is the window
+SCHEMA_FREE_FAMILY = """
+algebra {
+    N = 2
+    family L
+}
+relations {
+    f: L_0 (1) D L_0 - L_1 (0) L_0
+}
+"""
+
+
+def test_window_sets_the_generator_slice_of_a_schema_free_family(
+        tmp_path, capsys):
+    path = tmp_path / "family.alg"
+    path.write_text(SCHEMA_FREE_FAMILY)
+    counts = {}
+    for W in (1, 3):
+        out = tmp_path / f"w{W}.json"
+        assert main(["check", "-f", str(path), "--window", str(W),
+                     "--json", str(out)]) == 1
+        counts[W] = json.loads(out.read_text())["details"]["counts"]
+    # one left and one right multiplication per generator L_-W .. L_W
+    assert counts == {1: {"left_mult": 3, "right_mult": 3},
+                      3: {"left_mult": 7, "right_mult": 7}}
+    capsys.readouterr()
+    assert main(["check", "-f", str(path), "--window", "0"]) == 3
+    assert "window parameters must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["max_length", "max_dpow", "max_iters",
+                                 "max_basis", "mult_bound_left",
+                                 "mult_bound_right"])
+def test_negative_bound_is_an_input_error(key, tmp_path, capsys):
+    flag = "--" + key.replace("_", "-")
+    assert main(["complete", "-f", VIRASORO_ALG, flag, "-1"]) == 3
+    assert main(["example", "virasoro", "embed", flag, "-1"]) == 3
+    path = tmp_path / "negative.alg"
+    path.write_text(EX00 + f"options {{\n    {key} = -2\n}}\n")
+    assert main(["complete", "-f", str(path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all(flag in line for line in err)
+    assert err[-1].endswith("got -2")
+
+
 def test_schema_junction_at_or_above_n_is_an_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.alg"
     bad.write_text("algebra {\n N = 2\n family L\n}\nrelations {\n"

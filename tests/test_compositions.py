@@ -1,11 +1,15 @@
 """Composition enumeration and triviality on the single-generator example."""
 
+from hypothesis import given, settings, strategies as st
+
 from conformal import (AlgebraSignature, ConformalPolynomial, RelationSet,
                        check_gsb, gen, is_trivial, mult_compositions,
                        pair_compositions, parse_poly, parse_schema, parse_word)
 from conformal.envelope import SchemaIndex
 from conformal.gsb import Composition, MultBounds
 from conformal.rewriting import Relation
+from conftest import SIG_A2, a2_polys
+from props import reference_pair_compositions
 
 
 def _rels(sig, *texts):
@@ -130,3 +134,19 @@ def test_out_of_reach_instance_makes_verdict_inconclusive():
     assert v.remainder == mono
     # without a schema index nothing lies beyond the set
     assert is_trivial(comp, RelationSet(sig, [])).verdict == "nontrivial"
+
+
+@settings(max_examples=300, deadline=None)
+@given(a2_polys, a2_polys, st.booleans())
+def test_pair_compositions_match_the_reference(p, q, same):
+    f = Relation(p.monic())
+    g = f if same else Relation(q.monic())
+
+    def listed(comps):
+        # enumerate_compositions sorts by type among other keys, so only the
+        # order within one type is part of the contract
+        return [(c.ctype, c.w, c.poly)
+                for c in sorted(comps, key=lambda c: c.ctype)]
+
+    assert listed(pair_compositions(SIG_A2, f, g)) == \
+        listed(reference_pair_compositions(SIG_A2, f, g))

@@ -3,9 +3,12 @@
 Generators hash by identity, so any output that followed set or dict order
 of hashed objects would change from run to run.  Each command runs in fresh
 processes under two ``PYTHONHASHSEED`` values and the reports are compared
-byte for byte.
+byte for byte.  Reports whose details carry coefficient text and reduction
+traces are also pinned to a recorded sha256, so that a refactor of the
+search, division or coefficient code cannot change them unnoticed.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -38,3 +41,48 @@ def test_json_report_independent_of_hash_seed(name, tmp_path):
     second = _report(args, 12345, tmp_path / "seed12345.json")
     assert first
     assert first == second
+
+
+# two relations with non-integral coefficients; completion adds 23 more
+FRACTIONAL = """\
+algebra {
+    N = 2
+    generators = a, b
+}
+relations {
+    f: b (1) a - 2/3 * a (0) D b
+    g: b (0) b - 1/2 * a (1) a
+}
+"""
+SQUARE = str(ROOT / "presentations" / "square.alg")
+PINNED = {
+    "square-compositions-trace": (
+        ["compositions", "--trace", "-f", SQUARE],
+        "e69ec8f1f6815ed7db015f232d51bdf5b9830777f8f6af53c93fc4942a34bdea"),
+    "square-complete": (
+        ["complete", "-f", SQUARE],
+        "b29121507693bbb5e41e59651c301f79dcb1fff9ff95d077fd59015db2b6e7b7"),
+    "hv-reduce-trace": (
+        ["reduce", "--trace", "-f",
+         str(ROOT / "presentations" / "heisenberg_virasoro.alg"),
+         "--window", "1", "H_-3 (0) L_5 + L_2 (1) L_-7"],
+        "a39163116eb8503fb967baa4cac5e8d6b3bca03a31a795c4b3b078da12c36427"),
+    "fractional-complete": (
+        ["complete", "-f", "{fractional}"],
+        "4a002cfc3a527d9e8d6cd99631de204a3a8d029a88574644c4d8d4584b7313f4"),
+    "fractional-reduce-trace": (
+        ["reduce", "--trace", "-f", "{fractional}",
+         "b (1) a (1) b + 5/7 * b (0) b (0) a - 1/3 * b (1) D a"],
+        "be0cbfa9a11f6c085c30f5fffd33a4125c82a558e9fdae2354a265eb9db9357d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_coefficient_report_is_pinned(name, tmp_path):
+    fractional = tmp_path / "fractional.alg"
+    fractional.write_text(FRACTIONAL)
+    args, digest = PINNED[name]
+    args = [a.format(fractional=fractional) for a in args]
+    for seed in (0, 12345):
+        report = _report(args, seed, tmp_path / f"seed{seed}.json")
+        assert hashlib.sha256(report).hexdigest() == digest

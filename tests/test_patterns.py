@@ -34,17 +34,32 @@ def brute_occurrences(sig, w, rels):
 
 def test_find_reductions_matches_brute_scan(sig_a2):
     rng = random.Random(11)
-    f = parse_poly("a (1) a - a (0) D a", sig_a2)
-    g = parse_poly("a (0) a (0) a", sig_a2)
-    rset = RelationSet(sig_a2, [f, g])
+    # two relations share the lead a (1) a, and two more share its flat
+    # word with the D powers 1 and 2; they are added out of canonical order
+    texts = ["a (1) D^2 a - a (0) D^3 a", "a (1) a + 2 * a (0) D a",
+             "a (0) a (0) a", "a (1) D a - a (0) D^2 a",
+             "a (1) a - a (0) D a"]
+    rset = RelationSet(sig_a2)
+    for text in texts:
+        rset.add(parse_poly(text, sig_a2))
+    assert [r.canon for r in rset.relations()] != \
+        sorted(r.canon for r in rset.relations())
+    shared = 0
     for _ in range(400):
-        w = random_word(rng, sig_a2, max_len=4, max_dpow=2)
+        w = random_word(rng, sig_a2, max_len=4, max_dpow=3)
         pats = rset.find_reductions(w)
-        brute = brute_occurrences(sig_a2, w, rset.relations())
-        assert len(pats) == len(brute)
-        assert {(p.kind, p.prefix.length if p.prefix else 0, p.relation)
-                for p in pats} == \
-               {(1 if k == "k1" else 2, p, rel) for k, p, rel in brute}
+        brute = sorted(brute_occurrences(sig_a2, w, rset.relations()),
+                       key=lambda hit: (hit[1], hit[0],
+                                        sig_a2.word_key(hit[2].lead),
+                                        hit[2].canon))
+        assert [(p.kind, p.prefix.length if p.prefix else 0, p.relation)
+                for p in pats] == \
+               [(1 if k == "k1" else 2, p, rel) for k, p, rel in brute]
+        assert all(p.leading_word() == w for p in pats)
+        if pats:
+            assert rset.find_one(w, "rightmost") == pats[-1]
+        shared += len({(p.kind, p.prefix) for p in pats}) < len(pats)
+    assert shared > 20
 
 
 def test_find_reductions_examples(sig_a2):
