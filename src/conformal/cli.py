@@ -201,7 +201,7 @@ def _limits(ctx) -> CompletionLimits:
 
 def _comp_filter(ctx):
     if ctx.window is not None:
-        return comp_window_filter(ctx.sig, ctx.window.W)
+        return comp_window_filter(ctx.window.W)
     return None
 
 
@@ -252,8 +252,8 @@ def _cmd_reduce(ctx, args):
     print(poly_str(trace.remainder))
     if args.trace:
         for st in trace.steps:
-            print(f"  eliminated {st.word} via {st.pattern.describe()} "
-                  f"(coefficient {st.coeff})")
+            print(f"  eliminated {st.pattern.word} via "
+                  f"{st.pattern.describe()} (coefficient {st.coeff})")
     rep = ctx.report(details={"remainder": poly_str(trace.remainder),
                               "steps": len(trace.steps)})
     if args.trace:

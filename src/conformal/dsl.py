@@ -217,22 +217,38 @@ TRUE = Constraint(("and", []))
 # expression parsing ---------------------------------------------------------
 
 
+def _signed_int(s: _Stream, what: Optional[str] = None) -> int:
+    """An integer after an optional minus; missing, the error ``what``."""
+    neg = s.accept("op", "-") is not None
+    t = s.accept("int") if what else s.expect("int")
+    if t is None:
+        s.error(what)
+    return -int(t.text) if neg else int(t.text)
+
+
+def _index_var(s: _Stream, name: str, varnames) -> str:
+    if name not in varnames:
+        s.error(f"unknown index variable {name!r}")
+    return name
+
+
+def _index_atom(s: _Stream, varnames, what: str):
+    """("var", name) of a known index variable or ("int", _signed_int)."""
+    t = s.peek()
+    if t.kind == "name":
+        _index_var(s, t.text, varnames)
+        return "var", s.next().text
+    return "int", _signed_int(s, what)
+
+
 def _parse_subscript(s: _Stream, varnames) -> IndexForm:
     if s.accept("op", "{"):
         form = _parse_indexsum(s, varnames)
         s.expect("op", "}")
         return form
-    neg = s.accept("op", "-") is not None
-    t = s.peek()
-    if t.kind == "int":
-        s.next()
-        return IndexForm(const=-int(t.text) if neg else int(t.text))
-    if t.kind == "name" and not neg:
-        if t.text not in varnames:
-            s.error(f"unknown index variable {t.text!r}")
-        s.next()
-        return IndexForm(vars=((t.text, 1),))
-    s.error("expected an integer or index variable after '_'")
+    tag, v = _index_atom(s, varnames,
+                         "expected an integer or index variable after '_'")
+    return IndexForm(vars=((v, 1),)) if tag == "var" else IndexForm(const=v)
 
 
 def _parse_indexsum(s: _Stream, varnames) -> IndexForm:
@@ -247,8 +263,7 @@ def _parse_indexsum(s: _Stream, varnames) -> IndexForm:
             s.next()
             const += sign * int(t.text)
         elif t.kind == "name":
-            if t.text not in varnames:
-                s.error(f"unknown index variable {t.text!r}")
+            _index_var(s, t.text, varnames)
             s.next()
             coeffs[t.text] = coeffs.get(t.text, 0) + sign
         else:
@@ -392,22 +407,11 @@ def _parse_chain(s, varnames):
 
 def _parse_catom(s, varnames):
     if s.accept("op", "|"):
-        t = s.expect("name")
-        if t.text not in varnames:
-            s.error(f"unknown index variable {t.text!r}")
+        name = _index_var(s, s.expect("name").text, varnames)
         s.expect("op", "|")
-        return ("abs", t.text)
-    neg = s.accept("op", "-") is not None
-    t = s.peek()
-    if t.kind == "int":
-        s.next()
-        return ("int", -int(t.text) if neg else int(t.text))
-    if t.kind == "name" and not neg:
-        if t.text not in varnames:
-            s.error(f"unknown index variable {t.text!r}")
-        s.next()
-        return ("var", t.text)
-    s.error("expected an integer, index variable, or |var|")
+        return ("abs", name)
+    return _index_atom(s, varnames,
+                       "expected an integer, index variable, or |var|")
 
 
 # public expression API -------------------------------------------------------
@@ -565,11 +569,10 @@ def parse_presentation(text: str) -> PresentationFile:
         s = _line_stream(line)
         key = _joined_name(s)
         s.expect("op", "=")
-        neg = s.accept("op", "-") is not None
-        val = int(s.expect("int").text)
+        val = _signed_int(s)
         if key not in _KNOWN_OPTIONS:
             s.error(f"unknown option {key!r}")
-        pf.options[key] = -val if neg else val
+        pf.options[key] = val
     for line in blocks.get("relations", []):
         schema = _parse_schema(_line_stream(line))
         if schema.vars:
@@ -595,6 +598,13 @@ def _joined_name(s: _Stream) -> str:
     return "_".join(parts)
 
 
+def _gen_name(s: _Stream) -> str:
+    name = s.expect("name").text
+    if name == "D":
+        s.error("'D' is reserved and cannot name a generator")
+    return name
+
+
 def _parse_algebra_block(lines: List[List[Token]]) -> AlgebraSignature:
     N = None
     gens: Optional[List[GeneratorSymbol]] = None
@@ -611,24 +621,14 @@ def _parse_algebra_block(lines: List[List[Token]]) -> AlgebraSignature:
             s.expect("op", "=")
             gens = []
             while True:
-                name = s.expect("name").text
-                if name == "D":
-                    s.error("'D' is reserved and cannot name a generator")
-                idx = None
-                if s.accept("op", "_"):
-                    neg = s.accept("op", "-") is not None
-                    idx = int(s.expect("int").text)
-                    if neg:
-                        idx = -idx
+                name = _gen_name(s)
+                idx = _signed_int(s) if s.accept("op", "_") else None
                 gens.append(GeneratorSymbol(name, idx))
                 if not s.accept("op", ","):
                     break
         elif key == "family":
             while True:
-                name = s.expect("name").text
-                if name == "D":
-                    s.error("'D' is reserved and cannot name a generator")
-                families.append(name)
+                families.append(_gen_name(s))
                 if not s.accept("op", ","):
                     break
         elif key == "order":

@@ -33,7 +33,7 @@ from .algebra import (Coeff, ConformalPolynomial, Deriv, Gen, Prod, _accum,
                       _gen_mult, apply_D)
 from .dsl import (ParseError, RelationSchema, _template_str,
                   parse_presentation)
-from .rewriting import Relation, RelationSet, dpow_fits, reduce_poly, slices
+from .rewriting import RelationSet, dpow_fits, reduce_poly, slices
 from .gsb import (CompletionLimits, CompletionResult, MultBounds,
                   _monic_prepare, complete)
 
@@ -145,11 +145,14 @@ def instantiate_schemas(schemas: Sequence[RelationSchema],
                   key=ConformalPolynomial.canonical_key)
 
 
-def comp_window_filter(sig: AlgebraSignature, radius: int):
-    """Keep relations whose leading word only mentions indices in the window."""
-    def ok(rel: Relation) -> bool:
-        return all(abs(g.index or 0) <= radius for g in rel.lead.letters())
-    return ok
+def in_window(w: NormalWord, radius: int) -> bool:
+    """Whether the word only mentions indices in the window."""
+    return all(abs(g.index or 0) <= radius for g in w.letters())
+
+
+def comp_window_filter(radius: int):
+    """Keep relations whose leading word lies in the window."""
+    return lambda rel: in_window(rel.lead, radius)
 
 
 # lazy instantiation --------------------------------------------------------
@@ -544,7 +547,7 @@ def equivalence_check(ex: BuiltinExample, *,
     basis_rset = ex.basis_rset()
     back_fail = []
     for p in ex.presentation:
-        if all(abs(g.index or 0) <= W for g in p.leading().letters()):
+        if in_window(p.leading(), W):
             if not reduce_poly(p, basis_rset).remainder.is_zero():
                 back_fail.append(p)
 
@@ -554,7 +557,7 @@ def equivalence_check(ex: BuiltinExample, *,
         completion = complete(ex.presentation, sig,
                               sig.family_generators(src),
                               bounds=bounds, limits=limits,
-                              comp_filter=comp_window_filter(sig, src))
+                              comp_filter=comp_window_filter(src))
         comp_rset = RelationSet(sig, completion.basis)
         fwd_fail = [p for p in targets
                     if not reduce_poly(p, comp_rset).remainder.is_zero()]

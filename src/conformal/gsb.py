@@ -72,7 +72,7 @@ def pair_compositions(sig: AlgebraSignature, f: Relation,
 
     def at(rel: Relation, w: NormalWord, p: int) -> ConformalPolynomial:
         return ConformalPolynomial(sig, dict(eval_pattern(
-            sig, Pattern.at(rel, w, p))))
+            sig, Pattern(rel, w, p))))
 
     # occurrences of gl in fl: interior ones are inclusions; the suffix one
     # is a right inclusion fl = a(n) gl D^i, or, when gl carries more D
@@ -213,15 +213,14 @@ class GsbReport:
         }
 
 
-def is_trivial(comp: Composition, rset: RelationSet, *,
-               strategy: str = "leftmost") -> CompositionVerdict:
+def is_trivial(comp: Composition, rset: RelationSet) -> CompositionVerdict:
     """Reduce the composition polynomial; trivial means zero remainder.
 
     A nonzero remainder is inconclusive when the set's schema index says an
     instance might reduce one of its words (``SchemaIndex.could_reduce``):
     it may lie beyond the indices the lazy lookup tries.
     """
-    trace = reduce_poly(comp.poly, rset, strategy=strategy)
+    trace = reduce_poly(comp.poly, rset)
     rem = trace.remainder
     lazy = rset._lazy
     if rem.is_zero():

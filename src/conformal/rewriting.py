@@ -6,12 +6,12 @@ first and then shortest first, each as its flat letter-and-junction tuple
 (the form leads are indexed by) and whether letters follow it.  A lead with
 that flat tuple occurs there when ``dpow_fits``, the one D-power rule,
 holds: an interior slice takes a D-free lead, the suffix slice a lead with
-at most w's D power.  ``Pattern.at`` records the occurrence.  Kind 1 is an
-interior occurrence  a(n) s (m) c  with nonempty remainder c (the prefix a
-and s itself carry no D); kind 2 is a suffix occurrence  a(n) s D^i  where
-w carries i more D powers than s.  Evaluating a pattern substitutes the full
-relation for its leading word and normalizes; the result's leading word is
-exactly the pattern's declared word, with coefficient 1 for monic relations.
+at most w's D power.  A ``Pattern`` is the occurrence itself: the relation,
+w, and the letter where s starts.  With letters after it, it is the
+interior S-word  a(n) s (m) c  (a and s carry no D); at the end of w it is
+the suffix S-word  a(n) D^i s,  where w carries i more D powers than s.
+Evaluating a pattern substitutes the full relation for s and normalizes;
+the result's leading word is exactly w, with coefficient 1.
 
 Reduction repeatedly eliminates the greatest reducible word, producing a
 trace whose steps reconstruct the input exactly.
@@ -72,72 +72,53 @@ class Relation:
         return f"Relation({self.poly!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pattern:
-    """An occurrence of a relation's leading word inside a normal word."""
+    """The occurrence of a relation's leading word s at letters start,
+    start + 1, ... of the normal word w: the normal S-word a (n) s (m) c
+    when letters follow it, else a (n) D^i s.  Its leading word is w."""
 
-    kind: int                       # 1 (interior) or 2 (suffix)
     relation: Relation
-    prefix: Optional[NormalWord]    # D-free, None when empty
-    n: Optional[int]                # junction into the occurrence
-    m: Optional[int] = None         # kind 1: junction to the remainder
-    suffix: Optional[NormalWord] = None   # kind 1: nonempty remainder
-    dshift: int = 0                 # kind 2: extra D power
-
-    @classmethod
-    def at(cls, rel: Relation, w: NormalWord, p: int) -> "Pattern":
-        """The occurrence of rel's lead at letters p, p+1, ... of w."""
-        q = p + rel.lead.length
-        n = w.body[p - 1][1] if p > 0 else None
-        if q < w.length:
-            return cls(1, rel, w.prefix_to(p), n, m=w.body[q - 1][1],
-                       suffix=w.suffix_from(q))
-        return cls(2, rel, w.prefix_to(p), n, dshift=w.dpow - rel.lead.dpow)
-
-    def leading_word(self) -> NormalWord:
-        s = self.relation.lead
-        if self.kind == 1:
-            tail_part = s.body + (s.tail.pair(self.m),) + self.suffix.body
-            w = NormalWord(tail_part, self.suffix.tail, self.suffix.dpow)
-        else:
-            w = s.append_D(self.dshift)
-        if self.prefix is not None:
-            body = self.prefix.body + (self.prefix.tail.pair(self.n),) + w.body
-            w = NormalWord(body, w.tail, w.dpow)
-        return w
+    word: NormalWord
+    start: int
 
     def describe(self) -> str:
-        head = f"{self.prefix} ({self.n}) " if self.prefix is not None else ""
-        if self.kind == 1:
-            return (f"[{head}s ({self.m}) {self.suffix}] with "
-                    f"s = {self.relation.lead}")
-        d = f"D^{self.dshift} " if self.dshift else ""
-        return f"[{head}{d}s] with s = {self.relation.lead}"
+        w, p, s = self.word, self.start, self.relation.lead
+        q = p + s.length
+        head = f"{w.prefix_to(p)} ({w.body[p - 1][1]}) " if p else ""
+        if q < w.length:
+            return (f"[{head}s ({w.body[q - 1][1]}) {w.suffix_from(q)}] "
+                    f"with s = {s}")
+        d = f"D^{w.dpow - s.dpow} " if w.dpow > s.dpow else ""
+        return f"[{head}{d}s] with s = {s}"
 
 
 def eval_pattern(sig: AlgebraSignature, pat: Pattern) -> Terms:
     """Normalized substitution of the relation into the pattern (frozen dict)."""
-    rel = pat.relation
-    key = (pat.kind, pat.prefix, pat.n, pat.m, pat.suffix, pat.dshift)
+    rel, w, p = pat.relation, pat.word, pat.start
+    key = (w, p)
     out = rel._eval_cache.get(key)
     if out is not None:
         return out
-    if pat.kind == 1:
-        if not rel.lead.is_dfree:
-            raise RelationError("interior patterns need a D-free leading word")
-        inner: Terms = {}
+    s = rel.lead
+    q = p + s.length
+    interior = q < w.length
+    if p < 0 or w.flat()[2 * p: 2 * q - 1] != rel.lead_flat or \
+            not dpow_fits(s.dpow, interior, w.dpow):
+        raise RelationError(f"{s} does not occur at letter {p} of {w}")
+    if interior:
+        m, c = w.body[q - 1][1], w.suffix_from(q)
+        out = {}
         for u, cu in rel.poly.terms.items():
-            _accum(inner, _word_mult(sig, u, pat.m, pat.suffix), cu)
+            _accum(out, _word_mult(sig, u, m, c), cu)
     else:
-        inner = apply_D(rel.poly, pat.dshift).terms
-    if pat.prefix is not None:
-        if not pat.prefix.is_dfree:
-            raise RelationError("pattern prefixes must be D-free")
-        steps = list(pat.prefix.body) + [(pat.prefix.tail, pat.n)]
-        for g, idx in reversed(steps):
-            inner = {w.prepend(g, idx): c for w, c in inner.items()}
-    rel._eval_cache[key] = inner
-    return inner
+        out = apply_D(rel.poly, w.dpow - s.dpow).terms
+    if p:
+        a = w.body[:p]
+        out = {NormalWord(a + u.body, u.tail, u.dpow): cu
+               for u, cu in out.items()}
+    rel._eval_cache[key] = out
+    return out
 
 
 class RelationSet:
@@ -247,19 +228,22 @@ class RelationSet:
 
     def find_reductions(self, w: NormalWord,
                         exclude: Optional[Relation] = None) -> List[Pattern]:
-        """All patterns with leading word w, leftmost first, kind 1 before 2."""
-        return [Pattern.at(rel, w, p) for p, rel in self._hits(w, exclude)]
+        """All patterns with leading word w, in slice walk order."""
+        return [Pattern(rel, w, p) for p, rel in self._hits(w, exclude)]
 
     def find_one(self, w: NormalWord, strategy: str = "leftmost",
                  exclude: Optional[Relation] = None) -> Optional[Pattern]:
-        pats = self.find_reductions(w, exclude)
-        if not pats:
-            return None
-        if strategy == "leftmost":
-            return pats[0]
-        if strategy == "rightmost":
-            return pats[-1]
-        raise ValueError(f"unknown strategy {strategy!r}")
+        """The first or last of ``find_reductions(w, exclude)``.  The walk
+        runs to the end either way, so what it materializes does not
+        depend on the strategy."""
+        if strategy not in ("leftmost", "rightmost"):
+            raise ValueError(f"unknown strategy {strategy!r}")
+        hits = self._hits(w, exclude)
+        hit = next(hits, None)
+        for last in hits:
+            if strategy == "rightmost":
+                hit = last
+        return None if hit is None else Pattern(hit[1], w, hit[0])
 
     def is_irreducible(self, w: NormalWord) -> bool:
         return not self.has_reduction(w)
@@ -271,7 +255,6 @@ class RelationSet:
 
 @dataclass
 class TraceStep:
-    word: NormalWord
     pattern: Pattern
     coeff: Coeff
 
@@ -292,7 +275,7 @@ class ReductionTrace:
 
     def to_json(self):
         return {
-            "steps": [{"word": str(st.word),
+            "steps": [{"word": str(st.pattern.word),
                        "pattern": st.pattern.describe(),
                        "coeff": str(st.coeff)}
                       for st in self.steps],
@@ -328,7 +311,7 @@ def reduce_poly(p: ConformalPolynomial, rset: RelationSet, *,
             raise RelationError(
                 f"substituting {pat.describe()} did not cancel the leading "
                 f"word {w}")
-        steps.append(TraceStep(w, pat, c))
+        steps.append(TraceStep(pat, c))
     return ReductionTrace(steps, ConformalPolynomial(sig, remainder, _frozen=True))
 
 

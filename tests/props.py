@@ -227,26 +227,42 @@ def _random_relation_set(rng, sig, count=2):
         return _random_relation_set(rng, sig, count)
 
 
+def _join(u: NormalWord, n: int, v: NormalWord) -> NormalWord:
+    """The word u (n) v of a D-free u."""
+    return NormalWord(u.body + (u.tail.pair(n),) + v.body, v.tail, v.dpow)
+
+
+def s_word(rel, a=None, n=None, m=None, c=None, i=0) -> Pattern:
+    """The normal S-word a (n) s (m) c, or a (n) s D^i when c is None, of
+    rel's lead s, spelled by joining its parts (a None: no prefix)."""
+    w = rel.lead.append_D(i) if c is None else _join(rel.lead, m, c)
+    if a is None:
+        return Pattern(rel, w, 0)
+    return Pattern(rel, _join(a, n, w), a.length)
+
+
+def random_s_word(rng: random.Random, sig, rels) -> Pattern:
+    """A random normal S-word of one of rels: an interior one (only for a
+    D-free lead) or a suffix one, with or without a prefix."""
+    rel = rng.choice(rels)
+    a = rng.choice([None, random_word(rng, sig, max_len=2, max_dpow=0)])
+    n = rng.randrange(sig.N) if a is not None else None
+    if rel.lead.is_dfree and rng.random() < 0.5:
+        return s_word(rel, a, n, m=rng.randrange(sig.N),
+                      c=random_word(rng, sig, max_len=2))
+    return s_word(rel, a, n, i=rng.randrange(3))
+
+
 def check_pattern_leading_law(rng: random.Random, cases: int) -> int:
-    """Every valid pattern evaluates with its declared word on top, coeff 1."""
+    """Every S-word evaluates with its word on top, coefficient 1."""
     sigs = _sigs()
-    done = 0
-    while done < cases:
+    for _ in range(cases):
         sig = rng.choice(sigs)
-        rset = _random_relation_set(rng, sig)
-        rel = rng.choice(rset.relations())
-        prefix = rng.choice([None, random_word(rng, sig, max_len=2, max_dpow=0)])
-        n = rng.randrange(0, sig.N) if prefix is not None else None
-        if rng.random() < 0.5 and rel.lead.is_dfree:
-            pat = Pattern(1, rel, prefix, n, m=rng.randrange(0, sig.N),
-                          suffix=random_word(rng, sig, max_len=2))
-        else:
-            pat = Pattern(2, rel, prefix, n, dshift=rng.randrange(0, 3))
+        rels = _random_relation_set(rng, sig).relations()
+        pat = random_s_word(rng, sig, rels)
         ev = ConformalPolynomial(sig, dict(eval_pattern(sig, pat)))
-        w = pat.leading_word()
-        assert ev.leading() == w
-        assert ev.terms[w] == 1
-        done += 1
+        assert ev.leading() == pat.word
+        assert ev.terms[pat.word] == 1
     return cases
 
 
@@ -330,7 +346,7 @@ def all_shapes_could_reduce(word: NormalWord, shapes) -> bool:
 
 def reference_pair_compositions(sig, f, g):
     """The four pair compositions of (f, g), each case scanned on its own
-    and every pattern built field by field: the reference that
+    and every S-word spelled from its parts: the reference that
     ``pair_compositions``, reading the shared occurrence walk, must match."""
     out = []
     fl, gl = f.lead, g.lead
@@ -338,57 +354,47 @@ def reference_pair_compositions(sig, f, g):
     flat_f, flat_g = f.lead_flat, g.lead_flat
     juncs_f = fl.junctions()
 
+    def ev(pat):
+        return ConformalPolynomial(sig, dict(eval_pattern(sig, pat)))
+
     # interior occurrences of gl inside fl (remainder c nonempty)
     if gl.is_dfree and Kg < Kf:
         for p in range(0, Kf - Kg):
             if flat_f[2 * p: 2 * (p + Kg) - 1] != flat_g:
                 continue
-            pat = Pattern(1, g, fl.prefix_to(p),
-                          juncs_f[p - 1] if p > 0 else None,
-                          m=juncs_f[p + Kg - 1],
-                          suffix=fl.suffix_from(p + Kg))
-            poly = f.poly - ConformalPolynomial(
-                sig, dict(eval_pattern(sig, pat)))
-            out.append(Composition("inclusion", f, g, fl, None, None, poly))
+            pat = s_word(g, fl.prefix_to(p), juncs_f[p - 1] if p > 0 else None,
+                         m=juncs_f[p + Kg - 1], c=fl.suffix_from(p + Kg))
+            assert pat.word == fl
+            out.append(Composition("inclusion", f, g, fl, None, None,
+                                   f.poly - ev(pat)))
 
     # suffix occurrence: fl = a(n) gl D^i
     p = Kf - Kg
     if p >= 0 and flat_f[2 * p:] == flat_g and fl.dpow >= gl.dpow:
         i = fl.dpow - gl.dpow
         if not (f is g and i == 0):
-            pat = Pattern(2, g, fl.prefix_to(p),
-                          juncs_f[p - 1] if p > 0 else None, dshift=i)
-            poly = f.poly - ConformalPolynomial(
-                sig, dict(eval_pattern(sig, pat)))
+            pat = s_word(g, fl.prefix_to(p),
+                         juncs_f[p - 1] if p > 0 else None, i=i)
+            assert pat.word == fl
             out.append(Composition("right_inclusion", f, g, fl, None, None,
-                                   poly))
+                                   f.poly - ev(pat)))
 
     # proper overlap: a suffix of fl is a prefix of gl
     if fl.is_dfree:
         for ell in range(1, min(Kf, Kg)):
             if flat_f[2 * (Kf - ell):] != flat_g[: 2 * ell - 1]:
                 continue
-            m = gl.junctions()[ell - 1]
-            c = gl.suffix_from(ell)
-            a = fl.prefix_to(Kf - ell)
-            n = juncs_f[Kf - ell - 1]
-            w = NormalWord(fl.body + (fl.tail.pair(m),) + c.body, c.tail,
-                           c.dpow)
-            left = ConformalPolynomial(sig, dict(eval_pattern(
-                sig, Pattern(1, f, None, None, m=m, suffix=c))))
-            right = ConformalPolynomial(sig, dict(eval_pattern(
-                sig, Pattern(2, g, a, n, dshift=0))))
-            out.append(Composition("intersection", f, g, w, None, None,
-                                   left - right))
+            left = s_word(f, m=gl.junctions()[ell - 1], c=gl.suffix_from(ell))
+            right = s_word(g, fl.prefix_to(Kf - ell), juncs_f[Kf - ell - 1])
+            assert left.word == right.word
+            out.append(Composition("intersection", f, g, left.word, None,
+                                   None, ev(left) - ev(right)))
 
     # gl equals a strict suffix of fl with extra D powers
     if Kg < Kf and flat_f[2 * (Kf - Kg):] == flat_g and gl.dpow > fl.dpow:
         i = gl.dpow - fl.dpow
-        a = fl.prefix_to(Kf - Kg)
-        n = juncs_f[Kf - Kg - 1]
-        w = fl.append_D(i)
-        right = ConformalPolynomial(sig, dict(eval_pattern(
-            sig, Pattern(2, g, a, n, dshift=0))))
-        out.append(Composition("right_intersection", f, g, w, None, None,
-                               apply_D(f.poly, i) - right))
+        right = s_word(g, fl.prefix_to(Kf - Kg), juncs_f[Kf - Kg - 1])
+        assert right.word == fl.append_D(i)
+        out.append(Composition("right_intersection", f, g, right.word, None,
+                               None, apply_D(f.poly, i) - ev(right)))
     return out

@@ -18,9 +18,8 @@ from conformal import (AlgebraSignature, ConformalPolynomial, IndexWindow,
                        reduce_poly)
 from conformal.envelope import comp_window_filter
 from conformal.gsb import check_gsb_rset
-from conformal.rewriting import Pattern, normal_words
+from conformal.rewriting import normal_words
 from conformal.algebra import _word_mult
-from conftest import random_word
 
 
 def _verdict(criterion: str, ok: bool, detail: str = ""):
@@ -81,7 +80,7 @@ def test_criterion_4_loop_virasoro():
 
     rset = ex.basis_rset()
     rep = check_gsb_rset(rset, ex.sig, ex.gens(),
-                         comp_filter=comp_window_filter(ex.sig, 3))
+                         comp_filter=comp_window_filter(3))
     b_ok = rep.is_gsb and rep.n_inconclusive == 0
 
     irr = irr_enumerate(rset, ex.sig, ex.sig.family_generators(3), 3, 2)
@@ -105,7 +104,7 @@ def test_criterion_5_loop_heisenberg_virasoro():
 
     rset = ex.basis_rset()
     rep = check_gsb_rset(rset, ex.sig, ex.gens(),
-                         comp_filter=comp_window_filter(ex.sig, 2))
+                         comp_filter=comp_window_filter(2))
     b_ok = rep.is_gsb and rep.n_inconclusive == 0
 
     irr = set(irr_enumerate(rset, ex.sig, ex.sig.family_generators(2), 3, 2))
@@ -175,21 +174,11 @@ def test_criterion_8_theorem_level_checks(sig_a2):
     rset = RelationSet(sig_a2, res.basis)
     rels = rset.relations()
 
-    def random_pattern():
-        rel = rng.choice(rels)
-        prefix = rng.choice([None,
-                             random_word(rng, sig_a2, max_len=2, max_dpow=0)])
-        n = rng.randrange(sig_a2.N) if prefix is not None else None
-        if rel.lead.is_dfree and rng.random() < 0.5:
-            return Pattern(1, rel, prefix, n, m=rng.randrange(sig_a2.N),
-                           suffix=random_word(rng, sig_a2, max_len=2))
-        return Pattern(2, rel, prefix, n, dshift=rng.randrange(3))
-
     ideal_ok = 0
     for _ in range(1000):
         terms = {}
         for _ in range(rng.randint(1, 3)):
-            ev = eval_pattern(sig_a2, random_pattern())
+            ev = eval_pattern(sig_a2, props.random_s_word(rng, sig_a2, rels))
             c = rng.choice([-2, -1, 1, 2, 3])
             for w, cw in ev.items():
                 terms[w] = terms.get(w, 0) + c * cw

@@ -8,6 +8,7 @@ import random
 from conformal import (AlgebraSignature, ParseError, parse_poly,
                        parse_presentation, parse_schema, parse_word,
                        poly_str, presentation_str)
+from conformal.dsl import parse_template
 from conftest import random_poly
 
 
@@ -210,6 +211,70 @@ def test_relation_errors_point_into_the_file():
         parse_presentation(text.replace("L_k", "L_0 L_1"))
     assert (err.value.line, err.value.col) == (7, 27)
     assert "trailing input" in str(err.value)
+
+
+_FAMILY = "algebra {\n    N = 2\n    family L\n}\n"
+
+
+@pytest.mark.parametrize("parse, where, msg", [
+    # unknown index variables: subscript, index sum, |var| and var atoms
+    (lambda: parse_template("L_k", ["i"]), (1, 3),
+     "unknown index variable 'k'"),
+    (lambda: parse_template("L_{i+k}", ["i"]), (1, 6),
+     "unknown index variable 'k'"),
+    (lambda: parse_schema("f[i | |k| < 2]: L_i"), (1, 9),
+     "unknown index variable 'k'"),
+    (lambda: parse_schema("f[i | k < 2]: L_i"), (1, 7),
+     "unknown index variable 'k'"),
+    (lambda: parse_presentation(
+        _FAMILY + "relations {\n  f[i | |j| < 1]: L_i\n}\n"), (6, 11),
+     "unknown index variable 'j'"),
+    # optionally negated integers: subscripts, constraint atoms,
+    # generators and options
+    (lambda: parse_template("L_-i", ["i"]), (1, 4),
+     "expected an integer or index variable after '_'"),
+    (lambda: parse_template("L_(", ["i"]), (1, 3),
+     "expected an integer or index variable after '_'"),
+    (lambda: parse_schema("f[i | i < -i]: L_i"), (1, 12),
+     "expected an integer, index variable, or |var|"),
+    (lambda: parse_schema("f[i | i < -]: L_i"), (1, 12),
+     "expected an integer, index variable, or |var|"),
+    (lambda: parse_presentation(
+        "algebra {\n    N = 2\n    generators = a_-b\n}\n"), (3, 21),
+     "expected 'int', found 'b'"),
+    (lambda: parse_presentation(
+        "algebra {\n    N = 2\n    generators = a_, b\n}\n"), (3, 20),
+     "expected 'int', found ','"),
+    (lambda: parse_presentation(
+        _FAMILY + "options {\n    window = -w\n}\n"), (6, 15),
+     "expected 'int', found 'w'"),
+    (lambda: parse_presentation(
+        _FAMILY + "options {\n    windows = -3\n}\n"), (6, 17),
+     "unknown option 'windows'"),
+    # 'D' names no generator, listed or family
+    (lambda: parse_presentation(
+        "algebra {\n    N = 2\n    generators = a, D\n}\n"), (3, 22),
+     "'D' is reserved and cannot name a generator"),
+    (lambda: parse_presentation(
+        "algebra {\n    N = 2\n    family L, D\n}\n"), (3, 16),
+     "'D' is reserved and cannot name a generator"),
+])
+def test_index_atom_errors_are_pinned(parse, where, msg):
+    with pytest.raises(ParseError) as err:
+        parse()
+    assert (err.value.line, err.value.col) == where
+    assert str(err.value) == f"line {where[0]}, col {where[1]}: {msg}"
+
+
+def test_negated_integers_parse():
+    assert parse_template("L_-3").parts[0][1].sub.const == -3
+    sc = parse_schema("f[i | i > -2 and |i| <= 3]: L_i")
+    assert [v for v in range(-5, 5) if sc.admits({"i": v})] == [-1, 0, 1, 2, 3]
+    pf = parse_presentation(
+        "algebra {\n    N = 2\n    generators = a_-1, a_2\n}\n"
+        "options {\n    window = -4\n}\n")
+    assert [g.index for g in pf.sig.generators] == [-1, 2]
+    assert pf.options == {"window": -4}
 
 
 def test_finite_generators_with_abs_order():

@@ -153,7 +153,7 @@ def test_builtin_windows_check_small():
         ex = builtin_example(name, IndexWindow(W=1, M=3))
         rset = ex.basis_rset()
         rep = check_gsb_rset(rset, ex.sig, ex.gens(),
-                             comp_filter=comp_window_filter(ex.sig, 1))
+                             comp_filter=comp_window_filter(1))
         assert rep.is_gsb, name
         assert rep.n_inconclusive == 0
 

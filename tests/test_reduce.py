@@ -44,7 +44,7 @@ def test_trace_soundness_random(sig_a2):
         # remainder supported on irreducible words, strictly decreasing steps
         for w in trace.remainder.terms:
             assert rset.is_irreducible(w)
-        keys = [sig_a2.word_key(st.word) for st in trace.steps]
+        keys = [sig_a2.word_key(st.pattern.word) for st in trace.steps]
         assert keys == sorted(keys, reverse=True)
         assert len(set(keys)) == len(keys)
 

@@ -10,8 +10,8 @@ import random
 
 from conformal import (ConformalPolynomial, RelationSet, complete,
                        eval_pattern, parse_poly, poly_mult, reduce_poly)
-from conformal.rewriting import Pattern
 from conftest import random_word
+from props import random_s_word
 
 
 def _completed(sig):
@@ -21,22 +21,12 @@ def _completed(sig):
     return RelationSet(sig, res.basis)
 
 
-def _random_pattern(rng, sig, rels):
-    rel = rng.choice(rels)
-    prefix = rng.choice([None, random_word(rng, sig, max_len=2, max_dpow=0)])
-    n = rng.randrange(sig.N) if prefix is not None else None
-    if rel.lead.is_dfree and rng.random() < 0.5:
-        return Pattern(1, rel, prefix, n, m=rng.randrange(sig.N),
-                       suffix=random_word(rng, sig, max_len=2))
-    return Pattern(2, rel, prefix, n, dshift=rng.randrange(3))
-
-
 def test_products_of_substitutions_reduce_to_zero(sig_a2):
     rng = random.Random(51)
     rset = _completed(sig_a2)
     rels = rset.relations()
     for _ in range(150):
-        pat = _random_pattern(rng, sig_a2, rels)
+        pat = random_s_word(rng, sig_a2, rels)
         sub = ConformalPolynomial(sig_a2, dict(eval_pattern(sig_a2, pat)))
         u = ConformalPolynomial.monomial(
             sig_a2, random_word(rng, sig_a2, max_len=2))
@@ -54,9 +44,9 @@ def test_equal_leading_words_differ_below(sig_a2):
     rels = rset.relations()
     found = 0
     while found < 60:
-        p1 = _random_pattern(rng, sig_a2, rels)
-        w = p1.leading_word()
-        candidates = [p for p in rset.find_reductions(w)]
+        p1 = random_s_word(rng, sig_a2, rels)
+        w = p1.word
+        candidates = rset.find_reductions(w)
         if len(candidates) < 2:
             continue
         p2 = candidates[-1]
@@ -65,7 +55,7 @@ def test_equal_leading_words_differ_below(sig_a2):
         trace = reduce_poly(e2 - e1, rset)
         assert trace.remainder.is_zero()
         for st in trace.steps:
-            assert sig_a2.word_key(st.word) < sig_a2.word_key(w)
+            assert sig_a2.word_key(st.pattern.word) < sig_a2.word_key(w)
         found += 1
 
 
