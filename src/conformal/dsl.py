@@ -226,18 +226,19 @@ def _signed_int(s: _Stream, what: Optional[str] = None) -> int:
     return -int(t.text) if neg else int(t.text)
 
 
-def _index_var(s: _Stream, name: str, varnames) -> str:
-    if name not in varnames:
-        s.error(f"unknown index variable {name!r}")
-    return name
+def _index_var(s: _Stream, varnames) -> str:
+    """The next token, which must name a known index variable; an unknown
+    name is reported at the name."""
+    t = s.peek()
+    if t.kind == "name" and t.text not in varnames:
+        s.error(f"unknown index variable {t.text!r}")
+    return s.expect("name").text
 
 
 def _index_atom(s: _Stream, varnames, what: str):
     """("var", name) of a known index variable or ("int", _signed_int)."""
-    t = s.peek()
-    if t.kind == "name":
-        _index_var(s, t.text, varnames)
-        return "var", s.next().text
+    if s.peek().kind == "name":
+        return "var", _index_var(s, varnames)
     return "int", _signed_int(s, what)
 
 
@@ -263,8 +264,7 @@ def _parse_indexsum(s: _Stream, varnames) -> IndexForm:
             s.next()
             const += sign * int(t.text)
         elif t.kind == "name":
-            _index_var(s, t.text, varnames)
-            s.next()
+            _index_var(s, varnames)
             coeffs[t.text] = coeffs.get(t.text, 0) + sign
         else:
             s.error("expected an integer or index variable")
@@ -407,7 +407,7 @@ def _parse_chain(s, varnames):
 
 def _parse_catom(s, varnames):
     if s.accept("op", "|"):
-        name = _index_var(s, s.expect("name").text, varnames)
+        name = _index_var(s, varnames)
         s.expect("op", "|")
         return ("abs", name)
     return _index_atom(s, varnames,

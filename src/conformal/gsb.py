@@ -36,7 +36,7 @@ class MultBounds:
     right: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class Composition:
     ctype: str
     f: Relation
@@ -157,16 +157,70 @@ def mult_compositions(sig: AlgebraSignature, f: Relation,
     return out
 
 
+class CompositionMemo:
+    """The compositions of relations already enumerated as sources.
+
+    A relation's multiplication compositions and an ordered pair's
+    compositions depend only on the relations (and on the generators and
+    bounds, which one memo must keep fixed), so ``enumerate_compositions``
+    looks up, rather than recomputes, those of relations in ``known``.
+    Only non-empty lists are stored; a pair of known relations without an
+    entry has none.  Entries of retired relations are dropped.
+    """
+
+    def __init__(self):
+        self.known: set = set()
+        self.mult: Dict[Relation, List[Composition]] = {}
+        self.pairs: Dict[tuple, List[Composition]] = {}
+
+    def forget_retired(self) -> None:
+        self.known = {r for r in self.known if r.alive}
+        self.mult = {f: c for f, c in self.mult.items() if f.alive}
+        self.pairs = {fg: c for fg, c in self.pairs.items()
+                      if fg[0].alive and fg[1].alive}
+
+
 def enumerate_compositions(sig: AlgebraSignature, source: Sequence[Relation],
                            gens: Sequence[GeneratorSymbol],
-                           bounds: MultBounds = MultBounds()
+                           bounds: MultBounds = MultBounds(),
+                           memo: Optional[CompositionMemo] = None
                            ) -> List[Composition]:
+    """Every composition of the source relations, sorted by ``sort_key``.
+
+    With a ``memo``, the lists of known relations are looked up and the
+    new non-empty ones stored.  The sequence before the (stable) sort is
+    the same either way: each source's multiplication compositions, then
+    each ordered pair's, in source order.
+    """
     out: List[Composition] = []
-    for f in source:
-        out.extend(mult_compositions(sig, f, gens, bounds))
-    for f in source:
-        for g in source:
-            out.extend(pair_compositions(sig, f, g))
+    if memo is None:
+        for f in source:
+            out.extend(mult_compositions(sig, f, gens, bounds))
+        for f in source:
+            for g in source:
+                out.extend(pair_compositions(sig, f, g))
+    else:
+        memo.forget_retired()
+        known, mult, pairs = memo.known, memo.mult, memo.pairs
+        for f in source:
+            if f in known:
+                out.extend(mult.get(f, ()))
+                continue
+            comps = mult_compositions(sig, f, gens, bounds)
+            if comps:
+                mult[f] = comps
+                out.extend(comps)
+        for f in source:
+            f_known = f in known
+            for g in source:
+                if f_known and g in known:
+                    out.extend(pairs.get((f, g), ()))
+                    continue
+                comps = pair_compositions(sig, f, g)
+                if comps:
+                    pairs[(f, g)] = comps
+                    out.extend(comps)
+        known.update(source)
     out.sort(key=lambda c: c.sort_key(sig))
     return out
 
@@ -174,7 +228,7 @@ def enumerate_compositions(sig: AlgebraSignature, source: Sequence[Relation],
 # verdicts ---------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class CompositionVerdict:
     comp: Composition
     verdict: str                          # "trivial" | "nontrivial" | "inconclusive"
@@ -441,6 +495,17 @@ def interreduce(rset: RelationSet,
             return changed_any
 
 
+def division_repeats(rset: RelationSet, stamp: int,
+                     words: Sequence[NormalWord],
+                     relations: Sequence[Relation]) -> bool:
+    """Whether a leftmost division without ``exclude`` that left no
+    remainder, visiting ``words`` and reducing them by ``relations`` when
+    the relation log of rset had length ``stamp``, would repeat step for
+    step now (the argument is in ``complete``)."""
+    return all(rel.alive for rel in relations) and \
+        not any(rset.has_newer_lead(w, stamp) for w in words)
+
+
 def complete(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
              gens: Sequence[GeneratorSymbol], *,
              bounds: MultBounds = MultBounds(),
@@ -453,23 +518,60 @@ def complete(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
     insertion is followed by full interreduction, so the completed basis is
     the reduced basis of the ideal it generates.  The loop stops early with
     an explicit diagnostic when a limit trips; the partial basis is returned.
+
+    Work whose result provably repeats is reused from round to round, so
+    every add, remove, round count and result is that of enumerating and
+    dividing everything afresh:
+
+    * a ``CompositionMemo`` keeps the compositions of relations that were
+      sources before, which are the same objects in the same pre-sort
+      order as a fresh enumeration would build;
+    * a composition that divided to zero keeps its proof: the length of
+      the relation log at the division, and the words the division visited
+      with the relations that reduced them.  A later division is skipped
+      when each recorded relation is still live and no lead added since
+      occurs in a recorded word (``division_repeats``); the proof then
+      stands for a division made now, and takes the current log length.
+
+    A skipped division would repeat step for step.  A zero remainder means
+    that every visited word was reducible.  A leftmost ``find_one`` on a set
+    without schemas returns the first live hit in walk order.  The recorded
+    relation is still live, so it is still a hit at its slice; a relation
+    live now and older than the record was live then, and came after it,
+    so only a lead added since the record could come before it.  So each
+    step finds the same pattern, leaves the same polynomial and visits the
+    same next word, down to zero.  A lazy set never takes the skip
+    (``RelationSet.has_newer_lead``), since skipping its walk would skip
+    materialization.
     """
     rset = RelationSet(sig, _monic_prepare(polys))
     index = SupportIndex(rset)
     interreduce(rset, index)
+    memo = CompositionMemo()
+    proofs: Dict[Composition, tuple] = {}
     added_total = 0
     rounds = 0
     for rounds in range(1, limits.max_rounds + 1):
         source = rset.relations()
         if comp_filter is not None:
             source = [r for r in source if comp_filter(r)]
-        comps = enumerate_compositions(sig, source, gens, bounds)
+        comps = enumerate_compositions(sig, source, gens, bounds, memo)
+        zero, proofs = proofs, {}
         added_this_round = 0
         for comp in comps:
+            stamp = len(rset._relations)
+            proof = zero.get(comp)
+            if proof is not None and division_repeats(rset, *proof):
+                proofs[comp] = (stamp,) + proof[1:]
+                continue
             # interreduction may have replaced comp's source relations by
             # now; the composition polynomial still lies in the ideal
-            rem = reduce_poly(comp.poly, rset).remainder
+            trace = reduce_poly(comp.poly, rset)
+            rem = trace.remainder
             if rem.is_zero():
+                pats = [st.pattern for st in trace.steps]
+                proofs[comp] = (stamp, tuple(p.word for p in pats),
+                                tuple(p.relation for p in pats))
                 continue
             rem = rem.monic()
             if limits.max_lead_length is not None and \

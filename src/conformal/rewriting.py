@@ -128,6 +128,10 @@ class RelationSet:
     to its relations in canonical order (by leading word, then by the whole
     polynomial), which each slice of a searched word looks up under the
     D-power rule; the slice walk order then is the order of the patterns.
+    Relations are appended to a log, ``_relations``, and never leave it (a
+    removed one is marked retired); ``_newest`` maps each lead flat word to
+    the last log position that added it, and ``_newest_in`` caches, per
+    word, the greatest such position over its slices until the next add.
     """
 
     def __init__(self, sig: AlgebraSignature,
@@ -139,6 +143,8 @@ class RelationSet:
         self._lens: Dict[int, int] = {}
         self._lens_set = None
         self._canon = set()
+        self._newest: Dict[tuple, int] = {}
+        self._newest_in: Dict[NormalWord, int] = {}
         if lazy is not None:
             lazy.check_signature(sig)
         self._lazy = lazy
@@ -166,6 +172,8 @@ class RelationSet:
 
     def add(self, poly: ConformalPolynomial) -> Relation:
         rel = Relation(poly)
+        self._newest[rel.lead_flat] = len(self._relations)
+        self._newest_in.clear()
         self._relations.append(rel)
         self._canon.add(rel.canon)
         L = rel.lead.length
@@ -233,17 +241,38 @@ class RelationSet:
 
     def find_one(self, w: NormalWord, strategy: str = "leftmost",
                  exclude: Optional[Relation] = None) -> Optional[Pattern]:
-        """The first or last of ``find_reductions(w, exclude)``.  The walk
-        runs to the end either way, so what it materializes does not
-        depend on the strategy."""
+        """The first or last of ``find_reductions(w, exclude)``.  On a lazy
+        set the walk runs to the end either way, so what it materializes
+        does not depend on the strategy; without schemas a leftmost search
+        stops at the first hit."""
         if strategy not in ("leftmost", "rightmost"):
             raise ValueError(f"unknown strategy {strategy!r}")
         hits = self._hits(w, exclude)
         hit = next(hits, None)
-        for last in hits:
-            if strategy == "rightmost":
-                hit = last
+        if strategy == "rightmost":
+            for hit in hits:
+                pass
+        elif self._lazy is not None:
+            for _ in hits:
+                pass
         return None if hit is None else Pattern(hit[1], w, hit[0])
+
+    def has_newer_lead(self, w: NormalWord, stamp: int) -> bool:
+        """Whether a relation at log position ``stamp`` or later, live or
+        retired, has a lead whose flat word is a slice of w (conservative:
+        the D-power rule is not applied).  Always true on a lazy set, whose
+        walk over w may materialize such a relation."""
+        if self._lazy is not None:
+            return True
+        if stamp >= len(self._relations):
+            return False
+        pos = self._newest_in.get(w)
+        if pos is None:
+            newest = self._newest
+            pos = self._newest_in[w] = max(
+                [newest.get(sub, -1)
+                 for _, sub, _ in slices(w, self._length_set())], default=-1)
+        return pos >= stamp
 
     def is_irreducible(self, w: NormalWord) -> bool:
         return not self.has_reduction(w)
@@ -253,13 +282,13 @@ class RelationSet:
         return next(self._hits(w, exclude), None) is not None
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceStep:
     pattern: Pattern
     coeff: Coeff
 
 
-@dataclass
+@dataclass(slots=True)
 class ReductionTrace:
     """Record of one run of the division algorithm."""
 

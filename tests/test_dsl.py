@@ -222,12 +222,12 @@ _FAMILY = "algebra {\n    N = 2\n    family L\n}\n"
      "unknown index variable 'k'"),
     (lambda: parse_template("L_{i+k}", ["i"]), (1, 6),
      "unknown index variable 'k'"),
-    (lambda: parse_schema("f[i | |k| < 2]: L_i"), (1, 9),
+    (lambda: parse_schema("f[i | |k| < 2]: L_i"), (1, 8),
      "unknown index variable 'k'"),
     (lambda: parse_schema("f[i | k < 2]: L_i"), (1, 7),
      "unknown index variable 'k'"),
     (lambda: parse_presentation(
-        _FAMILY + "relations {\n  f[i | |j| < 1]: L_i\n}\n"), (6, 11),
+        _FAMILY + "relations {\n  f[i | |j| < 1]: L_i\n}\n"), (6, 10),
      "unknown index variable 'j'"),
     # optionally negated integers: subscripts, constraint atoms,
     # generators and options

@@ -10,9 +10,13 @@ descending word order, and compare pivots against the occurrence search.
 
 from fractions import Fraction
 
-from conformal import (AlgebraSignature, IndexWindow, RelationSet,
-                       builtin_example, complete, eval_pattern, parse_poly)
+from hypothesis import given, settings
+
+from conformal import (AlgebraSignature, CompletionLimits, IndexWindow,
+                       RelationSet, builtin_example, complete, eval_pattern,
+                       parse_poly)
 from conformal.rewriting import normal_words
+from conftest import SIG_A2, a2_presentations, within_budget
 
 
 def _pattern_rows(sig, rset, span_words):
@@ -76,3 +80,15 @@ def test_linear_oracle_virasoro_window():
     rset = ex.basis_rset()
     _check_window(ex.sig, rset, ex.sig.family_generators(1), 3, 1,
                   outer_gens=ex.sig.family_generators(2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(a2_presentations)
+def test_linear_oracle_on_random_completions(ps):
+    limits = CompletionLimits(max_rounds=4, max_basis=40, max_lead_length=4)
+    res = within_budget(lambda: complete(ps, SIG_A2, SIG_A2.generators,
+                                         limits=limits))
+    if res.completed:
+        rset = RelationSet(SIG_A2, res.basis)
+        within_budget(lambda: _check_window(SIG_A2, rset, SIG_A2.generators,
+                                            3, 2))

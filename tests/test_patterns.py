@@ -210,3 +210,17 @@ def test_find_one_matches_find_reductions_on_a_lazy_set():
     rsets = [ex.basis_rset() for _ in range(3)]
     _find_one_agrees(_hv_words(rng, ex.sig, 150), *rsets)
     assert rsets[0].materialized > 0
+
+
+def test_lazy_materialization_does_not_depend_on_the_strategy():
+    # a leftmost search stops at the first hit only on a set without
+    # schemas; on a lazy set both strategies walk, and materialize, alike
+    rng = random.Random(15)
+    ex = builtin_example("heisenberg-virasoro", IndexWindow(W=1))
+    left, right = ex.basis_rset(), ex.basis_rset()
+    for w in _hv_words(rng, ex.sig, 150):
+        left.find_one(w, "leftmost")
+        right.find_one(w, "rightmost")
+        assert left.materialized == right.materialized
+        assert left._lazy_tried == right._lazy_tried
+    assert left.materialized > 0
