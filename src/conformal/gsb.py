@@ -187,40 +187,36 @@ def enumerate_compositions(sig: AlgebraSignature, source: Sequence[Relation],
                            ) -> List[Composition]:
     """Every composition of the source relations, sorted by ``sort_key``.
 
-    With a ``memo``, the lists of known relations are looked up and the
-    new non-empty ones stored.  The sequence before the (stable) sort is
-    the same either way: each source's multiplication compositions, then
-    each ordered pair's, in source order.
+    The lists of relations known to ``memo`` (by default a fresh, empty
+    one) are looked up and the new non-empty ones stored.  The sequence
+    before the (stable) sort is that of computing everything: each
+    source's multiplication compositions, then each ordered pair's, in
+    source order.
     """
-    out: List[Composition] = []
     if memo is None:
-        for f in source:
-            out.extend(mult_compositions(sig, f, gens, bounds))
-        for f in source:
-            for g in source:
-                out.extend(pair_compositions(sig, f, g))
-    else:
-        memo.forget_retired()
-        known, mult, pairs = memo.known, memo.mult, memo.pairs
-        for f in source:
-            if f in known:
-                out.extend(mult.get(f, ()))
+        memo = CompositionMemo()
+    memo.forget_retired()
+    known, mult, pairs = memo.known, memo.mult, memo.pairs
+    out: List[Composition] = []
+    for f in source:
+        if f in known:
+            out.extend(mult.get(f, ()))
+            continue
+        comps = mult_compositions(sig, f, gens, bounds)
+        if comps:
+            mult[f] = comps
+            out.extend(comps)
+    for f in source:
+        f_known = f in known
+        for g in source:
+            if f_known and g in known:
+                out.extend(pairs.get((f, g), ()))
                 continue
-            comps = mult_compositions(sig, f, gens, bounds)
+            comps = pair_compositions(sig, f, g)
             if comps:
-                mult[f] = comps
+                pairs[(f, g)] = comps
                 out.extend(comps)
-        for f in source:
-            f_known = f in known
-            for g in source:
-                if f_known and g in known:
-                    out.extend(pairs.get((f, g), ()))
-                    continue
-                comps = pair_compositions(sig, f, g)
-                if comps:
-                    pairs[(f, g)] = comps
-                    out.extend(comps)
-        known.update(source)
+    known.update(source)
     out.sort(key=lambda c: c.sort_key(sig))
     return out
 
@@ -495,17 +491,6 @@ def interreduce(rset: RelationSet,
             return changed_any
 
 
-def division_repeats(rset: RelationSet, stamp: int,
-                     words: Sequence[NormalWord],
-                     relations: Sequence[Relation]) -> bool:
-    """Whether a leftmost division without ``exclude`` that left no
-    remainder, visiting ``words`` and reducing them by ``relations`` when
-    the relation log of rset had length ``stamp``, would repeat step for
-    step now (the argument is in ``complete``)."""
-    return all(rel.alive for rel in relations) and \
-        not any(rset.has_newer_lead(w, stamp) for w in words)
-
-
 def complete(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
              gens: Sequence[GeneratorSymbol], *,
              bounds: MultBounds = MultBounds(),
@@ -530,8 +515,9 @@ def complete(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
       the relation log at the division, and the words the division visited
       with the relations that reduced them.  A later division is skipped
       when each recorded relation is still live and no lead added since
-      occurs in a recorded word (``division_repeats``); the proof then
-      stands for a division made now, and takes the current log length.
+      occurs in a recorded word (``RelationSet.division_repeats``); the
+      proof then stands for a division made now, and takes the current
+      log length.
 
     A skipped division would repeat step for step.  A zero remainder means
     that every visited word was reducible.  A leftmost ``find_one`` on a set
@@ -540,9 +526,8 @@ def complete(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
     live now and older than the record was live then, and came after it,
     so only a lead added since the record could come before it.  So each
     step finds the same pattern, leaves the same polynomial and visits the
-    same next word, down to zero.  A lazy set never takes the skip
-    (``RelationSet.has_newer_lead``), since skipping its walk would skip
-    materialization.
+    same next word, down to zero.  A lazy set never takes the skip, since
+    skipping its walk would skip materialization.
     """
     rset = RelationSet(sig, _monic_prepare(polys))
     index = SupportIndex(rset)
@@ -559,9 +544,9 @@ def complete(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
         zero, proofs = proofs, {}
         added_this_round = 0
         for comp in comps:
-            stamp = len(rset._relations)
+            stamp = rset.log_length()
             proof = zero.get(comp)
-            if proof is not None and division_repeats(rset, *proof):
+            if proof is not None and rset.division_repeats(*proof):
                 proofs[comp] = (stamp,) + proof[1:]
                 continue
             # interreduction may have replaced comp's source relations by

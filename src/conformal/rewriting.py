@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .words import AlgebraSignature, ConformalError, NormalWord
 from .algebra import (Coeff, ConformalPolynomial, Terms, _accum, _word_mult,
@@ -128,10 +128,9 @@ class RelationSet:
     to its relations in canonical order (by leading word, then by the whole
     polynomial), which each slice of a searched word looks up under the
     D-power rule; the slice walk order then is the order of the patterns.
-    Relations are appended to a log, ``_relations``, and never leave it (a
-    removed one is marked retired); ``_newest`` maps each lead flat word to
-    the last log position that added it, and ``_newest_in`` caches, per
-    word, the greatest such position over its slices until the next add.
+    Relations are appended to a log and never leave it (a removed one is
+    marked retired); ``_newest`` maps each lead flat word to the last log
+    position that added it.
     """
 
     def __init__(self, sig: AlgebraSignature,
@@ -144,7 +143,6 @@ class RelationSet:
         self._lens_set = None
         self._canon = set()
         self._newest: Dict[tuple, int] = {}
-        self._newest_in: Dict[NormalWord, int] = {}
         if lazy is not None:
             lazy.check_signature(sig)
         self._lazy = lazy
@@ -170,10 +168,13 @@ class RelationSet:
     def __len__(self):
         return sum(1 for r in self._relations if r.alive)
 
+    def log_length(self) -> int:
+        """The number of relations ever added, live or retired."""
+        return len(self._relations)
+
     def add(self, poly: ConformalPolynomial) -> Relation:
         rel = Relation(poly)
         self._newest[rel.lead_flat] = len(self._relations)
-        self._newest_in.clear()
         self._relations.append(rel)
         self._canon.add(rel.canon)
         L = rel.lead.length
@@ -257,22 +258,23 @@ class RelationSet:
                 pass
         return None if hit is None else Pattern(hit[1], w, hit[0])
 
-    def has_newer_lead(self, w: NormalWord, stamp: int) -> bool:
-        """Whether a relation at log position ``stamp`` or later, live or
-        retired, has a lead whose flat word is a slice of w (conservative:
-        the D-power rule is not applied).  Always true on a lazy set, whose
-        walk over w may materialize such a relation."""
-        if self._lazy is not None:
-            return True
-        if stamp >= len(self._relations):
+    def division_repeats(self, stamp: int, words: Sequence[NormalWord],
+                         relations: Sequence[Relation]) -> bool:
+        """Whether a leftmost division without ``exclude`` that left no
+        remainder, visiting ``words`` and reducing them by ``relations``
+        when ``log_length()`` was ``stamp``, would repeat step for step now
+        (the argument is in ``gsb.complete``).  Conservative: no relation
+        added since may have a lead whose flat word is a slice of a word
+        (the D-power rule is not applied).  Never on a lazy set, whose walk
+        may materialize relations."""
+        if self._lazy is not None or \
+                not all(rel.alive for rel in relations):
             return False
-        pos = self._newest_in.get(w)
-        if pos is None:
-            newest = self._newest
-            pos = self._newest_in[w] = max(
-                [newest.get(sub, -1)
-                 for _, sub, _ in slices(w, self._length_set())], default=-1)
-        return pos >= stamp
+        if stamp >= len(self._relations):
+            return True
+        newest, lens = self._newest, self._length_set()
+        return not any(newest.get(sub, -1) >= stamp
+                       for w in words for _, sub, _ in slices(w, lens))
 
     def is_irreducible(self, w: NormalWord) -> bool:
         return not self.has_reduction(w)

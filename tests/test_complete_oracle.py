@@ -26,10 +26,22 @@ PRESENTATIONS = os.path.join(os.path.dirname(os.path.dirname(
 reuse_complete = gsb.complete
 
 
+def enumerate_all(sig, source, gens, bounds):
+    """Every composition of the sources, computed afresh (reference)."""
+    out = []
+    for f in source:
+        out.extend(gsb.mult_compositions(sig, f, gens, bounds))
+    for f in source:
+        for g in source:
+            out.extend(gsb.pair_compositions(sig, f, g))
+    out.sort(key=lambda c: c.sort_key(sig))
+    return out
+
+
 def reference_complete(polys, sig, gens, *, bounds=MultBounds(),
                        limits=CompletionLimits(), comp_filter=None):
-    """Enumerate (without a memo) and divide every composition in every
-    round (reference)."""
+    """Enumerate and divide every composition in every round
+    (reference)."""
     rset = RelationSet(sig, gsb._monic_prepare(polys))
     index = gsb.SupportIndex(rset)
     gsb.interreduce(rset, index)
@@ -39,7 +51,7 @@ def reference_complete(polys, sig, gens, *, bounds=MultBounds(),
         source = rset.relations()
         if comp_filter is not None:
             source = [r for r in source if comp_filter(r)]
-        comps = gsb.enumerate_compositions(sig, source, gens, bounds)
+        comps = enumerate_all(sig, source, gens, bounds)
         added_this_round = 0
         for comp in comps:
             rem = gsb.reduce_poly(comp.poly, rset).remainder
@@ -197,7 +209,7 @@ def test_skip_rule_admits_only_repeating_divisions(ps, extra, rng):
     p = ConformalPolynomial(SIG_A2, terms)
     trace = reduce_poly(p, rset)
     assert trace.remainder.is_zero()
-    stamp, steps = len(rset._relations), [st.pattern for st in trace.steps]
+    stamp, steps = rset.log_length(), [st.pattern for st in trace.steps]
     words, rels = [pat.word for pat in steps], [pat.relation for pat in steps]
     for q in extra:
         used = [rel for rel in rels if rel.alive]
@@ -205,7 +217,7 @@ def test_skip_rule_admits_only_repeating_divisions(ps, extra, rng):
             rset.remove(rng.choice(used))
         elif q.monic().canonical_key() not in rset._canon:
             rset.add(q.monic())
-        if gsb.division_repeats(rset, stamp, words, rels):
+        if rset.division_repeats(stamp, words, rels):
             again = reduce_poly(p, rset)
             assert again.remainder.is_zero()
             assert [st.pattern for st in again.steps] == steps
