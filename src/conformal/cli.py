@@ -261,10 +261,12 @@ def _cmd_reduce(ctx, args):
     return rep
 
 
-def _check_core(ctx):
+def _check_core(ctx, keep_all=False):
+    """The composition check; ``keep_all`` keeps the trivial verdicts too,
+    for a report that lists or traces every composition."""
     return check_gsb_rset(ctx.rset, ctx.sig, ctx.gens,
                           comp_filter=_comp_filter(ctx),
-                          bounds=_bounds(ctx))
+                          bounds=_bounds(ctx), keep_all=keep_all)
 
 
 def _gsb_verdict(rep) -> str:
@@ -277,7 +279,7 @@ def _gsb_verdict(rep) -> str:
 
 
 def _cmd_compositions(ctx, args):
-    rep = _check_core(ctx)
+    rep = _check_core(ctx, keep_all=True)
     for v in rep.verdicts:
         print(f"{v.verdict:12s} {v.comp.describe()}")
         if v.verdict != "trivial":
@@ -286,7 +288,7 @@ def _cmd_compositions(ctx, args):
 
 
 def _cmd_check(ctx, args):
-    rep = _check_core(ctx)
+    rep = _check_core(ctx, keep_all=args.trace)
     print(f"basis: {'yes' if rep.is_gsb else 'no'} "
           f"({rep.n_trivial} trivial, {rep.n_nontrivial} nontrivial, "
           f"{rep.n_inconclusive} inconclusive compositions)")

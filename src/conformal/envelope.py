@@ -597,9 +597,7 @@ def embedding_check(rset: RelationSet, sig: AlgebraSignature,
     boundary case; with no reducible word it makes the result
     inconclusive, never a clean pass.
     """
-    lazy = rset._lazy
-    reducible = []
-    boundary = []
+    lazy, reducible, boundary = rset.lazy, [], []
     for b in gens:
         for t in range(max_dpow + 1):
             w = NormalWord((), b, t)

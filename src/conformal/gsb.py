@@ -192,13 +192,26 @@ def enumerate_compositions(sig: AlgebraSignature, source: Sequence[Relation],
     before the (stable) sort is that of computing everything: each
     source's multiplication compositions, then each ordered pair's, in
     source order.
+
+    Only pairs that can compose are visited.  ``pair_compositions(f, g)``
+    finds something only when g's lead flat word is a slice of f's
+    (inclusions and right intersections), or when f's lead is D-free and
+    a proper prefix of g's lead equals a suffix of f's (intersections).
+    Two maps over the sources, lead flat word -> positions and proper lead
+    prefix -> positions, give each f these candidates; every other pair
+    has no composition, so skipping it leaves the sequence unchanged.
     """
     if memo is None:
         memo = CompositionMemo()
     memo.forget_retired()
     known, mult, pairs = memo.known, memo.mult, memo.pairs
     out: List[Composition] = []
-    for f in source:
+    by_lead: Dict[tuple, List[int]] = {}
+    by_prefix: Dict[tuple, List[int]] = {}
+    for j, f in enumerate(source):
+        by_lead.setdefault(f.lead_flat, []).append(j)
+        for ell in range(1, f.lead.length):
+            by_prefix.setdefault(f.lead_flat[: 2 * ell - 1], []).append(j)
         if f in known:
             out.extend(mult.get(f, ()))
             continue
@@ -206,9 +219,18 @@ def enumerate_compositions(sig: AlgebraSignature, source: Sequence[Relation],
         if comps:
             mult[f] = comps
             out.extend(comps)
+    lens = sorted({f.lead.length for f in source})
     for f in source:
+        fl, K = f.lead, f.lead.length
+        cands = set()
+        for _, sub, _ in slices(fl, lens):
+            cands.update(by_lead.get(sub, ()))
+        if fl.is_dfree:
+            for ell in range(1, K):
+                cands.update(by_prefix.get(f.lead_flat[2 * (K - ell):], ()))
         f_known = f in known
-        for g in source:
+        for j in sorted(cands):
+            g = source[j]
             if f_known and g in known:
                 out.extend(pairs.get((f, g), ()))
                 continue
@@ -242,7 +264,7 @@ class CompositionVerdict:
 
 @dataclass
 class GsbReport:
-    verdicts: List[CompositionVerdict]
+    verdicts: List[CompositionVerdict]   # trivial ones only with keep_all
     is_gsb: bool
     counts: Dict[str, int]
     n_trivial: int
@@ -271,8 +293,7 @@ def is_trivial(comp: Composition, rset: RelationSet) -> CompositionVerdict:
     it may lie beyond the indices the lazy lookup tries.
     """
     trace = reduce_poly(comp.poly, rset)
-    rem = trace.remainder
-    lazy = rset._lazy
+    rem, lazy = trace.remainder, rset.lazy
     if rem.is_zero():
         verdict = "trivial"
     elif lazy is not None and any(lazy.could_reduce(w) for w in rem.terms):
@@ -298,20 +319,35 @@ def check_gsb(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
 
 def check_gsb_rset(rset: RelationSet, sig: AlgebraSignature,
                    gens: Sequence[GeneratorSymbol], *,
-                   comp_filter=None, bounds: MultBounds = MultBounds()
-                   ) -> GsbReport:
+                   comp_filter=None, bounds: MultBounds = MultBounds(),
+                   keep_all: bool = False) -> GsbReport:
+    """Divide every composition of the sources by the set, in ``sort_key``
+    order, and count the verdicts by type.
+
+    Each composition is dropped from the sorted list once decided.  The
+    report keeps the non-trivial and inconclusive verdicts, and the trivial
+    ones only with ``keep_all`` (for a report that lists or traces every
+    composition), so memory holds no trivial composition or trace.  The
+    order of the divisions is that of the sorted list either way, so every
+    verdict and the materialized instances do not depend on ``keep_all``.
+    """
     source = rset.relations()
     if comp_filter is not None:
         source = [r for r in source if comp_filter(r)]
     comps = enumerate_compositions(sig, source, gens, bounds)
-    verdicts = [is_trivial(c, rset) for c in comps]
+    verdicts: List[CompositionVerdict] = []
     counts: Dict[str, int] = {}
-    for c in comps:
+    tally = {"trivial": 0, "nontrivial": 0, "inconclusive": 0}
+    for i, c in enumerate(comps):
+        comps[i] = None
+        v = is_trivial(c, rset)
         counts[c.ctype] = counts.get(c.ctype, 0) + 1
-    n_t = sum(1 for v in verdicts if v.verdict == "trivial")
-    n_n = sum(1 for v in verdicts if v.verdict == "nontrivial")
-    n_i = len(verdicts) - n_t - n_n
-    return GsbReport(verdicts, n_n == 0 and n_i == 0, counts, n_t, n_n, n_i,
+        tally[v.verdict] += 1
+        if keep_all or v.verdict != "trivial":
+            verdicts.append(v)
+    n_n, n_i = tally["nontrivial"], tally["inconclusive"]
+    return GsbReport(verdicts, n_n == 0 and n_i == 0, counts,
+                     tally["trivial"], n_n, n_i,
                      materialized=rset.materialized)
 
 
@@ -360,8 +396,8 @@ class SupportIndex:
 
     ``dirty`` holds the relations not yet checked irreducible against the
     set since the last add that could reduce them.  The index follows the
-    append-only ``RelationSet._relations`` log, so relations added by any
-    path (including lazy materialization) are seen at the next ``sync``;
+    set's append-only log (``log_since``), so relations added by any path
+    (including lazy materialization) are seen at the next ``sync``;
     ``synced`` is the length of the log indexed so far.
     """
 
@@ -382,12 +418,11 @@ class SupportIndex:
         leading word can reduce; returns the relations that this call
         turned from clean to dirty.
         """
-        log = self.rset._relations
         marked: List[Relation] = []
-        for pos in range(self.synced, len(log)):
-            if log[pos].alive:
-                self._add(log[pos], pos, marked)
-        self.synced = len(log)
+        for rel in self.rset.log_since(self.synced):
+            if rel.alive:
+                self._add(rel, self.synced, marked)
+            self.synced += 1
         return marked
 
     def _mark(self, rel: Relation, marked: List[Relation]) -> None:

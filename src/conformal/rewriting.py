@@ -130,7 +130,8 @@ class RelationSet:
     D-power rule; the slice walk order then is the order of the patterns.
     Relations are appended to a log and never leave it (a removed one is
     marked retired); ``_newest`` maps each lead flat word to the last log
-    position that added it.
+    position that added it, and ``_live`` counts the live relations.
+    ``lazy`` is the schema index of on-demand instances, or None.
     """
 
     def __init__(self, sig: AlgebraSignature,
@@ -138,6 +139,7 @@ class RelationSet:
                  lazy=None):
         self.sig = sig
         self._relations: List[Relation] = []
+        self._live = 0
         self._lead_index: Dict[tuple, List[Relation]] = {}
         self._lens: Dict[int, int] = {}
         self._lens_set = None
@@ -145,7 +147,7 @@ class RelationSet:
         self._newest: Dict[tuple, int] = {}
         if lazy is not None:
             lazy.check_signature(sig)
-        self._lazy = lazy
+        self.lazy = lazy
         self._lazy_tried = set()
         self.materialized = 0
         polys = list(polys)
@@ -166,16 +168,21 @@ class RelationSet:
                       key=ConformalPolynomial.canonical_key)
 
     def __len__(self):
-        return sum(1 for r in self._relations if r.alive)
+        return self._live
 
     def log_length(self) -> int:
         """The number of relations ever added, live or retired."""
         return len(self._relations)
 
+    def log_since(self, start: int) -> List[Relation]:
+        """The relations added at log positions ``start`` on, retired too."""
+        return self._relations[start:]
+
     def add(self, poly: ConformalPolynomial) -> Relation:
         rel = Relation(poly)
         self._newest[rel.lead_flat] = len(self._relations)
         self._relations.append(rel)
+        self._live += 1
         self._canon.add(rel.canon)
         L = rel.lead.length
         if L not in self._lens:
@@ -187,6 +194,7 @@ class RelationSet:
 
     def remove(self, rel: Relation) -> None:
         rel.alive = False
+        self._live -= 1
         self._canon.discard(rel.canon)
         L = rel.lead.length
         self._lens[L] -= 1
@@ -200,12 +208,12 @@ class RelationSet:
 
     def _materialize(self, sub: tuple) -> None:
         """Instantiate schema relations whose leading word equals ``sub``."""
-        if self._lazy is None or sub in self._lazy_tried:
+        if self.lazy is None or sub in self._lazy_tried:
             return
         self._lazy_tried.add(sub)
         letters = sub[0::2]
         juncs = sub[1::2]
-        for p in self._lazy.instances_for(self.sig, letters, juncs):
+        for p in self.lazy.instances_for(self.sig, letters, juncs):
             if p.canonical_key() in self._canon:
                 continue
             if p.leading().flat() == sub:
@@ -218,8 +226,8 @@ class RelationSet:
         lens = self._lens_set
         if lens is None:
             lens = sorted(self._lens)
-            if self._lazy is not None:
-                lens = sorted(set(lens) | self._lazy.lengths)
+            if self.lazy is not None:
+                lens = sorted(set(lens) | self.lazy.lengths)
             self._lens_set = lens
         return lens
 
@@ -228,7 +236,7 @@ class RelationSet:
         order and by canonical form within a slice; a slice materializes
         its schema instances before it is looked up."""
         for p, sub, interior in slices(w, self._length_set()):
-            if self._lazy is not None:
+            if self.lazy is not None:
                 self._materialize(sub)
             for rel in self._lead_index.get(sub, ()):
                 if rel is not exclude and \
@@ -253,7 +261,7 @@ class RelationSet:
         if strategy == "rightmost":
             for hit in hits:
                 pass
-        elif self._lazy is not None:
+        elif self.lazy is not None:
             for _ in hits:
                 pass
         return None if hit is None else Pattern(hit[1], w, hit[0])
@@ -267,7 +275,7 @@ class RelationSet:
         added since may have a lead whose flat word is a slice of a word
         (the D-power rule is not applied).  Never on a lazy set, whose walk
         may materialize relations."""
-        if self._lazy is not None or \
+        if self.lazy is not None or \
                 not all(rel.alive for rel in relations):
             return False
         if stamp >= len(self._relations):

@@ -59,6 +59,10 @@ PINNED = {
     "square-compositions-trace": (
         ["compositions", "--trace", "-f", SQUARE],
         "e69ec8f1f6815ed7db015f232d51bdf5b9830777f8f6af53c93fc4942a34bdea"),
+    # check --trace lists the trivial composition with its trace too
+    "square-check-trace": (
+        ["check", "--trace", "-f", SQUARE],
+        "642ab29651ebc2b189e0d016993df1380a476dc4feba414a969d18e93b3efcb4"),
     "square-complete": (
         ["complete", "-f", SQUARE],
         "b29121507693bbb5e41e59651c301f79dcb1fff9ff95d077fd59015db2b6e7b7"),

@@ -135,12 +135,12 @@ def test_standalone_interreduce_with_lazy_schemas():
         file=os.path.join(PRESENTATIONS, "heisenberg_virasoro.alg"), window=1)
     ctx = cli._load_context(args)
     polys = ctx.rset.polys()[:130]
-    rset = RelationSet(ctx.sig, polys, lazy=ctx.rset._lazy)
-    ref = RelationSet(ctx.sig, polys, lazy=ctx.rset._lazy)
+    rset = RelationSet(ctx.sig, polys, lazy=ctx.rset.lazy)
+    ref = RelationSet(ctx.sig, polys, lazy=ctx.rset.lazy)
     assert incremental_interreduce(rset) == full_rescan_interreduce(ref)
     assert rset.materialized == ref.materialized > 0
-    assert [(r.canon, r.alive) for r in rset._relations] == \
-        [(r.canon, r.alive) for r in ref._relations]
+    assert [(r.canon, r.alive) for r in rset.log_since(0)] == \
+        [(r.canon, r.alive) for r in ref.log_since(0)]
 
 
 def equiv_builtin(name, W):

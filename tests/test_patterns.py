@@ -224,3 +224,19 @@ def test_lazy_materialization_does_not_depend_on_the_strategy():
         assert left.materialized == right.materialized
         assert left._lazy_tried == right._lazy_tried
     assert left.materialized > 0
+
+
+def test_live_count_follows_adds_and_removes(sig_a2):
+    rng = random.Random(16)
+    rset = RelationSet(sig_a2, [parse_poly(t, sig_a2) for t in SHARED_LEADS])
+    for _ in range(200):
+        live = rset.relations()
+        if live and rng.random() < 0.4:
+            rset.remove(rng.choice(live))
+        else:
+            p = random_poly(rng, sig_a2)
+            if not p.is_zero():
+                rset.add(p.monic())
+        assert len(rset) == len(rset.relations())
+        assert rset.log_length() == len(rset.log_since(0))
+    assert rset.log_length() > len(rset) > 0
