@@ -33,8 +33,8 @@ from .words import AlgebraSignature, ConformalError, compare_words
 from .dsl import (_KNOWN_OPTIONS, ParseError, parse_poly, parse_presentation,
                   parse_word, poly_str)
 from .rewriting import RelationSet, irr_enumerate, kd_basis, reduce_poly
-from .gsb import (CompletionLimits, MultBounds, _monic_prepare,
-                  check_gsb_rset, complete, minimalize, reduce_basis)
+from .gsb import (CompletionLimits, _monic_prepare, check_gsb_rset, complete,
+                  minimalize, reduce_basis)
 from .envelope import (IndexWindow, SchemaIndex, builtin_example,
                        comp_window_filter, embedding_check, equivalence_check,
                        instantiate_schemas)
@@ -89,8 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="relation window multiplier M (radius is M*W)")
     common.add_argument("--max-length", type=int, default=None)
     common.add_argument("--max-dpow", type=int, default=None)
-    common.add_argument("--mult-bound-left", type=int, default=None)
-    common.add_argument("--mult-bound-right", type=int, default=None)
     common.add_argument("--max-iters", type=int, default=None,
                         help="completion round limit")
     common.add_argument("--max-basis", type=int, default=None,
@@ -159,6 +157,12 @@ def _options(args, defaults: dict) -> dict:
     return options
 
 
+def _window(options: dict) -> IndexWindow:
+    """The index window the options give; W = 2 and M = 4 by default."""
+    return IndexWindow(options.get("window", 2),
+                       options.get("relation_multiplier", 4))
+
+
 def _load_context(args) -> _Context:
     with open(args.file, encoding="utf-8") as fh:
         text = fh.read()
@@ -167,8 +171,7 @@ def _load_context(args) -> _Context:
     window = lazy = None
     polys = pf.concrete_relations()
     if pf.schemas or pf.sig.generators is None:
-        window = IndexWindow(options.get("window", 2),
-                             options.get("relation_multiplier", 4))
+        window = _window(options)
     if pf.schemas:
         lazy = SchemaIndex(pf.schemas)
         polys = polys + instantiate_schemas(pf.schemas, pf.sig, window.radius)
@@ -185,11 +188,6 @@ def _load_context(args) -> _Context:
                     _digest(text, json.dumps(options, sort_keys=True)),
                     pf.sig, options, rset, gens,
                     window if pf.schemas else None)
-
-
-def _bounds(ctx) -> MultBounds:
-    return MultBounds(ctx.options.get("mult_bound_left"),
-                      ctx.options.get("mult_bound_right"))
 
 
 def _limits(ctx) -> CompletionLimits:
@@ -265,8 +263,7 @@ def _check_core(ctx, keep_all=False):
     """The composition check; ``keep_all`` keeps the trivial verdicts too,
     for a report that lists or traces every composition."""
     return check_gsb_rset(ctx.rset, ctx.sig, ctx.gens,
-                          comp_filter=_comp_filter(ctx),
-                          bounds=_bounds(ctx), keep_all=keep_all)
+                          comp_filter=_comp_filter(ctx), keep_all=keep_all)
 
 
 def _gsb_verdict(rep) -> str:
@@ -296,8 +293,8 @@ def _cmd_check(ctx, args):
 
 
 def _cmd_complete(ctx, args):
-    res = complete(ctx.rset.polys(), ctx.sig, ctx.gens, bounds=_bounds(ctx),
-                   limits=_limits(ctx), comp_filter=_comp_filter(ctx))
+    res = complete(ctx.rset.polys(), ctx.sig, ctx.gens, limits=_limits(ctx),
+                   comp_filter=_comp_filter(ctx))
     for p in res.basis:
         print(poly_str(p))
     if not res.completed:
@@ -324,7 +321,7 @@ def _cmd_reduce_basis(ctx, args):
     return ctx.report(details={"basis": [poly_str(p) for p in out]})
 
 
-def _irr_bounds(ctx):
+def _irr_limits(ctx):
     return (ctx.options.get("max_length", 3), ctx.options.get("max_dpow", 2))
 
 
@@ -336,13 +333,13 @@ def _words_report(ctx, words):
 
 
 def _cmd_irr(ctx, args):
-    max_len, max_dpow = _irr_bounds(ctx)
+    max_len, max_dpow = _irr_limits(ctx)
     return _words_report(ctx, irr_enumerate(
         ctx.rset, ctx.sig, ctx.gens, max_len, max_dpow))
 
 
 def _cmd_kdbasis(ctx, args):
-    words = kd_basis(ctx.rset, ctx.sig, ctx.gens, _irr_bounds(ctx)[0])
+    words = kd_basis(ctx.rset, ctx.sig, ctx.gens, _irr_limits(ctx)[0])
     return _words_report(ctx, words)
 
 
@@ -351,7 +348,7 @@ def _cmd_embed(ctx, args):
     inconclusive, and with every ``D^t b`` irreducible and none on the
     boundary the verdict is that of ``check``."""
     gsb = _check_core(ctx)
-    emb = embedding_check(ctx.rset, ctx.sig, ctx.gens, _irr_bounds(ctx)[1])
+    emb = embedding_check(ctx.rset, ctx.sig, ctx.gens, _irr_limits(ctx)[1])
     verdict = ("inconclusive" if emb.inconclusive
                else _gsb_verdict(gsb) if emb.embedded else "fail")
     rep = ctx.report(verdict, {"gsb": gsb.is_gsb, **emb.to_json()})
@@ -360,8 +357,8 @@ def _cmd_embed(ctx, args):
 
 
 def _run_example(args) -> Report:
-    options = _options(args, {"window": 2, "relation_multiplier": 4})
-    window = IndexWindow(options["window"], options["relation_multiplier"])
+    options = _options(args, {})
+    window = _window(options)
     ex = builtin_example(args.name, window)
     # flags beyond the window enter params and the digest only when given,
     # so a default run keeps its digest
@@ -377,7 +374,7 @@ def _run_example(args) -> Report:
     if args.action == "equiv":
         # equiv builds its own relation sets; both directions reducing to
         # zero proves the windowed equality even when completion stopped
-        eq = equivalence_check(ex, limits=_limits(ctx), bounds=_bounds(ctx))
+        eq = equivalence_check(ex, limits=_limits(ctx))
         print(f"ideals equal over the window: {'yes' if eq.ok else 'no'}")
         verdict = ("ok" if eq.ok else "inconclusive"
                    if not eq.completion.completed else "fail")
@@ -386,7 +383,7 @@ def _run_example(args) -> Report:
     rep = _HANDLERS[args.action](ctx, args)
     if args.action in ("irr", "kdbasis"):
         # kdbasis lists the D-free words of the closed-form family
-        max_len, max_dpow = _irr_bounds(ctx)
+        max_len, max_dpow = _irr_limits(ctx)
         expected = ex.irr_expected(
             window.W, max_len, max_dpow if args.action == "irr" else 0)
         match = set(rep.details["words"]) == {str(w) for w in expected}

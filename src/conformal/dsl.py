@@ -506,7 +506,7 @@ class PresentationFile:
 
 
 _KNOWN_OPTIONS = {"window", "relation_multiplier", "max_length", "max_dpow",
-                  "max_iters", "max_basis", "mult_bound_left", "mult_bound_right"}
+                  "max_iters", "max_basis"}
 
 
 def _split_lines(toks: List[Token]) -> List[List[Token]]:
@@ -567,12 +567,12 @@ def parse_presentation(text: str) -> PresentationFile:
     pf = PresentationFile(sig)
     for line in blocks.get("options", []):
         s = _line_stream(line)
-        key = _joined_name(s)
+        key, at = _joined_name(s), line[0]
+        if key not in _KNOWN_OPTIONS or key in pf.options:
+            what = "unknown" if key not in _KNOWN_OPTIONS else "duplicate"
+            raise ParseError(f"{what} option {key!r}", at.line, at.col)
         s.expect("op", "=")
-        val = _signed_int(s)
-        if key not in _KNOWN_OPTIONS:
-            s.error(f"unknown option {key!r}")
-        pf.options[key] = val
+        pf.options[key] = _signed_int(s)
     for line in blocks.get("relations", []):
         schema = _parse_schema(_line_stream(line))
         if schema.vars:
@@ -642,7 +642,8 @@ def _parse_algebra_block(lines: List[List[Token]]) -> AlgebraSignature:
             while s.accept("op", ">"):
                 ranking.append(s.expect("name").text)
         else:
-            s.error(f"unknown algebra entry {key!r}")
+            raise ParseError(f"unknown algebra entry {key!r}", line[0].line,
+                             line[0].col)
     if N is None:
         raise ParseError("algebra block must set N")
     if gens is not None and families:

@@ -34,8 +34,8 @@ from .algebra import (Coeff, ConformalPolynomial, Deriv, Gen, Prod, _accum,
 from .dsl import (ParseError, RelationSchema, _template_str,
                   parse_presentation)
 from .rewriting import RelationSet, dpow_fits, reduce_poly, slices
-from .gsb import (CompletionLimits, CompletionResult, MultBounds,
-                  _monic_prepare, complete)
+from .gsb import (CompletionLimits, CompletionResult, _monic_prepare,
+                  complete)
 
 
 class WindowError(ConformalError, ValueError):
@@ -530,8 +530,7 @@ class EquivalenceReport:
 
 
 def equivalence_check(ex: BuiltinExample, *,
-                      limits: CompletionLimits = CompletionLimits(),
-                      bounds: MultBounds = MultBounds()
+                      limits: CompletionLimits = CompletionLimits()
                       ) -> EquivalenceReport:
     """Windowed two-sided ideal equality of the presentation and the basis.
 
@@ -555,8 +554,7 @@ def equivalence_check(ex: BuiltinExample, *,
     src = W
     while True:
         completion = complete(ex.presentation, sig,
-                              sig.family_generators(src),
-                              bounds=bounds, limits=limits,
+                              sig.family_generators(src), limits=limits,
                               comp_filter=comp_window_filter(src))
         comp_rset = RelationSet(sig, completion.basis)
         fwd_fail = [p for p in targets

@@ -29,13 +29,6 @@ from .rewriting import (Pattern, ReductionTrace, Relation, RelationSet,
                         dpow_fits, eval_pattern, reduce_poly, slices)
 
 
-@dataclass(frozen=True)
-class MultBounds:
-    """Optional overrides widening the multiplication index ranges."""
-    left: Optional[int] = None
-    right: Optional[int] = None
-
-
 @dataclass(slots=True, eq=False)
 class Composition:
     ctype: str
@@ -105,55 +98,34 @@ def pair_compositions(sig: AlgebraSignature, f: Relation,
     return out
 
 
-def left_mult_range(sig: AlgebraSignature, f: Relation,
-                    bounds: MultBounds) -> range:
-    hi = max((locality_bound(sig, NormalWord((), u.tail, 0), u)
-              for u in f.poly.terms), default=sig.N)
-    if bounds.left is not None:
-        hi = max(hi, bounds.left)
-    return range(sig.N, max(sig.N, hi))
-
-
-def right_mult_ranges(sig: AlgebraSignature, f: Relation,
-                      bounds: MultBounds) -> List[int]:
-    ns: List[int] = []
-    if f.lead.dpow > 0:
-        ns.extend(range(0, sig.N))
-    maxd = max(u.dpow for u in f.poly.terms)
-    if maxd > 0:
-        hi = sig.N + maxd
-        if bounds.right is not None:
-            hi = max(hi, bounds.right)
-        ns.extend(range(sig.N, hi))
-    return ns
-
-
 def mult_compositions(sig: AlgebraSignature, f: Relation,
-                      gens: Sequence[GeneratorSymbol],
-                      bounds: MultBounds) -> List[Composition]:
+                      gens: Sequence[GeneratorSymbol]) -> List[Composition]:
     """Left and right multiplication compositions of one relation.
 
-    Products with index at or above the vanishing bound are identically
-    zero and are not enumerated.
+    By locality, b (n) f vanishes from the greatest ``locality_bound(b, u)``
+    over f's terms u on, and f (n) b from N plus their greatest D power on.
+    Right products below N are taken only when the lead carries a D.
     """
     out: List[Composition] = []
-    left_rng = left_mult_range(sig, f, bounds)
-    right_ns = right_mult_ranges(sig, f, bounds)
+    N, terms_f = sig.N, f.poly.terms
+    left_ns = range(N, max(locality_bound(sig, NormalWord((), u.tail, 0), u)
+                           for u in terms_f))
+    right_ns = range(N if f.lead.dpow == 0 else 0,
+                     N + max(u.dpow for u in terms_f))
     for b in gens:
-        for n in left_rng:
+        for n in left_ns:
             terms: Terms = {}
-            for u, cu in f.poly.terms.items():
+            for u, cu in terms_f.items():
                 _accum(terms, _gen_mult(sig, b, n, u), cu)
             out.append(Composition("left_mult", f, None, None, b, n,
                                    ConformalPolynomial(sig, terms)))
-        if right_ns:
-            bw = NormalWord((), b, 0)
-            for n in right_ns:
-                terms = {}
-                for u, cu in f.poly.terms.items():
-                    _accum(terms, _word_mult(sig, u, n, bw), cu)
-                out.append(Composition("right_mult", f, None, None, b, n,
-                                       ConformalPolynomial(sig, terms)))
+        bw = NormalWord((), b, 0)
+        for n in right_ns:
+            terms = {}
+            for u, cu in terms_f.items():
+                _accum(terms, _word_mult(sig, u, n, bw), cu)
+            out.append(Composition("right_mult", f, None, None, b, n,
+                                   ConformalPolynomial(sig, terms)))
     return out
 
 
@@ -161,8 +133,8 @@ class CompositionMemo:
     """The compositions of relations already enumerated as sources.
 
     A relation's multiplication compositions and an ordered pair's
-    compositions depend only on the relations (and on the generators and
-    bounds, which one memo must keep fixed), so ``enumerate_compositions``
+    compositions depend only on the relations (and on the generators,
+    which one memo must keep fixed), so ``enumerate_compositions``
     looks up, rather than recomputes, those of relations in ``known``.
     Only non-empty lists are stored; a pair of known relations without an
     entry has none.  Entries of retired relations are dropped.
@@ -182,7 +154,6 @@ class CompositionMemo:
 
 def enumerate_compositions(sig: AlgebraSignature, source: Sequence[Relation],
                            gens: Sequence[GeneratorSymbol],
-                           bounds: MultBounds = MultBounds(),
                            memo: Optional[CompositionMemo] = None
                            ) -> List[Composition]:
     """Every composition of the source relations, sorted by ``sort_key``.
@@ -215,7 +186,7 @@ def enumerate_compositions(sig: AlgebraSignature, source: Sequence[Relation],
         if f in known:
             out.extend(mult.get(f, ()))
             continue
-        comps = mult_compositions(sig, f, gens, bounds)
+        comps = mult_compositions(sig, f, gens)
         if comps:
             mult[f] = comps
             out.extend(comps)
@@ -305,22 +276,20 @@ def is_trivial(comp: Composition, rset: RelationSet) -> CompositionVerdict:
 
 def check_gsb(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
               gens: Sequence[GeneratorSymbol], *,
-              comp_filter: Optional[Callable[[Relation], bool]] = None,
-              bounds: MultBounds = MultBounds()) -> GsbReport:
+              comp_filter: Optional[Callable[[Relation], bool]] = None
+              ) -> GsbReport:
     """Check every composition of the (monic) set for triviality.
 
     ``comp_filter`` restricts which relations act as composition sources
     (used by windowed runs); the full set is always available for reduction.
     """
     rset = RelationSet(sig, polys)
-    return check_gsb_rset(rset, sig, gens, comp_filter=comp_filter,
-                          bounds=bounds)
+    return check_gsb_rset(rset, sig, gens, comp_filter=comp_filter)
 
 
 def check_gsb_rset(rset: RelationSet, sig: AlgebraSignature,
                    gens: Sequence[GeneratorSymbol], *,
-                   comp_filter=None, bounds: MultBounds = MultBounds(),
-                   keep_all: bool = False) -> GsbReport:
+                   comp_filter=None, keep_all: bool = False) -> GsbReport:
     """Divide every composition of the sources by the set, in ``sort_key``
     order, and count the verdicts by type.
 
@@ -334,7 +303,7 @@ def check_gsb_rset(rset: RelationSet, sig: AlgebraSignature,
     source = rset.relations()
     if comp_filter is not None:
         source = [r for r in source if comp_filter(r)]
-    comps = enumerate_compositions(sig, source, gens, bounds)
+    comps = enumerate_compositions(sig, source, gens)
     verdicts: List[CompositionVerdict] = []
     counts: Dict[str, int] = {}
     tally = {"trivial": 0, "nontrivial": 0, "inconclusive": 0}
@@ -528,7 +497,6 @@ def interreduce(rset: RelationSet,
 
 def complete(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
              gens: Sequence[GeneratorSymbol], *,
-             bounds: MultBounds = MultBounds(),
              limits: CompletionLimits = CompletionLimits(),
              comp_filter: Optional[Callable[[Relation], bool]] = None
              ) -> CompletionResult:
@@ -575,7 +543,7 @@ def complete(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
         source = rset.relations()
         if comp_filter is not None:
             source = [r for r in source if comp_filter(r)]
-        comps = enumerate_compositions(sig, source, gens, bounds, memo)
+        comps = enumerate_compositions(sig, source, gens, memo)
         zero, proofs = proofs, {}
         added_this_round = 0
         for comp in comps:

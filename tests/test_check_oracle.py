@@ -14,8 +14,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings
 
-from conformal import (IndexWindow, MultBounds, RelationSet, builtin_example,
-                       gsb)
+from conformal import IndexWindow, RelationSet, builtin_example, gsb
 from conformal import cli
 from conformal.envelope import comp_window_filter
 from conftest import SIG_A2, a2_presentations
@@ -29,31 +28,29 @@ BUILTINS = [(name, W) for name in ("virasoro", "heisenberg-virasoro")
 
 
 def file_inputs(name):
-    """A fresh ``(rset, sig, gens, comp_filter, bounds)`` of
+    """A fresh ``(rset, sig, gens, comp_filter)`` of
     ``conformal check -f presentations/NAME``."""
     ctx = cli._load_context(SimpleNamespace(
         command="check", file=os.path.join(PRESENTATIONS, name)))
-    return (ctx.rset, ctx.sig, ctx.gens, cli._comp_filter(ctx),
-            cli._bounds(ctx))
+    return ctx.rset, ctx.sig, ctx.gens, cli._comp_filter(ctx)
 
 
 def builtin_inputs(name, W):
-    """A fresh ``(rset, sig, gens, comp_filter, bounds)`` of
+    """A fresh ``(rset, sig, gens, comp_filter)`` of
     ``conformal example NAME check --window W``."""
     ex = builtin_example(name, IndexWindow(W))
-    return (ex.basis_rset(), ex.sig, ex.gens(), comp_window_filter(W),
-            MultBounds())
+    return ex.basis_rset(), ex.sig, ex.gens(), comp_window_filter(W)
 
 
 def fields(c):
     return (c.ctype, id(c.f), id(c.g), c.w, c.gen, c.n, c.poly)
 
 
-def assert_same_enumeration(rset, sig, gens, comp_filter, bounds):
+def assert_same_enumeration(rset, sig, gens, comp_filter):
     source = [r for r in rset.relations()
               if comp_filter is None or comp_filter(r)]
-    fast = gsb.enumerate_compositions(sig, source, gens, bounds)
-    slow = enumerate_all(sig, source, gens, bounds)
+    fast = gsb.enumerate_compositions(sig, source, gens)
+    slow = enumerate_all(sig, source, gens)
     assert [fields(c) for c in fast] == [fields(c) for c in slow]
     return fast
 
@@ -72,8 +69,7 @@ def test_enumeration_matches_every_pair_on_builtin(name, W):
 @given(a2_presentations)
 def test_enumeration_matches_every_pair_on_random_input(ps):
     rset = RelationSet(SIG_A2, gsb._monic_prepare(ps))
-    assert_same_enumeration(rset, SIG_A2, SIG_A2.generators, None,
-                            MultBounds())
+    assert_same_enumeration(rset, SIG_A2, SIG_A2.generators, None)
 
 
 def verdict_fields(v):
@@ -83,12 +79,11 @@ def verdict_fields(v):
 def assert_keeps_what_it_prints(inputs):
     """The default check and a keep-all check of the same inputs agree on
     everything the default reports."""
-    rset, sig, gens, comp_filter, bounds = inputs()
-    lean = gsb.check_gsb_rset(rset, sig, gens, comp_filter=comp_filter,
-                              bounds=bounds)
-    rset, sig, gens, comp_filter, bounds = inputs()
+    rset, sig, gens, comp_filter = inputs()
+    lean = gsb.check_gsb_rset(rset, sig, gens, comp_filter=comp_filter)
+    rset, sig, gens, comp_filter = inputs()
     full = gsb.check_gsb_rset(rset, sig, gens, comp_filter=comp_filter,
-                              bounds=bounds, keep_all=True)
+                              keep_all=True)
     assert (lean.counts, lean.is_gsb, lean.materialized) == \
         (full.counts, full.is_gsb, full.materialized)
     assert (lean.n_trivial, lean.n_nontrivial, lean.n_inconclusive) == \
@@ -118,4 +113,4 @@ def test_check_keeps_what_it_prints_on_builtin(name, W):
 def test_check_keeps_what_it_prints_on_random_input(ps):
     assert_keeps_what_it_prints(lambda: (
         RelationSet(SIG_A2, gsb._monic_prepare(ps)), SIG_A2,
-        SIG_A2.generators, None, MultBounds()))
+        SIG_A2.generators, None))

@@ -216,14 +216,18 @@ def test_limit_env_vars_change_nothing(ex00, tmp_path, monkeypatch,
     assert env.read_bytes() == plain.read_bytes()
 
 
-def test_mult_bound_flags(ex00, capsys):
-    # widening the multiplication windows only adds vanishing products
-    assert main(["check", "-f", ex00, "--mult-bound-left", "7",
-                 "--mult-bound-right", "7"]) == 1
+def test_mult_bound_flags(ex00, tmp_path, capsys):
+    # the multiplication ranges come from the locality bound alone, so no
+    # flag or option key widens them
+    for flag in ("--mult-bound-left", "--mult-bound-right"):
+        assert main(["check", "-f", ex00, flag, "3"]) == 3
+    path = tmp_path / "wide.alg"
+    path.write_text(EX00 + "options {\n    mult_bound_left = 3\n}\n")
     capsys.readouterr()
-    assert main(["complete", "-f", ex00, "--mult-bound-left", "7"]) == 0
-    out = capsys.readouterr().out.strip().splitlines()
-    assert out == ["a (1) a - a (0) D a", "a (0) a (0) a"]
+    assert main(["check", "-f", str(path)]) == 3
+    line = EX00.count("\n") + 2
+    assert capsys.readouterr().err == (
+        f"error: line {line}, col 5: unknown option 'mult_bound_left'\n")
 
 
 def test_example_kdbasis_and_equiv(capsys):
@@ -277,17 +281,17 @@ def test_remainder_no_instance_can_lead_is_nontrivial(command, tmp_path,
 def test_example_records_result_changing_flags(tmp_path, capsys):
     def report(*flags):
         out = tmp_path / "r.json"
-        assert main(["example", "virasoro", "check", "--window", "1",
+        assert main(["example", "virasoro", "irr", "--window", "1",
                      *flags, "--json", str(out)]) == 0
         return json.loads(out.read_text())
 
-    default, wide = report(), report("--mult-bound-left", "3")
-    assert default["details"]["trivial"] == 93
-    assert wide["details"]["trivial"] == 120
+    default, short = report(), report("--max-length", "2")
+    assert default["details"]["count"] == 27
+    assert short["details"]["count"] == 18
     assert default["params"] == {"example": "virasoro", "window": 1,
                                  "relation_multiplier": 4}
-    assert wide["params"] == {**default["params"], "mult_bound_left": 3}
-    assert default["inputs"]["digest"] != wide["inputs"]["digest"]
+    assert short["params"] == {**default["params"], "max_length": 2}
+    assert default["inputs"]["digest"] != short["inputs"]["digest"]
 
 
 def test_example_equiv_honours_limits(tmp_path, capsys):
@@ -309,6 +313,8 @@ def test_example_equiv_honours_limits(tmp_path, capsys):
     assert data["details"]["forward_failures"]
     assert data["details"]["completion_completed"] is False
     assert data["params"]["max_basis"] == 5
+    # the forward failures widen the source slice from W to the radius M*W
+    assert data["details"]["source_radius"] == 4
 
 
 def test_gsb_outcome_mapping():
@@ -451,8 +457,7 @@ def test_window_sets_the_generator_slice_of_a_schema_free_family(
 
 
 @pytest.mark.parametrize("key", ["max_length", "max_dpow", "max_iters",
-                                 "max_basis", "mult_bound_left",
-                                 "mult_bound_right"])
+                                 "max_basis"])
 def test_negative_bound_is_an_input_error(key, tmp_path, capsys):
     flag = "--" + key.replace("_", "-")
     assert main(["complete", "-f", VIRASORO_ALG, flag, "-1"]) == 3

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conformal import (CompletionLimits, ConformalPolynomial, IndexWindow,
-                       MultBounds, RelationSet, builtin_example, envelope,
+                       RelationSet, builtin_example, envelope,
                        equivalence_check, eval_pattern, gsb, reduce_poly)
 from conformal import cli
 from conftest import SIG_A2, a2_presentations, random_word, within_budget
@@ -26,11 +26,11 @@ PRESENTATIONS = os.path.join(os.path.dirname(os.path.dirname(
 reuse_complete = gsb.complete
 
 
-def enumerate_all(sig, source, gens, bounds):
+def enumerate_all(sig, source, gens):
     """Every composition of the sources, computed afresh (reference)."""
     out = []
     for f in source:
-        out.extend(gsb.mult_compositions(sig, f, gens, bounds))
+        out.extend(gsb.mult_compositions(sig, f, gens))
     for f in source:
         for g in source:
             out.extend(gsb.pair_compositions(sig, f, g))
@@ -38,8 +38,8 @@ def enumerate_all(sig, source, gens, bounds):
     return out
 
 
-def reference_complete(polys, sig, gens, *, bounds=MultBounds(),
-                       limits=CompletionLimits(), comp_filter=None):
+def reference_complete(polys, sig, gens, *, limits=CompletionLimits(),
+                       comp_filter=None):
     """Enumerate and divide every composition in every round
     (reference)."""
     rset = RelationSet(sig, gsb._monic_prepare(polys))
@@ -51,7 +51,7 @@ def reference_complete(polys, sig, gens, *, bounds=MultBounds(),
         source = rset.relations()
         if comp_filter is not None:
             source = [r for r in source if comp_filter(r)]
-        comps = enumerate_all(sig, source, gens, bounds)
+        comps = enumerate_all(sig, source, gens)
         added_this_round = 0
         for comp in comps:
             rem = gsb.reduce_poly(comp.poly, rset).remainder
@@ -141,8 +141,8 @@ def complete_file(name):
 
     def run():
         return result_fields(gsb.complete(
-            ctx.rset.polys(), ctx.sig, ctx.gens, bounds=cli._bounds(ctx),
-            limits=cli._limits(ctx), comp_filter=cli._comp_filter(ctx)))
+            ctx.rset.polys(), ctx.sig, ctx.gens, limits=cli._limits(ctx),
+            comp_filter=cli._comp_filter(ctx)))
     return run
 
 

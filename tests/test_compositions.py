@@ -6,7 +6,8 @@ from conformal import (AlgebraSignature, ConformalPolynomial, RelationSet,
                        check_gsb, gen, is_trivial, mult_compositions,
                        pair_compositions, parse_poly, parse_schema, parse_word)
 from conformal.envelope import SchemaIndex
-from conformal.gsb import Composition, MultBounds
+from conformal.algebra import _gen_mult
+from conformal.gsb import Composition
 from conformal.rewriting import Relation
 from conftest import SIG_A2, a2_polys
 from props import reference_pair_compositions
@@ -29,34 +30,31 @@ def test_self_intersection_exists(sig_a2):
 
 def test_right_mult_ranges(sig_a2):
     rset, (f,) = _rels(sig_a2, "a (1) a - a (0) D a")
-    comps = mult_compositions(sig_a2, f, sig_a2.generators, MultBounds())
+    comps = mult_compositions(sig_a2, f, sig_a2.generators)
     right = [c for c in comps if c.ctype == "right_mult"]
     # leading word is D-free, so no n < N compositions; the polynomial has a
     # D, so n = 2 is enumerated (products vanish from N + max dpow on)
     assert [c.n for c in right] == [2]
     dfree_rset, (g,) = _rels(sig_a2, "a (0) a (0) a")
-    assert not [c for c in mult_compositions(sig_a2, g, sig_a2.generators,
-                                             MultBounds())
+    assert not [c for c in mult_compositions(sig_a2, g, sig_a2.generators)
                 if c.ctype == "right_mult"]
 
 
 def test_right_mult_for_d_leading(sig_a2):
     rset, (g,) = _rels(sig_a2, "a (0) D a + a (0) a")
-    comps = mult_compositions(sig_a2, g, sig_a2.generators, MultBounds())
+    comps = mult_compositions(sig_a2, g, sig_a2.generators)
     right = [c for c in comps if c.ctype == "right_mult"]
     assert [c.n for c in right] == [0, 1, 2]   # n < N plus N <= n < N + 1
 
 
 def test_left_mult_range_respects_bound(sig_a2):
     rset, (f,) = _rels(sig_a2, "a (1) a - a (0) D a")
-    comps = mult_compositions(sig_a2, f, sig_a2.generators, MultBounds())
+    comps = mult_compositions(sig_a2, f, sig_a2.generators)
     left = [c for c in comps if c.ctype == "left_mult"]
     assert [c.n for c in left] == [2, 3]
-    wide = mult_compositions(sig_a2, f, sig_a2.generators, MultBounds(left=6))
-    assert [c.n for c in wide if c.ctype == "left_mult"] == [2, 3, 4, 5]
-    # enumerating past the bound only adds identically zero products
-    assert all(c.poly.is_zero() for c in wide
-               if c.ctype == "left_mult" and c.n >= 4)
+    # past the range every product with a term of f vanishes
+    assert not any(_gen_mult(sig_a2, b, n, u) for b in sig_a2.generators
+                   for n in (4, 5, 6) for u in f.poly.terms)
 
 
 def test_nontrivial_self_composition(sig_a2):
@@ -88,10 +86,9 @@ def test_check_gsb_verdicts(sig_a2):
 
 def test_zero_composition_is_trivial(sig_a2):
     rset, (f,) = _rels(sig_a2, "a (1) a - a (0) D a")
-    comps = mult_compositions(sig_a2, f, sig_a2.generators, MultBounds(left=8))
-    zero = [c for c in comps if c.poly.is_zero()]
-    assert zero
-    assert all(is_trivial(c, rset).verdict == "trivial" for c in zero)
+    zero = Composition("left_mult", f, None, None, sig_a2.generators[0], 7,
+                       ConformalPolynomial.zero(sig_a2))
+    assert is_trivial(zero, rset).verdict == "trivial"
 
 
 def test_right_inclusion_between_equal_leads(sig_a2):

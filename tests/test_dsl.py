@@ -249,7 +249,7 @@ _FAMILY = "algebra {\n    N = 2\n    family L\n}\n"
         _FAMILY + "options {\n    window = -w\n}\n"), (6, 15),
      "expected 'int', found 'w'"),
     (lambda: parse_presentation(
-        _FAMILY + "options {\n    windows = -3\n}\n"), (6, 17),
+        _FAMILY + "options {\n    windows = -3\n}\n"), (6, 5),
      "unknown option 'windows'"),
     # 'D' names no generator, listed or family
     (lambda: parse_presentation(
@@ -258,6 +258,13 @@ _FAMILY = "algebra {\n    N = 2\n    family L\n}\n"
     (lambda: parse_presentation(
         "algebra {\n    N = 2\n    family L, D\n}\n"), (3, 16),
      "'D' is reserved and cannot name a generator"),
+    # unknown or repeated keys, at the key
+    (lambda: parse_presentation(
+        _FAMILY + "options {\n    window = 3\n    window = 4\n}\n"), (7, 5),
+     "duplicate option 'window'"),
+    (lambda: parse_presentation(
+        "algebra {\n    N = 2\n    foo = 3\n}\n"), (3, 5),
+     "unknown algebra entry 'foo'"),
 ])
 def test_index_atom_errors_are_pinned(parse, where, msg):
     with pytest.raises(ParseError) as err:

@@ -107,8 +107,8 @@ def complete_file(name):
 
     def run():
         return result_fields(gsb.complete(
-            ctx.rset.polys(), ctx.sig, ctx.gens, bounds=cli._bounds(ctx),
-            limits=cli._limits(ctx), comp_filter=cli._comp_filter(ctx)))
+            ctx.rset.polys(), ctx.sig, ctx.gens, limits=cli._limits(ctx),
+            comp_filter=cli._comp_filter(ctx)))
     return run
 
 
