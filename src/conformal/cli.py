@@ -158,9 +158,9 @@ def _options(args, defaults: dict) -> dict:
 
 
 def _window(options: dict) -> IndexWindow:
-    """The index window the options give; W = 2 and M = 4 by default."""
+    """The options' index window; by default W = 2 and IndexWindow's M."""
     return IndexWindow(options.get("window", 2),
-                       options.get("relation_multiplier", 4))
+                       options.get("relation_multiplier", IndexWindow.M))
 
 
 def _load_context(args) -> _Context:
@@ -262,7 +262,7 @@ def _cmd_reduce(ctx, args):
 def _check_core(ctx, keep_all=False):
     """The composition check; ``keep_all`` keeps the trivial verdicts too,
     for a report that lists or traces every composition."""
-    return check_gsb_rset(ctx.rset, ctx.sig, ctx.gens,
+    return check_gsb_rset(ctx.rset, ctx.gens,
                           comp_filter=_comp_filter(ctx), keep_all=keep_all)
 
 
@@ -335,11 +335,11 @@ def _words_report(ctx, words):
 def _cmd_irr(ctx, args):
     max_len, max_dpow = _irr_limits(ctx)
     return _words_report(ctx, irr_enumerate(
-        ctx.rset, ctx.sig, ctx.gens, max_len, max_dpow))
+        ctx.rset, ctx.gens, max_len, max_dpow))
 
 
 def _cmd_kdbasis(ctx, args):
-    words = kd_basis(ctx.rset, ctx.sig, ctx.gens, _irr_limits(ctx)[0])
+    words = kd_basis(ctx.rset, ctx.gens, _irr_limits(ctx)[0])
     return _words_report(ctx, words)
 
 
@@ -348,7 +348,7 @@ def _cmd_embed(ctx, args):
     inconclusive, and with every ``D^t b`` irreducible and none on the
     boundary the verdict is that of ``check``."""
     gsb = _check_core(ctx)
-    emb = embedding_check(ctx.rset, ctx.sig, ctx.gens, _irr_limits(ctx)[1])
+    emb = embedding_check(ctx.rset, ctx.gens, _irr_limits(ctx)[1])
     verdict = ("inconclusive" if emb.inconclusive
                else _gsb_verdict(gsb) if emb.embedded else "fail")
     rep = ctx.report(verdict, {"gsb": gsb.is_gsb, **emb.to_json()})

@@ -573,6 +573,7 @@ def parse_presentation(text: str) -> PresentationFile:
             raise ParseError(f"{what} option {key!r}", at.line, at.col)
         s.expect("op", "=")
         pf.options[key] = _signed_int(s)
+        _end_entry(s, key)
     for line in blocks.get("relations", []):
         schema = _parse_schema(_line_stream(line))
         if schema.vars:
@@ -588,6 +589,12 @@ def _line_stream(line: List[Token]) -> _Stream:
     last = line[-1]
     return _Stream(line + [Token("eof", "", last.line,
                                  last.col + len(last.text))])
+
+
+def _end_entry(s: _Stream, key: str) -> None:
+    """Reject tokens after the value of a block entry."""
+    if s.peek().kind != "eof":
+        s.error(f"trailing input after {key!r} entry")
 
 
 def _joined_name(s: _Stream) -> str:
@@ -644,6 +651,7 @@ def _parse_algebra_block(lines: List[List[Token]]) -> AlgebraSignature:
         else:
             raise ParseError(f"unknown algebra entry {key!r}", line[0].line,
                              line[0].col)
+        _end_entry(s, key)
     if N is None:
         raise ParseError("algebra block must set N")
     if gens is not None and families:

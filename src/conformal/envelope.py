@@ -584,8 +584,7 @@ class EmbeddingReport:
         }
 
 
-def embedding_check(rset: RelationSet, sig: AlgebraSignature,
-                    gens: Sequence[GeneratorSymbol],
+def embedding_check(rset: RelationSet, gens: Sequence[GeneratorSymbol],
                     max_dpow: int) -> EmbeddingReport:
     """Check that every D^t b is irreducible for the given relation set.
 
@@ -599,7 +598,7 @@ def embedding_check(rset: RelationSet, sig: AlgebraSignature,
     for b in gens:
         for t in range(max_dpow + 1):
             w = NormalWord((), b, t)
-            if not rset.is_irreducible(w):
+            if rset.has_reduction(w):
                 reducible.append(w)
             elif lazy is not None and lazy.could_reduce(w):
                 boundary.append(w)

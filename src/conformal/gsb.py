@@ -39,9 +39,9 @@ class Composition:
     n: Optional[int]
     poly: ConformalPolynomial
 
-    def sort_key(self, sig: AlgebraSignature):
+    def sort_key(self):
         w = self.w if self.w is not None else self.poly.leading()
-        return (sig.word_key(w) if w is not None else (),
+        return (self.poly.sig.word_key(w) if w is not None else (),
                 self.ctype,
                 self.f.canon,
                 self.g.canon if self.g is not None else ())
@@ -55,8 +55,7 @@ class Composition:
                 f"g = {self.g.lead}")
 
 
-def pair_compositions(sig: AlgebraSignature, f: Relation,
-                      g: Relation) -> List[Composition]:
+def pair_compositions(f: Relation, g: Relation) -> List[Composition]:
     """Inclusion, right-inclusion, intersection, and right-intersection
     compositions of the ordered pair (f, g)."""
     out: List[Composition] = []
@@ -64,8 +63,8 @@ def pair_compositions(sig: AlgebraSignature, f: Relation,
     Kf, Kg = fl.length, gl.length
 
     def at(rel: Relation, w: NormalWord, p: int) -> ConformalPolynomial:
-        return ConformalPolynomial(sig, dict(eval_pattern(
-            sig, Pattern(rel, w, p))))
+        return ConformalPolynomial(f.poly.sig,
+                                   dict(eval_pattern(Pattern(rel, w, p))))
 
     # occurrences of gl in fl: interior ones are inclusions; the suffix one
     # is a right inclusion fl = a(n) gl D^i, or, when gl carries more D
@@ -98,7 +97,7 @@ def pair_compositions(sig: AlgebraSignature, f: Relation,
     return out
 
 
-def mult_compositions(sig: AlgebraSignature, f: Relation,
+def mult_compositions(f: Relation,
                       gens: Sequence[GeneratorSymbol]) -> List[Composition]:
     """Left and right multiplication compositions of one relation.
 
@@ -107,7 +106,8 @@ def mult_compositions(sig: AlgebraSignature, f: Relation,
     Right products below N are taken only when the lead carries a D.
     """
     out: List[Composition] = []
-    N, terms_f = sig.N, f.poly.terms
+    sig, terms_f = f.poly.sig, f.poly.terms
+    N = sig.N
     left_ns = range(N, max(locality_bound(sig, NormalWord((), u.tail, 0), u)
                            for u in terms_f))
     right_ns = range(N if f.lead.dpow == 0 else 0,
@@ -152,7 +152,7 @@ class CompositionMemo:
                       if fg[0].alive and fg[1].alive}
 
 
-def enumerate_compositions(sig: AlgebraSignature, source: Sequence[Relation],
+def enumerate_compositions(source: Sequence[Relation],
                            gens: Sequence[GeneratorSymbol],
                            memo: Optional[CompositionMemo] = None
                            ) -> List[Composition]:
@@ -186,7 +186,7 @@ def enumerate_compositions(sig: AlgebraSignature, source: Sequence[Relation],
         if f in known:
             out.extend(mult.get(f, ()))
             continue
-        comps = mult_compositions(sig, f, gens)
+        comps = mult_compositions(f, gens)
         if comps:
             mult[f] = comps
             out.extend(comps)
@@ -205,12 +205,12 @@ def enumerate_compositions(sig: AlgebraSignature, source: Sequence[Relation],
             if f_known and g in known:
                 out.extend(pairs.get((f, g), ()))
                 continue
-            comps = pair_compositions(sig, f, g)
+            comps = pair_compositions(f, g)
             if comps:
                 pairs[(f, g)] = comps
                 out.extend(comps)
     known.update(source)
-    out.sort(key=lambda c: c.sort_key(sig))
+    out.sort(key=Composition.sort_key)
     return out
 
 
@@ -284,11 +284,10 @@ def check_gsb(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
     (used by windowed runs); the full set is always available for reduction.
     """
     rset = RelationSet(sig, polys)
-    return check_gsb_rset(rset, sig, gens, comp_filter=comp_filter)
+    return check_gsb_rset(rset, gens, comp_filter=comp_filter)
 
 
-def check_gsb_rset(rset: RelationSet, sig: AlgebraSignature,
-                   gens: Sequence[GeneratorSymbol], *,
+def check_gsb_rset(rset: RelationSet, gens: Sequence[GeneratorSymbol], *,
                    comp_filter=None, keep_all: bool = False) -> GsbReport:
     """Divide every composition of the sources by the set, in ``sort_key``
     order, and count the verdicts by type.
@@ -303,7 +302,7 @@ def check_gsb_rset(rset: RelationSet, sig: AlgebraSignature,
     source = rset.relations()
     if comp_filter is not None:
         source = [r for r in source if comp_filter(r)]
-    comps = enumerate_compositions(sig, source, gens)
+    comps = enumerate_compositions(source, gens)
     verdicts: List[CompositionVerdict] = []
     counts: Dict[str, int] = {}
     tally = {"trivial": 0, "nontrivial": 0, "inconclusive": 0}
@@ -523,7 +522,7 @@ def complete(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
       log length.
 
     A skipped division would repeat step for step.  A zero remainder means
-    that every visited word was reducible.  A leftmost ``find_one`` on a set
+    that every visited word was reducible.  ``find_one`` on a set
     without schemas returns the first live hit in walk order.  The recorded
     relation is still live, so it is still a hit at its slice; a relation
     live now and older than the record was live then, and came after it,
@@ -543,7 +542,7 @@ def complete(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
         source = rset.relations()
         if comp_filter is not None:
             source = [r for r in source if comp_filter(r)]
-        comps = enumerate_compositions(sig, source, gens, memo)
+        comps = enumerate_compositions(source, gens, memo)
         zero, proofs = proofs, {}
         added_this_round = 0
         for comp in comps:
@@ -603,7 +602,7 @@ def minimalize(polys: Iterable[ConformalPolynomial],
     rset = RelationSet(sig, list(by_lead.values()))
     out = []
     for rel in rset.relations():
-        if rset.find_one(rel.lead, exclude=rel) is None:
+        if not rset.has_reduction(rel.lead, exclude=rel):
             out.append(rel.poly)
     out.sort(key=ConformalPolynomial.canonical_key)
     return out

@@ -13,8 +13,11 @@ the suffix S-word  a(n) D^i s,  where w carries i more D powers than s.
 Evaluating a pattern substitutes the full relation for s and normalizes;
 the result's leading word is exactly w, with coefficient 1.
 
-Reduction repeatedly eliminates the greatest reducible word, producing a
-trace whose steps reconstruct the input exactly.
+Reduction repeatedly eliminates the greatest reducible word by its
+leftmost pattern, the one search there is: by the Composition-Diamond
+lemma the remainder modulo a Groebner-Shirshov basis does not depend on
+which pattern divides.  The trace's steps and remainder sum back to the
+input exactly (``tests/props.py::reconstruct`` checks this).
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ class Pattern:
         return f"[{head}{d}s] with s = {s}"
 
 
-def eval_pattern(sig: AlgebraSignature, pat: Pattern) -> Terms:
+def eval_pattern(pat: Pattern) -> Terms:
     """Normalized substitution of the relation into the pattern (frozen dict)."""
     rel, w, p = pat.relation, pat.word, pat.start
     key = (w, p)
@@ -110,7 +113,7 @@ def eval_pattern(sig: AlgebraSignature, pat: Pattern) -> Terms:
         m, c = w.body[q - 1][1], w.suffix_from(q)
         out = {}
         for u, cu in rel.poly.terms.items():
-            _accum(out, _word_mult(sig, u, m, c), cu)
+            _accum(out, _word_mult(rel.poly.sig, u, m, c), cu)
     else:
         out = apply_D(rel.poly, w.dpow - s.dpow).terms
     if p:
@@ -243,34 +246,23 @@ class RelationSet:
                         dpow_fits(rel.lead.dpow, interior, w.dpow):
                     yield p, rel
 
-    def find_reductions(self, w: NormalWord,
-                        exclude: Optional[Relation] = None) -> List[Pattern]:
-        """All patterns with leading word w, in slice walk order."""
-        return [Pattern(rel, w, p) for p, rel in self._hits(w, exclude)]
-
-    def find_one(self, w: NormalWord, strategy: str = "leftmost",
+    def find_one(self, w: NormalWord,
                  exclude: Optional[Relation] = None) -> Optional[Pattern]:
-        """The first or last of ``find_reductions(w, exclude)``.  On a lazy
-        set the walk runs to the end either way, so what it materializes
-        does not depend on the strategy; without schemas a leftmost search
-        stops at the first hit."""
-        if strategy not in ("leftmost", "rightmost"):
-            raise ValueError(f"unknown strategy {strategy!r}")
+        """The leftmost pattern with leading word w: the first occurrence in
+        slice walk order.  Without schemas the walk stops there; on a lazy
+        set it runs to the end, materializing every slice of w."""
         hits = self._hits(w, exclude)
         hit = next(hits, None)
-        if strategy == "rightmost":
-            for hit in hits:
-                pass
-        elif self.lazy is not None:
+        if self.lazy is not None:
             for _ in hits:
                 pass
         return None if hit is None else Pattern(hit[1], w, hit[0])
 
     def division_repeats(self, stamp: int, words: Sequence[NormalWord],
                          relations: Sequence[Relation]) -> bool:
-        """Whether a leftmost division without ``exclude`` that left no
-        remainder, visiting ``words`` and reducing them by ``relations``
-        when ``log_length()`` was ``stamp``, would repeat step for step now
+        """Whether a division without ``exclude`` that left no remainder,
+        visiting ``words`` and reducing them by ``relations`` when
+        ``log_length()`` was ``stamp``, would repeat step for step now
         (the argument is in ``gsb.complete``).  Conservative: no relation
         added since may have a lead whose flat word is a slice of a word
         (the D-power rule is not applied).  Never on a lazy set, whose walk
@@ -283,9 +275,6 @@ class RelationSet:
         newest, lens = self._newest, self._length_set()
         return not any(newest.get(sub, -1) >= stamp
                        for w in words for _, sub, _ in slices(w, lens))
-
-    def is_irreducible(self, w: NormalWord) -> bool:
-        return not self.has_reduction(w)
 
     def has_reduction(self, w: NormalWord,
                       exclude: Optional[Relation] = None) -> bool:
@@ -305,13 +294,6 @@ class ReductionTrace:
     steps: List[TraceStep]
     remainder: ConformalPolynomial
 
-    def reconstruct(self, sig: AlgebraSignature) -> ConformalPolynomial:
-        """Sum the eliminated parts back; equals the reduced input exactly."""
-        total = dict(self.remainder.terms)
-        for st in self.steps:
-            _accum(total, eval_pattern(sig, st.pattern), st.coeff)
-        return ConformalPolynomial(sig, total, _frozen=True)
-
     def to_json(self):
         return {
             "steps": [{"word": str(st.pattern.word),
@@ -323,14 +305,13 @@ class ReductionTrace:
 
 
 def reduce_poly(p: ConformalPolynomial, rset: RelationSet, *,
-                strategy: str = "leftmost",
                 exclude: Optional[Relation] = None) -> ReductionTrace:
     """Divide p by the relation set.
 
-    While the current leading word matches some pattern, the matched
-    relation is substituted and subtracted; irreducible leading terms move
-    to the remainder.  Terminates because eliminated leading words strictly
-    decrease in a well order.
+    While the current leading word matches some pattern, the leftmost
+    one's relation is substituted and subtracted; irreducible leading
+    terms move to the remainder.  Terminates because eliminated leading
+    words strictly decrease in a well order.
     """
     sig = p.sig
     cur = dict(p.terms)
@@ -339,12 +320,12 @@ def reduce_poly(p: ConformalPolynomial, rset: RelationSet, *,
     wkey = sig.word_key
     while cur:
         w = max(cur, key=wkey)
-        pat = rset.find_one(w, strategy, exclude)
+        pat = rset.find_one(w, exclude)
         if pat is None:
             remainder[w] = cur.pop(w)
             continue
         c = cur[w]
-        ev = eval_pattern(sig, pat)
+        ev = eval_pattern(pat)
         _accum(cur, ev, -c)
         if w in cur:
             raise RelationError(
@@ -374,21 +355,21 @@ def normal_words(sig: AlgebraSignature, gens, max_length: int, max_dpow: int):
         yield from rec(length)
 
 
-def irr_enumerate(rset: RelationSet, sig: AlgebraSignature, gens,
-                  max_length: int, max_dpow: int) -> List[NormalWord]:
+def irr_enumerate(rset: RelationSet, gens, max_length: int,
+                  max_dpow: int) -> List[NormalWord]:
     """Irreducible normal words within the bounds, ascending."""
+    sig = rset.sig
     out = [w for w in normal_words(sig, gens, max_length, max_dpow)
-           if rset.is_irreducible(w)]
+           if not rset.has_reduction(w)]
     out.sort(key=sig.word_key)
     return out
 
 
-def kd_basis(rset: RelationSet, sig: AlgebraSignature, gens,
-             max_length: int) -> List[NormalWord]:
+def kd_basis(rset: RelationSet, gens, max_length: int) -> List[NormalWord]:
     """D-free irreducible words; requires every leading word to be D-free."""
     for rel in rset.relations():
         if not rel.lead.is_dfree:
             raise RelationError(
                 f"leading word {rel.lead} carries a D power; the D-free "
                 f"irreducible words do not span in that case")
-    return irr_enumerate(rset, sig, gens, max_length, 0)
+    return irr_enumerate(rset, gens, max_length, 0)

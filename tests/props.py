@@ -253,6 +253,63 @@ def random_s_word(rng: random.Random, sig, rels) -> Pattern:
     return s_word(rel, a, n, i=rng.randrange(3))
 
 
+# occurrences and division, independent of the indexed search -----------------
+
+
+def all_occurrences(rset: RelationSet, w: NormalWord):
+    """Every pattern with leading word w over the live relations, by a
+    brute scan of each lead at each letter, in slice walk order (start
+    letter, then lead length) and by canonical form within a slice.  On a
+    lazy set ``rset.find_one(w)`` runs first, materializing every slice."""
+    if rset.lazy is not None:
+        rset.find_one(w)
+    found = []
+    letters, juncs = w.letters(), w.junctions()
+    for rel in rset.relations():
+        s = rel.lead
+        L = s.length
+        if L > w.length:
+            continue
+        sl, sj = s.letters(), tuple(s.junctions())
+        for p in range(w.length - L + 1):
+            if letters[p:p + L] != sl or juncs[p:p + L - 1] != sj:
+                continue
+            if s.dpow == 0 if p + L < w.length else w.dpow >= s.dpow:
+                found.append(Pattern(rel, w, p))
+    found.sort(key=lambda pat: (pat.start, pat.relation.lead.length,
+                                pat.relation.canon))
+    return found
+
+
+def rightmost_reduce(p: ConformalPolynomial,
+                     rset: RelationSet) -> ConformalPolynomial:
+    """The remainder of p when each leading word is divided by its last
+    occurrence, where ``reduce_poly`` takes the first."""
+    sig = p.sig
+    remainder = {}
+    while not p.is_zero():
+        w = p.leading()
+        pats = all_occurrences(rset, w)
+        c = p.terms[w]
+        if not pats:
+            remainder[w] = c
+            p = p - ConformalPolynomial.monomial(sig, w, c)
+            continue
+        p = p - ConformalPolynomial(sig, dict(eval_pattern(pats[-1]))).scale(c)
+        assert w not in p.terms
+    return ConformalPolynomial(sig, remainder)
+
+
+def reconstruct(trace) -> ConformalPolynomial:
+    """The remainder plus every eliminated part: the input of the division
+    that left the trace, exactly."""
+    total = dict(trace.remainder.terms)
+    for st in trace.steps:
+        for w, c in eval_pattern(st.pattern).items():
+            total[w] = total.get(w, 0) + st.coeff * c
+    return ConformalPolynomial(trace.remainder.sig, total)
+
+
 def check_pattern_leading_law(rng: random.Random, cases: int) -> int:
     """Every S-word evaluates with its word on top, coefficient 1."""
     sigs = _sigs()
@@ -260,7 +317,7 @@ def check_pattern_leading_law(rng: random.Random, cases: int) -> int:
         sig = rng.choice(sigs)
         rels = _random_relation_set(rng, sig).relations()
         pat = random_s_word(rng, sig, rels)
-        ev = ConformalPolynomial(sig, dict(eval_pattern(sig, pat)))
+        ev = ConformalPolynomial(sig, dict(eval_pattern(pat)))
         assert ev.leading() == pat.word
         assert ev.terms[pat.word] == 1
     return cases
@@ -274,7 +331,7 @@ def check_traces(rng: random.Random, cases: int) -> int:
         rset = _random_relation_set(rng, sig)
         p = random_poly(rng, sig, max_terms=4, max_len=3)
         trace = reduce_poly(p, rset)
-        assert trace.reconstruct(sig) == p
+        assert reconstruct(trace) == p
         r = trace.remainder
         again = reduce_poly(r, rset)
         assert again.remainder == r and not again.steps
@@ -344,7 +401,7 @@ def all_shapes_could_reduce(word: NormalWord, shapes) -> bool:
 # pair compositions ---------------------------------------------------------------
 
 
-def reference_pair_compositions(sig, f, g):
+def reference_pair_compositions(f, g):
     """The four pair compositions of (f, g), each case scanned on its own
     and every S-word spelled from its parts: the reference that
     ``pair_compositions``, reading the shared occurrence walk, must match."""
@@ -355,7 +412,7 @@ def reference_pair_compositions(sig, f, g):
     juncs_f = fl.junctions()
 
     def ev(pat):
-        return ConformalPolynomial(sig, dict(eval_pattern(sig, pat)))
+        return ConformalPolynomial(f.poly.sig, dict(eval_pattern(pat)))
 
     # interior occurrences of gl inside fl (remainder c nonempty)
     if gl.is_dfree and Kg < Kf:

@@ -79,15 +79,15 @@ def test_criterion_4_loop_virasoro():
     a_ok = eq.ok and eq.completion.completed
 
     rset = ex.basis_rset()
-    rep = check_gsb_rset(rset, ex.sig, ex.gens(),
+    rep = check_gsb_rset(rset, ex.gens(),
                          comp_filter=comp_window_filter(3))
     b_ok = rep.is_gsb and rep.n_inconclusive == 0
 
-    irr = irr_enumerate(rset, ex.sig, ex.sig.family_generators(3), 3, 2)
+    irr = irr_enumerate(rset, ex.sig.family_generators(3), 3, 2)
     expected = ex.irr_expected(3, 3, 2)
     c_ok = len(irr) == 63 and set(irr) == set(expected)
 
-    emb = embedding_check(rset, ex.sig, ex.gens(), 2)
+    emb = embedding_check(rset, ex.gens(), 2)
     d_ok = emb.embedded and not emb.inconclusive
     elapsed = time.monotonic() - t0
     ok = a_ok and b_ok and c_ok and d_ok and elapsed < 60.0
@@ -103,11 +103,11 @@ def test_criterion_5_loop_heisenberg_virasoro():
     a_ok = eq.ok and eq.completion.completed
 
     rset = ex.basis_rset()
-    rep = check_gsb_rset(rset, ex.sig, ex.gens(),
+    rep = check_gsb_rset(rset, ex.gens(),
                          comp_filter=comp_window_filter(2))
     b_ok = rep.is_gsb and rep.n_inconclusive == 0
 
-    irr = set(irr_enumerate(rset, ex.sig, ex.sig.family_generators(2), 3, 2))
+    irr = set(irr_enumerate(rset, ex.sig.family_generators(2), 3, 2))
     c_ok = irr == set(ex.irr_expected(2, 3, 2))
     H, L = (lambda i: gen("H", i)), (lambda i: gen("L", i))
     from conformal import NormalWord
@@ -117,7 +117,7 @@ def test_criterion_5_loop_heisenberg_virasoro():
             c_ok = c_ok and NormalWord(((H(-1), 0),), L(i), t) in irr
             c_ok = c_ok and NormalWord((), H(i), t) in irr
 
-    emb = embedding_check(rset, ex.sig, ex.gens(), 2)
+    emb = embedding_check(rset, ex.gens(), 2)
     d_ok = emb.embedded and not emb.inconclusive
     elapsed = time.monotonic() - t0
     ok = a_ok and b_ok and c_ok and d_ok and elapsed < 300.0
@@ -144,9 +144,8 @@ def test_criterion_7_confluence(sig_a2):
     from conftest import random_poly
     for _ in range(700):
         p = random_poly(rng, sig_a2, max_terms=4, max_len=4)
-        lt = reduce_poly(p, left_rset, strategy="leftmost")
-        rt = reduce_poly(p, right_rset, strategy="rightmost")
-        assert lt.remainder == rt.remainder
+        assert reduce_poly(p, left_rset).remainder == \
+            props.rightmost_reduce(p, right_rset)
         cases += 1
     ex = builtin_example("virasoro", IndexWindow(W=2, M=3))
     lr, rr = ex.basis_rset(), ex.basis_rset()
@@ -160,9 +159,7 @@ def test_criterion_7_confluence(sig_a2):
             w = NormalWord(body, rng.choice(gens), rng.randint(0, 2))
             terms[w] = terms.get(w, 0) + rng.choice([-2, -1, 1, 2])
         p = ConformalPolynomial(ex.sig, terms)
-        lt = reduce_poly(p, lr, strategy="leftmost")
-        rt = reduce_poly(p, rr, strategy="rightmost")
-        assert lt.remainder == rt.remainder
+        assert reduce_poly(p, lr).remainder == props.rightmost_reduce(p, rr)
         cases += 1
     _verdict("7 reduction strategy confluence", cases >= 1000,
              f"{cases} polynomials")
@@ -178,7 +175,7 @@ def test_criterion_8_theorem_level_checks(sig_a2):
     for _ in range(1000):
         terms = {}
         for _ in range(rng.randint(1, 3)):
-            ev = eval_pattern(sig_a2, props.random_s_word(rng, sig_a2, rels))
+            ev = eval_pattern(props.random_s_word(rng, sig_a2, rels))
             c = rng.choice([-2, -1, 1, 2, 3])
             for w, cw in ev.items():
                 terms[w] = terms.get(w, 0) + c * cw
@@ -186,7 +183,7 @@ def test_criterion_8_theorem_level_checks(sig_a2):
         assert reduce_poly(member, rset).remainder.is_zero()
         ideal_ok += 1
 
-    irr_words = irr_enumerate(rset, sig_a2, sig_a2.generators, 4, 2)
+    irr_words = irr_enumerate(rset, sig_a2.generators, 4, 2)
     indep_ok = 0
     for _ in range(1000):
         picks = rng.sample(irr_words, k=rng.randint(1, 3))

@@ -28,29 +28,29 @@ BUILTINS = [(name, W) for name in ("virasoro", "heisenberg-virasoro")
 
 
 def file_inputs(name):
-    """A fresh ``(rset, sig, gens, comp_filter)`` of
+    """A fresh ``(rset, gens, comp_filter)`` of
     ``conformal check -f presentations/NAME``."""
     ctx = cli._load_context(SimpleNamespace(
         command="check", file=os.path.join(PRESENTATIONS, name)))
-    return ctx.rset, ctx.sig, ctx.gens, cli._comp_filter(ctx)
+    return ctx.rset, ctx.gens, cli._comp_filter(ctx)
 
 
 def builtin_inputs(name, W):
-    """A fresh ``(rset, sig, gens, comp_filter)`` of
+    """A fresh ``(rset, gens, comp_filter)`` of
     ``conformal example NAME check --window W``."""
     ex = builtin_example(name, IndexWindow(W))
-    return ex.basis_rset(), ex.sig, ex.gens(), comp_window_filter(W)
+    return ex.basis_rset(), ex.gens(), comp_window_filter(W)
 
 
 def fields(c):
     return (c.ctype, id(c.f), id(c.g), c.w, c.gen, c.n, c.poly)
 
 
-def assert_same_enumeration(rset, sig, gens, comp_filter):
+def assert_same_enumeration(rset, gens, comp_filter):
     source = [r for r in rset.relations()
               if comp_filter is None or comp_filter(r)]
-    fast = gsb.enumerate_compositions(sig, source, gens)
-    slow = enumerate_all(sig, source, gens)
+    fast = gsb.enumerate_compositions(source, gens)
+    slow = enumerate_all(source, gens)
     assert [fields(c) for c in fast] == [fields(c) for c in slow]
     return fast
 
@@ -69,7 +69,7 @@ def test_enumeration_matches_every_pair_on_builtin(name, W):
 @given(a2_presentations)
 def test_enumeration_matches_every_pair_on_random_input(ps):
     rset = RelationSet(SIG_A2, gsb._monic_prepare(ps))
-    assert_same_enumeration(rset, SIG_A2, SIG_A2.generators, None)
+    assert_same_enumeration(rset, SIG_A2.generators, None)
 
 
 def verdict_fields(v):
@@ -79,10 +79,10 @@ def verdict_fields(v):
 def assert_keeps_what_it_prints(inputs):
     """The default check and a keep-all check of the same inputs agree on
     everything the default reports."""
-    rset, sig, gens, comp_filter = inputs()
-    lean = gsb.check_gsb_rset(rset, sig, gens, comp_filter=comp_filter)
-    rset, sig, gens, comp_filter = inputs()
-    full = gsb.check_gsb_rset(rset, sig, gens, comp_filter=comp_filter,
+    rset, gens, comp_filter = inputs()
+    lean = gsb.check_gsb_rset(rset, gens, comp_filter=comp_filter)
+    rset, gens, comp_filter = inputs()
+    full = gsb.check_gsb_rset(rset, gens, comp_filter=comp_filter,
                               keep_all=True)
     assert (lean.counts, lean.is_gsb, lean.materialized) == \
         (full.counts, full.is_gsb, full.materialized)
@@ -112,5 +112,5 @@ def test_check_keeps_what_it_prints_on_builtin(name, W):
 @given(a2_presentations)
 def test_check_keeps_what_it_prints_on_random_input(ps):
     assert_keeps_what_it_prints(lambda: (
-        RelationSet(SIG_A2, gsb._monic_prepare(ps)), SIG_A2,
-        SIG_A2.generators, None))
+        RelationSet(SIG_A2, gsb._monic_prepare(ps)), SIG_A2.generators,
+        None))

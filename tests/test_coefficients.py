@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conformal import (ConformalPolynomial, RelationSet, apply_D, poly_mult,
                        reduce_poly)
 from conftest import SIG_A2, a2_rational_coeffs, a2_rational_polys, a2_words
+from props import reconstruct
 
 
 def assert_stored(coeffs):
@@ -33,7 +34,7 @@ def test_every_operation_stores_integral_coefficients_as_int(p, q, c, n):
     for r in results:
         assert_stored(r.terms.values())
     assert_stored(step.coeff for step in trace.steps)
-    assert trace.reconstruct(SIG_A2) == p
+    assert reconstruct(trace) == p
 
 
 @settings(max_examples=60, deadline=None)

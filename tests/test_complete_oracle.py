@@ -26,15 +26,15 @@ PRESENTATIONS = os.path.join(os.path.dirname(os.path.dirname(
 reuse_complete = gsb.complete
 
 
-def enumerate_all(sig, source, gens):
+def enumerate_all(source, gens):
     """Every composition of the sources, computed afresh (reference)."""
     out = []
     for f in source:
-        out.extend(gsb.mult_compositions(sig, f, gens))
+        out.extend(gsb.mult_compositions(f, gens))
     for f in source:
         for g in source:
-            out.extend(gsb.pair_compositions(sig, f, g))
-    out.sort(key=lambda c: c.sort_key(sig))
+            out.extend(gsb.pair_compositions(f, g))
+    out.sort(key=gsb.Composition.sort_key)
     return out
 
 
@@ -51,7 +51,7 @@ def reference_complete(polys, sig, gens, *, limits=CompletionLimits(),
         source = rset.relations()
         if comp_filter is not None:
             source = [r for r in source if comp_filter(r)]
-        comps = enumerate_all(sig, source, gens)
+        comps = enumerate_all(source, gens)
         added_this_round = 0
         for comp in comps:
             rem = gsb.reduce_poly(comp.poly, rset).remainder
@@ -204,7 +204,7 @@ def test_skip_rule_admits_only_repeating_divisions(ps, extra, rng):
     terms = {}
     for pat in pats:
         scale = rng.choice([-2, 1, 3])
-        for w, c in eval_pattern(SIG_A2, pat).items():
+        for w, c in eval_pattern(pat).items():
             terms[w] = terms.get(w, 0) + scale * c
     p = ConformalPolynomial(SIG_A2, terms)
     trace = reduce_poly(p, rset)

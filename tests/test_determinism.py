@@ -78,6 +78,19 @@ PINNED = {
         ["reduce", "--trace", "-f", "{fractional}",
          "b (1) a (1) b + 5/7 * b (0) b (0) a - 1/3 * b (1) D a"],
         "be0cbfa9a11f6c085c30f5fffd33a4125c82a558e9fdae2354a265eb9db9357d"),
+    # the irreducibility tests of irr, embed, kdbasis and reduce-basis
+    "hv-irr": (
+        ["example", "heisenberg-virasoro", "irr", "--window", "1"],
+        "07c19073243b50dfccaccb56d79f709143cef7c4c9eaf6b60387bf5390650652"),
+    "hv-embed": (
+        ["example", "heisenberg-virasoro", "embed", "--window", "1"],
+        "99f32be017dfccdb80177497604d8fccce359f15ef6931901b5eda17795b11ca"),
+    "virasoro-kdbasis": (
+        ["example", "virasoro", "kdbasis", "--window", "2"],
+        "7b5ad88cb4498b30f248b57a80aacc3e6329a9721c7e7a4b73bceedda674d98d"),
+    "fractional-reduce-basis": (
+        ["reduce-basis", "-f", "{fractional}"],
+        "529e010542d773950e80567aced10dc7f55c28b2a12a834706621fbe056c4771"),
 }
 
 

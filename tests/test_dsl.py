@@ -265,6 +265,20 @@ _FAMILY = "algebra {\n    N = 2\n    family L\n}\n"
     (lambda: parse_presentation(
         "algebra {\n    N = 2\n    foo = 3\n}\n"), (3, 5),
      "unknown algebra entry 'foo'"),
+    # a stray token after an entry's value, at the token; without the
+    # comma, L is not a second family
+    (lambda: parse_presentation(
+        "algebra {\n    N = 2 7\n    generators = a\n}\n"), (2, 11),
+     "trailing input after 'N' entry"),
+    (lambda: parse_presentation(
+        "algebra {\n    N = 2\n    generators = a b\n}\n"), (3, 20),
+     "trailing input after 'generators' entry"),
+    (lambda: parse_presentation(
+        _FAMILY + "options {\n    window = 3 junk\n}\n"), (6, 16),
+     "trailing input after 'window' entry"),
+    (lambda: parse_presentation(
+        "algebra {\n    N = 2\n    family H L\n}\n"), (3, 14),
+     "trailing input after 'family' entry"),
 ])
 def test_index_atom_errors_are_pinned(parse, where, msg):
     with pytest.raises(ParseError) as err:

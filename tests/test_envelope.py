@@ -152,7 +152,7 @@ def test_builtin_windows_check_small():
     for name in ("virasoro", "heisenberg-virasoro"):
         ex = builtin_example(name, IndexWindow(W=1, M=3))
         rset = ex.basis_rset()
-        rep = check_gsb_rset(rset, ex.sig, ex.gens(),
+        rep = check_gsb_rset(rset, ex.gens(),
                              comp_filter=comp_window_filter(1))
         assert rep.is_gsb, name
         assert rep.n_inconclusive == 0
@@ -162,7 +162,7 @@ def test_builtin_irr_matches_closed_form_small():
     for name in ("virasoro", "heisenberg-virasoro"):
         ex = builtin_example(name, IndexWindow(W=1, M=3))
         rset = ex.basis_rset()
-        irr = irr_enumerate(rset, ex.sig, ex.sig.family_generators(1), 3, 1)
+        irr = irr_enumerate(rset, ex.sig.family_generators(1), 3, 1)
         assert set(irr) == set(ex.irr_expected(1, 3, 1)), name
 
 
@@ -174,7 +174,7 @@ def test_equivalence_small_windows():
 
 def test_embedding_small_windows():
     ex = builtin_example("virasoro", IndexWindow(W=2, M=3))
-    emb = embedding_check(ex.basis_rset(), ex.sig, ex.gens(), 2)
+    emb = embedding_check(ex.basis_rset(), ex.gens(), 2)
     assert emb.embedded and not emb.inconclusive
 
 
@@ -183,7 +183,7 @@ def test_embedding_detects_collapse():
     b = gen("b")
     rset = RelationSet(sig, [ConformalPolynomial.monomial(
         sig, make_word(sig, b))])
-    emb = embedding_check(rset, sig, [b], 1)
+    emb = embedding_check(rset, [b], 1)
     assert not emb.embedded
     assert make_word(sig, b) in emb.reducible
 
@@ -193,7 +193,7 @@ def test_lazy_materialization_supplies_missing_instances():
     rset = ex.basis_rset()
     # this word is only reducible through an instance outside radius 2
     w = parse_word("H_-3 (0) L_5", ex.sig)
-    assert not rset.is_irreducible(w)
+    assert rset.has_reduction(w)
     assert rset.materialized >= 1
     assert reduce_poly(ConformalPolynomial.monomial(ex.sig, w),
                        rset).remainder.leading() != w
@@ -207,7 +207,7 @@ def test_composition_example_adjacent_families():
     from conformal import pair_compositions, is_trivial
     f = by_lead["L_1 (0) L_-1"]        # the i=1, j=-1 member of the 0-family
     g = by_lead["L_-1 (0) L_1"]        # the j=-1, k=1 member
-    comps = pair_compositions(sig, f, g)
+    comps = pair_compositions(f, g)
     inter = [c for c in comps if c.ctype == "intersection"]
     assert [str(c.w) for c in inter] == ["L_1 (0) L_-1 (0) L_1"]
     assert is_trivial(inter[0], rset).verdict == "trivial"
@@ -222,7 +222,7 @@ def test_composition_example_index_one_family():
     i, j, k = 1, 2, -1
     f = by_lead[f"L_{i} (1) L_{j}"]
     g = by_lead[f"L_{j} (1) L_{k}"]
-    inter = [c for c in pair_compositions(sig, f, g)
+    inter = [c for c in pair_compositions(f, g)
              if c.ctype == "intersection"]
     assert len(inter) == 1
     # the ambiguity collapses to the difference of two shifted family members
@@ -262,19 +262,18 @@ def test_minimal_basis_has_no_inclusion_ambiguities(sig_a2):
         for g in rels:
             if f is g:
                 continue
-            for c in pair_compositions(sig_a2, f, g):
+            for c in pair_compositions(f, g):
                 assert c.ctype not in ("inclusion", "right_inclusion")
 
 
 def test_kd_basis_builtins():
     from conformal import kd_basis, NormalWord
     ex = builtin_example("virasoro", IndexWindow(W=1, M=3))
-    words = kd_basis(ex.basis_rset(), ex.sig, ex.sig.family_generators(1), 3)
+    words = kd_basis(ex.basis_rset(), ex.sig.family_generators(1), 3)
     assert set(words) == set(ex.irr_expected(1, 3, 0))
     assert all(w.is_dfree for w in words)
     lhv = builtin_example("heisenberg-virasoro", IndexWindow(W=1, M=3))
-    lwords = kd_basis(lhv.basis_rset(), lhv.sig,
-                      lhv.sig.family_generators(1), 2)
+    lwords = kd_basis(lhv.basis_rset(), lhv.sig.family_generators(1), 2)
     assert NormalWord(((gen("H", -1), 0),), gen("L", 1)) in lwords
     assert NormalWord(((gen("H", 0), 0),), gen("H", 1)) in lwords
 
@@ -330,7 +329,7 @@ def test_embedding_reports_boundary_words():
     rset = RelationSet(sig, instantiate_schemas([f], sig, window.radius),
                        lazy=SchemaIndex([f]))
     gens = sig.family_generators(window.W)
-    emb = embedding_check(rset, sig, gens, 1)
+    emb = embedding_check(rset, gens, 1)
     assert emb.inconclusive and not emb.embedded
     assert not emb.reducible
     assert emb.boundary == [make_word(sig, g, dpow=d) for g in gens
@@ -431,7 +430,7 @@ def test_non_chain_instance_was_invisible():
     chain = parse_schema("f[i]: L_i (0) D L_0 - L_0 (1) L_i")
     assert chain.instantiate({"i": 5}, sig) == inst
     lazy = SchemaIndex([chain])
-    assert not RelationSet(sig, [], lazy=lazy).is_irreducible(w)
+    assert RelationSet(sig, [], lazy=lazy).has_reduction(w)
     assert lazy.could_reduce(w)
 
 
@@ -496,8 +495,7 @@ def test_abelian_envelope_locality_one():
     res = complete(rels, sig, sig.generators)
     assert res.completed and res.basis == rels
     assert check_gsb(res.basis, sig, sig.generators).is_gsb
-    words = irr_enumerate(RelationSet(sig, res.basis), sig, sig.generators,
-                          3, 0)
+    words = irr_enumerate(RelationSet(sig, res.basis), sig.generators, 3, 0)
     # no word may contain the factor y (0) x, so letters come sorted
     for w in words:
         letters = [g.name for g in w.letters()]
@@ -520,8 +518,8 @@ def test_rank_one_abelian_envelope_locality_two(sig_a2):
     assert res.completed
     assert res.basis == [parse_poly("a (1) a", sig_a2)]
     assert check_gsb(res.basis, sig_a2, sig_a2.generators).is_gsb
-    words = irr_enumerate(RelationSet(sig_a2, res.basis), sig_a2,
-                          sig_a2.generators, 3, 1)
+    words = irr_enumerate(RelationSet(sig_a2, res.basis), sig_a2.generators,
+                          3, 1)
     for w in words:
         assert all(n == 0 for n in w.junctions())
     assert len(words) == 6
@@ -546,8 +544,7 @@ def test_two_generator_abelian_envelope_locality_two():
                           "y (1) x + x (1) y",
                           "y (1) y"]]
     assert check_gsb(res.basis, sig, sig.generators).is_gsb
-    words = irr_enumerate(RelationSet(sig, res.basis), sig, sig.generators,
-                          4, 0)
+    words = irr_enumerate(RelationSet(sig, res.basis), sig.generators, 4, 0)
     by_len = {}
     for w in words:
         by_len.setdefault(w.length, []).append(w)

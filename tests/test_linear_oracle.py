@@ -17,14 +17,15 @@ from conformal import (AlgebraSignature, CompletionLimits, IndexWindow,
                        parse_poly)
 from conformal.rewriting import normal_words
 from conftest import SIG_A2, a2_presentations, within_budget
+from props import all_occurrences
 
 
-def _pattern_rows(sig, rset, span_words):
+def _pattern_rows(rset, span_words):
     span = set(span_words)
     rows = []
     for w in span_words:
-        for pat in rset.find_reductions(w):
-            vec = eval_pattern(sig, pat)
+        for pat in all_occurrences(rset, w):
+            vec = eval_pattern(pat)
             rows.append((w, vec))
     return rows
 
@@ -56,11 +57,11 @@ def _check_window(sig, rset, gens, max_len, max_dpow, pad=2,
     inner = list(normal_words(sig, gens, max_len, max_dpow))
     outer = list(normal_words(sig, outer_gens or gens, max_len,
                               max_dpow + pad))
-    rows = _pattern_rows(sig, rset, inner)
+    rows = _pattern_rows(rset, inner)
     support = {w for _, vec in rows for w in vec}
     assert support <= set(outer), "substitution support left the padded span"
     pivots = _echelon_pivots(sig, rows, outer)
-    reducible = {w for w in inner if not rset.is_irreducible(w)}
+    reducible = {w for w in inner if rset.has_reduction(w)}
     assert pivots & set(inner) == reducible
     # and every pivot is the leading word of its own row family
     assert reducible <= pivots

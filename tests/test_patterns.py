@@ -1,4 +1,5 @@
-"""Pattern matching and evaluation against a brute-force occurrence scan."""
+"""Pattern matching and evaluation against a brute-force occurrence scan
+(``props.all_occurrences``)."""
 
 import random
 
@@ -8,35 +9,9 @@ from conformal import (AlgebraSignature, ConformalPolynomial, IndexWindow,
                        NormalWord, Pattern, RelationSet, apply_D,
                        builtin_example, eval_pattern, gen, make_word,
                        normalize, parse_poly, parse_word, word_expr)
-from conformal.rewriting import RelationError
+from conformal.rewriting import RelationError, slices
 from conftest import random_word, random_poly
-from props import s_word
-
-
-def interior(pat):
-    """Whether letters of the word follow the occurrence."""
-    return pat.start + pat.relation.lead.length < pat.word.length
-
-
-def brute_occurrences(sig, w, rels):
-    """Exhaustive occurrence scan, independent of the indexed search."""
-    found = []
-    letters, juncs = w.letters(), w.junctions()
-    for rel in rels:
-        s = rel.lead
-        sl, sj = s.letters(), s.junctions()
-        L = s.length
-        for p in range(w.length - L + 1):
-            if letters[p:p + L] != sl:
-                continue
-            if juncs[p:p + L - 1] != tuple(sj):
-                continue
-            interior = p + L < w.length
-            if interior and s.dpow == 0:
-                found.append(("k1", p, rel))
-            if not interior and w.dpow >= s.dpow:
-                found.append(("k2", p, rel))
-    return found
+from props import all_occurrences, s_word
 
 
 # two relations share the lead a (1) a, and two more share its flat word
@@ -46,40 +21,57 @@ SHARED_LEADS = ["a (1) D^2 a - a (0) D^3 a", "a (1) a + 2 * a (0) D a",
                 "a (1) a - a (0) D a"]
 
 
-def test_find_reductions_matches_brute_scan(sig_a2):
-    rng = random.Random(11)
-    rset = RelationSet(sig_a2)
-    for text in SHARED_LEADS:
-        rset.add(parse_poly(text, sig_a2))
-    assert [r.canon for r in rset.relations()] != \
-        sorted(r.canon for r in rset.relations())
+def _find_one_agrees(words, probe, ref):
+    """find_one and has_reduction on probe give the first of
+    ``all_occurrences`` on ref, an equal set, with and without exclude=
+    (the first and the last relation found); returns the number of words
+    where two occurrences share a slice."""
+    key = lambda pat: pat and (pat.relation.canon, pat.word, pat.start)
+    twin = lambda rel: rel and next(
+        r for r in probe.relations() if r.canon == rel.canon)
     shared = 0
-    for _ in range(400):
-        w = random_word(rng, sig_a2, max_len=4, max_dpow=3)
-        pats = rset.find_reductions(w)
-        brute = sorted(brute_occurrences(sig_a2, w, rset.relations()),
-                       key=lambda hit: (hit[1], hit[0],
-                                        sig_a2.word_key(hit[2].lead),
-                                        hit[2].canon))
-        assert [("k1" if interior(p) else "k2", p.start, p.relation)
-                for p in pats] == brute
-        assert all(p.word is w for p in pats)
-        shared += len({(interior(p), p.start) for p in pats}) < len(pats)
-    assert shared > 20
+    for w in words:
+        pats = all_occurrences(ref, w)
+        for rel in [None] + [p.relation for p in pats[:1] + pats[-1:]]:
+            rest = [p for p in pats if p.relation is not rel]
+            assert key(probe.find_one(w, exclude=twin(rel))) == \
+                key(rest[0] if rest else None)
+            assert probe.has_reduction(w, exclude=twin(rel)) == bool(rest)
+        assert probe.materialized == ref.materialized
+        shared += len({(p.start, p.relation.lead.length)
+                       for p in pats}) < len(pats)
+    return shared
 
 
-def test_find_reductions_examples(sig_a2):
+def test_find_one_matches_brute_scan(sig_a2):
+    rng = random.Random(13)
+    probe, ref = RelationSet(sig_a2), RelationSet(sig_a2)
+    for text in SHARED_LEADS:
+        probe.add(parse_poly(text, sig_a2))
+        ref.add(parse_poly(text, sig_a2))
+    assert [r.canon for r in probe.relations()] != \
+        sorted(r.canon for r in probe.relations())
+    words = (random_word(rng, sig_a2, max_len=4, max_dpow=3)
+             for _ in range(400))
+    assert _find_one_agrees(words, probe, ref) > 20
+
+
+def test_find_one_examples(sig_a2):
     f = parse_poly("a (1) a - a (0) D a", sig_a2)
     rset = RelationSet(sig_a2, [f])
-    assert rset.find_reductions(parse_word("a (0) a (0) a", sig_a2)) == []
+    w = parse_word("a (0) a (0) a", sig_a2)
+    assert rset.find_one(w) is None and all_occurrences(rset, w) == []
     rel = rset.relations()[0]
     w = parse_word("a (1) a (0) D a", sig_a2)
-    assert rset.find_reductions(w) == [Pattern(rel, w, 0)]
+    assert rset.find_one(w) == Pattern(rel, w, 0)
+    assert all_occurrences(rset, w) == [Pattern(rel, w, 0)]
     assert Pattern(rel, w, 0).describe() == "[s (0) D a] with s = a (1) a"
     # a relation's own leading word always matches itself as a suffix
-    assert Pattern(rel, f.leading(), 0) in rset.find_reductions(f.leading())
+    assert rset.find_one(f.leading()) == Pattern(rel, f.leading(), 0)
+    assert rset.find_one(f.leading(), exclude=rel) is None
     w = parse_word("a (0) a (1) D^2 a", sig_a2)
-    assert rset.find_reductions(w) == [Pattern(rel, w, 1)]
+    assert rset.find_one(w) == Pattern(rel, w, 1)
+    assert all_occurrences(rset, w) == [Pattern(rel, w, 1)]
     assert Pattern(rel, w, 1).describe() == "[a (0) D^2 s] with s = a (1) a"
 
 
@@ -88,9 +80,9 @@ def test_eval_pattern_identity_and_dshift(sig_a2):
     rset = RelationSet(sig_a2, [f])
     rel = rset.relations()[0]
     ident = s_word(rel)
-    assert ConformalPolynomial(sig_a2, dict(eval_pattern(sig_a2, ident))) == f
+    assert ConformalPolynomial(sig_a2, dict(eval_pattern(ident))) == f
     shifted = s_word(rel, i=2)
-    p = ConformalPolynomial(sig_a2, dict(eval_pattern(sig_a2, shifted)))
+    p = ConformalPolynomial(sig_a2, dict(eval_pattern(shifted)))
     assert p.leading() == parse_word("a (1) D^2 a", sig_a2)
     assert p == apply_D(f, 2)
 
@@ -106,8 +98,8 @@ def test_eval_pattern_leading_word_law(sig_xy3):
     checked = 0
     for _ in range(500):
         w = random_word(rng, sig_xy3, max_len=4, max_dpow=2)
-        for pat in rset.find_reductions(w):
-            ev = ConformalPolynomial(sig_xy3, dict(eval_pattern(sig_xy3, pat)))
+        for pat in all_occurrences(rset, w):
+            ev = ConformalPolynomial(sig_xy3, dict(eval_pattern(pat)))
             assert ev.leading() == w
             assert ev.terms[w] == 1
             checked += 1
@@ -123,7 +115,7 @@ def test_eval_pattern_oracle_via_expression_tree():
     prefix = make_word(sig, L(5))
     c = make_word(sig, L(0))
     pat = s_word(rel, prefix, 0, m=0, c=c)
-    ev = ConformalPolynomial(sig, dict(eval_pattern(sig, pat)))
+    ev = ConformalPolynomial(sig, dict(eval_pattern(pat)))
     # independent evaluation: substitute through raw expression products
     from conformal import Prod, LinComb, Gen
     from fractions import Fraction
@@ -144,7 +136,7 @@ def test_d_action_on_patterns(sig_a2):
     prefix = make_word(sig_a2, gen("a"))
     for i in range(3):
         pat = s_word(rel, prefix, 0, i=i)
-        ev = ConformalPolynomial(sig_a2, dict(eval_pattern(sig_a2, pat)))
+        ev = ConformalPolynomial(sig_a2, dict(eval_pattern(pat)))
         up = apply_D(ev, 2)
         assert up.leading() == s_word(rel, prefix, 0, i=i + 2).word
         others = [w for w in up.terms if w != up.leading()]
@@ -163,7 +155,7 @@ def test_malformed_patterns_rejected(sig_a2):
     for bad in (Pattern(rel, w, 0), Pattern(rel, w, 2), Pattern(rel, w, -1),
                 Pattern(rel, parse_word("a (1) D a", sig_a2), 0)):
         with pytest.raises(RelationError):
-            eval_pattern(sig_a2, bad)
+            eval_pattern(bad)
     assert not rel._eval_cache
 
 
@@ -176,54 +168,26 @@ def _hv_words(rng, sig, count):
         yield NormalWord(body, rng.choice(gens), rng.randint(0, 2))
 
 
-def _find_one_agrees(words, left, right, full):
-    """find_one on left (leftmost) and on right (rightmost) gives the first
-    and last of find_reductions on full, three equal sets; exclude= too."""
-    key = lambda pat: pat and (pat.relation.canon, pat.word, pat.start)
-    twin = lambda rs, rel: rel and next(
-        r for r in rs.relations() if r.canon == rel.canon)
-    for w in words:
-        pats = full.find_reductions(w)
-        for rel in [None] + [p.relation for p in pats[:1] + pats[-1:]]:
-            rest = full.find_reductions(w, exclude=rel)
-            first = left.find_one(w, "leftmost", exclude=twin(left, rel))
-            last = right.find_one(w, "rightmost", exclude=twin(right, rel))
-            assert key(first) == key(rest[0] if rest else None)
-            assert key(last) == key(rest[-1] if rest else None)
-            # the walk runs to the end whatever the strategy, so the three
-            # sets materialize the same instances
-            assert left.materialized == right.materialized == \
-                full.materialized
-
-
-def test_find_one_matches_find_reductions(sig_a2):
-    rng = random.Random(13)
-    rsets = [RelationSet(sig_a2, [parse_poly(t, sig_a2) for t in SHARED_LEADS])
-             for _ in range(3)]
-    _find_one_agrees((random_word(rng, sig_a2, max_len=4, max_dpow=3)
-                      for _ in range(300)), *rsets)
-
-
-def test_find_one_matches_find_reductions_on_a_lazy_set():
+def test_find_one_matches_brute_scan_on_a_lazy_set():
     rng = random.Random(14)
     ex = builtin_example("heisenberg-virasoro", IndexWindow(W=1))
-    rsets = [ex.basis_rset() for _ in range(3)]
-    _find_one_agrees(_hv_words(rng, ex.sig, 150), *rsets)
-    assert rsets[0].materialized > 0
+    probe, ref = ex.basis_rset(), ex.basis_rset()
+    _find_one_agrees(_hv_words(rng, ex.sig, 150), probe, ref)
+    assert probe.materialized > 0
 
 
-def test_lazy_materialization_does_not_depend_on_the_strategy():
+def test_find_one_materializes_every_slice_on_a_lazy_set():
     # a leftmost search stops at the first hit only on a set without
-    # schemas; on a lazy set both strategies walk, and materialize, alike
+    # schemas; on a lazy set it walks on, so what it materializes does not
+    # depend on where the first hit is
     rng = random.Random(15)
     ex = builtin_example("heisenberg-virasoro", IndexWindow(W=1))
-    left, right = ex.basis_rset(), ex.basis_rset()
+    rset = ex.basis_rset()
     for w in _hv_words(rng, ex.sig, 150):
-        left.find_one(w, "leftmost")
-        right.find_one(w, "rightmost")
-        assert left.materialized == right.materialized
-        assert left._lazy_tried == right._lazy_tried
-    assert left.materialized > 0
+        rset.find_one(w)
+        assert {sub for _, sub, _ in slices(w, rset._length_set())} <= \
+            rset._lazy_tried
+    assert rset.materialized > 0
 
 
 def test_live_count_follows_adds_and_removes(sig_a2):

@@ -11,7 +11,7 @@ import random
 from conformal import (ConformalPolynomial, RelationSet, complete,
                        eval_pattern, parse_poly, poly_mult, reduce_poly)
 from conftest import random_word
-from props import random_s_word
+from props import all_occurrences, random_s_word, reconstruct
 
 
 def _completed(sig):
@@ -27,7 +27,7 @@ def test_products_of_substitutions_reduce_to_zero(sig_a2):
     rels = rset.relations()
     for _ in range(150):
         pat = random_s_word(rng, sig_a2, rels)
-        sub = ConformalPolynomial(sig_a2, dict(eval_pattern(sig_a2, pat)))
+        sub = ConformalPolynomial(sig_a2, dict(eval_pattern(pat)))
         u = ConformalPolynomial.monomial(
             sig_a2, random_word(rng, sig_a2, max_len=2))
         n = rng.randrange(0, sig_a2.N + 2)
@@ -46,12 +46,12 @@ def test_equal_leading_words_differ_below(sig_a2):
     while found < 60:
         p1 = random_s_word(rng, sig_a2, rels)
         w = p1.word
-        candidates = rset.find_reductions(w)
+        candidates = all_occurrences(rset, w)
         if len(candidates) < 2:
             continue
         p2 = candidates[-1]
-        e1 = ConformalPolynomial(sig_a2, dict(eval_pattern(sig_a2, p1)))
-        e2 = ConformalPolynomial(sig_a2, dict(eval_pattern(sig_a2, p2)))
+        e1 = ConformalPolynomial(sig_a2, dict(eval_pattern(p1)))
+        e2 = ConformalPolynomial(sig_a2, dict(eval_pattern(p2)))
         trace = reduce_poly(e2 - e1, rset)
         assert trace.remainder.is_zero()
         for st in trace.steps:
@@ -69,6 +69,6 @@ def test_reduction_and_quotient_agree(sig_a2):
     for _ in range(200):
         p = random_poly(rng, sig_a2, max_terms=4, max_len=4)
         trace = reduce_poly(p, rset)
-        assert trace.reconstruct(sig_a2) == p
+        assert reconstruct(trace) == p
         diff = p - trace.remainder
         assert reduce_poly(diff, rset).remainder.is_zero()
