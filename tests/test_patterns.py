@@ -43,8 +43,11 @@ def _find_one_agrees(words, probe, ref):
     return shared
 
 
-def test_find_one_matches_brute_scan(sig_a2):
-    rng = random.Random(13)
+# the next two tests keep the names they had when RelationSet listed every
+# occurrence itself (find_reductions); that list is now all_occurrences
+
+def test_find_reductions_matches_brute_scan(sig_a2):
+    rng = random.Random(11)
     probe, ref = RelationSet(sig_a2), RelationSet(sig_a2)
     for text in SHARED_LEADS:
         probe.add(parse_poly(text, sig_a2))
@@ -54,6 +57,15 @@ def test_find_one_matches_brute_scan(sig_a2):
     words = (random_word(rng, sig_a2, max_len=4, max_dpow=3)
              for _ in range(400))
     assert _find_one_agrees(words, probe, ref) > 20
+
+
+def test_find_one_matches_find_reductions(sig_a2):
+    rng = random.Random(13)
+    probe, ref = [RelationSet(sig_a2, [parse_poly(t, sig_a2)
+                                       for t in SHARED_LEADS])
+                  for _ in range(2)]
+    _find_one_agrees((random_word(rng, sig_a2, max_len=4, max_dpow=3)
+                      for _ in range(300)), probe, ref)
 
 
 def test_find_one_examples(sig_a2):
