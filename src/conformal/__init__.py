@@ -11,7 +11,7 @@ from .rewriting import (Pattern, ReductionTrace, Relation, RelationError,
                         RelationSet, eval_pattern, irr_enumerate, kd_basis,
                         normal_words, reduce_poly)
 from .gsb import (Composition, CompletionLimits, CompletionResult, GsbReport,
-                  check_gsb, check_gsb_rset, complete, enumerate_compositions,
+                  check_gsb_rset, complete, enumerate_compositions,
                   interreduce, is_trivial, minimalize, mult_compositions,
                   pair_compositions, reduce_basis)
 from .envelope import (BuiltinExample, EmbeddingReport, EquivalenceReport,

@@ -198,9 +198,7 @@ def _limits(ctx) -> CompletionLimits:
 
 
 def _comp_filter(ctx):
-    if ctx.window is not None:
-        return comp_window_filter(ctx.window.W)
-    return None
+    return None if ctx.window is None else comp_window_filter(ctx.window.W)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -266,30 +264,21 @@ def _check_core(ctx, keep_all=False):
                           comp_filter=_comp_filter(ctx), keep_all=keep_all)
 
 
-def _gsb_verdict(rep) -> str:
-    """Report verdict of a composition check."""
-    if rep.is_gsb:
-        return "ok"
-    if rep.n_inconclusive and not rep.n_nontrivial:
-        return "inconclusive"
-    return "fail"
-
-
 def _cmd_compositions(ctx, args):
     rep = _check_core(ctx, keep_all=True)
     for v in rep.verdicts:
         print(f"{v.verdict:12s} {v.comp.describe()}")
         if v.verdict != "trivial":
             print(f"             remainder: {poly_str(v.remainder)}")
-    return ctx.report(_gsb_verdict(rep), rep.to_json(with_trace=args.trace))
+    return ctx.report(rep.verdict, rep.to_json(with_trace=args.trace))
 
 
 def _cmd_check(ctx, args):
     rep = _check_core(ctx, keep_all=args.trace)
-    print(f"basis: {'yes' if rep.is_gsb else 'no'} "
-          f"({rep.n_trivial} trivial, {rep.n_nontrivial} nontrivial, "
-          f"{rep.n_inconclusive} inconclusive compositions)")
-    return ctx.report(_gsb_verdict(rep), rep.to_json(with_trace=args.trace))
+    print("basis: {} ({trivial} trivial, {nontrivial} nontrivial, "
+          "{inconclusive} inconclusive compositions)".format(
+              "yes" if rep.is_gsb else "no", **rep.tally))
+    return ctx.report(rep.verdict, rep.to_json(with_trace=args.trace))
 
 
 def _cmd_complete(ctx, args):
@@ -349,8 +338,8 @@ def _cmd_embed(ctx, args):
     boundary the verdict is that of ``check``."""
     gsb = _check_core(ctx)
     emb = embedding_check(ctx.rset, ctx.gens, _irr_limits(ctx)[1])
-    verdict = ("inconclusive" if emb.inconclusive
-               else _gsb_verdict(gsb) if emb.embedded else "fail")
+    verdict = ("fail" if emb.reducible else "inconclusive" if emb.boundary
+               else gsb.verdict)
     rep = ctx.report(verdict, {"gsb": gsb.is_gsb, **emb.to_json()})
     print(f"embedded: {'yes' if rep.verdict == 'ok' else 'no'}")
     return rep

@@ -40,6 +40,10 @@ class ParseError(ConformalError):
         self.line = line
         self.col = col
 
+    @classmethod
+    def at(cls, t: "Token", msg: str) -> "ParseError":
+        return cls(msg, t.line, t.col)
+
 
 # tokenizer -------------------------------------------------------------------
 
@@ -111,15 +115,12 @@ class _Stream:
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
         t = self.accept(kind, text)
         if t is None:
-            got = self.peek()
-            want = text or kind
-            raise ParseError(f"expected {want!r}, found {got.text or got.kind!r}",
-                             got.line, got.col)
+            got, want = self.peek(), text or kind
+            self.error(f"expected {want!r}, found {got.text or got.kind!r}")
         return t
 
     def error(self, msg: str):
-        t = self.peek()
-        raise ParseError(msg, t.line, t.col)
+        raise ParseError.at(self.peek(), msg)
 
 
 # index forms -------------------------------------------------------------
@@ -476,9 +477,7 @@ def _parse_schema(s: _Stream) -> RelationSchema:
     varnames: List[str] = []
     constraint = TRUE
     if s.accept("op", "["):
-        varnames.append(s.expect("name").text)
-        while s.accept("op", ","):
-            varnames.append(s.expect("name").text)
+        _distinct(s, ",", _name, varnames, "index variable")
         if s.accept("op", "|"):
             constraint = _parse_constraint(s, frozenset(varnames))
         s.expect("op", "]")
@@ -538,8 +537,8 @@ def parse_presentation(text: str) -> PresentationFile:
         while i < len(toks) and toks[i].kind == "nl":
             i += 1
         if i >= len(toks) or toks[i].text != "{":
-            raise ParseError(f"expected '{{' after block name {head.text!r}",
-                             head.line, head.col)
+            raise ParseError.at(
+                head, f"expected '{{' after block name {head.text!r}")
         i += 1
         depth = 1
         body: List[Token] = []
@@ -553,8 +552,7 @@ def parse_presentation(text: str) -> PresentationFile:
                     i += 1
                     break
             elif t.kind == "eof":
-                raise ParseError(f"unterminated block {head.text!r}",
-                                 head.line, head.col)
+                raise ParseError.at(head, f"unterminated block {head.text!r}")
             body.append(t)
             i += 1
         if head.text in blocks:
@@ -605,39 +603,62 @@ def _joined_name(s: _Stream) -> str:
     return "_".join(parts)
 
 
+def _distinct(s: _Stream, sep: str, item, seen: list, what: str) -> list:
+    """Values of ``item(s)`` separated by ``sep``, appended to ``seen``; a
+    repeated value is an error at its first token.  Returns those tokens."""
+    toks = []
+    while True:
+        toks.append(s.peek())
+        value = item(s)
+        if value in seen:
+            raise ParseError.at(toks[-1], f"duplicate {what} '{value}'")
+        seen.append(value)
+        if not s.accept("op", sep):
+            return toks
+
+
+def _name(s: _Stream) -> str:
+    return s.expect("name").text
+
+
 def _gen_name(s: _Stream) -> str:
-    name = s.expect("name").text
+    name = _name(s)
     if name == "D":
         s.error("'D' is reserved and cannot name a generator")
     return name
 
 
+def _gen_symbol(s: _Stream) -> GeneratorSymbol:
+    name = _gen_name(s)
+    idx = _signed_int(s) if s.accept("op", "_") else None
+    return GeneratorSymbol(name, idx)
+
+
 def _parse_algebra_block(lines: List[List[Token]]) -> AlgebraSignature:
+    """The declared signature.  Each entry but ``family`` appears once; a
+    ranking ranks every name once, over families or ``abs_then_signed``."""
     N = None
     gens: Optional[List[GeneratorSymbol]] = None
     families: List[str] = []
     order_kind = None
-    ranking: Optional[List[str]] = None
+    ranking: List[str] = []
+    at: Dict[str, Token] = {}          # the key of each entry
     for line in lines:
         s = _line_stream(line)
-        key = s.expect("name").text
+        head = s.expect("name")
+        key = head.text
+        if key in at and key != "family":
+            raise ParseError.at(head, f"duplicate algebra entry {key!r}")
+        at[key] = head
         if key == "N":
             s.expect("op", "=")
             N = int(s.expect("int").text)
         elif key == "generators":
             s.expect("op", "=")
             gens = []
-            while True:
-                name = _gen_name(s)
-                idx = _signed_int(s) if s.accept("op", "_") else None
-                gens.append(GeneratorSymbol(name, idx))
-                if not s.accept("op", ","):
-                    break
+            _distinct(s, ",", _gen_symbol, gens, "generator")
         elif key == "family":
-            while True:
-                families.append(_gen_name(s))
-                if not s.accept("op", ","):
-                    break
+            _distinct(s, ",", _gen_name, families, "family")
         elif key == "order":
             s.expect("op", "=")
             order_kind = _joined_name(s)
@@ -645,31 +666,36 @@ def _parse_algebra_block(lines: List[List[Token]]) -> AlgebraSignature:
                 s.error(f"unknown order kind {order_kind!r}")
         elif key == "ranking":
             s.expect("op", "=")
-            ranking = [s.expect("name").text]
-            while s.accept("op", ">"):
-                ranking.append(s.expect("name").text)
+            ranked_at = _distinct(s, ">", _name, ranking, "ranking entry")
         else:
-            raise ParseError(f"unknown algebra entry {key!r}", line[0].line,
-                             line[0].col)
+            raise ParseError.at(head, f"unknown algebra entry {key!r}")
         _end_entry(s, key)
     if N is None:
         raise ParseError("algebra block must set N")
     if gens is not None and families:
         raise ParseError("use either 'generators' or 'family', not both")
-    if gens is not None:
-        if order_kind == "abs_then_signed":
-            names = []
-            for g in gens:
-                if g.name not in names:
-                    names.append(g.name)
-            rank = list(reversed(ranking)) if ranking else names
-            return AlgebraSignature(N, GeneratorOrder.abs_then_signed(rank),
-                                    generators=tuple(gens))
-        return AlgebraSignature.finite(gens, N)
-    if not families:
+    if gens is None and not families:
         raise ParseError("algebra block must declare generators or families")
-    rank = list(reversed(ranking)) if ranking else list(families)
-    return AlgebraSignature.indexed(families, N, ranking=rank)
+    names = families or list(dict.fromkeys(g.name for g in gens))
+    if gens is None and order_kind == "listed":
+        raise ParseError.at(at["order"], "order 'listed' needs 'generators'")
+    if ranking:
+        if gens is not None and order_kind != "abs_then_signed":
+            raise ParseError.at(at["ranking"],
+                                "ranking needs 'order = abs_then_signed'")
+        for name, t in zip(ranking, ranked_at):
+            if name not in names:
+                raise ParseError.at(t, f"unknown name {name!r} in ranking")
+        for name in names:
+            if name not in ranking:
+                raise ParseError.at(at["ranking"], f"ranking misses {name!r}")
+        names = ranking[::-1]
+    if gens is None:
+        return AlgebraSignature.indexed(families, N, ranking=names)
+    if order_kind == "abs_then_signed":
+        return AlgebraSignature(N, GeneratorOrder.abs_then_signed(names),
+                                generators=tuple(gens))
+    return AlgebraSignature.finite(gens, N)
 
 
 # printing --------------------------------------------------------------------

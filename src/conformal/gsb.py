@@ -135,18 +135,20 @@ class CompositionMemo:
     A relation's multiplication compositions and an ordered pair's
     compositions depend only on the relations (and on the generators,
     which one memo must keep fixed), so ``enumerate_compositions``
-    looks up, rather than recomputes, those of relations in ``known``.
-    Only non-empty lists are stored; a pair of known relations without an
-    entry has none.  Entries of retired relations are dropped.
+    computes a list only when its entry is missing, and stores every list
+    it computes, empty ones too.  Entries of retired relations are dropped.
+
+    In ``complete`` a round's sources are all live relations that pass one
+    fixed filter, and whether (f, g) is a candidate pair depends only on
+    their leads.  So two live relations both enumerated before were
+    candidates together in an earlier round, and their pair has an entry.
     """
 
     def __init__(self):
-        self.known: set = set()
         self.mult: Dict[Relation, List[Composition]] = {}
         self.pairs: Dict[tuple, List[Composition]] = {}
 
     def forget_retired(self) -> None:
-        self.known = {r for r in self.known if r.alive}
         self.mult = {f: c for f, c in self.mult.items() if f.alive}
         self.pairs = {fg: c for fg, c in self.pairs.items()
                       if fg[0].alive and fg[1].alive}
@@ -158,8 +160,8 @@ def enumerate_compositions(source: Sequence[Relation],
                            ) -> List[Composition]:
     """Every composition of the source relations, sorted by ``sort_key``.
 
-    The lists of relations known to ``memo`` (by default a fresh, empty
-    one) are looked up and the new non-empty ones stored.  The sequence
+    The lists ``memo`` (by default a fresh, empty one) holds are looked
+    up, and the missing ones computed and stored.  The sequence
     before the (stable) sort is that of computing everything: each
     source's multiplication compositions, then each ordered pair's, in
     source order.
@@ -175,7 +177,7 @@ def enumerate_compositions(source: Sequence[Relation],
     if memo is None:
         memo = CompositionMemo()
     memo.forget_retired()
-    known, mult, pairs = memo.known, memo.mult, memo.pairs
+    mult, pairs = memo.mult, memo.pairs
     out: List[Composition] = []
     by_lead: Dict[tuple, List[int]] = {}
     by_prefix: Dict[tuple, List[int]] = {}
@@ -183,13 +185,10 @@ def enumerate_compositions(source: Sequence[Relation],
         by_lead.setdefault(f.lead_flat, []).append(j)
         for ell in range(1, f.lead.length):
             by_prefix.setdefault(f.lead_flat[: 2 * ell - 1], []).append(j)
-        if f in known:
-            out.extend(mult.get(f, ()))
-            continue
-        comps = mult_compositions(f, gens)
-        if comps:
-            mult[f] = comps
-            out.extend(comps)
+        comps = mult.get(f)
+        if comps is None:
+            comps = mult[f] = mult_compositions(f, gens)
+        out.extend(comps)
     lens = sorted({f.lead.length for f in source})
     for f in source:
         fl, K = f.lead, f.lead.length
@@ -199,17 +198,12 @@ def enumerate_compositions(source: Sequence[Relation],
         if fl.is_dfree:
             for ell in range(1, K):
                 cands.update(by_prefix.get(f.lead_flat[2 * (K - ell):], ()))
-        f_known = f in known
         for j in sorted(cands):
             g = source[j]
-            if f_known and g in known:
-                out.extend(pairs.get((f, g), ()))
-                continue
-            comps = pair_compositions(f, g)
-            if comps:
-                pairs[(f, g)] = comps
-                out.extend(comps)
-    known.update(source)
+            comps = pairs.get((f, g))
+            if comps is None:
+                comps = pairs[(f, g)] = pair_compositions(f, g)
+            out.extend(comps)
     out.sort(key=Composition.sort_key)
     return out
 
@@ -236,20 +230,28 @@ class CompositionVerdict:
 @dataclass
 class GsbReport:
     verdicts: List[CompositionVerdict]   # trivial ones only with keep_all
-    is_gsb: bool
-    counts: Dict[str, int]
-    n_trivial: int
-    n_nontrivial: int
-    n_inconclusive: int
+    counts: Dict[str, int]               # compositions by type
+    tally: Dict[str, int]                # compositions by verdict
     materialized: int = 0     # instances pulled in beyond the window
+
+    @property
+    def verdict(self) -> str:
+        """``fail`` on any nontrivial composition, else ``inconclusive`` on
+        any inconclusive one, else ``ok``: by the Composition-Diamond lemma
+        the set is a basis exactly when every composition is trivial."""
+        if self.tally["nontrivial"]:
+            return "fail"
+        return "inconclusive" if self.tally["inconclusive"] else "ok"
+
+    @property
+    def is_gsb(self) -> bool:
+        return self.verdict == "ok"
 
     def to_json(self, with_trace=False):
         return {
             "is_gsb": self.is_gsb,
             "counts": self.counts,
-            "trivial": self.n_trivial,
-            "nontrivial": self.n_nontrivial,
-            "inconclusive": self.n_inconclusive,
+            **self.tally,
             "materialized_instances": self.materialized,
             "compositions": [v.to_json(with_trace) for v in self.verdicts
                              if v.verdict != "trivial" or with_trace],
@@ -274,23 +276,11 @@ def is_trivial(comp: Composition, rset: RelationSet) -> CompositionVerdict:
     return CompositionVerdict(comp, verdict, rem, trace)
 
 
-def check_gsb(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
-              gens: Sequence[GeneratorSymbol], *,
-              comp_filter: Optional[Callable[[Relation], bool]] = None
-              ) -> GsbReport:
-    """Check every composition of the (monic) set for triviality.
-
-    ``comp_filter`` restricts which relations act as composition sources
-    (used by windowed runs); the full set is always available for reduction.
-    """
-    rset = RelationSet(sig, polys)
-    return check_gsb_rset(rset, gens, comp_filter=comp_filter)
-
-
 def check_gsb_rset(rset: RelationSet, gens: Sequence[GeneratorSymbol], *,
                    comp_filter=None, keep_all: bool = False) -> GsbReport:
-    """Divide every composition of the sources by the set, in ``sort_key``
-    order, and count the verdicts by type.
+    """Divide every composition of the sources (the relations passing
+    ``comp_filter``, if given) by the whole set, in ``sort_key`` order, and
+    count them by type and by verdict.
 
     Each composition is dropped from the sorted list once decided.  The
     report keeps the non-trivial and inconclusive verdicts, and the trivial
@@ -313,10 +303,7 @@ def check_gsb_rset(rset: RelationSet, gens: Sequence[GeneratorSymbol], *,
         tally[v.verdict] += 1
         if keep_all or v.verdict != "trivial":
             verdicts.append(v)
-    n_n, n_i = tally["nontrivial"], tally["inconclusive"]
-    return GsbReport(verdicts, n_n == 0 and n_i == 0, counts,
-                     tally["trivial"], n_n, n_i,
-                     materialized=rset.materialized)
+    return GsbReport(verdicts, counts, tally, rset.materialized)
 
 
 # completion -------------------------------------------------------------
@@ -476,13 +463,13 @@ def interreduce(rset: RelationSet,
                        for w in rel.poly.terms):
                 dirty.discard(rel)
             else:
-                trace = reduce_poly(rel.poly, rset, exclude=rel)
-                if trace.steps:
-                    rset.remove(rel)
-                    index.remove(rel)
-                    if not trace.remainder.is_zero():
-                        rset.add(trace.remainder.monic())
-                    changed = changed_any = True
+                # the division meets the reducible word found, so it steps
+                rem = reduce_poly(rel.poly, rset, exclude=rel).remainder
+                rset.remove(rel)
+                index.remove(rel)
+                if not rem.is_zero():
+                    rset.add(rem.monic())
+                changed = changed_any = True
             # sync after every probe, not only after a change: a probe can
             # materialize schema relations, and indexing them at once keeps
             # the pass exact without relying on when the set materializes

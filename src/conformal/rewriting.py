@@ -153,10 +153,6 @@ class RelationSet:
         self.lazy = lazy
         self._lazy_tried = set()
         self.materialized = 0
-        polys = list(polys)
-        for p in polys:
-            if p.is_zero():
-                raise RelationError("zero polynomial cannot be a relation")
         for p in sorted(polys, key=ConformalPolynomial.canonical_key):
             if p.canonical_key() not in self._canon:
                 self.add(p)

@@ -84,12 +84,10 @@ def assert_keeps_what_it_prints(inputs):
     rset, gens, comp_filter = inputs()
     full = gsb.check_gsb_rset(rset, gens, comp_filter=comp_filter,
                               keep_all=True)
-    assert (lean.counts, lean.is_gsb, lean.materialized) == \
-        (full.counts, full.is_gsb, full.materialized)
-    assert (lean.n_trivial, lean.n_nontrivial, lean.n_inconclusive) == \
-        (full.n_trivial, full.n_nontrivial, full.n_inconclusive)
+    assert (lean.counts, lean.tally, lean.materialized) == \
+        (full.counts, full.tally, full.materialized)
     assert len(full.verdicts) == sum(full.counts.values()) == \
-        full.n_trivial + full.n_nontrivial + full.n_inconclusive
+        sum(full.tally.values())
     assert [verdict_fields(v) for v in lean.verdicts] == \
         [verdict_fields(v) for v in full.verdicts if v.verdict != "trivial"]
     assert lean.to_json() == full.to_json()
@@ -105,7 +103,7 @@ def test_check_keeps_what_it_prints_on_shipped_file(name):
 @pytest.mark.parametrize("name,W", BUILTINS)
 def test_check_keeps_what_it_prints_on_builtin(name, W):
     full = assert_keeps_what_it_prints(lambda: builtin_inputs(name, W))
-    assert full.is_gsb and full.n_trivial == len(full.verdicts) > 0
+    assert full.is_gsb and full.tally["trivial"] == len(full.verdicts) > 0
 
 
 @settings(max_examples=100, deadline=None)

@@ -318,16 +318,18 @@ def test_example_equiv_honours_limits(tmp_path, capsys):
 
 
 def test_gsb_outcome_mapping():
-    from conformal.cli import EXIT_CODES, _gsb_verdict
+    from conformal.cli import EXIT_CODES
     from conformal.gsb import GsbReport
 
     def rep(n_t, n_n, n_i):
-        return GsbReport([], n_n == 0 and n_i == 0, {}, n_t, n_n, n_i)
+        tally = {"trivial": n_t, "nontrivial": n_n, "inconclusive": n_i}
+        return GsbReport([], {}, tally)
 
-    assert _gsb_verdict(rep(3, 0, 0)) == "ok"
-    assert _gsb_verdict(rep(3, 0, 2)) == "inconclusive"
-    assert _gsb_verdict(rep(3, 1, 2)) == "fail"
-    assert _gsb_verdict(rep(0, 1, 0)) == "fail"
+    assert rep(3, 0, 0).verdict == "ok" and rep(3, 0, 0).is_gsb
+    assert rep(3, 0, 2).verdict == "inconclusive"
+    assert rep(3, 1, 2).verdict == "fail"
+    assert rep(0, 1, 0).verdict == "fail"
+    assert not any(rep(*n).is_gsb for n in ((3, 0, 2), (3, 1, 2), (0, 1, 0)))
     assert EXIT_CODES == {"ok": 0, "fail": 1, "inconclusive": 2}
 
 

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from conformal import (CompletionLimits, RelationSet, check_gsb, complete,
-                       minimalize, parse_poly, reduce_basis, reduce_poly)
+from conformal import (CompletionLimits, RelationSet, check_gsb_rset,
+                       complete, minimalize, parse_poly, reduce_basis,
+                       reduce_poly)
 from conftest import SIG_A2, a2_presentations, within_budget
 
 
@@ -18,7 +19,8 @@ def test_completion_of_single_relation(sig_a2):
     res = complete([parse_poly(F, sig_a2)], sig_a2, sig_a2.generators)
     assert res.completed
     assert res.basis == [parse_poly(F, sig_a2), parse_poly(CUBE, sig_a2)]
-    assert check_gsb(res.basis, sig_a2, sig_a2.generators).is_gsb
+    assert check_gsb_rset(RelationSet(sig_a2, res.basis),
+                          sig_a2.generators).is_gsb
 
 
 def test_completion_fixpoint(sig_a2):
@@ -120,7 +122,8 @@ def test_completion_with_d_leading_relation(sig_a2):
                       ["a (0) a (0) a", "a (0) a (1) a",
                        "a (1) a (0) a", "a (1) a (1) a"]]
     assert res.basis == expected
-    assert check_gsb(res.basis, sig_a2, sig_a2.generators).is_gsb
+    assert check_gsb_rset(RelationSet(sig_a2, res.basis),
+                          sig_a2.generators).is_gsb
     rset = RelationSet(sig_a2, res.basis)
     assert rset.has_reduction(parse_poly("a (0) D^3 a", sig_a2).leading())
     assert not rset.has_reduction(parse_poly("a (1) D^3 a", sig_a2).leading())

@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from conformal import (AlgebraSignature, ConformalPolynomial, RelationSet,
-                       check_gsb, gen, is_trivial, mult_compositions,
+                       check_gsb_rset, gen, is_trivial, mult_compositions,
                        pair_compositions, parse_poly, parse_schema, parse_word)
 from conformal.envelope import SchemaIndex
 from conformal.algebra import _gen_mult
@@ -75,11 +75,12 @@ def test_trivial_after_adding_cube(sig_a2):
 
 def test_check_gsb_verdicts(sig_a2):
     one = [parse_poly("a (1) a - a (0) D a", sig_a2)]
-    assert not check_gsb(one, sig_a2, sig_a2.generators).is_gsb
+    assert not check_gsb_rset(RelationSet(sig_a2, one),
+                              sig_a2.generators).is_gsb
     two = one + [parse_poly("a (0) a (0) a", sig_a2)]
-    rep = check_gsb(two, sig_a2, sig_a2.generators)
+    rep = check_gsb_rset(RelationSet(sig_a2, two), sig_a2.generators)
     assert rep.is_gsb
-    assert rep.n_nontrivial == 0 and rep.n_inconclusive == 0
+    assert rep.tally["nontrivial"] == 0 and rep.tally["inconclusive"] == 0
     assert set(rep.counts) <= {"inclusion", "right_inclusion", "intersection",
                                "right_intersection", "left_mult", "right_mult"}
 

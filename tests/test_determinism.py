@@ -54,7 +54,19 @@ relations {
     g: b (0) b - 1/2 * a (1) a
 }
 """
+# one schema whose 30 compositions at the default window are all
+# inconclusive: check answers neither yes nor no
+INCONCLUSIVE = """\
+algebra {
+    N = 2
+    family L
+}
+relations {
+    f[i]: L_i (1) L_i - L_0 (0) L_i
+}
+"""
 SQUARE = str(ROOT / "presentations" / "square.alg")
+HV = str(ROOT / "presentations" / "heisenberg_virasoro.alg")
 PINNED = {
     "square-compositions-trace": (
         ["compositions", "--trace", "-f", SQUARE],
@@ -63,13 +75,23 @@ PINNED = {
     "square-check-trace": (
         ["check", "--trace", "-f", SQUARE],
         "642ab29651ebc2b189e0d016993df1380a476dc4feba414a969d18e93b3efcb4"),
+    # the check reports without traces: fail (exit 1), lazy keep-all
+    # (exit 0) and all inconclusive (exit 2)
+    "square-check": (
+        ["check", "-f", SQUARE],
+        "ec0a20b6870931d5de7e606cafab696085adfa0a640afa8b4ae0abadc7899bbe"),
+    "hv-compositions": (
+        ["compositions", "-f", HV, "--window", "1"],
+        "e25a1832bd56784fcfb8f188dd9010b097c9145d4d3a6e2c30c86f5928b7ab00"),
+    "inconclusive-check": (
+        ["check", "-f", "{inconclusive}"],
+        "ad9231028d23a958797d5f796be95a70272810565de2903de68bcea17a29e172"),
     "square-complete": (
         ["complete", "-f", SQUARE],
         "b29121507693bbb5e41e59651c301f79dcb1fff9ff95d077fd59015db2b6e7b7"),
     "hv-reduce-trace": (
-        ["reduce", "--trace", "-f",
-         str(ROOT / "presentations" / "heisenberg_virasoro.alg"),
-         "--window", "1", "H_-3 (0) L_5 + L_2 (1) L_-7"],
+        ["reduce", "--trace", "-f", HV, "--window", "1",
+         "H_-3 (0) L_5 + L_2 (1) L_-7"],
         "a39163116eb8503fb967baa4cac5e8d6b3bca03a31a795c4b3b078da12c36427"),
     "fractional-complete": (
         ["complete", "-f", "{fractional}"],
@@ -98,8 +120,11 @@ PINNED = {
 def test_coefficient_report_is_pinned(name, tmp_path):
     fractional = tmp_path / "fractional.alg"
     fractional.write_text(FRACTIONAL)
+    inconclusive = tmp_path / "inconclusive.alg"
+    inconclusive.write_text(INCONCLUSIVE)
     args, digest = PINNED[name]
-    args = [a.format(fractional=fractional) for a in args]
+    args = [a.format(fractional=fractional, inconclusive=inconclusive)
+            for a in args]
     for seed in (0, 12345):
         report = _report(args, seed, tmp_path / f"seed{seed}.json")
         assert hashlib.sha256(report).hexdigest() == digest

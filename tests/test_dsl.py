@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 import random
 
-from conformal import (AlgebraSignature, ParseError, parse_poly,
-                       parse_presentation, parse_schema, parse_word,
-                       poly_str, presentation_str)
+from conformal import (AlgebraSignature, ParseError, compare_words, gen,
+                       parse_poly, parse_presentation, parse_schema,
+                       parse_word, poly_str, presentation_str)
 from conformal.dsl import parse_template
 from conftest import random_poly
 
@@ -317,3 +317,68 @@ relations {
     assert str(pf.relations[0][1].leading()) == "L_1 (0) L_-1"
     printed = presentation_str(pf)
     assert presentation_str(parse_presentation(printed)) == printed
+
+
+def _algebra(*entries):
+    return "algebra {\n" + "".join(f"    {e}\n" for e in entries) + "}\n"
+
+
+@pytest.mark.parametrize("text, where, msg", [
+    # an algebra entry other than 'family' is given once, at the second key
+    (_algebra("N = 2", "N = 3", "generators = a"), (3, 5),
+     "duplicate algebra entry 'N'"),
+    (_algebra("N = 2", "generators = a", "generators = b"), (4, 5),
+     "duplicate algebra entry 'generators'"),
+    (_algebra("N = 2", "generators = a", "order = listed", "order = listed"),
+     (5, 5), "duplicate algebra entry 'order'"),
+    (_algebra("N = 2", "family L", "ranking = L", "ranking = L"), (5, 5),
+     "duplicate algebra entry 'ranking'"),
+    # a name is given once, at the repeated name
+    (_algebra("N = 2", "generators = a, a"), (3, 21),
+     "duplicate generator 'a'"),
+    (_algebra("N = 2", "generators = a_1, a_2, a_1"), (3, 28),
+     "duplicate generator 'a_1'"),
+    (_algebra("N = 2", "family L, L"), (3, 15), "duplicate family 'L'"),
+    (_algebra("N = 2", "family L", "family L"), (4, 12),
+     "duplicate family 'L'"),
+    (_FAMILY + "relations {\n    f[i, i]: L_i (1) L_i\n}\n", (6, 10),
+     "duplicate index variable 'i'"),
+    # a ranking ranks every name once, at the name or else at the key
+    (_algebra("N = 2", "generators = a, b", "ranking = a > b"), (4, 5),
+     "ranking needs 'order = abs_then_signed'"),
+    (_algebra("N = 2", "generators = a, b", "order = listed",
+              "ranking = a > b"), (5, 5),
+     "ranking needs 'order = abs_then_signed'"),
+    (_algebra("N = 2", "generators = a, b", "order = abs_then_signed",
+              "ranking = b"), (5, 5), "ranking misses 'a'"),
+    (_algebra("N = 2", "family H, L", "ranking = L"), (4, 5),
+     "ranking misses 'H'"),
+    (_algebra("N = 2", "generators = a, b", "order = abs_then_signed",
+              "ranking = b > c > a"), (5, 19), "unknown name 'c' in ranking"),
+    (_algebra("N = 2", "family H, L", "ranking = L > H > L"), (4, 23),
+     "duplicate ranking entry 'L'"),
+    (_algebra("N = 2", "family L", "order = listed"), (4, 5),
+     "order 'listed' needs 'generators'"),
+])
+def test_repeated_or_unranked_names_are_pinned(text, where, msg):
+    with pytest.raises(ParseError) as err:
+        parse_presentation(text)
+    assert (err.value.line, err.value.col) == where
+    assert str(err.value) == f"line {where[0]}, col {where[1]}: {msg}"
+
+
+def test_repeated_schema_index_variable():
+    with pytest.raises(ParseError) as err:
+        parse_schema("f[i, j, i | i > 0]: L_i")
+    assert str(err.value) == "line 1, col 9: duplicate index variable 'i'"
+
+
+def test_family_lines_add_families_and_order_follows_ranking():
+    pf = parse_presentation(_algebra("N = 2", "family H", "family L",
+                                     "ranking = H > L"))
+    assert pf.sig.families == ("H", "L")
+    assert pf.sig.gen_key(gen("H", 0)) > pf.sig.gen_key(gen("L", 5))
+    text = _algebra("N = 2", "generators = a, b", "order = abs_then_signed",
+                    "ranking = a > b")
+    sig = parse_presentation(text).sig
+    assert compare_words(sig, parse_word("a", sig), parse_word("b", sig)) == 1
