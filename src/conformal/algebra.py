@@ -159,19 +159,23 @@ def _word_mult(sig: AlgebraSignature, u: NormalWord, n: int,
 
 
 class ConformalPolynomial:
-    """A rational linear combination of normal words over one signature."""
+    """A rational linear combination of normal words over one signature.
 
-    __slots__ = ("sig", "terms")
+    Immutable: nothing writes to ``terms`` after construction, and each
+    ``_frozen=True`` caller hands over a dict of its own (a memo dict is
+    copied first).  So the leading word and the canonical key are computed
+    on first use and kept in ``_lead`` and ``_key``."""
+
+    __slots__ = ("sig", "terms", "_lead", "_key")
 
     def __init__(self, sig: AlgebraSignature, terms: Optional[Terms] = None,
                  *, _frozen: bool = False):
         self.sig = sig
-        if terms is None:
-            self.terms = {}
-        elif _frozen:
+        self._lead = self._key = None
+        if _frozen:
             self.terms = terms
         else:
-            self.terms = {w: _coeff(c) for w, c in terms.items() if c}
+            self.terms = {w: _coeff(c) for w, c in (terms or {}).items() if c}
 
     # constructors ----------------------------------------------------------
 
@@ -196,9 +200,10 @@ class ConformalPolynomial:
 
     def leading(self) -> Optional[NormalWord]:
         """The greatest word, or None for the zero polynomial."""
-        if not self.terms:
-            return None
-        return max(self.terms, key=self.sig.word_key)
+        lw = self._lead
+        if lw is None and self.terms:
+            lw = self._lead = max(self.terms, key=self.sig.word_key)
+        return lw
 
     def leading_coeff(self) -> Coeff:
         lw = self.leading()
@@ -212,8 +217,14 @@ class ConformalPolynomial:
                       key=lambda it: self.sig.word_key(it[0]), reverse=True)
 
     def canonical_key(self) -> tuple:
-        """Hashable form: terms sorted descending, exact coefficients."""
-        return tuple((self.sig.word_key(w), c) for w, c in self.items_desc())
+        """Hashable form: (word key, coefficient) pairs, descending by word
+        (keys are unique, so coefficients are never compared)."""
+        key = self._key
+        if key is None:
+            wkey = self.sig.word_key
+            key = self._key = tuple(sorted(
+                [(wkey(w), c) for w, c in self.terms.items()], reverse=True))
+        return key
 
     # arithmetic ---------------------------------------------------------------
 
@@ -248,7 +259,9 @@ class ConformalPolynomial:
         lc = self.terms[self.leading()]
         if lc == 1:
             return self
-        return self.scale(1 / Fraction(lc))
+        out = self.scale(1 / Fraction(lc))
+        out._lead = self._lead
+        return out
 
     def __eq__(self, other):
         return (isinstance(other, ConformalPolynomial)
@@ -279,11 +292,6 @@ class Gen(Expr):
         self.gen = g
         self.sub = sub
 
-    def instantiate(self, env: Dict[str, int]) -> "Gen":
-        if self.sub is None or not self.sub.vars:
-            return self
-        return Gen(GeneratorSymbol(self.gen.name, self.sub.eval(env)))
-
 
 class Deriv(Expr):
     __slots__ = ("expr", "power")
@@ -293,9 +301,6 @@ class Deriv(Expr):
             raise ArithmeticError_("negative D power")
         self.expr = expr
         self.power = power
-
-    def instantiate(self, env: Dict[str, int]) -> "Deriv":
-        return Deriv(self.expr.instantiate(env), self.power)
 
 
 class Prod(Expr):
@@ -309,19 +314,12 @@ class Prod(Expr):
         self.left = left
         self.right = right
 
-    def instantiate(self, env: Dict[str, int]) -> "Prod":
-        return Prod(self.n, self.left.instantiate(env),
-                    self.right.instantiate(env))
-
 
 class LinComb(Expr):
     __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[Tuple[Coeff, Expr]]):
         self.parts = tuple(parts)
-
-    def instantiate(self, env: Dict[str, int]) -> "LinComb":
-        return LinComb((c, e.instantiate(env)) for c, e in self.parts)
 
 
 def word_expr(w: NormalWord) -> Expr:

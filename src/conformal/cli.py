@@ -173,7 +173,7 @@ def _load_context(args) -> _Context:
     if pf.schemas or pf.sig.generators is None:
         window = _window(options)
     if pf.schemas:
-        lazy = SchemaIndex(pf.schemas)
+        lazy = SchemaIndex(pf.schemas, pf.sig)
         polys = polys + instantiate_schemas(pf.schemas, pf.sig, window.radius)
     if pf.sig.generators is not None:
         gens = pf.sig.generators

@@ -18,7 +18,9 @@ optional ``options`` block.
 The parser builds the expression tree of ``algebra`` (``Gen``, ``Deriv``,
 ``Prod``, ``LinComb``) directly.  Every subscripted leaf keeps its
 ``IndexForm`` in ``Gen.sub``, constants included, so a schema's template is
-the same tree and ``instantiate(env)`` is a substitution.
+the same tree.  ``RelationSchema`` normalizes it once per locality bound
+with a placeholder generator per leaf, and ``instantiate(env)`` relabels
+that normal form.
 """
 
 from __future__ import annotations
@@ -452,19 +454,65 @@ class RelationSchema:
 
     Instantiating with any variable assignment that satisfies the constraint
     yields a concrete polynomial, normalized and made monic by the caller.
+    The template is normalized once per locality bound N, its k-th leaf
+    (left to right) relabelled as the placeholder generator ``#_k``; an
+    instance substitutes each leaf's generator into that normal form and
+    sums colliding words.  This is sound because normalization
+    (``_gen_mult``, ``_word_D``) reads N, junctions and D powers, never the
+    generators or their order: any map from placeholders to generators
+    extends to a homomorphism of free conformal algebras, which sends
+    normal words to normal words of the same shape, and the coefficients
+    are constants.  So the compiled form is a function of N alone, and a
+    template term may be any product tree.
     """
 
     name: str
     vars: Tuple[str, ...]
     constraint: Constraint
     template: LinComb
+    _compiled: Dict[int, tuple] = field(default_factory=dict, init=False,
+                                        repr=False, compare=False)
+
+    def compiled(self, N: int) -> tuple:
+        """The leaves, and per placeholder normal word over N (coefficient,
+        leaf of each letter, junctions, D power)."""
+        if N not in self._compiled:
+            leaves: List[Gen] = []
+            p = normalize(_relabel(self.template, leaves),
+                          AlgebraSignature.indexed(["#"], N))
+            self._compiled[N] = leaves, [
+                (c, [g.index for g in w.letters()], w.junctions(), w.dpow)
+                for w, c in p.terms.items()]
+        return self._compiled[N]
 
     def instantiate(self, env: Dict[str, int],
                     sig: AlgebraSignature) -> ConformalPolynomial:
-        return normalize(self.template.instantiate(env), sig)
+        leaves, terms = self.compiled(sig.N)
+        gens = [x.gen if x.sub is None or not x.sub.vars else
+                GeneratorSymbol(x.gen.name, x.sub.eval(env)) for x in leaves]
+        for g in gens:
+            sig.check_gen(g)
+        out = {}
+        for c, ks, juncs, dpow in terms:
+            w = NormalWord(tuple(gens[k].pair(n) for k, n in zip(ks, juncs)),
+                           gens[ks[-1]], dpow)
+            out[w] = out.get(w, 0) + c
+        return ConformalPolynomial(sig, out)
 
     def admits(self, env: Dict[str, int]) -> bool:
         return self.constraint.eval(env)
+
+
+def _relabel(e: Expr, leaves: List[Gen]) -> Expr:
+    """The tree with leaf k (appended to ``leaves``) replaced by ``#_k``."""
+    if isinstance(e, Gen):
+        leaves.append(e)
+        return Gen(GeneratorSymbol("#", len(leaves) - 1))
+    if isinstance(e, Deriv):
+        return Deriv(_relabel(e.expr, leaves), e.power)
+    if isinstance(e, Prod):
+        return Prod(e.n, _relabel(e.left, leaves), _relabel(e.right, leaves))
+    return LinComb((c, _relabel(part, leaves)) for c, part in e.parts)
 
 
 def parse_schema(line: str) -> RelationSchema:

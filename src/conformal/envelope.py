@@ -25,14 +25,12 @@ from functools import cached_property
 from itertools import product
 from math import factorial
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .words import (AlgebraSignature, ConformalError, GeneratorSymbol,
                     NormalWord)
-from .algebra import (Coeff, ConformalPolynomial, Deriv, Gen, Prod, _accum,
-                      _gen_mult, apply_D)
-from .dsl import (ParseError, RelationSchema, _template_str,
-                  parse_presentation)
+from .algebra import Coeff, ConformalPolynomial, _accum, _gen_mult, apply_D
+from .dsl import RelationSchema, parse_presentation
 from .rewriting import RelationSet, dpow_fits, reduce_poly, slices
 from .gsb import (CompletionLimits, CompletionResult, _monic_prepare,
                   complete)
@@ -160,38 +158,10 @@ def comp_window_filter(radius: int):
 # Reducing a composition whose sources sit inside the window can run into
 # words whose matching instances lie outside any fixed index radius.  The
 # schema index materializes exactly the needed instances on demand: a factor
-# of the stuck word is matched against every schema term of the same letter
-# shape, the linear index equations are solved, constraint-satisfying
-# assignments are instantiated, and instances whose leading word equals the
-# factor join the relation set.
-
-
-@dataclass(frozen=True)
-class _TermTemplate:
-    schema: RelationSchema
-    names: Tuple[str, ...]
-    juncs: Tuple[int, ...]
-    forms: Tuple[object, ...]     # IndexForm per letter
-    dpow: int
-
-
-def _term_template(schema: RelationSchema, t) -> Optional[_TermTemplate]:
-    """Split a chain  b1 (n1) ... (nk) D^j b  of leaves; None for other terms."""
-    leaves: List[Gen] = []
-    juncs: List[int] = []
-    while isinstance(t, Prod) and isinstance(t.left, Gen):
-        leaves.append(t.left)
-        juncs.append(t.n)
-        t = t.right
-    dpow = 0
-    if isinstance(t, Deriv):
-        dpow = t.power
-        t = t.expr
-    if not isinstance(t, Gen):
-        return None
-    leaves.append(t)
-    return _TermTemplate(schema, tuple(g.gen.name for g in leaves),
-                         tuple(juncs), tuple(g.sub for g in leaves), dpow)
+# of the stuck word is matched against every compiled schema term (any
+# template term, normalized) of the same letter shape, the linear index
+# equations are solved, constraint-satisfying assignments are instantiated,
+# and instances whose leading word equals the factor join the relation set.
 
 
 def _solve_index_equations(varnames: Sequence[str], eqs, bound: int):
@@ -235,74 +205,53 @@ def _solve_index_equations(varnames: Sequence[str], eqs, bound: int):
         if rows[k][1] != 0:
             return
     free = [c for c in range(n) if c not in pivots]
-
-    def assignments(idx):
-        if idx == len(free):
-            yield {}
-            return
-        for rest in assignments(idx + 1):
-            for val in range(-bound, bound + 1):
-                env = dict(rest)
-                env[varnames[free[idx]]] = val
-                yield env
-
-    for partial in assignments(0):
-        env = dict(partial)
-        ok = True
+    # the first free variable varies fastest
+    for vals in product(range(-bound, bound + 1), repeat=len(free)):
+        env = {varnames[c]: v for c, v in zip(reversed(free), vals)}
         for (row, val), col in zip(rows[:r], pivots):
-            acc = val
-            for fc in free:
-                if row[fc]:
-                    acc -= row[fc] * partial[varnames[fc]]
+            acc = val - sum(row[fc] * env[varnames[fc]] for fc in free)
             if acc.denominator != 1:
-                ok = False
                 break
             env[varnames[col]] = int(acc)
-        if ok:
+        else:
             yield env
 
 
 class SchemaIndex:
-    """The schema terms that can lead an instance, keyed by their shape.
+    """The schema terms that can lead an instance over ``sig``, by shape.
 
-    Length dominates the word order, so a term leads an instance only if
-    every longer term cancels there, and a nonzero term without a twin of
-    its (names, junctions, dpow) shape never cancels.  ``by_shape`` and
-    ``lengths`` keep the nonzero terms no shorter than the longest twinless
-    one.  Dropping the rest materializes the same instances: the lazy lookup
+    The terms are each schema's placeholder normal form over N
+    (``RelationSchema.compiled``), so a template term may be any product
+    tree: an instance's words are these terms relabelled, each with its
+    term's (names, junctions, dpow) shape.  Length dominates the word order,
+    so a term leads an instance only if every longer term cancels there,
+    and a term without a twin of its shape never cancels.  ``by_shape`` and
+    ``lengths`` keep the terms no shorter than the longest twinless one.
+    Dropping the rest materializes the same instances: the lazy lookup
     keeps one only when its lead's flat word is the probed slice, that lead
     comes from a kept term, and terms of one length are kept or dropped
-    together.  A term that is not a chain of generator leaves would be
-    invisible to the index, so such a schema is rejected.
+    together.
     """
 
-    def __init__(self, schemas: Sequence[RelationSchema]):
-        self.by_shape: Dict[tuple, List[_TermTemplate]] = {}
+    def __init__(self, schemas: Sequence[RelationSchema],
+                 sig: AlgebraSignature):
+        self.sig = sig
+        self.by_shape: Dict[tuple, List[tuple]] = {}  # (schema, forms, dpow)
         self.lengths = set()
-        self._top_junc = (0, "")      # highest junction of any term, schema
         for sc in schemas:
-            terms = []
-            for c, term in sc.template.parts:
-                tt = _term_template(sc, term)
-                if tt is None:
-                    raise ParseError(
-                        f"schema {sc.name!r}: term {_template_str(term)!r} is "
-                        f"not a chain b1 (n1) ... (nk) D^j b of generators")
-                self._top_junc = max([self._top_junc] +
-                                     [(n, sc.name) for n in tt.juncs])
-                if c:
-                    terms.append(tt)
-            shapes = Counter((tt.names, tt.juncs, tt.dpow) for tt in terms)
-            floor = max((len(shape[0]) for shape, k in shapes.items()
+            leaves, terms = sc.compiled(sig.N)
+            terms = [((tuple(leaves[k].gen.name for k in ks), juncs),
+                      tuple(leaves[k].sub for k in ks), dpow)
+                     for _, ks, juncs, dpow in terms]
+            shapes = Counter((key, dpow) for key, _, dpow in terms)
+            floor = max((len(key[0]) for (key, _), k in shapes.items()
                          if k == 1), default=0)
-            for tt in terms:
-                if len(tt.names) >= floor:
-                    self.by_shape.setdefault((tt.names, tt.juncs),
-                                             []).append(tt)
-                    self.lengths.add(len(tt.names))
+            for key, forms, dpow in terms:
+                if len(key[0]) >= floor:
+                    self.by_shape.setdefault(key, []).append((sc, forms, dpow))
+                    self.lengths.add(len(key[0]))
 
-    def instances_for(self, sig: AlgebraSignature,
-                      letters: Sequence[GeneratorSymbol],
+    def instances_for(self, letters: Sequence[GeneratorSymbol],
                       juncs: Sequence[int]) -> List[ConformalPolynomial]:
         key = (tuple(g.name for g in letters), tuple(juncs))
         templates = self.by_shape.get(key)
@@ -311,12 +260,11 @@ class SchemaIndex:
         bound = max((abs(g.index or 0) for g in letters), default=0) + 4
 
         def instances():
-            for tt in templates:
-                eqs = [(form, g.index or 0)
-                       for form, g in zip(tt.forms, letters)]
-                for env in _solve_index_equations(tt.schema.vars, eqs, bound):
-                    if tt.schema.admits(env):
-                        yield tt.schema.instantiate(env, sig)
+            for sc, forms, _ in templates:
+                eqs = [(form, g.index or 0) for form, g in zip(forms, letters)]
+                for env in _solve_index_equations(sc.vars, eqs, bound):
+                    if sc.admits(env):
+                        yield sc.instantiate(env, self.sig)
 
         return _monic_prepare(instances())
 
@@ -326,24 +274,17 @@ class SchemaIndex:
         ``dpow_fits`` admits the term's D power there."""
         for _, sub, interior in slices(word, sorted(self.lengths)):
             key = (tuple(g.name for g in sub[0::2]), sub[1::2])
-            if any(dpow_fits(tt.dpow, interior, word.dpow)
-                   for tt in self.by_shape.get(key, ())):
+            if any(dpow_fits(dpow, interior, word.dpow)
+                   for _, _, dpow in self.by_shape.get(key, ())):
                 return True
         return False
 
-    def check_signature(self, sig: AlgebraSignature) -> None:
-        """Reject a junction at or above N in any term: normalization
-        rewrites it, so the index would not see the instance's lead."""
-        top, name = self._top_junc
-        if top >= sig.N:
-            raise ParseError(f"schema {name!r}: a junction is "
-                             f"not below N = {sig.N}")
 
-
-def schema_shapes(schemas: Sequence[RelationSchema]) -> List[tuple]:
+def schema_shapes(schemas: Sequence[RelationSchema],
+                  sig: AlgebraSignature) -> List[tuple]:
     """The (names, junctions, dpow) shapes of the lead-capable terms."""
-    return [(tt.names, tt.juncs, tt.dpow)
-            for tts in SchemaIndex(schemas).by_shape.values() for tt in tts]
+    return [key + (dpow,) for key, tts in
+            SchemaIndex(schemas, sig).by_shape.items() for _, _, dpow in tts]
 
 
 # built-in families -----------------------------------------------------------
@@ -381,7 +322,7 @@ class BuiltinExample:
 
     def basis_rset(self) -> RelationSet:
         """The instantiated basis, extended on demand beyond the window."""
-        return RelationSet(self.sig, self.basis, lazy=SchemaIndex(self.schemas))
+        return RelationSet(self.sig, self.basis, lazy=SchemaIndex(self.schemas, self.sig))
 
 
 def _L(i):
@@ -568,12 +509,19 @@ def equivalence_check(ex: BuiltinExample, *,
 
 @dataclass
 class EmbeddingReport:
-    """Whether the free D-module generators stay independent in the quotient."""
+    """Whether the free D-module generators stay independent in the
+    quotient; the verdict is read from the reducible and boundary words."""
 
-    embedded: bool
-    inconclusive: bool
     reducible: List[NormalWord]
     boundary: List[NormalWord]
+
+    @property
+    def embedded(self) -> bool:
+        return not self.reducible and not self.boundary
+
+    @property
+    def inconclusive(self) -> bool:
+        return bool(self.boundary) and not self.reducible
 
     def to_json(self):
         return {
@@ -602,6 +550,4 @@ def embedding_check(rset: RelationSet, gens: Sequence[GeneratorSymbol],
                 reducible.append(w)
             elif lazy is not None and lazy.could_reduce(w):
                 boundary.append(w)
-    return EmbeddingReport(not reducible and not boundary,
-                           bool(boundary) and not reducible,
-                           reducible, boundary)
+    return EmbeddingReport(reducible, boundary)

@@ -327,17 +327,12 @@ class CompletionResult:
 
 def _monic_prepare(polys: Iterable[ConformalPolynomial]):
     """Monic forms of the nonzero polynomials, each kept once, in order."""
-    out = []
-    seen = set()
+    out = {}
     for p in polys:
-        if p.is_zero():
-            continue
-        p = p.monic()
-        key = p.canonical_key()
-        if key not in seen:
-            seen.add(key)
-            out.append(p)
-    return out
+        if p:
+            p = p.monic()
+            out.setdefault(p.canonical_key(), p)
+    return list(out.values())
 
 
 class SupportIndex:

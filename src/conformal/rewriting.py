@@ -26,7 +26,7 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from .words import AlgebraSignature, ConformalError, NormalWord
+from .words import AlgebraSignature, ConformalError, NormalWord, SignatureError
 from .algebra import (Coeff, ConformalPolynomial, Terms, _accum, _word_mult,
                       apply_D)
 
@@ -148,8 +148,8 @@ class RelationSet:
         self._lens_set = None
         self._canon = set()
         self._newest: Dict[tuple, int] = {}
-        if lazy is not None:
-            lazy.check_signature(sig)
+        if lazy is not None and lazy.sig is not sig:
+            raise SignatureError("schema index built for another signature")
         self.lazy = lazy
         self._lazy_tried = set()
         self.materialized = 0
@@ -210,9 +210,7 @@ class RelationSet:
         if self.lazy is None or sub in self._lazy_tried:
             return
         self._lazy_tried.add(sub)
-        letters = sub[0::2]
-        juncs = sub[1::2]
-        for p in self.lazy.instances_for(self.sig, letters, juncs):
+        for p in self.lazy.instances_for(sub[0::2], sub[1::2]):
             if p.canonical_key() in self._canon:
                 continue
             if p.leading().flat() == sub:

@@ -271,7 +271,7 @@ class AlgebraSignature:
         """Families over all integer indices; ``ranking`` ascending."""
         fams = tuple(family_names)
         rank = tuple(ranking) if ranking is not None else fams
-        if set(rank) != set(fams):
+        if len(set(rank)) != len(rank) or set(rank) != set(fams):
             raise SignatureError("ranking must mention every family exactly once")
         return cls(N, GeneratorOrder.abs_then_signed(rank), families=fams)
 

@@ -8,11 +8,10 @@ import random
 from fractions import Fraction
 from math import comb
 
-from conformal import (AlgebraSignature, ConformalPolynomial, Deriv,
-                       LinComb, NormalWord, Prod, RelationSet, apply_D,
-                       eval_pattern, locality_bound, mult, normalize,
-                       poly_mult, reduce_poly, word_expr)
-from conformal.envelope import _term_template
+from conformal import (AlgebraSignature, ConformalPolynomial, Deriv, Gen,
+                       GeneratorSymbol, LinComb, NormalWord, Prod,
+                       RelationSet, apply_D, eval_pattern, locality_bound,
+                       mult, normalize, poly_mult, reduce_poly, word_expr)
 from conformal.gsb import Composition
 from conformal.rewriting import Pattern
 from conftest import random_word, random_poly
@@ -368,15 +367,45 @@ def run_all(cases_per_check: int, seed: int = 20240817) -> int:
     return total
 
 
-# schema shape matching ---------------------------------------------------------
+# schema instances and shapes ----------------------------------------------------
+
+
+def substitute(e, env):
+    """The template tree with every subscripted leaf's generator evaluated
+    at ``env``: the reference that the compiled ``RelationSchema.instantiate``
+    must match after normalization."""
+    if isinstance(e, Gen):
+        if e.sub is None or not e.sub.vars:
+            return e
+        return Gen(GeneratorSymbol(e.gen.name, e.sub.eval(env)))
+    if isinstance(e, Deriv):
+        return Deriv(substitute(e.expr, env), e.power)
+    if isinstance(e, Prod):
+        return Prod(e.n, substitute(e.left, env), substitute(e.right, env))
+    return LinComb((c, substitute(part, env)) for c, part in e.parts)
+
+
+def reference_instance(schema, env, sig) -> ConformalPolynomial:
+    """The schema instance at ``env``, substituted and then normalized."""
+    return normalize(substitute(schema.template, env), sig)
 
 
 def all_term_shapes(schemas):
-    """The (names, junctions, dpow) shape of every schema term, zero
-    coefficients and terms that cannot lead included."""
-    templates = (_term_template(sc, term)
-                 for sc in schemas for _, term in sc.template.parts)
-    return [(tt.names, tt.juncs, tt.dpow) for tt in templates]
+    """The (names, junctions, dpow) shape of every term of chain schemas
+    b1 (n1) ... (nk) D^j b, zero coefficients and terms that cannot lead
+    included."""
+    out = []
+    for sc in schemas:
+        for _, t in sc.template.parts:
+            names, juncs = [], []
+            while isinstance(t, Prod):
+                names.append(t.left.gen.name)
+                juncs.append(t.n)
+                t = t.right
+            dpow = t.power if isinstance(t, Deriv) else 0
+            names.append((t.expr if dpow else t).gen.name)
+            out.append((tuple(names), tuple(juncs), dpow))
+    return out
 
 
 def all_shapes_could_reduce(word: NormalWord, shapes) -> bool:

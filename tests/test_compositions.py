@@ -120,7 +120,8 @@ def test_out_of_reach_instance_makes_verdict_inconclusive():
     # only tries k in [-4, 4]: the relation set cannot see that reduction,
     # so a remainder carrying the word must not count as nontrivial
     sig = AlgebraSignature.indexed(["L"], 2)
-    lazy = SchemaIndex([parse_schema("f[i, k | k > 20]: L_i (0) L_i - L_{i+k}")])
+    lazy = SchemaIndex([parse_schema("f[i, k | k > 20]: L_i (0) L_i - L_{i+k}")],
+                       sig)
     rset = RelationSet(sig, [], lazy=lazy)
     w = parse_word("L_0 (0) L_0", sig)
     assert not rset.has_reduction(w)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import random
 
+import props
 from conformal import (AlgebraSignature, ParseError, compare_words, gen,
                        parse_poly, parse_presentation, parse_schema,
                        parse_word, poly_str, presentation_str)
@@ -96,10 +97,10 @@ def test_template_leaves_keep_index_forms():
     assert t.left.sub == IndexForm(const=3)
     assert t.left.gen is GeneratorSymbol("L", 3)
     assert t.right.sub == IndexForm(const=-1, vars=(("i", 1),))
-    assert t.left.instantiate({"i": 7}) is t.left
-    assert t.right.instantiate({"i": 7}).gen is GeneratorSymbol("L", 6)
+    assert props.substitute(t.left, {"i": 7}) is t.left
+    assert props.substitute(t.right, {"i": 7}).gen is GeneratorSymbol("L", 6)
     plain = Gen(GeneratorSymbol("a"))
-    assert plain.sub is None and plain.instantiate({}) is plain
+    assert plain.sub is None and props.substitute(plain, {}) is plain
 
 
 def test_presentation_file_parse(tmp_path):

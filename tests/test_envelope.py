@@ -280,9 +280,9 @@ def test_kd_basis_builtins():
 
 def test_shape_matcher_conservative():
     from conformal.envelope import SchemaIndex
-    index = SchemaIndex([parse_schema(
-        "q1[i, j | i != 0]: H_i (1) L_j - H_0 (1) L_{i+j}")])
     sig = AlgebraSignature.indexed(["H", "L"], 2)
+    index = SchemaIndex([parse_schema(
+        "q1[i, j | i != 0]: H_i (1) L_j - H_0 (1) L_{i+j}")], sig)
     assert index.could_reduce(parse_word("H_0 (1) L_4", sig))
     assert index.could_reduce(parse_word("H_0 (1) D^3 L_4", sig))
     assert not index.could_reduce(parse_word("H_0 (0) L_4", sig))
@@ -303,7 +303,7 @@ def test_shape_matcher_conservative():
 def test_could_reduce_reads_lead_capable_terms(line, word, expected):
     from conformal.envelope import SchemaIndex
     sig = AlgebraSignature.indexed(["L"], 2)
-    assert SchemaIndex([parse_schema(line)]).could_reduce(
+    assert SchemaIndex([parse_schema(line)], sig).could_reduce(
         parse_word(word, sig)) is expected
 
 
@@ -311,12 +311,23 @@ def test_lead_capable_terms_keep_every_instance_lead():
     from conformal.envelope import SchemaIndex
     sig = AlgebraSignature.indexed(["L"], 2)
     t = parse_schema("t[i, j]: L_i (0) L_j - L_j (0) L_i + D L_{i+j}")
-    index = SchemaIndex([t])
+    index = SchemaIndex([t], sig)
     assert index.lengths == {1, 2}
     assert t.instantiate({"i": 2, "j": 2}, sig).leading() == \
         parse_word("D L_4", sig)
     assert SchemaIndex([parse_schema("s1[i, j]: L_i (1) L_j + L_{i+j}")
-                        ]).lengths == {2}
+                        ], sig).lengths == {2}
+
+
+def test_embedding_report_reads_its_verdict_from_the_words():
+    from conformal import EmbeddingReport
+    with pytest.raises(TypeError):
+        EmbeddingReport(True, True, [], [])
+    w = NormalWord((), gen("L", 0))
+    assert EmbeddingReport([], []).embedded
+    assert EmbeddingReport([], [w]).inconclusive
+    rep = EmbeddingReport([w], [w])
+    assert not rep.embedded and not rep.inconclusive
 
 
 def test_embedding_reports_boundary_words():
@@ -327,7 +338,7 @@ def test_embedding_reports_boundary_words():
     f = parse_schema("f[i, k | k > 20]: D L_i - L_{i+k}")
     window = IndexWindow(W=1)
     rset = RelationSet(sig, instantiate_schemas([f], sig, window.radius),
-                       lazy=SchemaIndex([f]))
+                       lazy=SchemaIndex([f], sig))
     gens = sig.family_generators(window.W)
     emb = embedding_check(rset, gens, 1)
     assert emb.inconclusive and not emb.embedded
@@ -390,7 +401,7 @@ def test_could_reduce_sees_every_instance_hypothesis(line, data):
     from conformal.envelope import SchemaIndex
     sig = AlgebraSignature.indexed(["H", "L"], 2)
     schema = parse_schema(line)
-    index = SchemaIndex([schema])
+    index = SchemaIndex([schema], sig)
     shapes = props.all_term_shapes([schema])
     box = range(-2, 3)
     insts = _monic_prepare(schema.instantiate({"i": i, "j": j}, sig)
@@ -406,21 +417,70 @@ def test_could_reduce_sees_every_instance_hypothesis(line, data):
             assert props.all_shapes_could_reduce(w, shapes), (line, str(w))
 
 
-@pytest.mark.parametrize("line", [
-    "f[i]: D (L_i (0) L_0) - L_0 (1) L_i",
-    "f[i, j]: 2 * (L_i (0) L_j) - L_{i+j}",
-    "f[i, j]: (L_i (0) L_j) (1) L_0 - L_{i+j}",
+def _assert_twins(line, twin, sig):
+    """A schema and its hand-normalized twin: equal instances, equal term
+    shapes and could_reduce, and the same lazily materialized instances,
+    each of whose leads the lazy set sees."""
+    from itertools import product
+    from conformal.envelope import SchemaIndex, schema_shapes
+    f, g = parse_schema(line), parse_schema(twin)
+    envs = [dict(zip(f.vars, v)) for v in product(range(-3, 8),
+                                                  repeat=len(f.vars))]
+    insts = [f.instantiate(env, sig) for env in envs]
+    assert insts == [g.instantiate(env, sig) for env in envs]
+    assert insts == [props.reference_instance(f, env, sig) for env in envs]
+    assert schema_shapes([f], sig) == schema_shapes([g], sig)
+    lf, lg = SchemaIndex([f], sig), SchemaIndex([g], sig)
+    for p in _monic_prepare(insts):
+        for w in (p.leading(), p.leading().append_D(1),
+                  p.leading().prepend(gen("L", 1), 0)):
+            rf = RelationSet(sig, [], lazy=lf)
+            rg = RelationSet(sig, [], lazy=lg)
+            assert lf.could_reduce(w) is lg.could_reduce(w) is True
+            assert rf.has_reduction(w) is rg.has_reduction(w) is True
+            assert rf.polys() == rg.polys()
+
+
+@pytest.mark.parametrize("line, twin", [
+    ("f[i]: D (L_i (0) L_0) - L_0 (1) L_i",
+     "f[i]: L_i (0) D L_0 - L_0 (1) L_i"),
+    ("f[i, j]: 2 * (L_i (0) L_j) - L_{i+j}",
+     "f[i, j]: 2 * L_i (0) L_j - L_{i+j}"),
+    ("f[i, j]: (L_i (0) L_j) (1) L_0 - L_{i+j}",
+     "f[i, j]: L_i (0) L_j (1) L_0 - L_{i+j}"),
+    ("f[i]: (L_i (0) L_0) (0) L_0 - L_i (1) L_0",
+     "f[i]: L_i (0) L_0 (0) L_0 - L_i (1) L_0"),
 ])
-def test_schema_index_rejects_non_chain_terms(line):
-    from conformal import ParseError
+def test_non_chain_schema_terms_match_their_twin(line, twin):
+    # the schema index reads the normalized terms, so a term need not be
+    # written as a chain of generators
+    _assert_twins(line, twin, AlgebraSignature.indexed(["L"], 2))
+
+
+def test_schema_junction_at_or_above_n_matches_its_twin():
+    # L_i (2) D L_0 normalizes to 2 * L_i (1) L_0 over N = 2: instance
+    # i = 7 leads with L_7 (1) L_0, which the index keys by junction 1
+    sig = AlgebraSignature.indexed(["L"], 2)
+    line = "f[i]: L_i (2) D L_0 - L_0 (0) L_i"
+    assert parse_schema(line).instantiate({"i": 7}, sig) == parse_poly(
+        "2 * L_7 (1) L_0 - L_0 (0) L_7", sig)
+    _assert_twins(line, "f[i]: 2 * L_i (1) L_0 - L_0 (0) L_i", sig)
+    # where N = 3 makes (2) a normal junction, the schema is its own twin
+    _assert_twins(line, line, AlgebraSignature.indexed(["L"], 3))
+
+
+def test_lazy_index_for_another_signature_is_rejected():
+    from conformal import SignatureError
     from conformal.envelope import SchemaIndex
-    with pytest.raises(ParseError, match="schema 'f'"):
-        SchemaIndex([parse_schema(line)])
+    f = parse_schema("f[i]: L_i (1) L_0 - L_i")
+    lazy = SchemaIndex([f], AlgebraSignature.indexed(["L"], 3))
+    with pytest.raises(SignatureError):
+        RelationSet(AlgebraSignature.indexed(["L"], 2), [], lazy=lazy)
 
 
 def test_non_chain_instance_was_invisible():
-    # i = 5 leads with L_5 (0) D L_0; the schema must be written as a chain
-    # for the lazy lookup and could_reduce to see that word
+    # i = 5 leads with L_5 (0) D L_0, which the lazy lookup and
+    # could_reduce see through the chain twin
     from conformal.envelope import SchemaIndex
     sig = AlgebraSignature.indexed(["L"], 2)
     inst = parse_schema("f[i]: D (L_i (0) L_0) - L_0 (1) L_i").instantiate(
@@ -429,9 +489,78 @@ def test_non_chain_instance_was_invisible():
     assert inst.leading() == w
     chain = parse_schema("f[i]: L_i (0) D L_0 - L_0 (1) L_i")
     assert chain.instantiate({"i": 5}, sig) == inst
-    lazy = SchemaIndex([chain])
+    lazy = SchemaIndex([chain], sig)
     assert RelationSet(sig, [], lazy=lazy).has_reduction(w)
     assert lazy.could_reduce(w)
+
+
+def _reference_keys(schemas, sig, radius):
+    """The monic canonical keys of ``instantiate_schemas``, each instance
+    substituted into the template tree and normalized."""
+    from itertools import product
+    rng = range(-radius, radius + 1)
+    insts = (props.reference_instance(sc, env, sig) for sc in schemas
+             for env in (dict(zip(sc.vars, v))
+                         for v in product(rng, repeat=len(sc.vars)))
+             if sc.admits(env))
+    return sorted(p.canonical_key() for p in _monic_prepare(insts))
+
+
+@pytest.mark.parametrize("stem", ["virasoro", "heisenberg_virasoro"])
+def test_compiled_instances_match_the_reference(stem):
+    from pathlib import Path
+    from conformal import parse_presentation
+    pf = parse_presentation((Path(__file__).resolve().parents[1] /
+                             "presentations" / f"{stem}.alg").read_text())
+    got = [p.canonical_key()
+           for p in instantiate_schemas(pf.schemas, pf.sig, 8)]
+    assert got == _reference_keys(pf.schemas, pf.sig, 8)
+
+
+_LEAVES = ["H_i", "L_i", "L_j", "L_{i+j}", "H_0", "L_{j-i}"]
+
+
+@st.composite
+def _template_text(draw, depth=1):
+    """A sum of products whose factors may be D powers of leaves or of
+    parenthesized sums; junctions reach N and above, and a term may repeat
+    with another coefficient so that words collide."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = []
+        for _ in range(draw(st.integers(1, 3))):
+            d = draw(st.integers(0, 2))
+            atom = (f"( {draw(_template_text(depth - 1))} )"
+                    if depth and draw(st.booleans())
+                    else draw(st.sampled_from(_LEAVES)))
+            factors.append(f"D^{d} {atom}" if d else atom)
+        text = factors[0]
+        for fac in factors[1:]:
+            text += f" ({draw(st.integers(0, 3))}) {fac}"
+        terms.append(text)
+    if draw(st.booleans()):
+        terms.append(terms[0])
+    return " ".join(f"+ {draw(st.sampled_from(['1', '2', '1/2', '0']))} * {t}"
+                    if draw(st.booleans()) else f"- {t}" for t in terms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_template_text(), st.integers(1, 3))
+def test_compiled_instances_match_the_reference_hypothesis(text, N):
+    # any template: the compiled instances are the reference's, and the lazy
+    # lookup and could_reduce see every instance's leading word
+    from conformal.envelope import SchemaIndex
+    sig = AlgebraSignature.indexed(["H", "L"], N)
+    schema = parse_schema("f[i, j]: " + text)
+    box = range(-2, 3)
+    insts = [schema.instantiate({"i": i, "j": j}, sig)
+             for i in box for j in box]
+    assert insts == [props.reference_instance(schema, {"i": i, "j": j}, sig)
+                     for i in box for j in box]
+    index = SchemaIndex([schema], sig)
+    for p in _monic_prepare(insts):
+        assert index.could_reduce(p.leading())
+        assert RelationSet(sig, [], lazy=index).has_reduction(p.leading())
 
 
 @pytest.mark.parametrize("name", ["virasoro", "heisenberg-virasoro"])
@@ -455,22 +584,6 @@ def test_index_window_rejects_non_positive():
         with pytest.raises(ConformalError) as err:
             IndexWindow(W, M)
         assert isinstance(err.value, ValueError)
-
-
-def test_schema_junction_at_or_above_n_is_rejected():
-    # a junction >= N is rewritten by normalization: instance i = 7 leads
-    # with L_7 (1) L_0, a shape the index keyed by junction 2 never sees
-    from conformal import ParseError
-    from conformal.envelope import SchemaIndex
-    sig = AlgebraSignature.indexed(["L"], 2)
-    f = parse_schema("f[i]: L_i (2) D L_0 - L_0 (0) L_i")
-    assert f.instantiate({"i": 7}, sig) == parse_poly(
-        "2 * L_7 (1) L_0 - L_0 (0) L_7", sig)
-    with pytest.raises(ParseError, match="schema 'f'"):
-        RelationSet(sig, [], lazy=SchemaIndex([f]))
-    # the same schema is fine where N = 3 makes (2) a normal junction
-    sig3 = AlgebraSignature.indexed(["L"], 3)
-    RelationSet(sig3, [], lazy=SchemaIndex([f]))
 
 
 def test_completion_idempotent(sig_a2):

@@ -4,12 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conformal import (AlgebraSignature, ConformalPolynomial, Gen, Prod,
                        apply_D, gen, make_word, mult, normalize, parse_poly,
                        parse_word, poly_mult, word_expr)
 from conformal.algebra import ArithmeticError_
-from conftest import random_word, random_poly
+from conftest import SIG_A2, a2_rational_polys, random_word, random_poly
 
 
 def test_zero_product_by_locality(sig_a1):
@@ -160,3 +161,27 @@ def test_random_tree_linearity(sig_xy3):
         combined = normalize(LinComb([(a, t1), (b, t2)]), sig_xy3)
         split = normalize(t1, sig_xy3).scale(a) + normalize(t2, sig_xy3).scale(b)
         assert combined == split
+
+
+@settings(max_examples=80, deadline=None)
+@given(a2_rational_polys, a2_rational_polys, st.integers(0, 2),
+       st.sampled_from([-2, Fraction(1, 3), 3]), st.booleans())
+def test_cached_lead_and_key_match_a_fresh_computation(p, q, n, c, warm):
+    # polynomials are immutable, so the lead and key kept on first use must
+    # equal a computation from scratch after every operation
+    wkey = SIG_A2.word_key
+    if warm:
+        for r in (p, q):
+            r.leading(), r.canonical_key(), hash(r)
+    results = [p + q, p - q, p.scale(c), poly_mult(p, n, q), apply_D(p, n)]
+    results += [r.monic() for r in results if r]
+    for r in results:
+        lead = max(r.terms, key=wkey) if r.terms else None
+        key = tuple((wkey(w), cw) for w, cw in
+                    sorted(r.terms.items(), key=lambda t: wkey(t[0]),
+                           reverse=True))
+        fresh = ConformalPolynomial(SIG_A2, dict(r.terms))
+        for _ in range(2):  # the first call fills the cache, the next reads it
+            assert r.leading() == fresh.leading() == lead
+            assert r.canonical_key() == fresh.canonical_key() == key
+            assert hash(r) == hash(fresh) == hash(key) and r == fresh

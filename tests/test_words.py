@@ -45,6 +45,16 @@ def test_family_ranking_dominates_index():
     assert sig.gen_key(gen("L", 0)) > sig.gen_key(gen("H", 100))
 
 
+@pytest.mark.parametrize("ranking", [["L", "H", "L"], ["H"], ["H", "L", "K"]])
+def test_indexed_ranking_names_every_family_once(ranking):
+    # a repeated entry would rank its family by its last position
+    with pytest.raises(SignatureError, match="exactly once"):
+        AlgebraSignature.indexed(["H", "L"], 2, ranking=ranking)
+    assert AlgebraSignature.indexed(["H", "L"], 2,
+                                    ranking=["L", "H"]).order._rank == \
+        {"L": 0, "H": 1}
+
+
 def test_signature_mismatch_raises(sig_a2, sig_xy3):
     w = make_word(sig_xy3, gen("x"))
     with pytest.raises(SignatureError):
