@@ -168,10 +168,8 @@ def _load_context(args) -> _Context:
         text = fh.read()
     pf = parse_presentation(text)
     options = _options(args, pf.options)
-    window = lazy = None
+    window, lazy = _window(options), None   # rejects W or M below 1
     polys = pf.concrete_relations()
-    if pf.schemas or pf.sig.generators is None:
-        window = _window(options)
     if pf.schemas:
         lazy = SchemaIndex(pf.schemas, pf.sig)
         polys = polys + instantiate_schemas(pf.schemas, pf.sig, window.radius)
@@ -257,15 +255,14 @@ def _cmd_reduce(ctx, args):
     return rep
 
 
-def _check_core(ctx, keep_all=False):
-    """The composition check; ``keep_all`` keeps the trivial verdicts too,
-    for a report that lists or traces every composition."""
+def _check_core(ctx, keep="failures"):
+    """The composition check; ``keep`` as in ``check_gsb_rset``."""
     return check_gsb_rset(ctx.rset, ctx.gens,
-                          comp_filter=_comp_filter(ctx), keep_all=keep_all)
+                          comp_filter=_comp_filter(ctx), keep=keep)
 
 
 def _cmd_compositions(ctx, args):
-    rep = _check_core(ctx, keep_all=True)
+    rep = _check_core(ctx, "traces" if args.trace else "verdicts")
     for v in rep.verdicts:
         print(f"{v.verdict:12s} {v.comp.describe()}")
         if v.verdict != "trivial":
@@ -274,7 +271,7 @@ def _cmd_compositions(ctx, args):
 
 
 def _cmd_check(ctx, args):
-    rep = _check_core(ctx, keep_all=args.trace)
+    rep = _check_core(ctx, "traces" if args.trace else "failures")
     print("basis: {} ({trivial} trivial, {nontrivial} nontrivial, "
           "{inconclusive} inconclusive compositions)".format(
               "yes" if rep.is_gsb else "no", **rep.tally))

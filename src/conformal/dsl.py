@@ -28,7 +28,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import product
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .words import (AlgebraSignature, ConformalError, GeneratorOrder,
                     GeneratorSymbol, NormalWord)
@@ -91,22 +92,18 @@ def tokenize(text: str) -> List[Token]:
 
 
 class _Stream:
+    """The tokens of an expression or entry, newlines dropped."""
+
     def __init__(self, toks: List[Token]):
-        self.toks = toks
+        self.toks = [t for t in toks if t.kind != "nl"]
         self.i = 0
 
     def peek(self) -> Token:
-        i = self.i
-        while self.toks[i].kind == "nl":
-            i += 1
-        return self.toks[i]
+        return self.toks[self.i]
 
     def next(self) -> Token:
-        t = self.peek()
-        while self.toks[self.i] is not t:
-            self.i += 1
         self.i += 1
-        return t
+        return self.toks[self.i - 1]
 
     def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
         t = self.peek()
@@ -378,23 +375,16 @@ def _parse_expr(s: _Stream, varnames) -> LinComb:
 
 
 def _parse_constraint(s: _Stream, varnames) -> Constraint:
-    return Constraint(_parse_cor(s, varnames))
+    return Constraint(_parse_junction(s, "or", lambda: _parse_junction(
+        s, "and", lambda: _parse_chain(s, varnames))))
 
 
-def _parse_cor(s, varnames):
-    parts = [_parse_cand(s, varnames)]
-    while s.peek().kind == "name" and s.peek().text == "or":
-        s.next()
-        parts.append(_parse_cand(s, varnames))
-    return parts[0] if len(parts) == 1 else ("or", parts)
-
-
-def _parse_cand(s, varnames):
-    parts = [_parse_chain(s, varnames)]
-    while s.peek().kind == "name" and s.peek().text == "and":
-        s.next()
-        parts.append(_parse_chain(s, varnames))
-    return parts[0] if len(parts) == 1 else ("and", parts)
+def _parse_junction(s, op, operand):
+    """Operands joined by the keyword ``op``; one operand is returned bare."""
+    parts = [operand()]
+    while s.accept("name", op):
+        parts.append(operand())
+    return parts[0] if len(parts) == 1 else (op, parts)
 
 
 def _parse_chain(s, varnames):
@@ -499,8 +489,60 @@ class RelationSchema:
             out[w] = out.get(w, 0) + c
         return ConformalPolynomial(sig, out)
 
-    def admits(self, env: Dict[str, int]) -> bool:
-        return self.constraint.eval(env)
+    def solutions(self, eqs, bound: int) -> Iterator[Dict[str, int]]:
+        """The admitted integer assignments that solve the linear equations
+        ``eqs``, (form, target) pairs where a form of None reads as 0.
+
+        Gauss-Jordan elimination leaves the free variables, which range over
+        [-bound, bound], the first varying fastest.  With no equations every
+        variable is free, so the solutions are the admitted points of the
+        box [-bound, bound]^vars.
+        """
+        varnames, admits = self.vars, self.constraint.eval
+        n = len(varnames)
+        pos = {v: k for k, v in enumerate(varnames)}
+        rows = []
+        for form, target in eqs:
+            row = [Fraction(0)] * n
+            if form is not None:
+                for v, c in form.vars:
+                    row[pos[v]] += c
+            rows.append((row, Fraction(target - (form.const if form else 0))))
+        pivots, r = [], 0
+        for col in range(n):
+            piv = next((k for k in range(r, len(rows)) if rows[k][0][col]),
+                       None)
+            if piv is None:
+                continue
+            prow, pval = rows[piv]
+            rows[piv] = rows[r]
+            inv = 1 / prow[col]
+            prow, pval = rows[r] = [x * inv for x in prow], pval * inv
+            for k in range(len(rows)):
+                if k != r and rows[k][0][col]:
+                    f = rows[k][0][col]
+                    rows[k] = ([a - f * b for a, b in zip(rows[k][0], prow)],
+                               rows[k][1] - f * pval)
+            pivots.append(col)
+            r += 1
+        if any(val for _, val in rows[r:]):
+            return
+        free = [c for c in range(n) if c not in pivots]
+        free_names = [varnames[c] for c in reversed(free)]
+        # each pivot variable as its value minus the free variables' terms
+        solved = [(varnames[col], val,
+                   [(varnames[c], row[c]) for c in free if row[c]])
+                  for (row, val), col in zip(rows, pivots)]
+        for vals in product(range(-bound, bound + 1), repeat=len(free)):
+            env = dict(zip(free_names, vals))
+            for name, val, terms in solved:
+                acc = val - sum(c * env[v] for v, c in terms)
+                if acc.denominator != 1:
+                    break
+                env[name] = int(acc)
+            else:
+                if admits(env):
+                    yield env
 
 
 def _relabel(e: Expr, leaves: List[Gen]) -> Expr:

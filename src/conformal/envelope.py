@@ -22,7 +22,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from math import factorial
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
@@ -130,16 +129,8 @@ def instantiate_schemas(schemas: Sequence[RelationSchema],
                         sig: AlgebraSignature, radius: int
                         ) -> List[ConformalPolynomial]:
     """All monic instances with free indices in [-radius, radius], deduped."""
-    rng = range(-radius, radius + 1)
-
-    def instances():
-        for sc in schemas:
-            for values in product(rng, repeat=len(sc.vars)):
-                env = dict(zip(sc.vars, values))
-                if sc.admits(env):
-                    yield sc.instantiate(env, sig)
-
-    return sorted(_monic_prepare(instances()),
+    return sorted(_monic_prepare(sc.instantiate(env, sig) for sc in schemas
+                                 for env in sc.solutions([], radius)),
                   key=ConformalPolynomial.canonical_key)
 
 
@@ -159,62 +150,9 @@ def comp_window_filter(radius: int):
 # words whose matching instances lie outside any fixed index radius.  The
 # schema index materializes exactly the needed instances on demand: a factor
 # of the stuck word is matched against every compiled schema term (any
-# template term, normalized) of the same letter shape, the linear index
-# equations are solved, constraint-satisfying assignments are instantiated,
+# template term, normalized) of the same letter shape, the admitted solutions
+# of the index equations (``RelationSchema.solutions``) are instantiated,
 # and instances whose leading word equals the factor join the relation set.
-
-
-def _solve_index_equations(varnames: Sequence[str], eqs, bound: int):
-    """Integer solutions of linear equations, free variables within bound.
-
-    ``eqs`` is a list of (IndexForm, target) pairs.  Yields environment
-    dicts; underdetermined systems enumerate their free variables over
-    [-bound, bound], which covers every constraint of the built-in families
-    (their side conditions bound free variables by matched ones).
-    """
-    n = len(varnames)
-    pos = {v: k for k, v in enumerate(varnames)}
-    rows = []
-    for form, target in eqs:
-        row = [Fraction(0)] * n
-        if form is not None:
-            for v, c in form.vars:
-                row[pos[v]] += c
-        rows.append((row, Fraction(target - (form.const if form else 0))))
-    # gaussian elimination
-    pivots = []
-    r = 0
-    for col in range(n):
-        piv = next((k for k in range(r, len(rows)) if rows[k][0][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow, pval = rows[r]
-        inv = Fraction(1) / prow[col]
-        prow = [x * inv for x in prow]
-        pval = pval * inv
-        rows[r] = (prow, pval)
-        for k in range(len(rows)):
-            if k != r and rows[k][0][col]:
-                f = rows[k][0][col]
-                rows[k] = ([a - f * b for a, b in zip(rows[k][0], prow)],
-                           rows[k][1] - f * pval)
-        pivots.append(col)
-        r += 1
-    for k in range(r, len(rows)):
-        if rows[k][1] != 0:
-            return
-    free = [c for c in range(n) if c not in pivots]
-    # the first free variable varies fastest
-    for vals in product(range(-bound, bound + 1), repeat=len(free)):
-        env = {varnames[c]: v for c, v in zip(reversed(free), vals)}
-        for (row, val), col in zip(rows[:r], pivots):
-            acc = val - sum(row[fc] * env[varnames[fc]] for fc in free)
-            if acc.denominator != 1:
-                break
-            env[varnames[col]] = int(acc)
-        else:
-            yield env
 
 
 class SchemaIndex:
@@ -257,16 +195,14 @@ class SchemaIndex:
         templates = self.by_shape.get(key)
         if not templates:
             return []
+        # free variables range over the slice's largest index plus 4, which
+        # covers every constraint of the built-in families (their side
+        # conditions bound free variables by matched ones)
         bound = max((abs(g.index or 0) for g in letters), default=0) + 4
-
-        def instances():
-            for sc, forms, _ in templates:
-                eqs = [(form, g.index or 0) for form, g in zip(forms, letters)]
-                for env in _solve_index_equations(sc.vars, eqs, bound):
-                    if sc.admits(env):
-                        yield sc.instantiate(env, self.sig)
-
-        return _monic_prepare(instances())
+        return _monic_prepare(
+            sc.instantiate(env, self.sig) for sc, forms, _ in templates
+            for env in sc.solutions([(form, g.index or 0) for form, g
+                                     in zip(forms, letters)], bound))
 
     def could_reduce(self, word: NormalWord) -> bool:
         """Whether an instance at any indices might reduce the word: a kept
@@ -444,13 +380,19 @@ def builtin_example(name: str, window: IndexWindow) -> BuiltinExample:
 class EquivalenceReport:
     """Both-direction membership between two windowed relation sets."""
 
-    forward_ok: bool         # every known-basis instance lies in the
-                             # completed ideal of the presentation
-    backward_ok: bool
     completion: CompletionResult
     forward_failures: List[ConformalPolynomial]
     backward_failures: List[ConformalPolynomial]
     source_radius: int
+
+    @property
+    def forward_ok(self) -> bool:
+        """Every known-basis instance is in the completed ideal."""
+        return not self.forward_failures
+
+    @property
+    def backward_ok(self) -> bool:
+        return not self.backward_failures
 
     @property
     def ok(self) -> bool:
@@ -503,8 +445,7 @@ def equivalence_check(ex: BuiltinExample, *,
         if not fwd_fail or src >= radius:
             break
         src = min(radius, src + W)
-    return EquivalenceReport(not fwd_fail, not back_fail, completion,
-                             fwd_fail, back_fail, src)
+    return EquivalenceReport(completion, fwd_fail, back_fail, src)
 
 
 @dataclass

@@ -229,7 +229,7 @@ class CompositionVerdict:
 
 @dataclass
 class GsbReport:
-    verdicts: List[CompositionVerdict]   # trivial ones only with keep_all
+    verdicts: List[CompositionVerdict]   # as ``check_gsb_rset``'s keep
     counts: Dict[str, int]               # compositions by type
     tally: Dict[str, int]                # compositions by verdict
     materialized: int = 0     # instances pulled in beyond the window
@@ -277,18 +277,21 @@ def is_trivial(comp: Composition, rset: RelationSet) -> CompositionVerdict:
 
 
 def check_gsb_rset(rset: RelationSet, gens: Sequence[GeneratorSymbol], *,
-                   comp_filter=None, keep_all: bool = False) -> GsbReport:
+                   comp_filter=None, keep: str = "failures") -> GsbReport:
     """Divide every composition of the sources (the relations passing
     ``comp_filter``, if given) by the whole set, in ``sort_key`` order, and
     count them by type and by verdict.
 
     Each composition is dropped from the sorted list once decided.  The
-    report keeps the non-trivial and inconclusive verdicts, and the trivial
-    ones only with ``keep_all`` (for a report that lists or traces every
-    composition), so memory holds no trivial composition or trace.  The
-    order of the divisions is that of the sorted list either way, so every
-    verdict and the materialized instances do not depend on ``keep_all``.
+    report keeps what ``keep`` names: ``"failures"`` the non-trivial and
+    inconclusive verdicts, ``"verdicts"`` every verdict (for a report that
+    lists every composition), and ``"traces"`` every verdict with its
+    ``ReductionTrace``; under the first two no trace is kept.  The order of
+    the divisions is that of the sorted list either way, so every verdict
+    and the materialized instances do not depend on ``keep``.
     """
+    trivial_too = {"failures": False, "verdicts": True, "traces": True}[keep]
+    traces = keep == "traces"
     source = rset.relations()
     if comp_filter is not None:
         source = [r for r in source if comp_filter(r)]
@@ -301,7 +304,9 @@ def check_gsb_rset(rset: RelationSet, gens: Sequence[GeneratorSymbol], *,
         v = is_trivial(c, rset)
         counts[c.ctype] = counts.get(c.ctype, 0) + 1
         tally[v.verdict] += 1
-        if keep_all or v.verdict != "trivial":
+        if trivial_too or v.verdict != "trivial":
+            if not traces:
+                v.trace = None
             verdicts.append(v)
     return GsbReport(verdicts, counts, tally, rset.materialized)
 
@@ -319,10 +324,13 @@ class CompletionLimits:
 @dataclass
 class CompletionResult:
     basis: List[ConformalPolynomial]
-    completed: bool
     rounds: int
     added: int
-    diagnostic: Optional[str] = None
+    diagnostic: Optional[str] = None    # why completion stopped early
+
+    @property
+    def completed(self) -> bool:
+        return self.diagnostic is None
 
 
 def _monic_prepare(polys: Iterable[ConformalPolynomial]):
@@ -546,7 +554,7 @@ def complete(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
             if limits.max_lead_length is not None and \
                     rem.leading().length > limits.max_lead_length:
                 return CompletionResult(
-                    rset.polys(), False, rounds, added_total,
+                    rset.polys(), rounds, added_total,
                     f"leading word {rem.leading()} exceeds the length limit "
                     f"{limits.max_lead_length}")
             rset.add(rem)
@@ -555,12 +563,12 @@ def complete(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
             added_total += 1
             if len(rset) > limits.max_basis:
                 return CompletionResult(
-                    rset.polys(), False, rounds, added_total,
+                    rset.polys(), rounds, added_total,
                     f"basis size exceeded the limit {limits.max_basis}")
         if added_this_round == 0:
-            return CompletionResult(rset.polys(), True, rounds, added_total)
+            return CompletionResult(rset.polys(), rounds, added_total)
     return CompletionResult(
-        rset.polys(), False, limits.max_rounds, added_total,
+        rset.polys(), limits.max_rounds, added_total,
         f"no fixpoint within {limits.max_rounds} rounds")
 
 

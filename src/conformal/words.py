@@ -257,13 +257,12 @@ class AlgebraSignature:
         self._wd_cache = {}
 
     @classmethod
-    def finite(cls, names: Iterable, N: int,
-               order: Optional[GeneratorOrder] = None) -> "AlgebraSignature":
+    def finite(cls, names: Iterable, N: int) -> "AlgebraSignature":
         gens = tuple(g if isinstance(g, GeneratorSymbol) else GeneratorSymbol(g)
                      for g in names)
         if len(set(gens)) != len(gens):
             raise SignatureError("duplicate generators")
-        return cls(N, order or GeneratorOrder.listed(gens), generators=gens)
+        return cls(N, GeneratorOrder.listed(gens), generators=gens)
 
     @classmethod
     def indexed(cls, family_names: Sequence[str], N: int,

@@ -3,9 +3,10 @@
 ``gsb.enumerate_compositions`` visits only the pairs that its lead and
 prefix maps say can compose; ``test_complete_oracle.enumerate_all`` calls
 ``pair_compositions`` on every ordered pair.  ``check_gsb_rset`` keeps a
-trivial verdict only when asked to keep all; its counts, verdict and
-non-trivial verdicts must not depend on that.  Both are run on every
-shipped presentation, on the built-ins at W=1 and W=2 and on random input.
+trivial verdict only when asked to keep verdicts or traces; its counts,
+verdict and non-trivial verdicts must not depend on that.  Both are run on
+every shipped presentation, on the built-ins at W=1 and W=2 and on random
+input.
 """
 
 import os
@@ -83,7 +84,7 @@ def assert_keeps_what_it_prints(inputs):
     lean = gsb.check_gsb_rset(rset, gens, comp_filter=comp_filter)
     rset, gens, comp_filter = inputs()
     full = gsb.check_gsb_rset(rset, gens, comp_filter=comp_filter,
-                              keep_all=True)
+                              keep="traces")
     assert (lean.counts, lean.tally, lean.materialized) == \
         (full.counts, full.tally, full.materialized)
     assert len(full.verdicts) == sum(full.counts.values()) == \
@@ -98,6 +99,28 @@ def assert_keeps_what_it_prints(inputs):
 def test_check_keeps_what_it_prints_on_shipped_file(name):
     full = assert_keeps_what_it_prints(lambda: file_inputs(name))
     assert full.verdicts
+
+
+@pytest.mark.parametrize("name", FILES)
+def test_verdicts_are_kept_without_traces_on_shipped_file(name):
+    # what compositions keeps without --trace: every verdict, no trace
+    rset, gens, comp_filter = file_inputs(name)
+    lean = gsb.check_gsb_rset(rset, gens, comp_filter=comp_filter,
+                              keep="verdicts")
+    rset, gens, comp_filter = file_inputs(name)
+    full = gsb.check_gsb_rset(rset, gens, comp_filter=comp_filter,
+                              keep="traces")
+    assert len(lean.verdicts) == sum(lean.tally.values()) > 0
+    assert all(v.trace is None for v in lean.verdicts)
+    assert all(v.trace is not None for v in full.verdicts)
+    assert [verdict_fields(v) for v in lean.verdicts] == \
+        [verdict_fields(v) for v in full.verdicts]
+    assert lean.to_json() == full.to_json()
+    rset, gens, comp_filter = file_inputs(name)
+    failures = gsb.check_gsb_rset(rset, gens, comp_filter=comp_filter)
+    assert all(v.trace is None for v in failures.verdicts)
+    with pytest.raises(KeyError):
+        gsb.check_gsb_rset(rset, gens, keep="all")
 
 
 @pytest.mark.parametrize("name,W", BUILTINS)

@@ -443,6 +443,12 @@ def test_schema_junction_at_or_above_n_checks_like_its_twin(tmp_path):
     ["check", "-f", VIRASORO_ALG, "--window", "0"],
     ["example", "virasoro", "check", "--window", "-1"],
     ["example", "virasoro", "check", "--window", "0"],
+    # a file of concrete relations over listed generators has no window,
+    # yet its window parameters are checked too
+    ["check", "-f", str(ROOT / "presentations" / "square.alg"),
+     "--window", "0"],
+    ["check", "-f", str(ROOT / "presentations" / "square.alg"),
+     "--relation-multiplier", "0"],
 ])
 def test_window_below_one_is_an_input_error(argv, capsys):
     assert main(argv) == 3

@@ -61,7 +61,7 @@ def reference_complete(polys, sig, gens, *, limits=CompletionLimits(),
             if limits.max_lead_length is not None and \
                     rem.leading().length > limits.max_lead_length:
                 return gsb.CompletionResult(
-                    rset.polys(), False, rounds, added_total,
+                    rset.polys(), rounds, added_total,
                     f"leading word {rem.leading()} exceeds the length limit "
                     f"{limits.max_lead_length}")
             rset.add(rem)
@@ -70,13 +70,12 @@ def reference_complete(polys, sig, gens, *, limits=CompletionLimits(),
             added_total += 1
             if len(rset) > limits.max_basis:
                 return gsb.CompletionResult(
-                    rset.polys(), False, rounds, added_total,
+                    rset.polys(), rounds, added_total,
                     f"basis size exceeded the limit {limits.max_basis}")
         if added_this_round == 0:
-            return gsb.CompletionResult(rset.polys(), True, rounds,
-                                        added_total)
+            return gsb.CompletionResult(rset.polys(), rounds, added_total)
     return gsb.CompletionResult(
-        rset.polys(), False, limits.max_rounds, added_total,
+        rset.polys(), limits.max_rounds, added_total,
         f"no fixpoint within {limits.max_rounds} rounds")
 
 

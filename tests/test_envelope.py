@@ -105,12 +105,12 @@ def test_constraint_side_conditions():
     q0 = parse_schema(
         "q0[i, j, k | |i| >= |j| and i > 0 > j or i > j > 0 or i <= j < 0]: "
         "H_i (0) L_{j+k} - H_{i+j} (0) L_k + H_j (0) L_{i+k} - H_0 (0) L_{i+j+k}")
-    assert q0.admits({"i": 2, "j": -1, "k": 0})
-    assert not q0.admits({"i": 1, "j": -2, "k": 0})   # |i| < |j|
-    assert q0.admits({"i": 3, "j": 1, "k": 5})
-    assert q0.admits({"i": -1, "j": -1, "k": 0})
-    assert not q0.admits({"i": -1, "j": 0, "k": 0})
-    assert not q0.admits({"i": 0, "j": 0, "k": 0})
+    assert q0.constraint.eval({"i": 2, "j": -1, "k": 0})
+    assert not q0.constraint.eval({"i": 1, "j": -2, "k": 0})   # |i| < |j|
+    assert q0.constraint.eval({"i": 3, "j": 1, "k": 5})
+    assert q0.constraint.eval({"i": -1, "j": -1, "k": 0})
+    assert not q0.constraint.eval({"i": -1, "j": 0, "k": 0})
+    assert not q0.constraint.eval({"i": 0, "j": 0, "k": 0})
 
 
 def test_virasoro_identities_from_text():
@@ -170,6 +170,24 @@ def test_equivalence_small_windows():
     ex = builtin_example("virasoro", IndexWindow(W=1, M=3))
     eq = equivalence_check(ex)
     assert eq.ok and eq.completion.completed
+
+
+def test_reports_read_their_flags_from_their_failures():
+    # a flag stored next to the list it summarizes could contradict it
+    from conformal import CompletionResult, EquivalenceReport
+    sig = AlgebraSignature.finite(["x"], 1)
+    p = parse_poly("x (0) x", sig)
+    with pytest.raises(TypeError):
+        CompletionResult([], True, 1, 0, "limit")
+    stopped = CompletionResult([], 1, 0, "limit")
+    assert not stopped.completed and CompletionResult([p], 1, 0).completed
+    with pytest.raises(TypeError):
+        EquivalenceReport(True, True, stopped, [p], [], 2)
+    rep = EquivalenceReport(stopped, [p], [], 2)
+    assert (rep.forward_ok, rep.backward_ok, rep.ok) == (False, True, False)
+    assert rep.to_json()["equal"] is False
+    assert rep.to_json()["completion_completed"] is False
+    assert EquivalenceReport(stopped, [], [], 2).ok
 
 
 def test_embedding_small_windows():
@@ -502,7 +520,7 @@ def _reference_keys(schemas, sig, radius):
     insts = (props.reference_instance(sc, env, sig) for sc in schemas
              for env in (dict(zip(sc.vars, v))
                          for v in product(rng, repeat=len(sc.vars)))
-             if sc.admits(env))
+             if sc.constraint.eval(env))
     return sorted(p.canonical_key() for p in _monic_prepare(insts))
 
 
@@ -515,6 +533,90 @@ def test_compiled_instances_match_the_reference(stem):
     got = [p.canonical_key()
            for p in instantiate_schemas(pf.schemas, pf.sig, 8)]
     assert got == _reference_keys(pf.schemas, pf.sig, 8)
+
+
+def _shipped_family_files():
+    from pathlib import Path
+    from conformal import parse_presentation
+    return [parse_presentation((Path(__file__).resolve().parents[1] /
+                                "presentations" / f"{stem}.alg").read_text())
+            for stem in ("virasoro", "heisenberg_virasoro")]
+
+
+def _assignments(envs):
+    """The assignments as a set, checking that none repeats."""
+    envs = [tuple(sorted(env.items())) for env in envs]
+    assert len(envs) == len(set(envs))
+    return set(envs)
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+def test_solutions_without_equations_are_the_admitted_box(radius):
+    from itertools import product
+    rng = range(-radius, radius + 1)
+    for pf in _shipped_family_files():
+        for sc in pf.schemas:
+            box = (dict(zip(sc.vars, v))
+                   for v in product(rng, repeat=len(sc.vars)))
+            assert _assignments(sc.solutions([], radius)) == \
+                _assignments(env for env in box if sc.constraint.eval(env))
+
+
+def _lead_equations():
+    """(schema, equations) pairs: a term of ``SchemaIndex.by_shape`` with
+    the indices of a small assignment, one of them possibly shifted.  The
+    shipped schemas have unit coefficients; the extra one has doubled
+    indices, so that an odd target leaves no integer solution."""
+    from conformal.envelope import SchemaIndex
+    doubled = parse_schema("d[i, j | i != j]: L_{i+i} (0) L_{j-i} "
+                           "- L_{j+j} (0) L_{i+j+j}")
+    indexes = [SchemaIndex(pf.schemas, pf.sig)
+               for pf in _shipped_family_files()]
+    indexes.append(SchemaIndex([doubled], AlgebraSignature.indexed(["L"], 2)))
+    templates = [t for index in indexes
+                 for ts in index.by_shape.values() for t in ts]
+
+    @st.composite
+    def lead(draw):
+        sc, forms, _ = draw(st.sampled_from(templates))
+        env = {v: draw(st.integers(-4, 4)) for v in sc.vars}
+        targets = [form.eval(env) for form in forms]
+        k = draw(st.integers(0, len(targets)))
+        if k < len(targets):
+            targets[k] += draw(st.integers(-2, 2))
+        return sc, list(zip(forms, targets))
+    return lead()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lead_equations(), st.integers(0, 3))
+def test_solutions_match_a_brute_force_filter(lead, bound):
+    # the reference reads the free variables (the columns that do not
+    # raise the rank) and the reach of the pivot variables from sympy's
+    # reduced row echelon form, then filters a box that holds every
+    # solution whose free variables lie within the bound
+    from itertools import product
+    from math import ceil
+    from sympy import Matrix
+    sc, eqs = lead
+    col = {v: k for k, v in enumerate(sc.vars)}
+    rows = []
+    for form, target in eqs:
+        row = [0] * len(sc.vars) + [target - form.const]
+        for v, c in form.vars:
+            row[col[v]] += c
+        rows.append(row)
+    rref, pivots = Matrix(rows).rref()
+    free = [v for v in sc.vars if col[v] not in pivots]
+    reach = ceil(max([bound] + [abs(rref[r, -1]) + bound * sum(
+        abs(rref[r, col[v]]) for v in free) for r in range(len(pivots))]))
+    rng = range(-reach, reach + 1)
+    box = (dict(zip(sc.vars, v)) for v in product(rng, repeat=len(sc.vars)))
+    expected = (env for env in box
+                if all(form.eval(env) == t for form, t in eqs)
+                and all(abs(env[v]) <= bound for v in free)
+                and sc.constraint.eval(env))
+    assert _assignments(sc.solutions(eqs, bound)) == _assignments(expected)
 
 
 _LEAVES = ["H_i", "L_i", "L_j", "L_{i+j}", "H_0", "L_{j-i}"]
