@@ -564,41 +564,74 @@ def test_solutions_without_equations_are_the_admitted_box(radius):
 
 def _lead_equations():
     """(schema, equations) pairs: a term of ``SchemaIndex.by_shape`` with
-    the indices of a small assignment, one of them possibly shifted.  The
-    shipped schemas have unit coefficients; the extra one has doubled
-    indices, so that an odd target leaves no integer solution."""
+    the indices of a small assignment, one of them possibly shifted, and
+    some equations possibly dropped so that more variables are free.  The
+    shipped schemas have unit coefficients; the extra one, drawn half the
+    time, has doubled indices, so that an odd target leaves no integer
+    solution."""
     from conformal.envelope import SchemaIndex
     doubled = parse_schema("d[i, j | i != j]: L_{i+i} (0) L_{j-i} "
                            "- L_{j+j} (0) L_{i+j+j}")
     indexes = [SchemaIndex(pf.schemas, pf.sig)
                for pf in _shipped_family_files()]
-    indexes.append(SchemaIndex([doubled], AlgebraSignature.indexed(["L"], 2)))
-    templates = [t for index in indexes
-                 for ts in index.by_shape.values() for t in ts]
+    doubled_index = SchemaIndex([doubled], AlgebraSignature.indexed(["L"], 2))
+    templates = [st.sampled_from([t for index in group
+                                  for ts in index.by_shape.values()
+                                  for t in ts])
+                 for group in (indexes, [doubled_index])]
 
     @st.composite
     def lead(draw):
-        sc, forms, _ = draw(st.sampled_from(templates))
+        sc, forms, _ = draw(st.one_of(templates))
         env = {v: draw(st.integers(-4, 4)) for v in sc.vars}
         targets = [form.eval(env) for form in forms]
         k = draw(st.integers(0, len(targets)))
         if k < len(targets):
             targets[k] += draw(st.integers(-2, 2))
-        return sc, list(zip(forms, targets))
+        keep = draw(st.lists(st.booleans(), min_size=len(forms),
+                             max_size=len(forms))
+                    | st.just([True] * len(forms)))
+        return sc, [eq for eq, kept in zip(zip(forms, targets), keep)
+                    if kept]
     return lead()
 
 
-@settings(max_examples=60, deadline=None)
-@given(_lead_equations(), st.integers(0, 3))
-def test_solutions_match_a_brute_force_filter(lead, bound):
+def _row_reduce(rows):
+    """The reduced row echelon form of ``rows`` over the rationals and its
+    pivot columns; the augmented last column is never a pivot."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(len(rows[0]) - 1 if rows else 0):
+        r = next((r for r in range(len(pivots), len(rows)) if rows[r][c]),
+                 None)
+        if r is None:
+            continue
+        p = len(pivots)
+        rows[p], rows[r] = rows[r], rows[p]
+        rows[p] = [x / rows[p][c] for x in rows[p]]
+        for k in range(len(rows)):
+            if k != p and rows[k][c]:
+                rows[k] = [x - rows[k][c] * y
+                           for x, y in zip(rows[k], rows[p])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def test_row_reduce_small_cases():
+    assert _row_reduce([[2, 4, 6], [1, 3, 4]]) == \
+        ([[1, 0, 1], [0, 1, 1]], [0, 1])
+    # a dependent column is free; an inconsistent row keeps its target
+    assert _row_reduce([[1, 1, 2], [2, 2, 5]]) == ([[1, 1, 2], [0, 0, 1]], [0])
+    assert _row_reduce([]) == ([], [])
+
+
+def _assert_solutions_by_brute_force(sc, eqs, bound):
     # the reference reads the free variables (the columns that do not
-    # raise the rank) and the reach of the pivot variables from sympy's
+    # raise the rank) and the reach of the pivot variables from the
     # reduced row echelon form, then filters a box that holds every
     # solution whose free variables lie within the bound
     from itertools import product
     from math import ceil
-    from sympy import Matrix
-    sc, eqs = lead
     col = {v: k for k, v in enumerate(sc.vars)}
     rows = []
     for form, target in eqs:
@@ -606,10 +639,10 @@ def test_solutions_match_a_brute_force_filter(lead, bound):
         for v, c in form.vars:
             row[col[v]] += c
         rows.append(row)
-    rref, pivots = Matrix(rows).rref()
+    rref, pivots = _row_reduce(rows)
     free = [v for v in sc.vars if col[v] not in pivots]
-    reach = ceil(max([bound] + [abs(rref[r, -1]) + bound * sum(
-        abs(rref[r, col[v]]) for v in free) for r in range(len(pivots))]))
+    reach = ceil(max([bound] + [abs(rref[r][-1]) + bound * sum(
+        abs(rref[r][col[v]]) for v in free) for r in range(len(pivots))]))
     rng = range(-reach, reach + 1)
     box = (dict(zip(sc.vars, v)) for v in product(rng, repeat=len(sc.vars)))
     expected = (env for env in box
@@ -617,6 +650,35 @@ def test_solutions_match_a_brute_force_filter(lead, bound):
                 and all(abs(env[v]) <= bound for v in free)
                 and sc.constraint.eval(env))
     assert _assignments(sc.solutions(eqs, bound)) == _assignments(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lead_equations(), st.integers(0, 3))
+def test_solutions_match_a_brute_force_filter(lead, bound):
+    _assert_solutions_by_brute_force(*lead, bound)
+
+
+def _form(const=0, **coeffs):
+    from conformal.dsl import IndexForm
+    return IndexForm(const=const, vars=tuple(coeffs.items()))
+
+
+@pytest.mark.parametrize("eqs", [
+    [(_form(i=2), 3)],                          # no integer solution
+    [(_form(i=2), 4), (_form(j=1, i=-1), 1)],   # a pivot scaled by 1/2
+    [(_form(), 1)],                             # 0 = 1
+    [(_form(i=1, j=1), 1), (_form(i=1, j=1), 1)],
+    [(_form(i=1, j=1), 1), (_form(k=1), 0)],    # j free, i = 1 - j
+    [(_form(i=1, j=1), 1), (_form(1, i=1, j=1), 1)],
+], ids=["odd", "scaled", "zero-form", "repeated", "free-terms",
+        "inconsistent"])
+def test_solutions_match_a_brute_force_filter_on_edge_cases(eqs):
+    # the rank-deficient, inconsistent and non-integral systems that the
+    # drawn equations reach only now and then
+    sc = parse_schema("e[i, j, k | i != k]: L_{i+i} (0) L_{j+k} "
+                      "- L_{j+k} (0) L_{i+i}")
+    for bound in range(3):
+        _assert_solutions_by_brute_force(sc, eqs, bound)
 
 
 _LEAVES = ["H_i", "L_i", "L_j", "L_{i+j}", "H_0", "L_{j-i}"]
