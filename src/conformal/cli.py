@@ -12,7 +12,8 @@ JSON reports (``--json OUT``) always carry exactly these keys:
 * ``verdict``: ``ok`` | ``fail`` | ``inconclusive``;
 * ``details``: command-specific payload (canonical polynomial text,
   composition verdicts and counts, word lists, basis members, ...);
-* ``traces``: reduction traces when ``--trace`` is given, else ``[]``;
+* ``traces``: the trace of ``reduce --trace``, else ``[]``; ``check`` and
+  ``compositions --trace`` keep theirs in ``details.compositions[i].trace``;
 * ``timings``: wall-clock seconds when ``--timings`` is given, else null.
 
 Keys are sorted and timings default to null, so identical inputs and flags
@@ -27,7 +28,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .words import AlgebraSignature, ConformalError, compare_words
 from .dsl import (_KNOWN_OPTIONS, ParseError, parse_poly, parse_presentation,
@@ -136,7 +137,7 @@ class _Context:
     options: dict
     rset: Optional[RelationSet]
     gens: tuple
-    window: Optional[IndexWindow]
+    sources: Optional[Callable]     # composition sources; None: all
 
     def report(self, verdict="ok", details=None) -> Report:
         return Report(self.command, self.digest, self.params, verdict,
@@ -168,24 +169,24 @@ def _load_context(args) -> _Context:
         text = fh.read()
     pf = parse_presentation(text)
     options = _options(args, pf.options)
-    window, lazy = _window(options), None   # rejects W or M below 1
+    window, lazy, sources = _window(options), None, None  # rejects W, M < 1
     polys = pf.concrete_relations()
     if pf.schemas:
+        # a windowed check proves only what its sources allow: the file's
+        # own relations always compose (in complete, a relation replacing
+        # one is derived), schema instances when their leads lie in window
+        sources = comp_window_filter(window.W, {
+            p.canonical_key() for p in _monic_prepare(polys)})
         lazy = SchemaIndex(pf.schemas, pf.sig)
         polys = polys + instantiate_schemas(pf.schemas, pf.sig, window.radius)
-    if pf.sig.generators is not None:
-        gens = pf.sig.generators
-    else:
-        gens = pf.sig.family_generators(window.W)
     rset = RelationSet(pf.sig, _monic_prepare(polys), lazy=lazy)
     positionals = _POSITIONALS.get(args.command, ())
     params = ({k: getattr(args, k) for k in positionals} if positionals
               else options)
-    # only schema instances are windowed; concrete relations all compose
     return _Context(args.command, params,
                     _digest(text, json.dumps(options, sort_keys=True)),
-                    pf.sig, options, rset, gens,
-                    window if pf.schemas else None)
+                    pf.sig, options, rset, pf.sig.family_generators(window.W),
+                    sources)
 
 
 def _limits(ctx) -> CompletionLimits:
@@ -193,10 +194,6 @@ def _limits(ctx) -> CompletionLimits:
     return CompletionLimits(
         max_rounds=ctx.options.get("max_iters", default.max_rounds),
         max_basis=ctx.options.get("max_basis", default.max_basis))
-
-
-def _comp_filter(ctx):
-    return None if ctx.window is None else comp_window_filter(ctx.window.W)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -258,7 +255,7 @@ def _cmd_reduce(ctx, args):
 def _check_core(ctx, keep="failures"):
     """The composition check; ``keep`` as in ``check_gsb_rset``."""
     return check_gsb_rset(ctx.rset, ctx.gens,
-                          comp_filter=_comp_filter(ctx), keep=keep)
+                          comp_filter=ctx.sources, keep=keep)
 
 
 def _cmd_compositions(ctx, args):
@@ -280,7 +277,7 @@ def _cmd_check(ctx, args):
 
 def _cmd_complete(ctx, args):
     res = complete(ctx.rset.polys(), ctx.sig, ctx.gens, limits=_limits(ctx),
-                   comp_filter=_comp_filter(ctx))
+                   comp_filter=ctx.sources)
     for p in res.basis:
         print(poly_str(p))
     if not res.completed:
@@ -356,7 +353,7 @@ def _run_example(args) -> Report:
          "relation_multiplier": window.M, **flags},
         _digest(args.name, str(window.W), str(window.M),
                 *(f"{k}={v}" for k, v in flags.items())),
-        ex.sig, options, None, ex.gens(), window)
+        ex.sig, options, None, ex.gens(), comp_window_filter(window.W))
     if args.action == "equiv":
         # equiv builds its own relation sets; both directions reducing to
         # zero proves the windowed equality even when completion stopped

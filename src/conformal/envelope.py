@@ -12,8 +12,8 @@ term of the commutator; the sum stops at k = N-1-n because later products
 vanish by locality.
 
 Index windows make the integer-indexed families finite: ambiguities are
-formed from instances whose free indices lie in [-W, W], while reductions
-may draw on instances within [-M*W, M*W].
+formed from instances whose leading words lie in [-W, W], while reductions
+may draw on instances with free indices in [-M*W, M*W] and beyond (lazily).
 """
 
 from __future__ import annotations
@@ -139,9 +139,9 @@ def in_window(w: NormalWord, radius: int) -> bool:
     return all(abs(g.index or 0) <= radius for g in w.letters())
 
 
-def comp_window_filter(radius: int):
-    """Keep relations whose leading word lies in the window."""
-    return lambda rel: in_window(rel.lead, radius)
+def comp_window_filter(radius: int, given=()):
+    """Keep relations with canonical key in ``given`` or lead in the window."""
+    return lambda rel: rel.canon in given or in_window(rel.lead, radius)
 
 
 # lazy instantiation --------------------------------------------------------

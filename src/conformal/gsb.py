@@ -292,9 +292,8 @@ def check_gsb_rset(rset: RelationSet, gens: Sequence[GeneratorSymbol], *,
     """
     trivial_too = {"failures": False, "verdicts": True, "traces": True}[keep]
     traces = keep == "traces"
-    source = rset.relations()
-    if comp_filter is not None:
-        source = [r for r in source if comp_filter(r)]
+    source = [r for r in rset.relations()
+              if comp_filter is None or comp_filter(r)]
     comps = enumerate_compositions(source, gens)
     verdicts: List[CompositionVerdict] = []
     counts: Dict[str, int] = {}
@@ -512,14 +511,13 @@ def complete(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
       log length.
 
     A skipped division would repeat step for step.  A zero remainder means
-    that every visited word was reducible.  ``find_one`` on a set
-    without schemas returns the first live hit in walk order.  The recorded
-    relation is still live, so it is still a hit at its slice; a relation
-    live now and older than the record was live then, and came after it,
-    so only a lead added since the record could come before it.  So each
-    step finds the same pattern, leaves the same polynomial and visits the
-    same next word, down to zero.  A lazy set never takes the skip, since
-    skipping its walk would skip materialization.
+    that every visited word was reducible.  ``find_one`` returns the first
+    live hit in walk order.  The recorded relation is still live, so it is
+    still a hit at its slice; a relation live now and older than the record
+    was live then, and came after it, so only a lead added since the record
+    could come before it.  So each step finds the same pattern, leaves the
+    same polynomial and visits the same next word, down to zero.  A lazy set
+    never takes the skip: skipping its walk would skip materialization.
     """
     rset = RelationSet(sig, _monic_prepare(polys))
     index = SupportIndex(rset)
@@ -529,9 +527,8 @@ def complete(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
     added_total = 0
     rounds = 0
     for rounds in range(1, limits.max_rounds + 1):
-        source = rset.relations()
-        if comp_filter is not None:
-            source = [r for r in source if comp_filter(r)]
+        source = [r for r in rset.relations()
+                  if comp_filter is None or comp_filter(r)]
         comps = enumerate_compositions(source, gens, memo)
         zero, proofs = proofs, {}
         added_this_round = 0

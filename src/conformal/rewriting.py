@@ -134,7 +134,11 @@ class RelationSet:
     Relations are appended to a log and never leave it (a removed one is
     marked retired); ``_newest`` maps each lead flat word to the last log
     position that added it, and ``_live`` counts the live relations.
-    ``lazy`` is the schema index of on-demand instances, or None.
+    ``lazy`` is the schema index of on-demand instances, or None.  Both
+    searches walk a word's slices and stop at the first hit; a slice
+    materializes the schema instances it leads just before it is looked
+    up, so the hits at a slice never depend on earlier searches, and
+    ``materialized`` counts the instances on the slices searches reached.
     """
 
     def __init__(self, sig: AlgebraSignature,
@@ -230,8 +234,7 @@ class RelationSet:
 
     def _hits(self, w: NormalWord, exclude: Optional[Relation]):
         """(start letter, relation) of every occurrence in w, in slice walk
-        order and by canonical form within a slice; a slice materializes
-        its schema instances before it is looked up."""
+        order and by canonical form within a slice."""
         for p, sub, interior in slices(w, self._length_set()):
             if self.lazy is not None:
                 self._materialize(sub)
@@ -243,13 +246,8 @@ class RelationSet:
     def find_one(self, w: NormalWord,
                  exclude: Optional[Relation] = None) -> Optional[Pattern]:
         """The leftmost pattern with leading word w: the first occurrence in
-        slice walk order.  Without schemas the walk stops there; on a lazy
-        set it runs to the end, materializing every slice of w."""
-        hits = self._hits(w, exclude)
-        hit = next(hits, None)
-        if self.lazy is not None:
-            for _ in hits:
-                pass
+        slice walk order."""
+        hit = next(self._hits(w, exclude), None)
         return None if hit is None else Pattern(hit[1], w, hit[0])
 
     def division_repeats(self, stamp: int, words: Sequence[NormalWord],

@@ -13,7 +13,7 @@ from conformal import (AlgebraSignature, ConformalPolynomial, Deriv, Gen,
                        RelationSet, apply_D, eval_pattern, locality_bound,
                        mult, normalize, poly_mult, reduce_poly, word_expr)
 from conformal.gsb import Composition
-from conformal.rewriting import Pattern
+from conformal.rewriting import Pattern, slices
 from conftest import random_word, random_poly
 
 
@@ -259,9 +259,10 @@ def all_occurrences(rset: RelationSet, w: NormalWord):
     """Every pattern with leading word w over the live relations, by a
     brute scan of each lead at each letter, in slice walk order (start
     letter, then lead length) and by canonical form within a slice.  On a
-    lazy set ``rset.find_one(w)`` runs first, materializing every slice."""
+    lazy set every slice of w is materialized first."""
     if rset.lazy is not None:
-        rset.find_one(w)
+        for _, sub, _ in slices(w, rset._length_set()):
+            rset._materialize(sub)
     found = []
     letters, juncs = w.letters(), w.junctions()
     for rel in rset.relations():

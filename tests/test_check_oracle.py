@@ -33,7 +33,7 @@ def file_inputs(name):
     ``conformal check -f presentations/NAME``."""
     ctx = cli._load_context(SimpleNamespace(
         command="check", file=os.path.join(PRESENTATIONS, name)))
-    return ctx.rset, ctx.gens, cli._comp_filter(ctx)
+    return ctx.rset, ctx.gens, ctx.sources
 
 
 def builtin_inputs(name, W):

@@ -486,6 +486,39 @@ def test_window_sets_the_generator_slice_of_a_schema_free_family(
     assert "window parameters must be positive" in capsys.readouterr().err
 
 
+# f's lead L_5 (1) L_5 lies outside the default window W = 2; an unrelated
+# schema family beside it must not drop it from the composition sources
+OWN_RELATION_BESIDE_A_FAMILY = """
+algebra {
+    N = 2
+    family H, L
+}
+relations {
+    f: L_5 (1) L_5 - L_0 (0) L_10
+    h[i]: H_i (1) H_i
+}
+"""
+
+
+def test_a_files_own_relations_compose_beside_a_schema_family(
+        tmp_path, capsys):
+    tallies = {}
+    for name, text in [
+            ("both", OWN_RELATION_BESIDE_A_FAMILY),
+            ("alone", OWN_RELATION_BESIDE_A_FAMILY.replace(
+                "    h[i]: H_i (1) H_i\n", ""))]:
+        path, out = tmp_path / f"{name}.alg", tmp_path / f"{name}.json"
+        path.write_text(text)
+        assert main(["check", "-f", str(path), "--json", str(out)]) == 1
+        details = json.loads(out.read_text())["details"]
+        tallies[name] = (details["trivial"], details["nontrivial"])
+    # h adds only its own trivial compositions; f's 11 fail either way
+    assert tallies == {"both": (5, 11), "alone": (0, 11)}
+    capsys.readouterr()
+    assert main(["compositions", "-f", str(tmp_path / "both.alg")]) == 1
+    assert "f = L_5 (1) L_5" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("key", ["max_length", "max_dpow", "max_iters",
                                  "max_basis"])
 def test_negative_bound_is_an_input_error(key, tmp_path, capsys):

@@ -108,7 +108,7 @@ def complete_file(name):
     def run():
         return result_fields(gsb.complete(
             ctx.rset.polys(), ctx.sig, ctx.gens, limits=cli._limits(ctx),
-            comp_filter=cli._comp_filter(ctx)))
+            comp_filter=ctx.sources))
     return run
 
 
