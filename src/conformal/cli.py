@@ -177,7 +177,7 @@ def _load_context(args) -> _Context:
         # one is derived), schema instances when their leads lie in window
         sources = comp_window_filter(window.W, {
             p.canonical_key() for p in _monic_prepare(polys)})
-        lazy = SchemaIndex(pf.schemas, pf.sig)
+        lazy = SchemaIndex(pf.schemas, pf.sig, window.radius)
         polys = polys + instantiate_schemas(pf.schemas, pf.sig, window.radius)
     rset = RelationSet(pf.sig, _monic_prepare(polys), lazy=lazy)
     positionals = _POSITIONALS.get(args.command, ())

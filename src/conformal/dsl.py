@@ -489,7 +489,8 @@ class RelationSchema:
             out[w] = out.get(w, 0) + c
         return ConformalPolynomial(sig, out)
 
-    def solutions(self, eqs, bound: int) -> Iterator[Dict[str, int]]:
+    def solutions(self, eqs, bound: int,
+                  outside: Optional[int] = None) -> Iterator[Dict[str, int]]:
         """The admitted integer assignments that solve the linear equations
         ``eqs``, (form, target) pairs where a form of None reads as 0.
 
@@ -497,6 +498,12 @@ class RelationSchema:
         [-bound, bound], the first varying fastest.  With no equations every
         variable is free, so the solutions are the admitted points of the
         box [-bound, bound]^vars.
+
+        With ``outside = r`` only the solutions with some variable outside
+        [-r, r] are kept, tested before the constraint.  The eager window
+        ``solutions([], r)`` and the lazy lookup ``solutions(eqs, bound,
+        outside=r)`` are disjoint, and together they cover ``solutions(eqs,
+        bound)``.
         """
         varnames, admits = self.vars, self.constraint.eval
         n = len(varnames)
@@ -541,7 +548,9 @@ class RelationSchema:
                     break
                 env[name] = int(acc)
             else:
-                if admits(env):
+                inside = outside is not None and \
+                    max(map(abs, env.values()), default=0) <= outside
+                if not inside and admits(env):
                     yield env
 
 

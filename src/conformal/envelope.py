@@ -13,7 +13,8 @@ vanish by locality.
 
 Index windows make the integer-indexed families finite: ambiguities are
 formed from instances whose leading words lie in [-W, W], while reductions
-may draw on instances with free indices in [-M*W, M*W] and beyond (lazily).
+draw on the instances with free indices in [-M*W, M*W], held eagerly, and
+on those beyond, which a lazy lookup solves only outside that window.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .words import (AlgebraSignature, ConformalError, GeneratorSymbol,
                     NormalWord)
@@ -151,8 +152,9 @@ def comp_window_filter(radius: int, given=()):
 # schema index materializes exactly the needed instances on demand: a factor
 # of the stuck word is matched against every compiled schema term (any
 # template term, normalized) of the same letter shape, the admitted solutions
-# of the index equations (``RelationSchema.solutions``) are instantiated,
-# and instances whose leading word equals the factor join the relation set.
+# of the index equations (``RelationSchema.solutions``) with some index
+# beyond the held window are instantiated, and instances whose leading word
+# equals the factor join the relation set.
 
 
 class SchemaIndex:
@@ -169,11 +171,22 @@ class SchemaIndex:
     keeps one only when its lead's flat word is the probed slice, that lead
     comes from a kept term, and terms of one length are kept or dropped
     together.
+
+    ``radius`` is the radius r of the eager window that the relation set
+    holds, or None.  The lookup then skips every assignment with all
+    variables in [-r, r], before the constraint test.  That is sound: a
+    skipped assignment passes the constraint, so ``instantiate_schemas(
+    schemas, sig, r)`` yields it too, and its monic instance is already in
+    the set or is zero.  Either way the set would have dropped it, so the
+    relations, ``materialized`` and the tried slices are unchanged.  The
+    premise is that the set still holds every eager instance, so
+    ``RelationSet.remove`` refuses a set whose index has a radius.
     """
 
     def __init__(self, schemas: Sequence[RelationSchema],
-                 sig: AlgebraSignature):
+                 sig: AlgebraSignature, radius: Optional[int] = None):
         self.sig = sig
+        self.radius = radius
         self.by_shape: Dict[tuple, List[tuple]] = {}  # (schema, forms, dpow)
         self.lengths = set()
         for sc in schemas:
@@ -202,7 +215,8 @@ class SchemaIndex:
         return _monic_prepare(
             sc.instantiate(env, self.sig) for sc, forms, _ in templates
             for env in sc.solutions([(form, g.index or 0) for form, g
-                                     in zip(forms, letters)], bound))
+                                     in zip(forms, letters)], bound,
+                                    outside=self.radius))
 
     def could_reduce(self, word: NormalWord) -> bool:
         """Whether an instance at any indices might reduce the word: a kept
@@ -258,7 +272,8 @@ class BuiltinExample:
 
     def basis_rset(self) -> RelationSet:
         """The instantiated basis, extended on demand beyond the window."""
-        return RelationSet(self.sig, self.basis, lazy=SchemaIndex(self.schemas, self.sig))
+        return RelationSet(self.sig, self.basis, lazy=SchemaIndex(
+            self.schemas, self.sig, self.window.radius))
 
 
 def _L(i):

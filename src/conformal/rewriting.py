@@ -196,6 +196,10 @@ class RelationSet:
         return rel
 
     def remove(self, rel: Relation) -> None:
+        # a lookup with a radius skips the eager instances the set must hold
+        if self.lazy is not None and self.lazy.radius is not None:
+            raise RelationError("cannot remove from a set whose lazy index "
+                                "skips the eager window")
         rel.alive = False
         self._live -= 1
         self._canon.discard(rel.canon)

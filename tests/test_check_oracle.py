@@ -6,7 +6,8 @@ prefix maps say can compose; ``test_complete_oracle.enumerate_all`` calls
 trivial verdict only when asked to keep verdicts or traces; its counts,
 verdict and non-trivial verdicts must not depend on that.  Both are run on
 every shipped presentation, on the built-ins at W=1 and W=2 and on random
-input.
+input.  A ``SchemaIndex`` given the eager radius solves only beyond it; a
+check must end as with an index that solves the whole box again.
 """
 
 import os
@@ -15,9 +16,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings
 
-from conformal import IndexWindow, RelationSet, builtin_example, gsb
+from conformal import (IndexWindow, RelationSet, builtin_example, gsb,
+                       parse_presentation)
 from conformal import cli
-from conformal.envelope import comp_window_filter
+from conformal.envelope import SchemaIndex, comp_window_filter
 from conftest import SIG_A2, a2_presentations
 from test_complete_oracle import enumerate_all
 
@@ -135,3 +137,45 @@ def test_check_keeps_what_it_prints_on_random_input(ps):
     assert_keeps_what_it_prints(lambda: (
         RelationSet(SIG_A2, gsb._monic_prepare(ps)), SIG_A2.generators,
         None))
+
+
+def file_pair(name, W, M):
+    """``file_inputs`` at window W and multiplier M, and an equal set whose
+    lazy index has no radius."""
+    path = os.path.join(PRESENTATIONS, name)
+    ctx = cli._load_context(SimpleNamespace(
+        command="check", file=path, window=W, relation_multiplier=M))
+    with open(path, encoding="utf-8") as fh:
+        schemas = parse_presentation(fh.read()).schemas
+    assert ctx.rset.lazy.radius == W * M
+    slow = RelationSet(ctx.sig, ctx.rset.polys(),
+                       lazy=SchemaIndex(schemas, ctx.sig))
+    return ctx.rset, slow, ctx.gens, ctx.sources
+
+
+def builtin_pair(name, W, M):
+    """``builtin_inputs`` at window W and multiplier M, and an equal set
+    whose lazy index has no radius."""
+    ex = builtin_example(name, IndexWindow(W, M))
+    fast = ex.basis_rset()
+    assert fast.lazy.radius == W * M
+    slow = RelationSet(ex.sig, ex.basis, lazy=SchemaIndex(ex.schemas, ex.sig))
+    return fast, slow, ex.gens(), comp_window_filter(W)
+
+
+LAZY_PAIRS = [(file_pair, name, W, M) for name in FILES[1:]
+              for W in (1, 2) for M in (1, 4)] + \
+    [(builtin_pair, name, 1, M) for name, _ in BUILTINS[::2] for M in (1, 2)]
+
+
+@pytest.mark.parametrize("pair,name,W,M", LAZY_PAIRS,
+                         ids=[f"{n}-W{W}-M{M}" for _, n, W, M in LAZY_PAIRS])
+def test_lazy_lookup_beyond_the_window_ends_as_the_whole_box(pair, name, W, M):
+    fast, slow, gens, comp_filter = pair(name, W, M)
+    assert fast.polys() == slow.polys()
+    a = gsb.check_gsb_rset(fast, gens, comp_filter=comp_filter)
+    b = gsb.check_gsb_rset(slow, gens, comp_filter=comp_filter)
+    assert (a.tally, a.counts, a.materialized) == \
+        (b.tally, b.counts, b.materialized)
+    assert fast._lazy_tried == slow._lazy_tried
+    assert fast.polys() == slow.polys()

@@ -625,11 +625,12 @@ def test_row_reduce_small_cases():
     assert _row_reduce([]) == ([], [])
 
 
-def _assert_solutions_by_brute_force(sc, eqs, bound):
+def _assert_solutions_by_brute_force(sc, eqs, bound, outside=None):
     # the reference reads the free variables (the columns that do not
     # raise the rank) and the reach of the pivot variables from the
     # reduced row echelon form, then filters a box that holds every
-    # solution whose free variables lie within the bound
+    # solution whose free variables lie within the bound; with ``outside``
+    # it drops the assignments with every variable in [-outside, outside]
     from itertools import product
     from math import ceil
     col = {v: k for k, v in enumerate(sc.vars)}
@@ -648,14 +649,25 @@ def _assert_solutions_by_brute_force(sc, eqs, bound):
     expected = (env for env in box
                 if all(form.eval(env) == t for form, t in eqs)
                 and all(abs(env[v]) <= bound for v in free)
-                and sc.constraint.eval(env))
-    assert _assignments(sc.solutions(eqs, bound)) == _assignments(expected)
+                and sc.constraint.eval(env)
+                and (outside is None
+                     or any(abs(x) > outside for x in env.values())))
+    assert _assignments(sc.solutions(eqs, bound, outside=outside)) == \
+        _assignments(expected)
+    if outside is not None:
+        # the lookup beyond the box and the solutions inside it partition
+        # the unrestricted solutions
+        every = list(sc.solutions(eqs, bound))
+        inside = [env for env in every
+                  if all(abs(x) <= outside for x in env.values())]
+        assert _assignments(every) == _assignments(
+            list(sc.solutions(eqs, bound, outside=outside)) + inside)
 
 
 @settings(max_examples=100, deadline=None)
-@given(_lead_equations(), st.integers(0, 3))
-def test_solutions_match_a_brute_force_filter(lead, bound):
-    _assert_solutions_by_brute_force(*lead, bound)
+@given(_lead_equations(), st.integers(0, 3), st.none() | st.integers(0, 4))
+def test_solutions_match_a_brute_force_filter(lead, bound, outside):
+    _assert_solutions_by_brute_force(*lead, bound, outside)
 
 
 def _form(const=0, **coeffs):
@@ -678,7 +690,8 @@ def test_solutions_match_a_brute_force_filter_on_edge_cases(eqs):
     sc = parse_schema("e[i, j, k | i != k]: L_{i+i} (0) L_{j+k} "
                       "- L_{j+k} (0) L_{i+i}")
     for bound in range(3):
-        _assert_solutions_by_brute_force(sc, eqs, bound)
+        for outside in (None, 0, 1, 2):
+            _assert_solutions_by_brute_force(sc, eqs, bound, outside)
 
 
 _LEAVES = ["H_i", "L_i", "L_j", "L_{i+j}", "H_0", "L_{j-i}"]

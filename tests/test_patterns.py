@@ -9,6 +9,7 @@ from conformal import (AlgebraSignature, ConformalPolynomial, IndexWindow,
                        NormalWord, Pattern, RelationSet, apply_D,
                        builtin_example, eval_pattern, gen, make_word,
                        normalize, parse_poly, parse_word, word_expr)
+from conformal.envelope import SchemaIndex
 from conformal.rewriting import RelationError
 from conftest import random_word, random_poly
 from props import all_occurrences, s_word
@@ -220,3 +221,16 @@ def test_live_count_follows_adds_and_removes(sig_a2):
         assert len(rset) == len(rset.relations())
         assert rset.log_length() == len(rset.log_since(0))
     assert rset.log_length() > len(rset) > 0
+
+
+def test_remove_refuses_a_set_whose_lazy_index_skips_the_window():
+    # a lookup with a radius skips the eager instances, so the set must
+    # keep them; an index without one solves them again
+    ex = builtin_example("virasoro", IndexWindow(W=1))
+    rset = ex.basis_rset()
+    with pytest.raises(RelationError):
+        rset.remove(rset.relations()[0])
+    assert len(rset) == len(rset.relations()) == len(ex.basis)
+    rset = RelationSet(ex.sig, ex.basis, lazy=SchemaIndex(ex.schemas, ex.sig))
+    rset.remove(rset.relations()[0])
+    assert len(rset) == len(ex.basis) - 1
