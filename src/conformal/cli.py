@@ -37,8 +37,7 @@ from .rewriting import RelationSet, irr_enumerate, kd_basis, reduce_poly
 from .gsb import (CompletionLimits, _monic_prepare, check_gsb_rset, complete,
                   minimalize, reduce_basis)
 from .envelope import (IndexWindow, SchemaIndex, builtin_example,
-                       comp_window_filter, embedding_check, equivalence_check,
-                       instantiate_schemas)
+                       comp_window_filter, embedding_check, equivalence_check)
 
 EXIT_CODES = {"ok": 0, "fail": 1, "inconclusive": 2}
 INPUT_ERROR = 3
@@ -169,17 +168,17 @@ def _load_context(args) -> _Context:
         text = fh.read()
     pf = parse_presentation(text)
     options = _options(args, pf.options)
-    window, lazy, sources = _window(options), None, None  # rejects W, M < 1
-    polys = pf.concrete_relations()
+    window, sources = _window(options), None  # rejects W, M < 1
+    lazy = radius = None
+    polys = _monic_prepare(pf.concrete_relations())
     if pf.schemas:
         # a windowed check proves only what its sources allow: the file's
         # own relations always compose (in complete, a relation replacing
         # one is derived), schema instances when their leads lie in window
-        sources = comp_window_filter(window.W, {
-            p.canonical_key() for p in _monic_prepare(polys)})
-        lazy = SchemaIndex(pf.schemas, pf.sig, window.radius)
-        polys = polys + instantiate_schemas(pf.schemas, pf.sig, window.radius)
-    rset = RelationSet(pf.sig, _monic_prepare(polys), lazy=lazy)
+        sources = comp_window_filter(window.W,
+                                     {p.canonical_key() for p in polys})
+        lazy, radius = SchemaIndex(pf.schemas, pf.sig), window.radius
+    rset = RelationSet(pf.sig, polys, lazy=lazy, eager_radius=radius)
     positionals = _POSITIONALS.get(args.command, ())
     params = ({k: getattr(args, k) for k in positionals} if positionals
               else options)

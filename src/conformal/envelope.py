@@ -172,21 +172,22 @@ class SchemaIndex:
     comes from a kept term, and terms of one length are kept or dropped
     together.
 
-    ``radius`` is the radius r of the eager window that the relation set
-    holds, or None.  The lookup then skips every assignment with all
-    variables in [-r, r], before the constraint test.  That is sound: a
-    skipped assignment passes the constraint, so ``instantiate_schemas(
-    schemas, sig, r)`` yields it too, and its monic instance is already in
-    the set or is zero.  Either way the set would have dropped it, so the
-    relations, ``materialized`` and the tried slices are unchanged.  The
-    premise is that the set still holds every eager instance, so
-    ``RelationSet.remove`` refuses a set whose index has a radius.
+    ``instances_for(..., outside=r)`` skips every assignment with all
+    variables in [-r, r], before the constraint test; a ``RelationSet``
+    passes the radius of the eager window ``instances_within(r)`` that it
+    added itself.  That is sound: a skipped assignment passes the
+    constraint, so ``instances_within(r)`` yields it too, and its monic
+    instance is already in the set or is zero.  Either way the set would
+    have dropped it, so the relations, ``materialized`` and the tried
+    slices are unchanged.  The premise is that the set still holds every
+    eager instance, so ``RelationSet.remove`` refuses such a set.
     """
 
     def __init__(self, schemas: Sequence[RelationSchema],
-                 sig: AlgebraSignature, radius: Optional[int] = None):
+                 sig: AlgebraSignature):
         self.sig = sig
-        self.radius = radius
+        self.schemas = list(schemas)
+        self._within: Dict[int, List[ConformalPolynomial]] = {}
         self.by_shape: Dict[tuple, List[tuple]] = {}  # (schema, forms, dpow)
         self.lengths = set()
         for sc in schemas:
@@ -202,8 +203,16 @@ class SchemaIndex:
                     self.by_shape.setdefault(key, []).append((sc, forms, dpow))
                     self.lengths.add(len(key[0]))
 
+    def instances_within(self, radius: int) -> List[ConformalPolynomial]:
+        """``instantiate_schemas`` of the index's schemas, kept per radius."""
+        if radius not in self._within:
+            self._within[radius] = instantiate_schemas(self.schemas,
+                                                       self.sig, radius)
+        return self._within[radius]
+
     def instances_for(self, letters: Sequence[GeneratorSymbol],
-                      juncs: Sequence[int]) -> List[ConformalPolynomial]:
+                      juncs: Sequence[int], outside: Optional[int] = None
+                      ) -> List[ConformalPolynomial]:
         key = (tuple(g.name for g in letters), tuple(juncs))
         templates = self.by_shape.get(key)
         if not templates:
@@ -216,7 +225,7 @@ class SchemaIndex:
             sc.instantiate(env, self.sig) for sc, forms, _ in templates
             for env in sc.solutions([(form, g.index or 0) for form, g
                                      in zip(forms, letters)], bound,
-                                    outside=self.radius))
+                                    outside=outside))
 
     def could_reduce(self, word: NormalWord) -> bool:
         """Whether an instance at any indices might reduce the word: a kept
@@ -247,7 +256,8 @@ class BuiltinExample:
     """A named enveloping example with its closed-form expected basis.
 
     The Lie table and its commutator presentation are built on first use:
-    only the equivalence check reads them.
+    only the equivalence check reads them.  So are the schema index,
+    which every ``basis_rset`` shares, and the basis.
     """
 
     name: str
@@ -255,8 +265,16 @@ class BuiltinExample:
     window: IndexWindow
     table_fn: Callable[[AlgebraSignature, int], LieTable]
     schemas: List[RelationSchema]                # the known completed family
-    basis: List[ConformalPolynomial]             # its instances within the window
     irr_expected: Callable[[int, int, int], List[NormalWord]]
+
+    @cached_property
+    def index(self) -> SchemaIndex:
+        return SchemaIndex(self.schemas, self.sig)
+
+    @cached_property
+    def basis(self) -> List[ConformalPolynomial]:
+        """The family's instances within the relation window."""
+        return self.index.instances_within(self.window.radius)
 
     @cached_property
     def table(self) -> LieTable:
@@ -272,8 +290,8 @@ class BuiltinExample:
 
     def basis_rset(self) -> RelationSet:
         """The instantiated basis, extended on demand beyond the window."""
-        return RelationSet(self.sig, self.basis, lazy=SchemaIndex(
-            self.schemas, self.sig, self.window.radius))
+        return RelationSet(self.sig, lazy=self.index,
+                           eager_radius=self.window.radius)
 
 
 def _L(i):
@@ -383,9 +401,7 @@ def builtin_example(name: str, window: IndexWindow) -> BuiltinExample:
     stem, table_fn, irr = _BUILTINS[name]
     pf = parse_presentation(
         (_PRESENTATIONS / f"{stem}.alg").read_text(encoding="utf-8"))
-    return BuiltinExample(
-        name, pf.sig, window, table_fn, pf.schemas,
-        instantiate_schemas(pf.schemas, pf.sig, window.radius), irr)
+    return BuiltinExample(name, pf.sig, window, table_fn, pf.schemas, irr)
 
 
 # windowed checks ------------------------------------------------------------

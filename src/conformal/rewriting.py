@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .words import AlgebraSignature, ConformalError, NormalWord, SignatureError
@@ -139,11 +140,17 @@ class RelationSet:
     materializes the schema instances it leads just before it is looked
     up, so the hits at a slice never depend on earlier searches, and
     ``materialized`` counts the instances on the slices searches reached.
+
+    Given with ``lazy``, ``eager_radius`` r adds the index's instances
+    with free indices in [-r, r] (``SchemaIndex.instances_within``), and
+    the lookup then solves only beyond that box.  The radius belongs to
+    the set that added the box, never to the shareable index, and
+    ``remove`` refuses such a set, which must keep every eager instance.
     """
 
     def __init__(self, sig: AlgebraSignature,
                  polys: Iterable[ConformalPolynomial] = (), *,
-                 lazy=None):
+                 lazy=None, eager_radius: Optional[int] = None):
         self.sig = sig
         self._relations: List[Relation] = []
         self._live = 0
@@ -155,8 +162,11 @@ class RelationSet:
         if lazy is not None and lazy.sig is not sig:
             raise SignatureError("schema index built for another signature")
         self.lazy = lazy
+        self.eager_radius = eager_radius
         self._lazy_tried = set()
         self.materialized = 0
+        if eager_radius is not None:
+            polys = chain(polys, lazy.instances_within(eager_radius))
         for p in sorted(polys, key=ConformalPolynomial.canonical_key):
             if p.canonical_key() not in self._canon:
                 self.add(p)
@@ -196,10 +206,10 @@ class RelationSet:
         return rel
 
     def remove(self, rel: Relation) -> None:
-        # a lookup with a radius skips the eager instances the set must hold
-        if self.lazy is not None and self.lazy.radius is not None:
-            raise RelationError("cannot remove from a set whose lazy index "
-                                "skips the eager window")
+        # the lookup skips the eager instances, so the set must keep them
+        if self.eager_radius is not None:
+            raise RelationError("cannot remove from a set that holds an "
+                                "eager window")
         rel.alive = False
         self._live -= 1
         self._canon.discard(rel.canon)
@@ -218,7 +228,8 @@ class RelationSet:
         if self.lazy is None or sub in self._lazy_tried:
             return
         self._lazy_tried.add(sub)
-        for p in self.lazy.instances_for(sub[0::2], sub[1::2]):
+        for p in self.lazy.instances_for(sub[0::2], sub[1::2],
+                                         outside=self.eager_radius):
             if p.canonical_key() in self._canon:
                 continue
             if p.leading().flat() == sub:

@@ -140,14 +140,14 @@ def test_check_keeps_what_it_prints_on_random_input(ps):
 
 
 def file_pair(name, W, M):
-    """``file_inputs`` at window W and multiplier M, and an equal set whose
-    lazy index has no radius."""
+    """``file_inputs`` at window W and multiplier M, and an equal set
+    without an eager radius, whose lookup solves the whole box."""
     path = os.path.join(PRESENTATIONS, name)
     ctx = cli._load_context(SimpleNamespace(
         command="check", file=path, window=W, relation_multiplier=M))
     with open(path, encoding="utf-8") as fh:
         schemas = parse_presentation(fh.read()).schemas
-    assert ctx.rset.lazy.radius == W * M
+    assert ctx.rset.eager_radius == W * M
     slow = RelationSet(ctx.sig, ctx.rset.polys(),
                        lazy=SchemaIndex(schemas, ctx.sig))
     return ctx.rset, slow, ctx.gens, ctx.sources
@@ -155,10 +155,10 @@ def file_pair(name, W, M):
 
 def builtin_pair(name, W, M):
     """``builtin_inputs`` at window W and multiplier M, and an equal set
-    whose lazy index has no radius."""
+    without an eager radius, whose lookup solves the whole box."""
     ex = builtin_example(name, IndexWindow(W, M))
     fast = ex.basis_rset()
-    assert fast.lazy.radius == W * M
+    assert fast.eager_radius == W * M
     slow = RelationSet(ex.sig, ex.basis, lazy=SchemaIndex(ex.schemas, ex.sig))
     return fast, slow, ex.gens(), comp_window_filter(W)
 
@@ -168,14 +168,42 @@ LAZY_PAIRS = [(file_pair, name, W, M) for name in FILES[1:]
     [(builtin_pair, name, 1, M) for name, _ in BUILTINS[::2] for M in (1, 2)]
 
 
+def canon_keys(polys):
+    return {p.canonical_key() for p in polys}
+
+
 @pytest.mark.parametrize("pair,name,W,M", LAZY_PAIRS,
                          ids=[f"{n}-W{W}-M{M}" for _, n, W, M in LAZY_PAIRS])
 def test_lazy_lookup_beyond_the_window_ends_as_the_whole_box(pair, name, W, M):
     fast, slow, gens, comp_filter = pair(name, W, M)
     assert fast.polys() == slow.polys()
+    assert canon_keys(fast.lazy.instances_within(W * M)) <= \
+        canon_keys(fast.polys())
     a = gsb.check_gsb_rset(fast, gens, comp_filter=comp_filter)
     b = gsb.check_gsb_rset(slow, gens, comp_filter=comp_filter)
     assert (a.tally, a.counts, a.materialized) == \
         (b.tally, b.counts, b.materialized)
     assert fast._lazy_tried == slow._lazy_tried
     assert fast.polys() == slow.polys()
+
+
+def test_a_set_sharing_a_windowed_index_solves_the_whole_box():
+    # the eager radius belongs to the set that added the window, not to
+    # the index it shares: a set holding only part of the window must
+    # materialize the eager instances it lacks, as a fresh index does
+    path = os.path.join(PRESENTATIONS, "heisenberg_virasoro.alg")
+    ctx = cli._load_context(SimpleNamespace(command="check", file=path,
+                                            window=1))
+    with open(path, encoding="utf-8") as fh:
+        schemas = parse_presentation(fh.read()).schemas
+    polys = ctx.rset.polys()[:130]
+    shared = RelationSet(ctx.sig, polys, lazy=ctx.rset.lazy)
+    ref = RelationSet(ctx.sig, polys, lazy=SchemaIndex(schemas, ctx.sig))
+    assert shared.eager_radius is None
+    a = gsb.check_gsb_rset(shared, ctx.gens, comp_filter=ctx.sources)
+    b = gsb.check_gsb_rset(ref, ctx.gens, comp_filter=ctx.sources)
+    assert (a.tally, a.counts, a.materialized) == \
+        (b.tally, b.counts, b.materialized)
+    assert shared.polys() == ref.polys()
+    window = canon_keys(ctx.rset.lazy.instances_within(ctx.rset.eager_radius))
+    assert canon_keys(shared.polys()[130:]) & window

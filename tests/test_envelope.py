@@ -630,7 +630,8 @@ def _assert_solutions_by_brute_force(sc, eqs, bound, outside=None):
     # raise the rank) and the reach of the pivot variables from the
     # reduced row echelon form, then filters a box that holds every
     # solution whose free variables lie within the bound; with ``outside``
-    # it drops the assignments with every variable in [-outside, outside]
+    # the lookup beyond [-outside, outside] keeps the expected solutions
+    # with some variable outside it
     from itertools import product
     from math import ceil
     col = {v: k for k, v in enumerate(sc.vars)}
@@ -646,26 +647,26 @@ def _assert_solutions_by_brute_force(sc, eqs, bound, outside=None):
         abs(rref[r][col[v]]) for v in free) for r in range(len(pivots))]))
     rng = range(-reach, reach + 1)
     box = (dict(zip(sc.vars, v)) for v in product(rng, repeat=len(sc.vars)))
-    expected = (env for env in box
+    expected = [env for env in box
                 if all(form.eval(env) == t for form, t in eqs)
                 and all(abs(env[v]) <= bound for v in free)
-                and sc.constraint.eval(env)
-                and (outside is None
-                     or any(abs(x) > outside for x in env.values())))
-    assert _assignments(sc.solutions(eqs, bound, outside=outside)) == \
-        _assignments(expected)
+                and sc.constraint.eval(env)]
+    every = list(sc.solutions(eqs, bound))
+    assert _assignments(every) == _assignments(expected)
     if outside is not None:
         # the lookup beyond the box and the solutions inside it partition
         # the unrestricted solutions
-        every = list(sc.solutions(eqs, bound))
+        beyond = list(sc.solutions(eqs, bound, outside=outside))
+        assert _assignments(beyond) == _assignments(
+            env for env in expected
+            if any(abs(x) > outside for x in env.values()))
         inside = [env for env in every
                   if all(abs(x) <= outside for x in env.values())]
-        assert _assignments(every) == _assignments(
-            list(sc.solutions(eqs, bound, outside=outside)) + inside)
+        assert _assignments(every) == _assignments(beyond + inside)
 
 
 @settings(max_examples=100, deadline=None)
-@given(_lead_equations(), st.integers(0, 3), st.none() | st.integers(0, 4))
+@given(_lead_equations(), st.integers(0, 3), st.integers(0, 4))
 def test_solutions_match_a_brute_force_filter(lead, bound, outside):
     _assert_solutions_by_brute_force(*lead, bound, outside)
 
@@ -690,7 +691,7 @@ def test_solutions_match_a_brute_force_filter_on_edge_cases(eqs):
     sc = parse_schema("e[i, j, k | i != k]: L_{i+i} (0) L_{j+k} "
                       "- L_{j+k} (0) L_{i+i}")
     for bound in range(3):
-        for outside in (None, 0, 1, 2):
+        for outside in range(3):
             _assert_solutions_by_brute_force(sc, eqs, bound, outside)
 
 

@@ -14,10 +14,8 @@ import pytest
 from hypothesis import given, settings
 
 from conformal import (CompletionLimits, IndexWindow, RelationSet,
-                       builtin_example, equivalence_check, gsb,
-                       parse_presentation, reduce_poly)
+                       builtin_example, equivalence_check, gsb, reduce_poly)
 from conformal import cli
-from conformal.envelope import SchemaIndex
 from conftest import SIG_A2, a2_presentations, within_budget
 
 PRESENTATIONS = os.path.join(os.path.dirname(os.path.dirname(
@@ -131,17 +129,14 @@ def test_heisenberg_virasoro_alg(monkeypatch):
 
 def test_standalone_interreduce_with_lazy_schemas():
     # probes materialize out-of-window schema instances, which then take
-    # part in the interreduction; a prefix of the set keeps this quick.
-    # The prefix lacks eager instances and interreduction removes
-    # relations, so the index has no radius: it solves the whole box
-    path = os.path.join(PRESENTATIONS, "heisenberg_virasoro.alg")
-    ctx = cli._load_context(SimpleNamespace(command="complete", file=path,
-                                            window=1))
-    with open(path, encoding="utf-8") as fh:
-        lazy = SchemaIndex(parse_presentation(fh.read()).schemas, ctx.sig)
+    # part in the interreduction; a prefix of the set keeps this quick
+    args = SimpleNamespace(
+        command="complete",
+        file=os.path.join(PRESENTATIONS, "heisenberg_virasoro.alg"), window=1)
+    ctx = cli._load_context(args)
     polys = ctx.rset.polys()[:130]
-    rset = RelationSet(ctx.sig, polys, lazy=lazy)
-    ref = RelationSet(ctx.sig, polys, lazy=lazy)
+    rset = RelationSet(ctx.sig, polys, lazy=ctx.rset.lazy)
+    ref = RelationSet(ctx.sig, polys, lazy=ctx.rset.lazy)
     assert incremental_interreduce(rset) == full_rescan_interreduce(ref)
     assert rset.materialized == ref.materialized > 0
     assert [(r.canon, r.alive) for r in rset.log_since(0)] == \

@@ -9,7 +9,6 @@ from conformal import (AlgebraSignature, ConformalPolynomial, IndexWindow,
                        NormalWord, Pattern, RelationSet, apply_D,
                        builtin_example, eval_pattern, gen, make_word,
                        normalize, parse_poly, parse_word, word_expr)
-from conformal.envelope import SchemaIndex
 from conformal.rewriting import RelationError
 from conftest import random_word, random_poly
 from props import all_occurrences, s_word
@@ -223,14 +222,14 @@ def test_live_count_follows_adds_and_removes(sig_a2):
     assert rset.log_length() > len(rset) > 0
 
 
-def test_remove_refuses_a_set_whose_lazy_index_skips_the_window():
-    # a lookup with a radius skips the eager instances, so the set must
-    # keep them; an index without one solves them again
+def test_remove_refuses_a_set_that_holds_an_eager_window():
+    # its lookup skips the eager instances, so the set must keep them; a
+    # set sharing the index without the radius solves them again
     ex = builtin_example("virasoro", IndexWindow(W=1))
     rset = ex.basis_rset()
     with pytest.raises(RelationError):
         rset.remove(rset.relations()[0])
     assert len(rset) == len(rset.relations()) == len(ex.basis)
-    rset = RelationSet(ex.sig, ex.basis, lazy=SchemaIndex(ex.schemas, ex.sig))
+    rset = RelationSet(ex.sig, ex.basis, lazy=ex.index)
     rset.remove(rset.relations()[0])
     assert len(rset) == len(ex.basis) - 1
