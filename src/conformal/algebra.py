@@ -14,10 +14,12 @@ defining identities:
 * locality:       b (n) b' = 0 for generators and n >= N
 * associativity:  (a (n) b) (m) c = sum_t (-1)^t C(n,t) a(n-t) (b(m+t) c)
 
-The three recursive primitives are ``_gen_mult`` (generator times word),
-``_word_D`` (one derivation of a word) and ``_word_mult`` (word times word);
-the first two are memoized on the signature.  Cached dicts are frozen by
-convention: callers must copy before mutating.
+The three primitives are ``_gen_mult`` (generator times word), ``_word_D``
+(one derivation of a word) and ``_word_mult`` (word times word).  Only
+``_gen_mult`` recurses and is memoized on the signature; its cached dicts
+are frozen by convention, and callers must copy before mutating.
+``_word_D`` is a closed form, and ``_word_mult`` is one pass over the
+junction offsets of its left word, one ``_gen_mult`` call per offset.
 
 Unevaluated input is one expression tree (``Gen``, ``Deriv``, ``Prod``,
 ``LinComb``): the parser builds it, a relation schema's template is such a
@@ -108,53 +110,50 @@ def _gen_mult(sig: AlgebraSignature, g: GeneratorSymbol, n: int,
 
 
 def _word_D(sig: AlgebraSignature, u: NormalWord) -> Terms:
-    """Normalized derivative  D [u].  Memoized, frozen."""
-    out = sig._wd_cache.get(u)
-    if out is not None:
-        return out
-    if len(u.body) == 0:
-        out = {u.append_D(1): 1}
-    else:
-        b, n1 = u.body[0]
-        u1 = NormalWord(u.body[1:], u.tail, u.dpow)
-        out = {}
-        if n1 > 0:
-            out[u1.prepend(b, n1 - 1)] = -n1
-        for w, c in _word_D(sig, u1).items():
-            out[w.prepend(b, n1)] = c  # junctions differ, no collisions
-    sig._wd_cache[u] = out
+    """Normalized derivative  D [u], in closed form: by Leibniz and the
+    D-shift, D [b1(n1) ... bk(nk) D^i b] is the sum over the junctions j
+    with nj > 0 of  -nj [u with nj lowered by one],  then  [u with D^(i+1)].
+    The terms never collide and go in that order.  Not memoized."""
+    body, tail, dpow = u
+    out = {}
+    for j, (b, m) in enumerate(body):
+        if m:
+            out[NormalWord(body[:j] + (b.pair(m - 1),) + body[j + 1:],
+                           tail, dpow)] = -m
+    out[NormalWord(body, tail, dpow + 1)] = 1
     return out
 
 
 def _word_mult(sig: AlgebraSignature, u: NormalWord, n: int,
                v: NormalWord) -> Terms:
-    """Normalized right-normed product  [u] (n) [v]."""
+    """Normalized right-normed product  [u] (n) [v], in one pass.
+
+    For u = b1(m1) ... bk(mk) D^i b, associativity expands the product over
+    the junction offsets t = (t1, ..., tk), 0 <= tj <= mj, as the sum of
+    prod_j (-1)^tj C(mj, tj)  b1(m1-t1) ... bk(mk-tk) [D^i b (s) v]  with
+    s = n + t1 + ... + tk, and  D^i b (s) v = (-1)^i s!/(s-i)! b (s-i) v,
+    zero for i > s.  Distinct offsets give distinct prefixes, so no two
+    terms collide; the offsets go in lexicographic order, t1 slowest.
+    """
     if n < 0:
         raise ArithmeticError_("negative product index")
-    if len(u.body) == 0:
-        i = u.dpow
-        if i == 0:
-            return _gen_mult(sig, u.tail, n, v)
-        if i > n:
-            return {}
-        c = perm(n, i) if i % 2 == 0 else -perm(n, i)
-        return _scaled(_gen_mult(sig, u.tail, n - i, v), c)
-    b, m0 = u.body[0]
-    u1 = NormalWord(u.body[1:], u.tail, u.dpow)
+    tail, i = u.tail, u.dpow
+    if not u.body and not i:
+        return _gen_mult(sig, tail, n, v)
+    heads = [((), n, 1)]  # (prefix, s, coefficient) per offset so far
+    for b, m in u.body:
+        heads = [(pre + (b.pair(m - t),), s + t,
+                  (-c if t % 2 else c) * comb(m, t))
+                 for pre, s, c in heads for t in range(m + 1)]
     out: Terms = {}
-    for t in range(0, m0 + 1):
-        inner = _word_mult(sig, u1, n + t, v)
-        if not inner:
-            continue
-        c = comb(m0, t) if t % 2 == 0 else -comb(m0, t)
-        q = m0 - t  # always < N, a plain prepend
-        for w, cw in inner.items():
-            key = w.prepend(b, q)
-            val = out.get(key, 0) + c * cw
-            if val:
-                out[key] = val
-            else:
-                del out[key]
+    for pre, s, c in heads:
+        if i:
+            if i > s:
+                continue
+            c *= -perm(s, i) if i % 2 else perm(s, i)
+            s -= i
+        for w, cw in _gen_mult(sig, tail, s, v).items():
+            out[NormalWord(pre + w.body, w.tail, w.dpow)] = c * cw
     return out
 
 

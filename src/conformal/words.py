@@ -11,15 +11,16 @@ is a well order whenever the generator order is.
 Words are the keys of every memo cache and terms dict, so they are made cheap
 to hash and compare: generators are interned (one object per name and index,
 compared by identity), word bodies are built from pairs that each generator
-shares out, and a word computes its hash once and keeps it.  The generator
-table and the per-generator pair tables are the only process-wide state;
-both grow through ``dict.setdefault``, which is atomic under the GIL.
+shares out, and a word is a tuple of its fields, hashed and compared in C.
+The generator table and the per-generator pair tables are the only
+process-wide state; both grow through ``dict.setdefault``, which is atomic
+under the GIL.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field
-from typing import Iterable, Optional, Sequence, Tuple
+from dataclasses import FrozenInstanceError
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 
 class ConformalError(Exception):
@@ -124,40 +125,24 @@ class GeneratorOrder:
         return (fam, abs(idx), idx)
 
 
-@dataclass(frozen=True, slots=True)
-class NormalWord:
+class NormalWord(NamedTuple):
     """An associative normal word.
 
     ``body`` holds the (generator, junction index) pairs before the tail
     letter, ``tail`` is the last generator, and ``dpow`` the D power on it.
-    The empty body gives length-1 words D^i b.  The hash is computed on first
-    use and kept in ``_hash``, which equality, repr and pickling ignore.
+    The empty body gives length-1 words D^i b.
+
+    A word is the tuple ``(body, tail, dpow)``, so it hashes and compares
+    as that tuple does and equals the plain tuple with the same fields.
+    That is harmless: nothing keys one dict or set by both words and plain
+    3-tuples, and a flat slice ``(g0, n0, g1, ...)`` starts with a
+    generator, never with a body tuple.  Its ``<`` is the tuple's, not the
+    word order; ``AlgebraSignature.word_key`` gives that.
     """
 
     body: Tuple[Tuple[GeneratorSymbol, int], ...]
     tail: GeneratorSymbol
     dpow: int = 0
-    _hash: Optional[int] = field(default=None, init=False, repr=False,
-                                 compare=False)
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.body, self.tail, self.dpow))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not NormalWord:
-            return NotImplemented
-        h, k = self._hash, other._hash
-        return ((h is None or k is None or h == k) and self.tail is other.tail
-                and self.dpow == other.dpow and self.body == other.body)
-
-    def __reduce__(self):
-        return (NormalWord, (self.body, self.tail, self.dpow))
 
     @property
     def length(self) -> int:
@@ -234,12 +219,13 @@ class AlgebraSignature:
     """Generators plus the uniform locality bound N and the generator order.
 
     Generators are either a finite explicit tuple or a set of indexed
-    families over all integers.  The signature also owns the memo caches used
-    by the normalization engine.
+    families over all integers.  The signature also owns two memo caches:
+    ``_wkey_cache`` maps a word to its ``word_key`` and ``_gm_cache`` maps
+    ``(g, n, v)`` to the normalized ``g (n) [v]`` of ``algebra._gen_mult``.
     """
 
     __slots__ = ("N", "order", "generators", "families",
-                 "_wkey_cache", "_gm_cache", "_wd_cache")
+                 "_wkey_cache", "_gm_cache")
 
     def __init__(self, N: int, order: GeneratorOrder,
                  generators: Optional[Tuple[GeneratorSymbol, ...]] = None,
@@ -254,7 +240,6 @@ class AlgebraSignature:
         self.families = families
         self._wkey_cache = {}
         self._gm_cache = {}
-        self._wd_cache = {}
 
     @classmethod
     def finite(cls, names: Iterable, N: int) -> "AlgebraSignature":

@@ -6,12 +6,13 @@ identity in exact arithmetic, and returns the number of cases it ran.
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 
 from conformal import (AlgebraSignature, ConformalPolynomial, Deriv, Gen,
                        GeneratorSymbol, LinComb, NormalWord, Prod,
                        RelationSet, apply_D, eval_pattern, locality_bound,
                        mult, normalize, poly_mult, reduce_poly, word_expr)
+from conformal.algebra import _accum, _gen_mult, _scaled, _word_D, _word_mult
 from conformal.gsb import Composition
 from conformal.rewriting import Pattern, slices
 from conftest import random_word, random_poly
@@ -352,6 +353,142 @@ def check_linearity(rng: random.Random, cases: int) -> int:
         lhs = poly_mult(p.scale(a) + q.scale(b), n, r)
         rhs = poly_mult(p, n, r).scale(a) + poly_mult(q, n, r).scale(b)
         assert lhs == rhs
+    return cases
+
+
+# reference kernels -------------------------------------------------------------
+#
+# The recursive kernels that algebra's flat ones replaced, kept as the slow
+# path they are checked against: ref_word_D and ref_word_mult peel the first
+# letter of the left word, and ref_gen_mult is algebra._gen_mult with its
+# D-power branch calling ref_word_D.  Only ref_gen_mult memoizes, in a dict
+# of the caller's, so they share no state with the engine.
+
+
+def ref_word_D(u: NormalWord) -> dict:
+    if not u.body:
+        return {u.append_D(1): 1}
+    b, n1 = u.body[0]
+    u1 = NormalWord(u.body[1:], u.tail, u.dpow)
+    out = {}
+    if n1 > 0:
+        out[u1.prepend(b, n1 - 1)] = -n1
+    for w, c in ref_word_D(u1).items():
+        out[w.prepend(b, n1)] = c
+    return out
+
+
+def ref_gen_mult(sig, g, n: int, v: NormalWord, memo: dict) -> dict:
+    key = (g, n, v)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    if n < sig.N:
+        out = {v.prepend(g, n): 1}
+    elif not v.body:
+        out = {}
+        if v.dpow:
+            v1 = NormalWord((), v.tail, v.dpow - 1)
+            for w, c in ref_gen_mult(sig, g, n, v1, memo).items():
+                _accum(out, ref_word_D(w), c)
+            if n > 0:
+                _accum(out, ref_gen_mult(sig, g, n - 1, v1, memo), n)
+    else:
+        b, m = v.body[0]
+        v1 = NormalWord(v.body[1:], v.tail, v.dpow)
+        out = {}
+        for k in range(1, n + 1):
+            c = -comb(n, k) if k % 2 == 0 else comb(n, k)
+            for w, cw in ref_gen_mult(sig, b, m + k, v1, memo).items():
+                _accum(out, ref_gen_mult(sig, g, n - k, w, memo), c * cw)
+    memo[key] = out
+    return out
+
+
+def ref_word_mult(sig, u: NormalWord, n: int, v: NormalWord,
+                  memo: dict) -> dict:
+    if not u.body:
+        i = u.dpow
+        if i == 0:
+            return ref_gen_mult(sig, u.tail, n, v, memo)
+        if i > n:
+            return {}
+        c = perm(n, i) if i % 2 == 0 else -perm(n, i)
+        return _scaled(ref_gen_mult(sig, u.tail, n - i, v, memo), c)
+    b, m0 = u.body[0]
+    u1 = NormalWord(u.body[1:], u.tail, u.dpow)
+    out = {}
+    for t in range(0, m0 + 1):
+        c = comb(m0, t) if t % 2 == 0 else -comb(m0, t)
+        for w, cw in ref_word_mult(sig, u1, n + t, v, memo).items():
+            key = w.prepend(b, m0 - t)
+            val = out.get(key, 0) + c * cw
+            if val:
+                out[key] = val
+            else:
+                del out[key]
+    return out
+
+
+def _kernel_sigs():
+    return ([AlgebraSignature.finite(["x", "y"], N) for N in range(1, 5)]
+            + [AlgebraSignature.indexed(["L", "H"], N) for N in range(1, 5)])
+
+
+def _kernel_word(rng: random.Random, sig) -> NormalWord:
+    """A word of body length 0-3 and D power 0-3."""
+    if sig.generators is not None:
+        def draw():
+            return rng.choice(sig.generators)
+    else:
+        def draw():
+            return GeneratorSymbol(rng.choice(sig.families), rng.randint(-2, 2))
+    body = tuple(draw().pair(rng.randrange(sig.N))
+                 for _ in range(rng.randint(0, 3)))
+    return NormalWord(body, draw(), rng.randint(0, 3))
+
+
+def _kernel_poly(rng: random.Random, sig) -> ConformalPolynomial:
+    coeffs = [-2, Fraction(-1, 2), 1, Fraction(2, 3), 3]
+    return ConformalPolynomial(sig, {_kernel_word(rng, sig): rng.choice(coeffs)
+                                     for _ in range(rng.randint(1, 3))})
+
+
+def _listed(terms: dict) -> list:
+    """Words, coefficients and their types, in insertion order."""
+    return [(type(w), w, type(c), c) for w, c in terms.items()]
+
+
+def check_kernels(rng: random.Random, cases: int) -> int:
+    """The flat kernels and the products and derivatives built on them give
+    the reference kernels' terms: the same words, coefficient values and
+    types, in the same insertion order."""
+    sigs = _kernel_sigs()
+    for _ in range(cases):
+        sig = rng.choice(sigs)
+        memo: dict = {}
+        u, v = _kernel_word(rng, sig), _kernel_word(rng, sig)
+        n = rng.randint(0, locality_bound(sig, u, v))
+        assert _listed(_word_D(sig, u)) == _listed(ref_word_D(u))
+        assert (_listed(_word_mult(sig, u, n, v))
+                == _listed(ref_word_mult(sig, u, n, v, memo)))
+        # n >= N with a D power on v takes _gen_mult's D-power branch
+        g, m = u.tail, rng.randint(sig.N, sig.N + 3)
+        assert (_listed(_gen_mult(sig, g, m, v))
+                == _listed(ref_gen_mult(sig, g, m, v, memo)))
+        p, q, j = _kernel_poly(rng, sig), _kernel_poly(rng, sig), rng.randint(0, 3)
+        terms = p.terms
+        for _ in range(j):
+            out: dict = {}
+            for w, c in terms.items():
+                _accum(out, ref_word_D(w), c)
+            terms = out
+        assert _listed(apply_D(p, j).terms) == _listed(terms)
+        terms = {}
+        for w, cw in p.terms.items():
+            for x, cx in q.terms.items():
+                _accum(terms, ref_word_mult(sig, w, n, x, memo), cw * cx)
+        assert _listed(poly_mult(p, n, q).terms) == _listed(terms)
     return cases
 
 

@@ -16,8 +16,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings
 
-from conformal import (IndexWindow, RelationSet, builtin_example, gsb,
-                       parse_presentation)
+from conformal import (GeneratorSymbol, IndexWindow, NormalWord, RelationSet,
+                       builtin_example, gsb, parse_presentation)
 from conformal import cli
 from conformal.envelope import SchemaIndex, comp_window_filter
 from conftest import SIG_A2, a2_presentations
@@ -137,6 +137,18 @@ def test_check_keeps_what_it_prints_on_random_input(ps):
     assert_keeps_what_it_prints(lambda: (
         RelationSet(SIG_A2, gsb._monic_prepare(ps)), SIG_A2.generators,
         None))
+
+
+def test_relation_index_keys_are_flat_slices_not_words():
+    """A word equals the plain tuple of its fields, so no word may key the
+    lead index or the lazy lookup's memo: their keys are flat slices, which
+    start with a generator."""
+    rset, gens, comp_filter = file_inputs("heisenberg_virasoro.alg")
+    gsb.check_gsb_rset(rset, gens, comp_filter=comp_filter)
+    keys = list(rset._lead_index) + list(rset._lazy_tried)
+    assert rset._lazy_tried and rset._lead_index
+    assert not any(isinstance(k, NormalWord) for k in keys)
+    assert all(isinstance(k[0], GeneratorSymbol) for k in keys)
 
 
 def file_pair(name, W, M):

@@ -47,3 +47,7 @@ def test_trace_soundness_and_idempotence():
 
 def test_linearity():
     props.check_linearity(random.Random(111), 120)
+
+
+def test_flat_kernels_match_recursive_reference():
+    props.check_kernels(random.Random(112), 400)

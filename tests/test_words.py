@@ -151,16 +151,19 @@ def test_invalid_generators_and_junctions_raise(sig_a2):
     assert a.pair(-1) == (a, -1)
 
 
-def test_pickled_word_recomputes_its_hash(sig_xy3):
+def test_pickled_word_equals_and_hashes_alike(sig_xy3):
     x, y = sig_xy3.generators
     w = make_word(sig_xy3, x, 2, y, 0, x, dpow=1)
     hash(w)
     back = pickle.loads(pickle.dumps(w))
     assert back == w and back.tail is x
-    assert back._hash is None
     assert hash(back) == hash(NormalWord(w.body, w.tail, w.dpow))
     assert copy.deepcopy(w) == w
     assert "_hash" not in repr(w)
+    with pytest.raises(AttributeError):
+        w.dpow = 2
+    with pytest.raises(AttributeError):
+        w.body = ()
 
 
 def test_prepend_shares_body_pairs(sig_xy3):
