@@ -20,6 +20,8 @@ The three primitives are ``_gen_mult`` (generator times word), ``_word_D``
 are frozen by convention, and callers must copy before mutating.
 ``_word_D`` is a closed form, and ``_word_mult`` is one pass over the
 junction offsets of its left word, one ``_gen_mult`` call per offset.
+Both build their words with ``tuple.__new__(NormalWord, ...)``, which
+skips the named tuple's Python-level ``__new__``.
 
 Unevaluated input is one expression tree (``Gen``, ``Deriv``, ``Prod``,
 ``LinComb``): the parser builds it, a relation schema's template is such a
@@ -55,6 +57,19 @@ def _coeff(c) -> Coeff:
 def _accum(dst: Terms, src: Terms, c) -> None:
     """dst += c * src, for stored coefficients ``src`` and ``c``."""
     for w, cw in src.items():
+        v = dst.get(w, 0) + c * cw
+        if v:
+            if type(v) is not int and v.denominator == 1:
+                v = v.numerator
+            dst[w] = v
+        else:
+            dst.pop(w, None)
+
+
+def _accum_pairs(dst: Terms, pairs, c) -> None:
+    """``_accum`` over (word, stored coefficient) pairs, such as the
+    normal forms that ``rewriting.reduce_poly``'s memo keeps."""
+    for w, cw in pairs:
         v = dst.get(w, 0) + c * cw
         if v:
             if type(v) is not int and v.denominator == 1:
@@ -115,12 +130,13 @@ def _word_D(sig: AlgebraSignature, u: NormalWord) -> Terms:
     with nj > 0 of  -nj [u with nj lowered by one],  then  [u with D^(i+1)].
     The terms never collide and go in that order.  Not memoized."""
     body, tail, dpow = u
+    new = tuple.__new__
     out = {}
     for j, (b, m) in enumerate(body):
         if m:
-            out[NormalWord(body[:j] + (b.pair(m - 1),) + body[j + 1:],
-                           tail, dpow)] = -m
-    out[NormalWord(body, tail, dpow + 1)] = 1
+            out[new(NormalWord, (body[:j] + (b.pair(m - 1),) + body[j + 1:],
+                                 tail, dpow))] = -m
+    out[new(NormalWord, (body, tail, dpow + 1))] = 1
     return out
 
 
@@ -145,6 +161,7 @@ def _word_mult(sig: AlgebraSignature, u: NormalWord, n: int,
         heads = [(pre + (b.pair(m - t),), s + t,
                   (-c if t % 2 else c) * comb(m, t))
                  for pre, s, c in heads for t in range(m + 1)]
+    new = tuple.__new__
     out: Terms = {}
     for pre, s, c in heads:
         if i:
@@ -153,7 +170,7 @@ def _word_mult(sig: AlgebraSignature, u: NormalWord, n: int,
             c *= -perm(s, i) if i % 2 else perm(s, i)
             s -= i
         for w, cw in _gen_mult(sig, tail, s, v).items():
-            out[NormalWord(pre + w.body, w.tail, w.dpow)] = c * cw
+            out[new(NormalWord, (pre + w.body, w.tail, w.dpow))] = c * cw
     return out
 
 

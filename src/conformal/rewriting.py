@@ -18,6 +18,19 @@ leftmost pattern, the one search there is: by the Composition-Diamond
 lemma the remainder modulo a Groebner-Shirshov basis does not depend on
 which pattern divides.  The trace's steps and remainder sum back to the
 input exactly (``tests/props.py::reconstruct`` checks this).
+
+With the leftmost pattern fixed per word, the remainder is linear in the
+input, so a set that does not change can divide each word once.  Write
+R(w) = w for an irreducible w, and R(w) = -sum_{u != w} e_u R(u) for the
+evaluated leftmost pattern e of a reducible w, whose other words all lie
+below w.  The division of p leaves sum_u c_u R(u), by induction on the
+greatest word w of p: for an irreducible w it moves c_w w to the
+remainder and goes on with p - c_w w; else it goes on with
+p - c_w e = (p - c_w w) - c_w (e - w), whose words all lie below w, so by
+induction it leaves sum_{u != w} c_u R(u) - c_w sum_{u != w} e_u R(u),
+which is the claim.  ``reduce_poly(p, rset, memo=m)`` sums memo entries and
+builds the missing ones; the caller keeps one dict per unchanged set.  How
+that stays exact on a set with a schema index is in ``RelationSet``.
 """
 
 from __future__ import annotations
@@ -28,8 +41,8 @@ from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from .words import AlgebraSignature, ConformalError, NormalWord, SignatureError
-from .algebra import (Coeff, ConformalPolynomial, Terms, _accum, _word_mult,
-                      apply_D)
+from .algebra import (Coeff, ConformalPolynomial, Terms, _accum, _accum_pairs,
+                      _word_mult, apply_D)
 
 
 class RelationError(ConformalError):
@@ -98,12 +111,18 @@ class Pattern:
 
 
 def eval_pattern(pat: Pattern) -> Terms:
-    """Normalized substitution of the relation into the pattern (frozen dict)."""
+    """Normalized substitution of the relation into the pattern (frozen
+    dict), cached per relation by (word, start)."""
+    cache, key = pat.relation._eval_cache, (pat.word, pat.start)
+    out = cache.get(key)
+    if out is None:
+        out = cache[key] = _evaluate(pat)
+    return out
+
+
+def _evaluate(pat: Pattern) -> Terms:
+    """``eval_pattern`` without its cache."""
     rel, w, p = pat.relation, pat.word, pat.start
-    key = (w, p)
-    out = rel._eval_cache.get(key)
-    if out is not None:
-        return out
     s = rel.lead
     q = p + s.length
     interior = q < w.length
@@ -118,11 +137,15 @@ def eval_pattern(pat: Pattern) -> Terms:
     else:
         out = apply_D(rel.poly, w.dpow - s.dpow).terms
     if p:
-        a = w.body[:p]
-        out = {NormalWord(a + u.body, u.tail, u.dpow): cu
+        a, new = w.body[:p], tuple.__new__
+        out = {new(NormalWord, (a + u.body, u.tail, u.dpow)): cu
                for u, cu in out.items()}
-    rel._eval_cache[key] = out
     return out
+
+
+class _WouldGrow(Exception):
+    """A walk that may not grow the set reached an untried slice whose
+    lookup adds instances."""
 
 
 class RelationSet:
@@ -146,6 +169,26 @@ class RelationSet:
     the lookup then solves only beyond that box.  The radius belongs to
     the set that added the box, never to the shareable index, and
     ``remove`` refuses such a set, which must keep every eager instance.
+
+    The normal-form memo of ``reduce_poly`` walks with ``grow=False``.
+    Such a walk looks up each untried slice it reaches.  A slice whose
+    lookup adds nothing is recorded as tried.  At a slice whose lookup
+    would add an instance the walk raises ``_WouldGrow`` and adds nothing;
+    that division then runs step by step, and the lookup is held for the
+    walk that tries the slice.  So after every division ``materialized``,
+    and the set of tried slices that added instances, are those of the
+    step-by-step division:
+
+    * ``materialized`` is a sum over the tried slices, and an instance is
+      added only at the slice it leads;
+    * a memo that succeeds has walked, in this division or an earlier
+      one, a closure of words holding every word the division would reach
+      (the input's words and those of the patterns it evaluates), and no
+      slice those walks reached adds anything, so the division would add
+      nothing either;
+    * an entry stays valid after later additions: its walk tried every
+      slice up to its first hit, or every slice of an irreducible word, so
+      no later addition can come before that hit.
     """
 
     def __init__(self, sig: AlgebraSignature,
@@ -164,8 +207,12 @@ class RelationSet:
         self.lazy = lazy
         self.eager_radius = eager_radius
         self._lazy_tried = set()
+        self._held: Dict[tuple, List[ConformalPolynomial]] = {}
         self.materialized = 0
         if eager_radius is not None:
+            if lazy is None:
+                raise RelationError("an eager radius needs a schema index "
+                                    "(lazy), and none was given")
             polys = chain(polys, lazy.instances_within(eager_radius))
         for p in sorted(polys, key=ConformalPolynomial.canonical_key):
             if p.canonical_key() not in self._canon:
@@ -228,13 +275,33 @@ class RelationSet:
         if self.lazy is None or sub in self._lazy_tried:
             return
         self._lazy_tried.add(sub)
-        for p in self.lazy.instances_for(sub[0::2], sub[1::2],
-                                         outside=self.eager_radius):
+        for p in self._lookup(sub):
             if p.canonical_key() in self._canon:
                 continue
             if p.leading().flat() == sub:
                 self.add(p)
                 self.materialized += 1
+        self._held.pop(sub, None)
+
+    def _try_unchanged(self, sub: tuple) -> None:
+        """Record the untried ``sub`` as tried when its lookup adds
+        nothing; raise ``_WouldGrow`` otherwise, adding nothing and holding
+        the lookup's result for the walk that tries ``sub``."""
+        found = self._lookup(sub)
+        for p in found:
+            if p.canonical_key() not in self._canon and \
+                    p.leading().flat() == sub:
+                self._held[sub] = found
+                raise _WouldGrow
+        self._lazy_tried.add(sub)
+
+    def _lookup(self, sub: tuple) -> List[ConformalPolynomial]:
+        """The index's instances for ``sub``: held, or solved now."""
+        found = self._held.get(sub)
+        if found is None:
+            found = self.lazy.instances_for(sub[0::2], sub[1::2],
+                                            outside=self.eager_radius)
+        return found
 
     # pattern search ----------------------------------------------------------
 
@@ -247,22 +314,29 @@ class RelationSet:
             self._lens_set = lens
         return lens
 
-    def _hits(self, w: NormalWord, exclude: Optional[Relation]):
+    def _hits(self, w: NormalWord, exclude: Optional[Relation],
+              grow: bool = True):
         """(start letter, relation) of every occurrence in w, in slice walk
-        order and by canonical form within a slice."""
+        order and by canonical form within a slice.  Each untried slice is
+        looked up first; with ``grow`` false the lookup may not add."""
+        lazy, tried = self.lazy, self._lazy_tried
         for p, sub, interior in slices(w, self._length_set()):
-            if self.lazy is not None:
-                self._materialize(sub)
+            if lazy is not None and sub not in tried:
+                if grow:
+                    self._materialize(sub)
+                else:
+                    self._try_unchanged(sub)
             for rel in self._lead_index.get(sub, ()):
                 if rel is not exclude and \
                         dpow_fits(rel.lead.dpow, interior, w.dpow):
                     yield p, rel
 
-    def find_one(self, w: NormalWord,
-                 exclude: Optional[Relation] = None) -> Optional[Pattern]:
+    def find_one(self, w: NormalWord, exclude: Optional[Relation] = None,
+                 *, grow: bool = True) -> Optional[Pattern]:
         """The leftmost pattern with leading word w: the first occurrence in
-        slice walk order."""
-        hit = next(self._hits(w, exclude), None)
+        slice walk order.  With ``grow`` false, raises ``_WouldGrow`` where
+        the walk would add instances (see the class docstring)."""
+        hit = next(self._hits(w, exclude, grow), None)
         return None if hit is None else Pattern(hit[1], w, hit[0])
 
     def division_repeats(self, stamp: int, words: Sequence[NormalWord],
@@ -312,17 +386,39 @@ class ReductionTrace:
 
 
 def reduce_poly(p: ConformalPolynomial, rset: RelationSet, *,
-                exclude: Optional[Relation] = None) -> ReductionTrace:
+                exclude: Optional[Relation] = None,
+                memo: Optional[dict] = None) -> ReductionTrace:
     """Divide p by the relation set.
 
     While the current leading word matches some pattern, the leftmost
     one's relation is substituted and subtracted; irreducible leading
     terms move to the remainder.  Terminates because eliminated leading
     words strictly decrease in a well order.
+
+    With ``memo``, a dict the caller keeps for one set that nothing else
+    changes, the remainder is the sum of the words' normal forms (module
+    docstring), read from the memo or built into it, and the trace has no
+    steps.  Where building them would add schema instances, p is divided
+    step by step instead, as without a memo (``RelationSet`` docstring).
+    A memo cannot be combined with ``exclude``.
     """
     sig = p.sig
+    if memo is not None:
+        if exclude is not None:
+            raise ValueError("reduce_poly: a memo cannot exclude a relation")
+        try:
+            _normal_forms(p.terms, rset, memo)
+        except _WouldGrow:
+            pass
+        else:
+            remainder: Terms = {}
+            for w, c in p.terms.items():
+                nf = memo[w]
+                _accum_pairs(remainder, ((w, 1),) if nf is None else nf, c)
+            return ReductionTrace(
+                [], ConformalPolynomial(sig, remainder, _frozen=True))
     cur = dict(p.terms)
-    remainder: Terms = {}
+    remainder = {}
     steps: List[TraceStep] = []
     wkey = sig.word_key
     while cur:
@@ -340,6 +436,60 @@ def reduce_poly(p: ConformalPolynomial, rset: RelationSet, *,
                 f"word {w}")
         steps.append(TraceStep(pat, c))
     return ReductionTrace(steps, ConformalPolynomial(sig, remainder, _frozen=True))
+
+
+def _normal_forms(words: Iterable[NormalWord], rset: RelationSet,
+                  memo: dict) -> None:
+    """Add the normal form R(w) of each word, and of every word it needs,
+    to ``memo``: None for an irreducible word, else R(w) as a tuple of
+    (irreducible word, coefficient) pairs, empty when w reduces to zero.
+
+    Depth first on an explicit stack, since chains of reductions can be
+    deep.  A reducible word is pending from its pattern's evaluation e,
+    found by a walk that may not grow the set (``_WouldGrow`` passes up),
+    until every other word of e has its entry.  An evaluation without w at
+    coefficient 1, or a pending word met again (the evaluations would not
+    descend), raises ``RelationError``.
+    """
+    pending: Dict[NormalWord, Terms] = {}
+    stack = [w for w in words if w not in memo]
+    while stack:
+        w = stack[-1]
+        if w in memo:
+            stack.pop()
+            continue
+        ev = pending.get(w)
+        if ev is None:
+            pat = rset.find_one(w, grow=False)
+            if pat is None:
+                memo[w] = None
+                stack.pop()
+                continue
+            # read an evaluation cached before, store none: the entry
+            # supersedes it
+            ev = pat.relation._eval_cache.get((w, pat.start)) or \
+                _evaluate(pat)
+            pending[w] = ev
+            if ev.get(w) != 1:
+                raise RelationError(
+                    f"{pat.describe()} does not evaluate to its word {w} "
+                    f"with coefficient 1")
+            for u in ev:
+                if u in pending:
+                    if u != w:
+                        raise RelationError(
+                            f"the division of {u} meets {u} again")
+                elif u not in memo:
+                    stack.append(u)
+            continue
+        nf: Terms = {}
+        for u, cu in ev.items():
+            if u != w:
+                r = memo[u]
+                _accum_pairs(nf, ((u, 1),) if r is None else r, -cu)
+        memo[w] = tuple(nf.items())
+        del pending[w]
+        stack.pop()
 
 
 # irreducible words --------------------------------------------------------

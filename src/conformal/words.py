@@ -36,10 +36,11 @@ class GeneratorSymbol:
 
     Generators are interned: equal ``(name, index)`` give one object, so
     equality and hashing are by identity.  Each generator also hands out the
-    shared ``(self, n)`` pairs that word bodies are made of.
+    shared ``(self, n)`` pairs that word bodies are made of, and keeps its
+    text, which words are printed from.
     """
 
-    __slots__ = ("name", "index", "_pairs")
+    __slots__ = ("name", "index", "_pairs", "_text")
     _table: dict = {}
 
     def __new__(cls, name: str, index: Optional[int] = None):
@@ -52,6 +53,8 @@ class GeneratorSymbol:
         object.__setattr__(g, "name", name)
         object.__setattr__(g, "index", index)
         object.__setattr__(g, "_pairs", {})
+        object.__setattr__(g, "_text",
+                           name if index is None else f"{name}_{index}")
         return cls._table.setdefault((name, index), g)
 
     def __setattr__(self, attr, value):
@@ -76,9 +79,7 @@ class GeneratorSymbol:
         return f"GeneratorSymbol(name={self.name!r}, index={self.index!r})"
 
     def __str__(self):
-        if self.index is None:
-            return self.name
-        return f"{self.name}_{self.index}"
+        return self._text
 
 
 def gen(name: str, index: Optional[int] = None) -> GeneratorSymbol:
@@ -190,16 +191,11 @@ class NormalWord(NamedTuple):
         return NormalWord(self.body[p:], self.tail, self.dpow)
 
     def __str__(self):
-        parts = []
-        for g, n in self.body:
-            parts.append(str(g))
-            parts.append(f"({n})")
-        if self.dpow == 1:
-            parts.append("D")
-        elif self.dpow > 1:
-            parts.append(f"D^{self.dpow}")
-        parts.append(str(self.tail))
-        return " ".join(parts)
+        d = self.dpow
+        head = "".join([f"{g._text} ({n}) " for g, n in self.body])
+        if d:
+            head += "D " if d == 1 else f"D^{d} "
+        return head + self.tail._text
 
 
 def make_word(sig: "AlgebraSignature", *items, dpow: int = 0) -> NormalWord:

@@ -119,3 +119,9 @@ def test_non_cancelling_substitution_raises(sig_a2, monkeypatch):
     monkeypatch.setattr(rewriting, "eval_pattern", lambda pat: {})
     with pytest.raises(RelationError, match="did not cancel"):
         reduce_poly(parse_poly("a (1) a", sig_a2), RelationSet(sig_a2, [f]))
+
+
+def test_an_eager_radius_without_a_schema_index_is_an_error(sig_a2):
+    f = parse_poly("a (1) a - a (0) D a", sig_a2)
+    with pytest.raises(RelationError, match="schema index"):
+        RelationSet(sig_a2, [f], eager_radius=2)
