@@ -79,8 +79,6 @@ _POSITIONALS = {"normalize": ("expr",), "order": ("left", "right"),
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="OUT", help="write a JSON report")
-    common.add_argument("--trace", action="store_true",
-                        help="include reduction traces in output")
     common.add_argument("--timings", action="store_true",
                         help="include wall-clock timings in the JSON report")
     common.add_argument("--window", type=int, default=None,
@@ -100,8 +98,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "algebras with uniform locality")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def filecmd(name, help_):
-        p = sub.add_parser(name, help=help_, parents=[common])
+    # only the commands that divide step by step when asked take --trace
+    traced = argparse.ArgumentParser(add_help=False, parents=[common])
+    traced.add_argument("--trace", action="store_true",
+                        help="include reduction traces in output")
+
+    def filecmd(name, help_, parent=common):
+        p = sub.add_parser(name, help=help_, parents=[parent])
         p.add_argument("-f", "--file", required=True, help="presentation file")
         for argname in _POSITIONALS.get(name, ()):
             p.add_argument(argname)
@@ -109,9 +112,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     filecmd("normalize", "normalize an expression")
     filecmd("order", "compare two normal words")
-    filecmd("reduce", "divide a polynomial by the relations")
-    filecmd("compositions", "list all compositions and their verdicts")
-    filecmd("check", "decide whether the relations form a basis")
+    filecmd("reduce", "divide a polynomial by the relations", traced)
+    filecmd("compositions", "list all compositions and their verdicts",
+            traced)
+    filecmd("check", "decide whether the relations form a basis", traced)
     filecmd("complete", "run Shirshov completion")
     filecmd("minimalize", "drop relations with covered leading words")
     filecmd("reduce-basis", "compute the reduced basis")
@@ -119,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     filecmd("kdbasis", "list D-free irreducible words")
 
     px = sub.add_parser("example", help="run a built-in example",
-                        parents=[common])
+                        parents=[traced])
     px.add_argument("name", help="virasoro | heisenberg-virasoro")
     px.add_argument("action",
                     choices=["check", "irr", "kdbasis", "embed", "equiv"])
@@ -339,6 +343,9 @@ def _cmd_embed(ctx, args):
 
 
 def _run_example(args) -> Report:
+    if args.trace and args.action != "check":
+        raise ConformalError(f"--trace applies to example check only, not "
+                             f"to example {args.action}")
     options = _options(args, {})
     window = _window(options)
     ex = builtin_example(args.name, window)

@@ -506,57 +506,31 @@ def complete(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
     the reduced basis of the ideal it generates.  The loop stops early with
     an explicit diagnostic when a limit trips; the partial basis is returned.
 
-    Work whose result provably repeats is reused from round to round, so
-    every add, remove, round count and result is that of enumerating and
-    dividing everything afresh:
-
-    * a ``CompositionMemo`` keeps the compositions of relations that were
-      sources before, which are the same objects in the same pre-sort
-      order as a fresh enumeration would build;
-    * a composition that divided to zero keeps its proof: the length of
-      the relation log at the division, and the words the division visited
-      with the relations that reduced them.  A later division is skipped
-      when each recorded relation is still live and no lead added since
-      occurs in a recorded word (``RelationSet.division_repeats``); the
-      proof then stands for a division made now, and takes the current
-      log length.
-
-    A skipped division would repeat step for step.  A zero remainder means
-    that every visited word was reducible.  ``find_one`` returns the first
-    live hit in walk order.  The recorded relation is still live, so it is
-    still a hit at its slice; a relation live now and older than the record
-    was live then, and came after it, so only a lead added since the record
-    could come before it.  So each step finds the same pattern, leaves the
-    same polynomial and visits the same next word, down to zero.  A lazy set
-    never takes the skip: skipping its walk would skip materialization.
+    Every add, remove, round count and result is that of enumerating and
+    dividing everything afresh.  A ``CompositionMemo`` keeps the
+    compositions of relations that were sources before, the same objects in
+    the same pre-sort order as a fresh enumeration would build.  Every
+    composition is divided through ``reduce_poly``'s normal-form memo, whose
+    remainder is the division's for a set that does not change; a fresh
+    memo is started after each add and its interreduction.  The set has no
+    schema index, so the memo never falls back to dividing step by step.
     """
     rset = RelationSet(sig, _monic_prepare(polys))
     index = SupportIndex(rset)
     interreduce(rset, index)
-    memo = CompositionMemo()
-    proofs: Dict[Composition, tuple] = {}
+    memo, nf = CompositionMemo(), {}
     added_total = 0
     rounds = 0
     for rounds in range(1, limits.max_rounds + 1):
         source = [r for r in rset.relations()
                   if comp_filter is None or comp_filter(r)]
         comps = enumerate_compositions(source, gens, memo)
-        zero, proofs = proofs, {}
         added_this_round = 0
         for comp in comps:
-            stamp = rset.log_length()
-            proof = zero.get(comp)
-            if proof is not None and rset.division_repeats(*proof):
-                proofs[comp] = (stamp,) + proof[1:]
-                continue
             # interreduction may have replaced comp's source relations by
             # now; the composition polynomial still lies in the ideal
-            trace = reduce_poly(comp.poly, rset)
-            rem = trace.remainder
+            rem = reduce_poly(comp.poly, rset, memo=nf).remainder
             if rem.is_zero():
-                pats = [st.pattern for st in trace.steps]
-                proofs[comp] = (stamp, tuple(p.word for p in pats),
-                                tuple(p.relation for p in pats))
                 continue
             rem = rem.monic()
             if limits.max_lead_length is not None and \
@@ -567,6 +541,7 @@ def complete(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
                     f"{limits.max_lead_length}")
             rset.add(rem)
             interreduce(rset, index)
+            nf = {}
             added_this_round += 1
             added_total += 1
             if len(rset) > limits.max_basis:

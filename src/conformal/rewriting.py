@@ -38,7 +38,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 from .words import AlgebraSignature, ConformalError, NormalWord, SignatureError
 from .algebra import (Coeff, ConformalPolynomial, Terms, _accum, _accum_pairs,
@@ -113,16 +113,11 @@ class Pattern:
 def eval_pattern(pat: Pattern) -> Terms:
     """Normalized substitution of the relation into the pattern (frozen
     dict), cached per relation by (word, start)."""
-    cache, key = pat.relation._eval_cache, (pat.word, pat.start)
-    out = cache.get(key)
-    if out is None:
-        out = cache[key] = _evaluate(pat)
-    return out
-
-
-def _evaluate(pat: Pattern) -> Terms:
-    """``eval_pattern`` without its cache."""
     rel, w, p = pat.relation, pat.word, pat.start
+    cache, key = rel._eval_cache, (w, p)
+    out = cache.get(key)
+    if out is not None:
+        return out
     s = rel.lead
     q = p + s.length
     interior = q < w.length
@@ -140,6 +135,7 @@ def _evaluate(pat: Pattern) -> Terms:
         a, new = w.body[:p], tuple.__new__
         out = {new(NormalWord, (a + u.body, u.tail, u.dpow)): cu
                for u, cu in out.items()}
+    cache[key] = out
     return out
 
 
@@ -156,8 +152,7 @@ class RelationSet:
     polynomial), which each slice of a searched word looks up under the
     D-power rule; the slice walk order then is the order of the patterns.
     Relations are appended to a log and never leave it (a removed one is
-    marked retired); ``_newest`` maps each lead flat word to the last log
-    position that added it, and ``_live`` counts the live relations.
+    marked retired), and ``_live`` counts the live relations.
     ``lazy`` is the schema index of on-demand instances, or None.  Both
     searches walk a word's slices and stop at the first hit; a slice
     materializes the schema instances it leads just before it is looked
@@ -201,7 +196,6 @@ class RelationSet:
         self._lens: Dict[int, int] = {}
         self._lens_set = None
         self._canon = set()
-        self._newest: Dict[tuple, int] = {}
         if lazy is not None and lazy.sig is not sig:
             raise SignatureError("schema index built for another signature")
         self.lazy = lazy
@@ -230,17 +224,12 @@ class RelationSet:
     def __len__(self):
         return self._live
 
-    def log_length(self) -> int:
-        """The number of relations ever added, live or retired."""
-        return len(self._relations)
-
     def log_since(self, start: int) -> List[Relation]:
         """The relations added at log positions ``start`` on, retired too."""
         return self._relations[start:]
 
     def add(self, poly: ConformalPolynomial) -> Relation:
         rel = Relation(poly)
-        self._newest[rel.lead_flat] = len(self._relations)
         self._relations.append(rel)
         self._live += 1
         self._canon.add(rel.canon)
@@ -338,24 +327,6 @@ class RelationSet:
         the walk would add instances (see the class docstring)."""
         hit = next(self._hits(w, exclude, grow), None)
         return None if hit is None else Pattern(hit[1], w, hit[0])
-
-    def division_repeats(self, stamp: int, words: Sequence[NormalWord],
-                         relations: Sequence[Relation]) -> bool:
-        """Whether a division without ``exclude`` that left no remainder,
-        visiting ``words`` and reducing them by ``relations`` when
-        ``log_length()`` was ``stamp``, would repeat step for step now
-        (the argument is in ``gsb.complete``).  Conservative: no relation
-        added since may have a lead whose flat word is a slice of a word
-        (the D-power rule is not applied).  Never on a lazy set, whose walk
-        may materialize relations."""
-        if self.lazy is not None or \
-                not all(rel.alive for rel in relations):
-            return False
-        if stamp >= len(self._relations):
-            return True
-        newest, lens = self._newest, self._length_set()
-        return not any(newest.get(sub, -1) >= stamp
-                       for w in words for _, sub, _ in slices(w, lens))
 
     def has_reduction(self, w: NormalWord,
                       exclude: Optional[Relation] = None) -> bool:
@@ -465,10 +436,7 @@ def _normal_forms(words: Iterable[NormalWord], rset: RelationSet,
                 memo[w] = None
                 stack.pop()
                 continue
-            # read an evaluation cached before, store none: the entry
-            # supersedes it
-            ev = pat.relation._eval_cache.get((w, pat.start)) or \
-                _evaluate(pat)
+            ev = eval_pattern(pat)
             pending[w] = ev
             if ev.get(w) != 1:
                 raise RelationError(

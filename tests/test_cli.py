@@ -455,6 +455,17 @@ def test_window_below_one_is_an_input_error(argv, capsys):
     assert "window parameters must be positive" in capsys.readouterr().err
 
 
+def test_trace_only_where_it_traces(ex00, capsys):
+    # reduce, compositions, check and example check divide step by step
+    # under --trace; every other command rejects the flag
+    assert main(["complete", "-f", ex00, "--trace"]) == 3
+    assert "unrecognized arguments: --trace" in capsys.readouterr().err
+    assert main(["example", "heisenberg-virasoro", "embed", "--trace"]) == 3
+    assert "--trace applies to example check only" in \
+        capsys.readouterr().err
+    assert main(["reduce", "-f", ex00, "a (1) a", "--trace"]) == 0
+
+
 # one concrete relation over a family: no schema, so nothing is windowed
 # but the generator slice, whose radius is the window
 SCHEMA_FREE_FAMILY = """

@@ -75,8 +75,8 @@ def assert_memo_divides_alike(inputs):
     step by step and one through a memo; returns their number."""
     plain, gens, comp_filter = inputs()
     memoed, _, _ = inputs()
-    start = plain.log_length()
-    assert memoed.log_length() == start
+    start = len(plain.log_since(0))
+    assert len(memoed.log_since(0)) == start
     comps = compositions(plain, gens, comp_filter)
     twins = compositions(memoed, gens, comp_filter)
     assert [c.describe() for c in comps] == [c.describe() for c in twins]
@@ -131,8 +131,8 @@ def test_memo_divides_as_the_division_on_random_input(ps, p):
 def test_a_non_monic_evaluation_raises(monkeypatch):
     # raised, not asserted, so the check also holds under python -O
     f = parse_poly("a (1) a - a (0) D a", SIG_A2)
-    evaluate = rewriting._evaluate
-    monkeypatch.setattr(rewriting, "_evaluate", lambda pat: {
+    evaluate = rewriting.eval_pattern
+    monkeypatch.setattr(rewriting, "eval_pattern", lambda pat: {
         w: 2 * c for w, c in evaluate(pat).items()})
     rset = RelationSet(SIG_A2, [f])
     with pytest.raises(RelationError, match="with coefficient 1"):
@@ -144,7 +144,7 @@ def test_an_evaluation_that_does_not_descend_raises(monkeypatch):
     u = parse_poly("a (1) a", SIG_A2).leading()
     v = parse_poly("a (0) a (1) a", SIG_A2).leading()
     # each word evaluates to itself plus the other, so neither descends
-    monkeypatch.setattr(rewriting, "_evaluate", lambda pat: {
+    monkeypatch.setattr(rewriting, "eval_pattern", lambda pat: {
         pat.word: 1, v if pat.word == u else u: 1})
     rset = RelationSet(SIG_A2, [f])
     with pytest.raises(RelationError, match="meets"):
