@@ -510,15 +510,16 @@ def complete(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
     dividing everything afresh.  A ``CompositionMemo`` keeps the
     compositions of relations that were sources before, the same objects in
     the same pre-sort order as a fresh enumeration would build.  Every
-    composition is divided through ``reduce_poly``'s normal-form memo, whose
-    remainder is the division's for a set that does not change; a fresh
-    memo is started after each add and its interreduction.  The set has no
-    schema index, so the memo never falls back to dividing step by step.
+    composition is divided step by step, reading each word's leftmost
+    pattern from ``reduce_poly``'s ``patterns`` dict, which is exact for a
+    set that does not change; a fresh dict is started after each add and
+    its interreduction.  So each division takes the steps of a division
+    without it and searches for at most as many patterns.
     """
     rset = RelationSet(sig, _monic_prepare(polys))
     index = SupportIndex(rset)
     interreduce(rset, index)
-    memo, nf = CompositionMemo(), {}
+    memo, found = CompositionMemo(), {}
     added_total = 0
     rounds = 0
     for rounds in range(1, limits.max_rounds + 1):
@@ -529,7 +530,7 @@ def complete(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
         for comp in comps:
             # interreduction may have replaced comp's source relations by
             # now; the composition polynomial still lies in the ideal
-            rem = reduce_poly(comp.poly, rset, memo=nf).remainder
+            rem = reduce_poly(comp.poly, rset, patterns=found).remainder
             if rem.is_zero():
                 continue
             rem = rem.monic()
@@ -541,7 +542,7 @@ def complete(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
                     f"{limits.max_lead_length}")
             rset.add(rem)
             interreduce(rset, index)
-            nf = {}
+            found = {}
             added_this_round += 1
             added_total += 1
             if len(rset) > limits.max_basis:

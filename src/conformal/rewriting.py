@@ -358,7 +358,8 @@ class ReductionTrace:
 
 def reduce_poly(p: ConformalPolynomial, rset: RelationSet, *,
                 exclude: Optional[Relation] = None,
-                memo: Optional[dict] = None) -> ReductionTrace:
+                memo: Optional[dict] = None,
+                patterns: Optional[dict] = None) -> ReductionTrace:
     """Divide p by the relation set.
 
     While the current leading word matches some pattern, the leftmost
@@ -372,6 +373,11 @@ def reduce_poly(p: ConformalPolynomial, rset: RelationSet, *,
     steps.  Where building them would add schema instances, p is divided
     step by step instead, as without a memo (``RelationSet`` docstring).
     A memo cannot be combined with ``exclude``.
+
+    With ``patterns``, a dict the caller keeps for one set and one
+    ``exclude`` that nothing else changes, each word's leftmost pattern (or
+    None) is read from it, or searched for and stored there; the steps,
+    the trace and the remainder are those without it.
     """
     sig = p.sig
     if memo is not None:
@@ -394,7 +400,12 @@ def reduce_poly(p: ConformalPolynomial, rset: RelationSet, *,
     wkey = sig.word_key
     while cur:
         w = max(cur, key=wkey)
-        pat = rset.find_one(w, exclude)
+        if patterns is None:
+            pat = rset.find_one(w, exclude)
+        elif w in patterns:
+            pat = patterns[w]
+        else:
+            pat = patterns[w] = rset.find_one(w, exclude)
         if pat is None:
             remainder[w] = cur.pop(w)
             continue

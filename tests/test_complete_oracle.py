@@ -3,12 +3,13 @@
 ``reference_complete`` is the former ``gsb.complete``: every round it
 enumerates every composition of the sources afresh and divides each one by
 the whole set step by step.  ``gsb.complete`` looks up the compositions of
-relations that were sources before and divides through a normal-form memo
-that it starts afresh whenever the set changes.  It must make exactly the
-same adds and removes, in the same order, and return the same result, on
-every shipped presentation, on the built-ins and on random input; on the
-shipped presentations and the built-ins it must also search for fewer
-patterns (``RelationSet.find_one`` calls).
+relations that were sources before and reads the leftmost pattern of each
+word it divides from a dict that it starts afresh whenever the set
+changes.  It must make exactly the same adds and removes, in the same
+order, and return the same result, on every shipped presentation, on the
+built-ins and on random input, and never search for more patterns
+(``RelationSet.find_one`` calls); on the shipped presentations and the
+built-ins it must search for fewer.
 """
 
 import os
@@ -117,14 +118,15 @@ def recorded(monkeypatch, complete, run):
 
 def assert_same_completion(monkeypatch, run):
     """``run()`` makes the same adds and removes and gives the same result
-    with either completion; returns the result and the pattern searches
-    that the reuse saved."""
+    with either completion, and the reuse searches for no more patterns;
+    returns the result and the searches that the reuse saved."""
     new, new_events, new_searches = recorded(monkeypatch, reuse_complete,
                                              run)
     ref, ref_events, ref_searches = recorded(monkeypatch, reference_complete,
                                              run)
     assert new_events == ref_events
     assert new == ref
+    assert new_searches <= ref_searches
     return new, ref_searches - new_searches
 
 
