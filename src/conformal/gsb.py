@@ -510,16 +510,16 @@ def complete(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
     dividing everything afresh.  A ``CompositionMemo`` keeps the
     compositions of relations that were sources before, the same objects in
     the same pre-sort order as a fresh enumeration would build.  Every
-    composition is divided step by step, reading each word's leftmost
-    pattern from ``reduce_poly``'s ``patterns`` dict, which is exact for a
-    set that does not change; a fresh dict is started after each add and
-    its interreduction.  So each division takes the steps of a division
-    without it and searches for at most as many patterns.
+    composition is divided with ``reduce_poly``'s ``reducts``, which are
+    exact for a set that does not change; a fresh dict is started after
+    each add and its interreduction.  So each division leaves the
+    remainder of a division without them, and searches for no pattern
+    that division would not search for.
     """
     rset = RelationSet(sig, _monic_prepare(polys))
     index = SupportIndex(rset)
     interreduce(rset, index)
-    memo, found = CompositionMemo(), {}
+    memo, reducts = CompositionMemo(), {}
     added_total = 0
     rounds = 0
     for rounds in range(1, limits.max_rounds + 1):
@@ -530,7 +530,7 @@ def complete(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
         for comp in comps:
             # interreduction may have replaced comp's source relations by
             # now; the composition polynomial still lies in the ideal
-            rem = reduce_poly(comp.poly, rset, patterns=found).remainder
+            rem = reduce_poly(comp.poly, rset, reducts=reducts).remainder
             if rem.is_zero():
                 continue
             rem = rem.monic()
@@ -542,7 +542,7 @@ def complete(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
                     f"{limits.max_lead_length}")
             rset.add(rem)
             interreduce(rset, index)
-            found = {}
+            reducts = {}
             added_this_round += 1
             added_total += 1
             if len(rset) > limits.max_basis:

@@ -359,7 +359,7 @@ class ReductionTrace:
 def reduce_poly(p: ConformalPolynomial, rset: RelationSet, *,
                 exclude: Optional[Relation] = None,
                 memo: Optional[dict] = None,
-                patterns: Optional[dict] = None) -> ReductionTrace:
+                reducts: Optional[dict] = None) -> ReductionTrace:
     """Divide p by the relation set.
 
     While the current leading word matches some pattern, the leftmost
@@ -374,10 +374,17 @@ def reduce_poly(p: ConformalPolynomial, rset: RelationSet, *,
     step by step instead, as without a memo (``RelationSet`` docstring).
     A memo cannot be combined with ``exclude``.
 
-    With ``patterns``, a dict the caller keeps for one set and one
-    ``exclude`` that nothing else changes, each word's leftmost pattern (or
-    None) is read from it, or searched for and stored there; the steps,
-    the trace and the remainder are those without it.
+    With ``reducts``, a dict the caller keeps for one set and one
+    ``exclude`` that nothing else changes, each word is searched once.  The
+    division records None for an irreducible word and, for a reducible
+    word w whose pattern evaluates to e, the reduct -sum_{u != w} e_u r(u),
+    where r(u) is u's reduct, or u where it has none.  A leading word with
+    an entry is replaced by its reduct, which has the same remainder (by
+    linearity, module docstring), and the trace has no steps.  The two
+    divisions differ only in how they pass through words searched before,
+    so a word never searched has the same coefficient in both: the
+    division searches for no pattern that it would not search for without
+    reducts.
     """
     sig = p.sig
     if memo is not None:
@@ -400,13 +407,17 @@ def reduce_poly(p: ConformalPolynomial, rset: RelationSet, *,
     wkey = sig.word_key
     while cur:
         w = max(cur, key=wkey)
-        if patterns is None:
-            pat = rset.find_one(w, exclude)
-        elif w in patterns:
-            pat = patterns[w]
-        else:
-            pat = patterns[w] = rset.find_one(w, exclude)
+        if reducts is not None and w in reducts:
+            red = reducts[w]
+            if red is None:
+                remainder[w] = cur.pop(w)
+            else:
+                _accum_pairs(cur, red, cur.pop(w))
+            continue
+        pat = rset.find_one(w, exclude)
         if pat is None:
+            if reducts is not None:
+                reducts[w] = None
             remainder[w] = cur.pop(w)
             continue
         c = cur[w]
@@ -417,6 +428,15 @@ def reduce_poly(p: ConformalPolynomial, rset: RelationSet, *,
                 f"substituting {pat.describe()} did not cancel the leading "
                 f"word {w}")
         steps.append(TraceStep(pat, c))
+    if reducts is not None:
+        for st in reversed(steps):
+            w, red = st.pattern.word, {}
+            for u, cu in eval_pattern(st.pattern).items():
+                if u != w:
+                    r = reducts.get(u)
+                    _accum_pairs(red, ((u, 1),) if r is None else r, -cu)
+            reducts[w] = tuple(red.items())
+        steps = []
     return ReductionTrace(steps, ConformalPolynomial(sig, remainder, _frozen=True))
 
 

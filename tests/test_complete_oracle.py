@@ -3,13 +3,13 @@
 ``reference_complete`` is the former ``gsb.complete``: every round it
 enumerates every composition of the sources afresh and divides each one by
 the whole set step by step.  ``gsb.complete`` looks up the compositions of
-relations that were sources before and reads the leftmost pattern of each
-word it divides from a dict that it starts afresh whenever the set
-changes.  It must make exactly the same adds and removes, in the same
-order, and return the same result, on every shipped presentation, on the
-built-ins and on random input, and never search for more patterns
-(``RelationSet.find_one`` calls); on the shipped presentations and the
-built-ins it must search for fewer.
+relations that were sources before and divides with ``reduce_poly``'s
+reducts, which it starts afresh whenever the set changes.  It must make
+exactly the same adds and removes, in the same order, and return the same
+result, on every shipped presentation, on the built-ins and on random
+input, and never search for more patterns (``RelationSet.find_one``
+calls); on the shipped presentations and the built-ins it must search for
+fewer.
 """
 
 import os
