@@ -404,6 +404,7 @@ def reduce_poly(p: ConformalPolynomial, rset: RelationSet, *,
     cur = dict(p.terms)
     remainder = {}
     steps: List[TraceStep] = []
+    stepped = []    # (word, evaluation) of each step, with reducts
     wkey = sig.word_key
     while cur:
         w = max(cur, key=wkey)
@@ -427,16 +428,17 @@ def reduce_poly(p: ConformalPolynomial, rset: RelationSet, *,
             raise RelationError(
                 f"substituting {pat.describe()} did not cancel the leading "
                 f"word {w}")
-        steps.append(TraceStep(pat, c))
-    if reducts is not None:
-        for st in reversed(steps):
-            w, red = st.pattern.word, {}
-            for u, cu in eval_pattern(st.pattern).items():
-                if u != w:
-                    r = reducts.get(u)
-                    _accum_pairs(red, ((u, 1),) if r is None else r, -cu)
-            reducts[w] = tuple(red.items())
-        steps = []
+        if reducts is None:
+            steps.append(TraceStep(pat, c))
+        else:
+            stepped.append((w, ev))
+    for w, ev in reversed(stepped):
+        red = {}
+        for u, cu in ev.items():
+            if u != w:
+                r = reducts.get(u)
+                _accum_pairs(red, ((u, 1),) if r is None else r, -cu)
+        reducts[w] = tuple(red.items())
     return ReductionTrace(steps, ConformalPolynomial(sig, remainder, _frozen=True))
 
 
