@@ -29,6 +29,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .words import (AlgebraSignature, ConformalError, GeneratorOrder,
@@ -462,6 +463,8 @@ class RelationSchema:
     template: LinComb
     _compiled: Dict[int, tuple] = field(default_factory=dict, init=False,
                                         repr=False, compare=False)
+    _plans: Dict[tuple, tuple] = field(default_factory=dict, init=False,
+                                       repr=False, compare=False)
 
     def compiled(self, N: int) -> tuple:
         """The leaves, and per placeholder normal word over N (coefficient,
@@ -494,10 +497,21 @@ class RelationSchema:
         """The admitted integer assignments that solve the linear equations
         ``eqs``, (form, target) pairs where a form of None reads as 0.
 
-        Gauss-Jordan elimination leaves the free variables, which range over
-        [-bound, bound], the first varying fastest.  With no equations every
-        variable is free, so the solutions are the admitted points of the
-        box [-bound, bound]^vars.
+        The forms are eliminated once (``_eliminate``), and the plan is kept
+        per tuple of forms; only the targets change between calls.  The
+        cache is bounded because the forms are fixed per index: the lazy
+        lookup passes those of one ``SchemaIndex.by_shape`` template, and
+        the eager window none, so a schema keeps at most one plan per
+        template of its own plus one for ``()``.  A call tests the plan's
+        consistency rows and computes each pivot's base from the targets,
+        in integers.  The free variables range over [-bound, bound], the
+        first varying fastest, and at each point a pivot variable is its
+        base minus its free terms, divided by its denominator; a nonzero
+        remainder rejects the point.  The assignments, their order and the
+        order of their keys are those of Gauss-Jordan elimination over the
+        rationals, which the tests keep as the reference.  With no equations
+        every variable is free, so the solutions are the admitted points of
+        the box [-bound, bound]^vars.
 
         With ``outside = r`` only the solutions with some variable outside
         [-r, r] are kept, tested before the constraint.  The eager window
@@ -505,53 +519,85 @@ class RelationSchema:
         outside=r)`` are disjoint, and together they cover ``solutions(eqs,
         bound)``.
         """
-        varnames, admits = self.vars, self.constraint.eval
-        n = len(varnames)
-        pos = {v: k for k, v in enumerate(varnames)}
-        rows = []
-        for form, target in eqs:
-            row = [Fraction(0)] * n
-            if form is not None:
-                for v, c in form.vars:
-                    row[pos[v]] += c
-            rows.append((row, Fraction(target - (form.const if form else 0))))
-        pivots, r = [], 0
-        for col in range(n):
-            piv = next((k for k in range(r, len(rows)) if rows[k][0][col]),
-                       None)
-            if piv is None:
-                continue
-            prow, pval = rows[piv]
-            rows[piv] = rows[r]
-            inv = 1 / prow[col]
-            prow, pval = rows[r] = [x * inv for x in prow], pval * inv
-            for k in range(len(rows)):
-                if k != r and rows[k][0][col]:
-                    f = rows[k][0][col]
-                    rows[k] = ([a - f * b for a, b in zip(rows[k][0], prow)],
-                               rows[k][1] - f * pval)
-            pivots.append(col)
-            r += 1
-        if any(val for _, val in rows[r:]):
+        eqs = list(eqs)
+        forms = tuple(form for form, _ in eqs)
+        plan = self._plans.get(forms)
+        if plan is None:
+            plan = self._plans[forms] = _eliminate(self.vars, forms)
+        free_names, pivots, checks = plan
+        targets = [target for _, target in eqs]
+        if any(sum(a * t for a, t in zip(coeffs, targets)) + const
+               for coeffs, const in checks):
             return
-        free = [c for c in range(n) if c not in pivots]
-        free_names = [varnames[c] for c in reversed(free)]
-        # each pivot variable as its value minus the free variables' terms
-        solved = [(varnames[col], val,
-                   [(varnames[c], row[c]) for c in free if row[c]])
-                  for (row, val), col in zip(rows, pivots)]
-        for vals in product(range(-bound, bound + 1), repeat=len(free)):
+        solved = [(name, sum(a * t for a, t in zip(coeffs, targets)) + const,
+                   d, terms) for name, coeffs, const, d, terms in pivots]
+        admits = self.constraint.eval
+        for vals in product(range(-bound, bound + 1), repeat=len(free_names)):
             env = dict(zip(free_names, vals))
-            for name, val, terms in solved:
-                acc = val - sum(c * env[v] for v, c in terms)
-                if acc.denominator != 1:
+            for name, base, d, terms in solved:
+                x, rem = divmod(base - sum(c * vals[k] for k, c in terms), d)
+                if rem:
                     break
-                env[name] = int(acc)
+                env[name] = x
             else:
                 inside = outside is not None and \
                     max(map(abs, env.values()), default=0) <= outside
                 if not inside and admits(env):
                     yield env
+
+
+def _eliminate(varnames: Tuple[str, ...], forms: tuple) -> tuple:
+    """The integer elimination plan of the equations ``form = target``.
+
+    Row k reads ``A x = B t + c``: the form's coefficients on the variables
+    x, the unit vector e_k on the targets t, and minus the form's constant.
+    Fraction-free Gauss-Jordan elimination on the variable columns (each
+    combination divided by its row's content) picks the pivot columns that
+    rational elimination picks and leaves rows proportional to its rows.
+    So a pivot row with pivot entry d gives the pivot variable as
+    (B t + c - sum of its free terms) / d, an integer exactly when
+    ``divmod`` leaves no remainder, whatever the sign of d; a row with no
+    variable left is a consistency row: B t + c must vanish.
+
+    Returns (free variable names in walk order, one (name, target
+    coefficients, constant, d, [(position in the walk's point, coefficient)
+    of each nonzero free term]) per pivot in column order, one (target
+    coefficients, constant) per consistency row).
+    """
+    n, m = len(varnames), len(forms)
+    pos = {v: k for k, v in enumerate(varnames)}
+    rows = []
+    for k, form in enumerate(forms):
+        row = [0] * (n + m + 1)
+        if form is not None:
+            for v, c in form.vars:
+                row[pos[v]] += c
+            row[-1] = -form.const
+        row[n + k] = 1
+        rows.append(row)
+    pivots, r = [], 0
+    for col in range(n):
+        piv = next((k for k in range(r, m) if rows[k][col]), None)
+        if piv is None:
+            continue
+        rows[piv], rows[r] = rows[r], rows[piv]
+        prow = rows[r]
+        p = prow[col]
+        for k in range(m):
+            f = rows[k][col]
+            if k != r and f:
+                row = [p * a - f * b for a, b in zip(rows[k], prow)]
+                g = gcd(*row)
+                rows[k] = [a // g for a in row]
+        pivots.append(col)
+        r += 1
+    free = [c for c in range(n) if c not in pivots]
+    walk = {c: k for k, c in enumerate(reversed(free))}
+    solved = [(varnames[col], row[n:-1], row[-1], row[col],
+               [(walk[c], row[c]) for c in free if row[c]])
+              for row, col in zip(rows, pivots)]
+    checks = [(row[n:-1], row[-1]) for row in rows[r:]]
+    return [varnames[c] for c in reversed(free)], solved, checks
 
 
 def _relabel(e: Expr, leaves: List[Gen]) -> Expr:

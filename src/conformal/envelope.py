@@ -167,12 +167,12 @@ class SchemaIndex:
     so a term leads an instance only if every longer term cancels there,
     and a term without a twin of its shape never cancels.  ``by_shape`` and
     ``lengths`` keep the terms no shorter than the longest twinless one.
-    Dropping the rest materializes the same instances: the lazy lookup
-    keeps one only when its lead's flat word is the probed slice, that lead
-    comes from a kept term, and terms of one length are kept or dropped
-    together.
+    Dropping the rest materializes the same instances: ``instances_for(sub)``
+    returns an instance only when its lead's flat word is the probed slice
+    ``sub``, that lead comes from a kept term, and terms of one length are
+    kept or dropped together.
 
-    ``instances_for(..., outside=r)`` skips every assignment with all
+    ``instances_for(sub, outside=r)`` skips every assignment with all
     variables in [-r, r], before the constraint test; a ``RelationSet``
     passes the radius of the eager window ``instances_within(r)`` that it
     added itself.  That is sound: a skipped assignment passes the
@@ -210,22 +210,25 @@ class SchemaIndex:
                                                        self.sig, radius)
         return self._within[radius]
 
-    def instances_for(self, letters: Sequence[GeneratorSymbol],
-                      juncs: Sequence[int], outside: Optional[int] = None
+    def instances_for(self, sub: tuple, outside: Optional[int] = None
                       ) -> List[ConformalPolynomial]:
-        key = (tuple(g.name for g in letters), tuple(juncs))
-        templates = self.by_shape.get(key)
+        """The monic instances whose leading word's flat tuple is the slice
+        ``sub``, each once, in template and solution order."""
+        letters = sub[0::2]
+        templates = self.by_shape.get((tuple(g.name for g in letters),
+                                       sub[1::2]))
         if not templates:
             return []
         # free variables range over the slice's largest index plus 4, which
         # covers every constraint of the built-in families (their side
         # conditions bound free variables by matched ones)
         bound = max((abs(g.index or 0) for g in letters), default=0) + 4
-        return _monic_prepare(
+        found = _monic_prepare(
             sc.instantiate(env, self.sig) for sc, forms, _ in templates
             for env in sc.solutions([(form, g.index or 0) for form, g
                                      in zip(forms, letters)], bound,
                                     outside=outside))
+        return [p for p in found if p.leading().flat() == sub]
 
     def could_reduce(self, word: NormalWord) -> bool:
         """Whether an instance at any indices might reduce the word: a kept

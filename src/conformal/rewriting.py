@@ -265,9 +265,7 @@ class RelationSet:
             return
         self._lazy_tried.add(sub)
         for p in self._lookup(sub):
-            if p.canonical_key() in self._canon:
-                continue
-            if p.leading().flat() == sub:
+            if p.canonical_key() not in self._canon:
                 self.add(p)
                 self.materialized += 1
         self._held.pop(sub, None)
@@ -277,19 +275,16 @@ class RelationSet:
         nothing; raise ``_WouldGrow`` otherwise, adding nothing and holding
         the lookup's result for the walk that tries ``sub``."""
         found = self._lookup(sub)
-        for p in found:
-            if p.canonical_key() not in self._canon and \
-                    p.leading().flat() == sub:
-                self._held[sub] = found
-                raise _WouldGrow
+        if any(p.canonical_key() not in self._canon for p in found):
+            self._held[sub] = found
+            raise _WouldGrow
         self._lazy_tried.add(sub)
 
     def _lookup(self, sub: tuple) -> List[ConformalPolynomial]:
         """The index's instances for ``sub``: held, or solved now."""
         found = self._held.get(sub)
         if found is None:
-            found = self.lazy.instances_for(sub[0::2], sub[1::2],
-                                            outside=self.eager_radius)
+            found = self.lazy.instances_for(sub, outside=self.eager_radius)
         return found
 
     # pattern search ----------------------------------------------------------

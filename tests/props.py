@@ -528,6 +528,62 @@ def reference_instance(schema, env, sig) -> ConformalPolynomial:
     return normalize(substitute(schema.template, env), sig)
 
 
+def ref_solutions(schema, eqs, bound: int, outside=None):
+    """The per-call rational solver that ``RelationSchema.solutions``'s
+    cached integer plan replaced, kept as the slow path it is checked
+    against: Gauss-Jordan elimination over the rationals on every call,
+    then a walk of the free variables' box (the first varying fastest)
+    that rejects a point where a pivot variable is not an integer."""
+    from itertools import product
+    varnames, admits = schema.vars, schema.constraint.eval
+    n = len(varnames)
+    pos = {v: k for k, v in enumerate(varnames)}
+    rows = []
+    for form, target in eqs:
+        row = [Fraction(0)] * n
+        if form is not None:
+            for v, c in form.vars:
+                row[pos[v]] += c
+        rows.append((row, Fraction(target - (form.const if form else 0))))
+    pivots, r = [], 0
+    for col in range(n):
+        piv = next((k for k in range(r, len(rows)) if rows[k][0][col]),
+                   None)
+        if piv is None:
+            continue
+        prow, pval = rows[piv]
+        rows[piv] = rows[r]
+        inv = 1 / prow[col]
+        prow, pval = rows[r] = [x * inv for x in prow], pval * inv
+        for k in range(len(rows)):
+            if k != r and rows[k][0][col]:
+                f = rows[k][0][col]
+                rows[k] = ([a - f * b for a, b in zip(rows[k][0], prow)],
+                           rows[k][1] - f * pval)
+        pivots.append(col)
+        r += 1
+    if any(val for _, val in rows[r:]):
+        return
+    free = [c for c in range(n) if c not in pivots]
+    free_names = [varnames[c] for c in reversed(free)]
+    # each pivot variable as its value minus the free variables' terms
+    solved = [(varnames[col], val,
+               [(varnames[c], row[c]) for c in free if row[c]])
+              for (row, val), col in zip(rows, pivots)]
+    for vals in product(range(-bound, bound + 1), repeat=len(free)):
+        env = dict(zip(free_names, vals))
+        for name, val, terms in solved:
+            acc = val - sum(c * env[v] for v, c in terms)
+            if acc.denominator != 1:
+                break
+            env[name] = int(acc)
+        else:
+            inside = outside is not None and \
+                max(map(abs, env.values()), default=0) <= outside
+            if not inside and admits(env):
+                yield env
+
+
 def all_term_shapes(schemas):
     """The (names, junctions, dpow) shape of every term of chain schemas
     b1 (n1) ... (nk) D^j b, zero coefficients and terms that cannot lead

@@ -695,6 +695,79 @@ def test_solutions_match_a_brute_force_filter_on_edge_cases(eqs):
             _assert_solutions_by_brute_force(sc, eqs, bound, outside)
 
 
+def _assert_solutions_as_reference(sc, eqs, bound, outside=None):
+    """The cached integer plan yields what the per-call rational solver
+    yields: the same assignments in the same order, keys in the same
+    order, so every materialization and report is unchanged."""
+    got = [list(env.items()) for env in sc.solutions(eqs, bound, outside)]
+    assert got == [list(env.items()) for env in
+                   props.ref_solutions(sc, eqs, bound, outside)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lead_equations(), st.integers(0, 4), st.none() | st.integers(0, 4))
+def test_solutions_match_the_rational_solver(lead, bound, outside):
+    _assert_solutions_as_reference(*lead, bound, outside)
+
+
+def test_solutions_match_the_rational_solver_on_every_template():
+    # one cached plan per template serves the whole grid of targets
+    from conformal.envelope import SchemaIndex
+    for pf in _shipped_family_files():
+        for templates in SchemaIndex(pf.schemas, pf.sig).by_shape.values():
+            for sc, forms, _ in templates:
+                for t in range(-5, 6):
+                    for step in range(-2, 3):
+                        eqs = [(form, t + k * step)
+                               for k, form in enumerate(forms)]
+                        _assert_solutions_as_reference(sc, eqs, 5, 3)
+                        _assert_solutions_as_reference(sc, eqs, 2)
+                assert forms in sc._plans
+
+
+def test_one_plan_serves_consistent_non_integral_and_inconsistent_targets():
+    from dataclasses import replace
+    sc = parse_schema("e[i, j, k | i != k]: L_{i+i} (0) L_{j+k} "
+                      "- L_{j+k} (0) L_{i+i}")
+    # expression trees compare by identity, so the unsolved twin shares
+    # the parsed fields; it gets its own empty plans
+    twin = replace(sc)
+    forms = [_form(i=2), _form(i=1, j=1), _form(i=2, j=2)]
+    for targets in [(2, 1, 2),    # i = 1, j = 0, k free
+                    (3, 1, 2),    # 2i = 3 has no integer solution
+                    (2, 1, 3)]:   # i + j = 1 and 2i + 2j = 3
+        eqs = list(zip(forms, targets))
+        for bound in range(3):
+            for outside in (None, 0, 1):
+                _assert_solutions_by_brute_force(sc, eqs, bound, outside)
+                _assert_solutions_as_reference(sc, eqs, bound, outside)
+    assert list(sc._plans) == [tuple(forms)]
+    # the plans stay out of equality and the repr
+    assert not twin._plans
+    assert sc == twin and repr(sc) == repr(twin)
+
+
+def test_plans_are_one_per_template_after_a_check():
+    """Each schema keeps at most one plan per ``by_shape`` template of its
+    own, plus the eager window's plan of no forms."""
+    import os
+    from types import SimpleNamespace
+    from conformal import cli
+    ctx = cli._load_context(SimpleNamespace(
+        command="check", file=os.path.join(
+            os.path.dirname(__file__), "..", "presentations",
+            "heisenberg_virasoro.alg")))
+    check_gsb_rset(ctx.rset, ctx.gens, comp_filter=ctx.sources)
+    index = ctx.rset.lazy
+    assert ctx.rset.materialized
+    for sc in index.schemas:
+        forms = [f for templates in index.by_shape.values()
+                 for s, f, _ in templates if s is sc]
+        assert () in sc._plans
+        assert set(sc._plans) <= set(forms) | {()}
+        assert len(sc._plans) <= len(forms) + 1
+
+
 _LEAVES = ["H_i", "L_i", "L_j", "L_{i+j}", "H_0", "L_{j-i}"]
 
 
