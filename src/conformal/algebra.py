@@ -68,7 +68,7 @@ def _accum(dst: Terms, src: Terms, c) -> None:
 
 def _accum_pairs(dst: Terms, pairs, c) -> None:
     """``_accum`` over (word, stored coefficient) pairs, such as the
-    normal forms that ``rewriting.reduce_poly``'s memo keeps."""
+    reducts that ``rewriting.reduce_poly`` keeps."""
     for w, cw in pairs:
         v = dst.get(w, 0) + c * cw
         if v:

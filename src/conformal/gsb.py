@@ -259,15 +259,15 @@ class GsbReport:
 
 
 def is_trivial(comp: Composition, rset: RelationSet,
-               memo: Optional[dict] = None) -> CompositionVerdict:
+               reducts: Optional[dict] = None) -> CompositionVerdict:
     """Reduce the composition polynomial; trivial means zero remainder.
 
     A nonzero remainder is inconclusive when the set's schema index says an
     instance might reduce one of its words (``SchemaIndex.could_reduce``):
-    it may lie beyond the indices the lazy lookup tries.  ``memo`` is
+    it may lie beyond the indices the lazy lookup tries.  ``reducts`` is
     ``reduce_poly``'s: the same remainder, with a trace without steps.
     """
-    trace = reduce_poly(comp.poly, rset, memo=memo)
+    trace = reduce_poly(comp.poly, rset, reducts=reducts)
     rem, lazy = trace.remainder, rset.lazy
     if rem.is_zero():
         verdict = "trivial"
@@ -293,16 +293,15 @@ def check_gsb_rset(rset: RelationSet, gens: Sequence[GeneratorSymbol], *,
     and the materialized instances do not depend on ``keep``.
 
     The set changes only by lazy materialization during the check, so
-    without traces every composition is divided through one normal-form
-    memo (``reduce_poly``'s ``memo``), which divides each word once.  Its
-    remainders are the step-by-step division's, and it falls back to that
-    division wherever it would materialize an instance, so the
-    materialized instances are the same too (``RelationSet`` docstring).
-    With ``"traces"`` every composition is divided step by step.
+    without traces every composition is divided with one dict of
+    ``reduce_poly``'s ``reducts``, which searches each word once.  Its
+    remainders, and the instances it materializes, are the step-by-step
+    division's (``RelationSet`` docstring).  With ``"traces"`` every
+    composition is divided step by step.
     """
     trivial_too = {"failures": False, "verdicts": True, "traces": True}[keep]
     traces = keep == "traces"
-    memo = None if traces else {}
+    reducts = None if traces else {}
     source = [r for r in rset.relations()
               if comp_filter is None or comp_filter(r)]
     comps = enumerate_compositions(source, gens)
@@ -311,7 +310,7 @@ def check_gsb_rset(rset: RelationSet, gens: Sequence[GeneratorSymbol], *,
     tally = {"trivial": 0, "nontrivial": 0, "inconclusive": 0}
     for i, c in enumerate(comps):
         comps[i] = None
-        v = is_trivial(c, rset, memo)
+        v = is_trivial(c, rset, reducts)
         counts[c.ctype] = counts.get(c.ctype, 0) + 1
         tally[v.verdict] += 1
         if trivial_too or v.verdict != "trivial":

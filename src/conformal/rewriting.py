@@ -28,9 +28,11 @@ greatest word w of p: for an irreducible w it moves c_w w to the
 remainder and goes on with p - c_w w; else it goes on with
 p - c_w e = (p - c_w w) - c_w (e - w), whose words all lie below w, so by
 induction it leaves sum_{u != w} c_u R(u) - c_w sum_{u != w} e_u R(u),
-which is the claim.  ``reduce_poly(p, rset, memo=m)`` sums memo entries and
-builds the missing ones; the caller keeps one dict per unchanged set.  How
-that stays exact on a set with a schema index is in ``RelationSet``.
+which is the claim.  ``reduce_poly(p, rset, reducts=r)`` records, for
+each word it searches, R(w) expanded as far as the words searched so far
+allow; the caller keeps one dict per set that nothing but
+materialization changes, and ``RelationSet`` says why that stays exact
+on a set with a schema index.
 """
 
 from __future__ import annotations
@@ -139,11 +141,6 @@ def eval_pattern(pat: Pattern) -> Terms:
     return out
 
 
-class _WouldGrow(Exception):
-    """A walk that may not grow the set reached an untried slice whose
-    lookup adds instances."""
-
-
 class RelationSet:
     """An indexed set of monic relations supporting occurrence search.
 
@@ -165,25 +162,15 @@ class RelationSet:
     the set that added the box, never to the shareable index, and
     ``remove`` refuses such a set, which must keep every eager instance.
 
-    The normal-form memo of ``reduce_poly`` walks with ``grow=False``.
-    Such a walk looks up each untried slice it reaches.  A slice whose
-    lookup adds nothing is recorded as tried.  At a slice whose lookup
-    would add an instance the walk raises ``_WouldGrow`` and adds nothing;
-    that division then runs step by step, and the lookup is held for the
-    walk that tries the slice.  So after every division ``materialized``,
-    and the set of tried slices that added instances, are those of the
-    step-by-step division:
-
-    * ``materialized`` is a sum over the tried slices, and an instance is
-      added only at the slice it leads;
-    * a memo that succeeds has walked, in this division or an earlier
-      one, a closure of words holding every word the division would reach
-      (the input's words and those of the patterns it evaluates), and no
-      slice those walks reached adds anything, so the division would add
-      nothing either;
-    * an entry stays valid after later additions: its walk tried every
-      slice up to its first hit, or every slice of an irreducible word, so
-      no later addition can come before that hit.
+    ``reduce_poly``'s reducts stay exact on a set that changes only by
+    materialization.  An entry stays valid after later materializations:
+    its walk tried every slice up to its hit, or every slice of an
+    irreducible word, and an instance is added only at the slice it leads,
+    so no later materialization can come before that hit.  So a division
+    with reducts searches only words that the step-by-step division also
+    searches, and the other words that one searches have entries, whose
+    walks reach only slices tried before: both materialize the same
+    instances, and ``materialized`` after each division is the same.
     """
 
     def __init__(self, sig: AlgebraSignature,
@@ -201,7 +188,6 @@ class RelationSet:
         self.lazy = lazy
         self.eager_radius = eager_radius
         self._lazy_tried = set()
-        self._held: Dict[tuple, List[ConformalPolynomial]] = {}
         self.materialized = 0
         if eager_radius is not None:
             if lazy is None:
@@ -264,28 +250,10 @@ class RelationSet:
         if self.lazy is None or sub in self._lazy_tried:
             return
         self._lazy_tried.add(sub)
-        for p in self._lookup(sub):
+        for p in self.lazy.instances_for(sub, outside=self.eager_radius):
             if p.canonical_key() not in self._canon:
                 self.add(p)
                 self.materialized += 1
-        self._held.pop(sub, None)
-
-    def _try_unchanged(self, sub: tuple) -> None:
-        """Record the untried ``sub`` as tried when its lookup adds
-        nothing; raise ``_WouldGrow`` otherwise, adding nothing and holding
-        the lookup's result for the walk that tries ``sub``."""
-        found = self._lookup(sub)
-        if any(p.canonical_key() not in self._canon for p in found):
-            self._held[sub] = found
-            raise _WouldGrow
-        self._lazy_tried.add(sub)
-
-    def _lookup(self, sub: tuple) -> List[ConformalPolynomial]:
-        """The index's instances for ``sub``: held, or solved now."""
-        found = self._held.get(sub)
-        if found is None:
-            found = self.lazy.instances_for(sub, outside=self.eager_radius)
-        return found
 
     # pattern search ----------------------------------------------------------
 
@@ -298,29 +266,24 @@ class RelationSet:
             self._lens_set = lens
         return lens
 
-    def _hits(self, w: NormalWord, exclude: Optional[Relation],
-              grow: bool = True):
+    def _hits(self, w: NormalWord, exclude: Optional[Relation]):
         """(start letter, relation) of every occurrence in w, in slice walk
-        order and by canonical form within a slice.  Each untried slice is
-        looked up first; with ``grow`` false the lookup may not add."""
+        order and by canonical form within a slice.  Each untried slice
+        materializes its instances first."""
         lazy, tried = self.lazy, self._lazy_tried
         for p, sub, interior in slices(w, self._length_set()):
             if lazy is not None and sub not in tried:
-                if grow:
-                    self._materialize(sub)
-                else:
-                    self._try_unchanged(sub)
+                self._materialize(sub)
             for rel in self._lead_index.get(sub, ()):
                 if rel is not exclude and \
                         dpow_fits(rel.lead.dpow, interior, w.dpow):
                     yield p, rel
 
-    def find_one(self, w: NormalWord, exclude: Optional[Relation] = None,
-                 *, grow: bool = True) -> Optional[Pattern]:
+    def find_one(self, w: NormalWord,
+                 exclude: Optional[Relation] = None) -> Optional[Pattern]:
         """The leftmost pattern with leading word w: the first occurrence in
-        slice walk order.  With ``grow`` false, raises ``_WouldGrow`` where
-        the walk would add instances (see the class docstring)."""
-        hit = next(self._hits(w, exclude, grow), None)
+        slice walk order."""
+        hit = next(self._hits(w, exclude), None)
         return None if hit is None else Pattern(hit[1], w, hit[0])
 
     def has_reduction(self, w: NormalWord,
@@ -353,63 +316,49 @@ class ReductionTrace:
 
 def reduce_poly(p: ConformalPolynomial, rset: RelationSet, *,
                 exclude: Optional[Relation] = None,
-                memo: Optional[dict] = None,
                 reducts: Optional[dict] = None) -> ReductionTrace:
     """Divide p by the relation set.
 
     While the current leading word matches some pattern, the leftmost
     one's relation is substituted and subtracted; irreducible leading
     terms move to the remainder.  Terminates because eliminated leading
-    words strictly decrease in a well order.
-
-    With ``memo``, a dict the caller keeps for one set that nothing else
-    changes, the remainder is the sum of the words' normal forms (module
-    docstring), read from the memo or built into it, and the trace has no
-    steps.  Where building them would add schema instances, p is divided
-    step by step instead, as without a memo (``RelationSet`` docstring).
-    A memo cannot be combined with ``exclude``.
+    words strictly decrease in a well order.  A searched word that does
+    not lie below the one searched before, or an evaluation without its
+    word at coefficient 1, raises ``RelationError``.
 
     With ``reducts``, a dict the caller keeps for one set and one
-    ``exclude`` that nothing else changes, each word is searched once.  The
-    division records None for an irreducible word and, for a reducible
-    word w whose pattern evaluates to e, the reduct -sum_{u != w} e_u r(u),
-    where r(u) is u's reduct, or u where it has none.  A leading word with
-    an entry is replaced by its reduct, which has the same remainder (by
-    linearity, module docstring), and the trace has no steps.  The two
-    divisions differ only in how they pass through words searched before,
-    so a word never searched has the same coefficient in both: the
-    division searches for no pattern that it would not search for without
-    reducts.
+    ``exclude`` that nothing but materialization changes (``RelationSet``
+    docstring), each word is searched once.  The division records None
+    for an irreducible word and, for a reducible word w whose pattern
+    evaluates to e, the reduct -sum_{u != w} e_u r(u), where r(u) is u's
+    reduct, or u where it has none.  A word is settled as it is met: one
+    recorded irreducible goes to the remainder, one with a reduct is
+    replaced by it, which has the same remainder (by linearity, module
+    docstring), so only words never searched are left to search.  The
+    trace has no steps.  The two divisions differ only in how they pass
+    through words searched before, so a word never searched has the same
+    coefficient in both: the division searches for no pattern that it
+    would not search for without reducts.
     """
     sig = p.sig
-    if memo is not None:
-        if exclude is not None:
-            raise ValueError("reduce_poly: a memo cannot exclude a relation")
-        try:
-            _normal_forms(p.terms, rset, memo)
-        except _WouldGrow:
-            pass
-        else:
-            remainder: Terms = {}
-            for w, c in p.terms.items():
-                nf = memo[w]
-                _accum_pairs(remainder, ((w, 1),) if nf is None else nf, c)
-            return ReductionTrace(
-                [], ConformalPolynomial(sig, remainder, _frozen=True))
-    cur = dict(p.terms)
-    remainder = {}
+    remainder: Terms = {}
     steps: List[TraceStep] = []
     stepped = []    # (word, evaluation) of each step, with reducts
+    if reducts is None:
+        cur = dict(p.terms)
+    else:
+        cur = {}
+        _settle(cur, remainder, reducts, p.terms.items(), 1)
     wkey = sig.word_key
+    last = None
     while cur:
         w = max(cur, key=wkey)
-        if reducts is not None and w in reducts:
-            red = reducts[w]
-            if red is None:
-                remainder[w] = cur.pop(w)
-            else:
-                _accum_pairs(cur, red, cur.pop(w))
-            continue
+        key = wkey(w)
+        if last is not None and not key < last:
+            raise RelationError(
+                f"the division meets {w}, which does not lie below the word "
+                f"it searched before")
+        last = key
         pat = rset.find_one(w, exclude)
         if pat is None:
             if reducts is not None:
@@ -418,15 +367,16 @@ def reduce_poly(p: ConformalPolynomial, rset: RelationSet, *,
             continue
         c = cur[w]
         ev = eval_pattern(pat)
-        _accum(cur, ev, -c)
+        if reducts is None:
+            _accum(cur, ev, -c)
+            steps.append(TraceStep(pat, c))
+        else:
+            _settle(cur, remainder, reducts, ev.items(), -c)
+            stepped.append((w, ev))
         if w in cur:
             raise RelationError(
                 f"substituting {pat.describe()} did not cancel the leading "
-                f"word {w}")
-        if reducts is None:
-            steps.append(TraceStep(pat, c))
-        else:
-            stepped.append((w, ev))
+                f"word {w}, which its evaluation must hold with coefficient 1")
     for w, ev in reversed(stepped):
         red = {}
         for u, cu in ev.items():
@@ -437,55 +387,24 @@ def reduce_poly(p: ConformalPolynomial, rset: RelationSet, *,
     return ReductionTrace(steps, ConformalPolynomial(sig, remainder, _frozen=True))
 
 
-def _normal_forms(words: Iterable[NormalWord], rset: RelationSet,
-                  memo: dict) -> None:
-    """Add the normal form R(w) of each word, and of every word it needs,
-    to ``memo``: None for an irreducible word, else R(w) as a tuple of
-    (irreducible word, coefficient) pairs, empty when w reduces to zero.
-
-    Depth first on an explicit stack, since chains of reductions can be
-    deep.  A reducible word is pending from its pattern's evaluation e,
-    found by a walk that may not grow the set (``_WouldGrow`` passes up),
-    until every other word of e has its entry.  An evaluation without w at
-    coefficient 1, or a pending word met again (the evaluations would not
-    descend), raises ``RelationError``.
-    """
-    pending: Dict[NormalWord, Terms] = {}
-    stack = [w for w in words if w not in memo]
-    while stack:
-        w = stack[-1]
-        if w in memo:
-            stack.pop()
-            continue
-        ev = pending.get(w)
-        if ev is None:
-            pat = rset.find_one(w, grow=False)
-            if pat is None:
-                memo[w] = None
-                stack.pop()
-                continue
-            ev = eval_pattern(pat)
-            pending[w] = ev
-            if ev.get(w) != 1:
-                raise RelationError(
-                    f"{pat.describe()} does not evaluate to its word {w} "
-                    f"with coefficient 1")
-            for u in ev:
-                if u in pending:
-                    if u != w:
-                        raise RelationError(
-                            f"the division of {u} meets {u} again")
-                elif u not in memo:
-                    stack.append(u)
-            continue
-        nf: Terms = {}
-        for u, cu in ev.items():
-            if u != w:
-                r = memo[u]
-                _accum_pairs(nf, ((u, 1),) if r is None else r, -cu)
-        memo[w] = tuple(nf.items())
-        del pending[w]
-        stack.pop()
+def _settle(cur: Terms, remainder: Terms, reducts: dict, pairs, c) -> None:
+    """Add c times the (word, coefficient) pairs to ``cur``, settling each
+    word with an entry in ``reducts``: an irreducible one goes to
+    ``remainder``, and one with a reduct is replaced by it, recursively."""
+    todo = [(pairs, c)]
+    while todo:
+        pairs, c = todo.pop()
+        unsearched, irreducible = [], []
+        for u, cu in pairs:
+            r = reducts.get(u, u)
+            if r is u:
+                unsearched.append((u, cu))
+            elif r is None:
+                irreducible.append((u, cu))
+            else:
+                todo.append((r, c * cu))
+        _accum_pairs(cur, unsearched, c)
+        _accum_pairs(remainder, irreducible, c)
 
 
 # irreducible words --------------------------------------------------------

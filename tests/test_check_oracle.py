@@ -141,8 +141,8 @@ def test_check_keeps_what_it_prints_on_random_input(ps):
 
 def test_relation_index_keys_are_flat_slices_not_words():
     """A word equals the plain tuple of its fields, so no word may key the
-    lead index or the lazy lookup's memo: their keys are flat slices, which
-    start with a generator."""
+    lead index or the lazy lookup's set of tried slices: their keys are
+    flat slices, which start with a generator."""
     rset, gens, comp_filter = file_inputs("heisenberg_virasoro.alg")
     gsb.check_gsb_rset(rset, gens, comp_filter=comp_filter)
     keys = list(rset._lead_index) + list(rset._lazy_tried)

@@ -1,13 +1,15 @@
-"""The normal-form memo of ``reduce_poly`` against the step-by-step division.
+"""``reduce_poly``'s reducts, the memo ``check`` divides with, against the
+step-by-step division.
 
-``check_gsb_rset`` divides every composition through one memo unless it
-keeps traces.  By linearity the memo's remainder is the division's.  On a
-set with a schema index the memo must also leave the same instances
-materialized: it falls back to the division wherever its walk would add
-one.  Each case builds two equal sets and divides the same compositions in
-the same order on both, one step by step and one through a memo.  It
-compares every remainder and the materialized count after each division,
-and at the end the instances added and the slices that added them.
+``check_gsb_rset`` divides every composition with one dict of reducts
+unless it keeps traces.  By linearity their remainder is the division's.
+On a set with a schema index they must also leave the same instances
+materialized, and they search only words the division searches.  Each
+case builds two equal sets and divides the same compositions in the same
+order on both, one step by step and one with reducts.  It compares every
+remainder and the materialized count after each division, and at the end
+the instances added, the slices that added them and the number of
+pattern searches.
 """
 
 import os
@@ -54,25 +56,21 @@ def compositions(rset, gens, comp_filter):
          if comp_filter is None or comp_filter(r)], gens)
 
 
-@pytest.fixture
-def fallbacks(monkeypatch):
-    """Counts the memo divisions that fell back to the step-by-step one."""
+def counted_searches(rset):
+    """Count ``rset``'s ``find_one`` calls in the returned one-item list."""
     count = [0]
-    normal_forms = rewriting._normal_forms
+    find_one = rset.find_one
 
     def counted(*args):
-        try:
-            normal_forms(*args)
-        except rewriting._WouldGrow:
-            count[0] += 1
-            raise
-    monkeypatch.setattr(rewriting, "_normal_forms", counted)
+        count[0] += 1
+        return find_one(*args)
+    rset.find_one = counted
     return count
 
 
 def assert_memo_divides_alike(inputs):
     """Divide the compositions of two equal sets from ``inputs()``, one
-    step by step and one through a memo; returns their number."""
+    step by step and one with reducts; returns their number."""
     plain, gens, comp_filter = inputs()
     memoed, _, _ = inputs()
     start = len(plain.log_since(0))
@@ -80,10 +78,12 @@ def assert_memo_divides_alike(inputs):
     comps = compositions(plain, gens, comp_filter)
     twins = compositions(memoed, gens, comp_filter)
     assert [c.describe() for c in comps] == [c.describe() for c in twins]
-    memo = {}
+    plain_searches, memo_searches = counted_searches(plain), \
+        counted_searches(memoed)
+    reducts = {}
     for c, twin in zip(comps, twins):
         by_steps = reduce_poly(c.poly, plain)
-        by_memo = reduce_poly(twin.poly, memoed, memo=memo)
+        by_memo = reduce_poly(twin.poly, memoed, reducts=reducts)
         assert by_memo.remainder.canonical_key() == \
             by_steps.remainder.canonical_key()
         assert memoed.materialized == plain.materialized
@@ -93,6 +93,7 @@ def assert_memo_divides_alike(inputs):
     # the tried slices that added instances are the slices they lead
     assert {flat for _, flat in added} <= plain._lazy_tried
     assert {flat for _, flat in added} <= memoed._lazy_tried
+    assert memo_searches[0] <= plain_searches[0]
     return len(comps)
 
 
@@ -108,22 +109,15 @@ def test_memo_divides_as_the_division_on_builtin(name, W):
     assert assert_memo_divides_alike(lambda: builtin_inputs(name, W))
 
 
-def test_memo_falls_back_where_its_walk_would_materialize(fallbacks):
-    # at M=1 the eager window is small, so the memo's walks reach slices
-    # that would add instances although the division cancels their words
-    assert_memo_divides_alike(lambda: file_inputs("virasoro.alg", 1, 1))
-    assert fallbacks[0] > 0
-
-
 @settings(max_examples=100, deadline=None)
 @given(a2_presentations, a2_polys)
 def test_memo_divides_as_the_division_on_random_input(ps, p):
     polys = gsb._monic_prepare(ps)
     plain, memoed = RelationSet(SIG_A2, polys), RelationSet(SIG_A2, polys)
-    memo = {}
+    reducts = {}
     comps = compositions(plain, SIG_A2.generators, None)
     for poly in [p] + [c.poly for c in comps] + [p]:
-        by_memo = reduce_poly(poly, memoed, memo=memo)
+        by_memo = reduce_poly(poly, memoed, reducts=reducts)
         assert by_memo.remainder == reduce_poly(poly, plain).remainder
         assert by_memo.steps == []
 
@@ -135,8 +129,9 @@ def test_a_non_monic_evaluation_raises(monkeypatch):
     monkeypatch.setattr(rewriting, "eval_pattern", lambda pat: {
         w: 2 * c for w, c in evaluate(pat).items()})
     rset = RelationSet(SIG_A2, [f])
-    with pytest.raises(RelationError, match="with coefficient 1"):
-        reduce_poly(parse_poly("a (1) a", SIG_A2), rset, memo={})
+    for reducts in (None, {}):
+        with pytest.raises(RelationError, match="with coefficient 1"):
+            reduce_poly(parse_poly("a (1) a", SIG_A2), rset, reducts=reducts)
 
 
 def test_an_evaluation_that_does_not_descend_raises(monkeypatch):
@@ -147,15 +142,9 @@ def test_an_evaluation_that_does_not_descend_raises(monkeypatch):
     monkeypatch.setattr(rewriting, "eval_pattern", lambda pat: {
         pat.word: 1, v if pat.word == u else u: 1})
     rset = RelationSet(SIG_A2, [f])
-    with pytest.raises(RelationError, match="meets"):
-        reduce_poly(parse_poly("a (1) a", SIG_A2), rset, memo={})
-
-
-def test_a_memo_cannot_exclude_a_relation():
-    f = parse_poly("a (1) a - a (0) D a", SIG_A2)
-    rset = RelationSet(SIG_A2, [f])
-    with pytest.raises(ValueError, match="memo"):
-        reduce_poly(f, rset, exclude=rset.relations()[0], memo={})
+    for reducts in (None, {}):
+        with pytest.raises(RelationError, match="meets"):
+            reduce_poly(parse_poly("a (1) a", SIG_A2), rset, reducts=reducts)
 
 
 def test_check_divides_through_the_memo_unless_it_keeps_traces(monkeypatch):
@@ -163,7 +152,7 @@ def test_check_divides_through_the_memo_unless_it_keeps_traces(monkeypatch):
     reduce = gsb.reduce_poly
 
     def spy(p, rset, **kw):
-        memos.append(kw.get("memo"))
+        memos.append(kw.get("reducts"))
         return reduce(p, rset, **kw)
     monkeypatch.setattr(gsb, "reduce_poly", spy)
     for keep in ("failures", "verdicts", "traces"):
