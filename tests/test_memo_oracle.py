@@ -109,6 +109,39 @@ def test_memo_divides_as_the_division_on_builtin(name, W):
     assert assert_memo_divides_alike(lambda: builtin_inputs(name, W))
 
 
+def test_reducts_stay_exact_while_the_set_materializes():
+    # at M=1 the eager window is small, so divisions add instances to a set
+    # whose reducts already hold entries; those entries must stay exact
+    plain, gens, comp_filter = file_inputs("virasoro.alg", 1, 1)
+    memoed, _, _ = file_inputs("virasoro.alg", 1, 1)
+    reducts, grown_after_entries = {}, 0
+    for c, twin in zip(compositions(plain, gens, comp_filter),
+                       compositions(memoed, gens, comp_filter)):
+        before = (len(reducts), memoed.materialized)
+        by_memo = reduce_poly(twin.poly, memoed, reducts=reducts)
+        assert by_memo.remainder.canonical_key() == \
+            reduce_poly(c.poly, plain).remainder.canonical_key()
+        assert memoed.materialized == plain.materialized
+        if before[0] and memoed.materialized > before[1]:
+            grown_after_entries += 1
+    assert grown_after_entries > 0
+
+
+def test_reducts_divide_as_the_division_with_a_relation_excluded():
+    rset, _, _ = file_inputs("virasoro.alg", 1, 4)
+    plain, _, _ = file_inputs("virasoro.alg", 1, 4)
+    for rel, twin in zip(rset.relations(), plain.relations()):
+        reducts = {}   # one dict per excluded relation
+        for _ in range(2):
+            by_memo = reduce_poly(rel.poly, rset, exclude=rel,
+                                  reducts=reducts)
+            by_steps = reduce_poly(twin.poly, plain, exclude=twin)
+            assert by_memo.remainder.canonical_key() == \
+                by_steps.remainder.canonical_key()
+            assert by_memo.steps == []
+        assert reducts
+
+
 @settings(max_examples=100, deadline=None)
 @given(a2_presentations, a2_polys)
 def test_memo_divides_as_the_division_on_random_input(ps, p):
