@@ -295,8 +295,23 @@ class ConformalPolynomial:
 
 
 class Expr:
-    """Base class for unevaluated expressions over a signature."""
+    """Base class for unevaluated expressions over a signature.  A node is
+    compared, hashed and printed by its type and its slots, so a tree
+    equals its reparse and prints without object addresses."""
     __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._fields() == self._fields()
+
+    def __hash__(self):
+        return hash((type(self), self._fields()))
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({args})"
 
 
 class Gen(Expr):

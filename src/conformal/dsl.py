@@ -161,7 +161,7 @@ _CMP = {"<": int.__lt__, "<=": int.__le__, ">": int.__gt__,
 @dataclass(frozen=True)
 class Constraint:
     """Boolean combination of chained integer comparisons."""
-    node: tuple  # ("or", [...]) | ("and", [...]) | ("cmp", atoms, ops)
+    node: tuple  # ("or", (...)) | ("and", (...)) | ("cmp", atoms, ops)
 
     def eval(self, env: Dict[str, int]) -> bool:
         return _c_eval(self.node, env)
@@ -212,7 +212,7 @@ def _a_str(a) -> str:
     return f"|{v}|"
 
 
-TRUE = Constraint(("and", []))
+TRUE = Constraint(("and", ()))
 
 
 # expression parsing ---------------------------------------------------------
@@ -385,7 +385,7 @@ def _parse_junction(s, op, operand):
     parts = [operand()]
     while s.accept("name", op):
         parts.append(operand())
-    return parts[0] if len(parts) == 1 else (op, parts)
+    return parts[0] if len(parts) == 1 else (op, tuple(parts))
 
 
 def _parse_chain(s, varnames):
@@ -396,7 +396,7 @@ def _parse_chain(s, varnames):
         atoms.append(_parse_catom(s, varnames))
     if not ops:
         s.error("expected a comparison")
-    return ("cmp", atoms, ops)
+    return ("cmp", tuple(atoms), tuple(ops))
 
 
 def _parse_catom(s, varnames):
@@ -883,7 +883,7 @@ def presentation_str(pf: PresentationFile) -> str:
         lines.append(f"    {name}: {poly_str(poly)}")
     for sc in pf.schemas:
         head = sc.name + "[" + ", ".join(sc.vars)
-        if sc.constraint.node != ("and", []):
+        if sc.constraint.node != ("and", ()):
             head += " | " + str(sc.constraint)
         head += "]"
         body = _template_str(sc.template)

@@ -25,8 +25,9 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 from .words import AlgebraSignature, GeneratorSymbol, NormalWord
 from .algebra import (ConformalPolynomial, Terms, _accum, _gen_mult,
                       _word_mult, apply_D, locality_bound)
-from .rewriting import (Pattern, ReductionTrace, Relation, RelationSet,
-                        dpow_fits, eval_pattern, reduce_poly, slices)
+from .rewriting import (KeptReducts, Pattern, ReductionTrace, Relation,
+                        RelationSet, dpow_fits, eval_pattern, reduce_poly,
+                        slices)
 
 
 @dataclass(slots=True, eq=False)
@@ -455,7 +456,9 @@ def interreduce(rset: RelationSet,
 
     ``index`` lets a caller keep one index over many calls on the same set
     (``complete`` does); without it a fresh index is built, holding every
-    member dirty.
+    member dirty.  A member's words are probed greatest first
+    (``Relation.words``), so the probes depend on the set alone, not on
+    how the member's polynomial was built.
     """
     if index is None:
         index = SupportIndex(rset)
@@ -472,7 +475,7 @@ def interreduce(rset: RelationSet,
             if not rel.alive:
                 continue
             if not any(rset.has_reduction(w, exclude=rel)
-                       for w in rel.poly.terms):
+                       for w in rel.words):
                 dirty.discard(rel)
             else:
                 # the division meets the reducible word found, so it steps
@@ -509,16 +512,18 @@ def complete(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
     dividing everything afresh.  A ``CompositionMemo`` keeps the
     compositions of relations that were sources before, the same objects in
     the same pre-sort order as a fresh enumeration would build.  Every
-    composition is divided with ``reduce_poly``'s ``reducts``, which are
-    exact for a set that does not change; a fresh dict is started after
-    each add and its interreduction.  So each division leaves the
-    remainder of a division without them, and searches for no pattern
-    that division would not search for.
+    composition is divided with ``reduce_poly``'s reducts, one
+    ``KeptReducts`` for the whole run.  An entry holds until a change
+    reaches a slice its walk tried (``RelationSet`` docstring), so after
+    each add and its interreduction the reducts drop only the entries that
+    the batch of new and retired relations reaches.  So each division
+    leaves the remainder of a division without them, and searches for no
+    pattern that division would not search for.
     """
     rset = RelationSet(sig, _monic_prepare(polys))
     index = SupportIndex(rset)
     interreduce(rset, index)
-    memo, reducts = CompositionMemo(), {}
+    memo, reducts = CompositionMemo(), KeptReducts(rset)
     added_total = 0
     rounds = 0
     for rounds in range(1, limits.max_rounds + 1):
@@ -541,7 +546,7 @@ def complete(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
                     f"{limits.max_lead_length}")
             rset.add(rem)
             interreduce(rset, index)
-            reducts = {}
+            reducts.sync()
             added_this_round += 1
             added_total += 1
             if len(rset) > limits.max_basis:

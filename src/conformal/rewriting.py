@@ -30,9 +30,10 @@ p - c_w e = (p - c_w w) - c_w (e - w), whose words all lie below w, so by
 induction it leaves sum_{u != w} c_u R(u) - c_w sum_{u != w} e_u R(u),
 which is the claim.  ``reduce_poly(p, rset, reducts=r)`` records, for
 each word it searches, R(w) expanded as far as the words searched so far
-allow; the caller keeps one dict per set that nothing but
-materialization changes, and ``RelationSet`` says why that stays exact
-on a set with a schema index.
+allow.  An entry holds until a change to the set reaches a slice its
+walk tried (``RelationSet``), so a check keeps one plain dict, which only
+materialization changes, and completion one ``KeptReducts``, which drops
+the entries its adds and retirements reach.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ def dpow_fits(s_dpow: int, interior: bool, w_dpow: int) -> bool:
 class Relation:
     """A monic relation together with its precomputed leading data."""
 
-    __slots__ = ("poly", "lead", "lead_flat", "canon", "_eval_cache", "alive")
+    __slots__ = ("poly", "lead", "lead_flat", "canon", "_words", "_eval_cache",
+                 "alive")
 
     def __init__(self, poly: ConformalPolynomial):
         if poly.is_zero():
@@ -84,8 +86,19 @@ class Relation:
         self.lead = poly.leading()
         self.lead_flat = self.lead.flat()
         self.canon = poly.canonical_key()
+        self._words = None
         self._eval_cache: dict = {}
         self.alive = True
+
+    @property
+    def words(self) -> tuple:
+        """The term words, greatest first, sorted on first use: most sets
+        never ask (interreduction does)."""
+        if self._words is None:
+            self._words = tuple(sorted(self.poly.terms,
+                                       key=self.poly.sig.word_key,
+                                       reverse=True))
+        return self._words
 
     def __repr__(self):
         return f"Relation({self.poly!r})"
@@ -162,15 +175,21 @@ class RelationSet:
     the set that added the box, never to the shareable index, and
     ``remove`` refuses such a set, which must keep every eager instance.
 
-    ``reduce_poly``'s reducts stay exact on a set that changes only by
-    materialization.  An entry stays valid after later materializations:
-    its walk tried every slice up to its hit, or every slice of an
-    irreducible word, and an instance is added only at the slice it leads,
-    so no later materialization can come before that hit.  So a division
-    with reducts searches only words that the step-by-step division also
-    searches, and the other words that one searches have entries, whose
-    walks reach only slices tried before: both materialize the same
-    instances, and ``materialized`` after each division is the same.
+    ``reduce_poly``'s reducts follow one rule: an entry holds until a
+    change reaches a slice its walk tried.  The walk tried every slice up
+    to its hit, or every slice of an irreducible word.  A change reaches
+    one when it adds a relation whose lead occurs there before the hit, in
+    walk order by (start, length, canon), or retires the hit relation;
+    until then the word keeps its leftmost pattern, and so its reduct.
+    Materialization never reaches a tried slice: an instance is added
+    only at the slice it leads, just before that slice is first looked
+    up.  So on a set that changes only by materialization every entry
+    holds, a division with reducts searches only words that the
+    step-by-step division also searches, and the other words that one
+    searches have entries, whose walks reach only slices tried before:
+    both materialize the same instances, and ``materialized`` after each
+    division is the same.  Completion's adds and retirements do reach
+    tried slices; ``KeptReducts`` drops the entries they reach.
     """
 
     def __init__(self, sig: AlgebraSignature,
@@ -233,6 +252,7 @@ class RelationSet:
             raise RelationError("cannot remove from a set that holds an "
                                 "eager window")
         rel.alive = False
+        rel._eval_cache.clear()     # the log keeps rel; no search finds it
         self._live -= 1
         self._canon.discard(rel.canon)
         L = rel.lead.length
@@ -327,8 +347,10 @@ def reduce_poly(p: ConformalPolynomial, rset: RelationSet, *,
     word at coefficient 1, raises ``RelationError``.
 
     With ``reducts``, a dict the caller keeps for one set and one
-    ``exclude`` that nothing but materialization changes (``RelationSet``
-    docstring), each word is searched once.  The division records None
+    ``exclude``, each word is searched once while its entry holds
+    (``RelationSet`` docstring): a plain dict where nothing but
+    materialization changes the set, else a ``KeptReducts``, which drops
+    the entries other changes reach.  The division records None
     for an irreducible word and, for a reducible word w whose pattern
     evaluates to e, the reduct -sum_{u != w} e_u r(u), where r(u) is u's
     reduct, or u where it has none.  A word is settled as it is met: one
@@ -343,7 +365,7 @@ def reduce_poly(p: ConformalPolynomial, rset: RelationSet, *,
     sig = p.sig
     remainder: Terms = {}
     steps: List[TraceStep] = []
-    stepped = []    # (word, evaluation) of each step, with reducts
+    searched = []   # (word, pattern or None, evaluation), with reducts
     if reducts is None:
         cur = dict(p.terms)
     else:
@@ -362,7 +384,7 @@ def reduce_poly(p: ConformalPolynomial, rset: RelationSet, *,
         pat = rset.find_one(w, exclude)
         if pat is None:
             if reducts is not None:
-                reducts[w] = None
+                searched.append((w, None, None))
             remainder[w] = cur.pop(w)
             continue
         c = cur[w]
@@ -372,18 +394,25 @@ def reduce_poly(p: ConformalPolynomial, rset: RelationSet, *,
             steps.append(TraceStep(pat, c))
         else:
             _settle(cur, remainder, reducts, ev.items(), -c)
-            stepped.append((w, ev))
+            searched.append((w, pat, ev))
         if w in cur:
             raise RelationError(
                 f"substituting {pat.describe()} did not cancel the leading "
                 f"word {w}, which its evaluation must hold with coefficient 1")
-    for w, ev in reversed(stepped):
+    # searched words only descend, so no word searched here is met again
+    # here, and its entry can wait until every smaller word has its own
+    for w, pat, ev in reversed(searched):
+        if pat is None:
+            reducts[w] = None
+            continue
         red = {}
         for u, cu in ev.items():
             if u != w:
                 r = reducts.get(u)
                 _accum_pairs(red, ((u, 1),) if r is None else r, -cu)
         reducts[w] = tuple(red.items())
+    if isinstance(reducts, KeptReducts):
+        reducts.note(searched)
     return ReductionTrace(steps, ConformalPolynomial(sig, remainder, _frozen=True))
 
 
@@ -405,6 +434,117 @@ def _settle(cur: Terms, remainder: Terms, reducts: dict, pairs, c) -> None:
                 todo.append((r, c * cu))
         _accum_pairs(cur, unsearched, c)
         _accum_pairs(remainder, irreducible, c)
+
+
+class KeptReducts(dict):
+    """``reduce_poly``'s reducts for a relation set that changes.
+
+    An entry holds until a change reaches a slice its walk tried
+    (``RelationSet`` docstring).  ``sync`` reads the changes since the
+    last sync and drops only the entries they reach: those whose walk tried
+    a slice where a new lead occurs (under ``dpow_fits``) before the hit,
+    in walk order by (start, length, canon), and those whose hit relation
+    retired.  An entry whose reduct inlined a dropped entry's reduct goes
+    too, transitively; a word recorded irreducible appears raw in the
+    reducts that meet it, and once its own entry is gone the division
+    searches it again.  A new lead length, which no walk tried, drops every
+    entry.
+
+    ``_relation`` holds each entry's hit relation, None for an irreducible
+    word; the hit is that relation's first occurrence (``_start``), where
+    the walk stopped.  Three indexes list words: by each flat slice their
+    walk tried, by the relation they hit, and by a word whose reduct their
+    reduct inlined.  A dropped entry stays listed: the slice and relation
+    lookups skip a word whose current entry does not match, and an
+    inlining link that outlived its reduct can only drop an entry early,
+    which costs a search, never exactness.
+    """
+
+    def __init__(self, rset: RelationSet):
+        super().__init__()
+        self.rset = rset
+        self.synced = len(rset.log_since(0))
+        self._lens = set(rset._length_set())
+        self._relation: Dict[NormalWord, Optional[Relation]] = {}
+        self._tried: Dict[tuple, list] = {}
+        self._hit: Dict[Relation, list] = {}
+        self._inlined_by: Dict[NormalWord, list] = {}
+
+    def note(self, searched) -> None:
+        """Index the entries a division recorded: its (word, pattern or
+        None, evaluation) triples."""
+        lens, tried = self.rset._length_set(), self._tried
+        for w, pat, ev in searched:
+            rel = self._relation[w] = None if pat is None else pat.relation
+            if rel is not None:
+                self._hit.setdefault(rel, []).append(w)
+                for u in ev:
+                    if u != w and self.get(u) is not None:
+                        self._inlined_by.setdefault(u, []).append(w)
+            for p, sub, _ in slices(w, lens):
+                tried.setdefault(sub, []).append(w)
+                if rel is not None and p == pat.start and \
+                        sub == rel.lead_flat:
+                    break
+
+    def sync(self) -> None:
+        """Drop the entries that the changes since the last sync reach."""
+        rset = self.rset
+        new = rset.log_since(self.synced)
+        self.synced += len(new)
+        lens = set(rset._length_set())
+        if not lens <= self._lens:
+            for index in (self, self._relation, self._tried, self._hit,
+                          self._inlined_by):
+                index.clear()
+        else:
+            doomed = []
+            for rel in [r for r in self._hit if not r.alive]:
+                doomed.extend(w for w in self._hit.pop(rel)
+                              if w in self and self._relation[w] is rel)
+            for rel in new:
+                if rel.alive:
+                    doomed.extend(self._reached(rel))
+            self._drop(doomed)
+        self._lens = lens
+
+    def _reached(self, rel: Relation) -> list:
+        """The entries with a tried slice where rel's lead occurs before
+        their hit."""
+        words = self._tried.get(rel.lead_flat)
+        if not words:
+            return []
+        out, kept = [], []
+        for w in words:
+            if w not in self:
+                continue
+            kept.append(w)
+            p, hit = _start(rel, w), self._relation[w]
+            if p is not None and (hit is None or (
+                    (p, rel.lead.length, rel.canon) <
+                    (_start(hit, w), hit.lead.length, hit.canon))):
+                out.append(w)
+        words[:] = dict.fromkeys(kept)
+        return out
+
+    def _drop(self, words) -> None:
+        """Drop the entries of words, and of every reduct inlining them."""
+        todo = list(words)
+        while todo:
+            w = todo.pop()
+            if w in self:
+                del self[w]
+                del self._relation[w]
+                todo.extend(self._inlined_by.pop(w, ()))
+
+
+def _start(rel: Relation, w: NormalWord) -> Optional[int]:
+    """The start letter of the first occurrence of rel's lead in w, if any."""
+    for p, sub, interior in slices(w, (rel.lead.length,)):
+        if sub == rel.lead_flat and \
+                dpow_fits(rel.lead.dpow, interior, w.dpow):
+            return p
+    return None
 
 
 # irreducible words --------------------------------------------------------

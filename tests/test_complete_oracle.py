@@ -4,12 +4,14 @@
 enumerates every composition of the sources afresh and divides each one by
 the whole set step by step.  ``gsb.complete`` looks up the compositions of
 relations that were sources before and divides with ``reduce_poly``'s
-reducts, which it starts afresh whenever the set changes.  It must make
-exactly the same adds and removes, in the same order, and return the same
-result, on every shipped presentation, on the built-ins and on random
-input, and never search for more patterns (``RelationSet.find_one``
-calls); on the shipped presentations and the built-ins it must search for
-fewer.
+reducts, kept in one ``KeptReducts`` that drops only the entries a change
+to the set reaches.  It must make exactly the same adds and removes, in
+the same order, and return the same result, on every shipped
+presentation, on the built-ins and on random input, and never search for
+more patterns (``RelationSet.find_one`` calls); on the shipped
+presentations and the built-ins it must search for fewer.  After every
+add and its interreduction, every entry the reducts keep must agree with
+a fresh division on the set as it is then.
 """
 
 import os
@@ -18,8 +20,9 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings
 
-from conformal import (CompletionLimits, IndexWindow, RelationSet,
-                       builtin_example, envelope, equivalence_check, gsb)
+from conformal import (CompletionLimits, ConformalPolynomial, IndexWindow,
+                       RelationSet, builtin_example, envelope,
+                       equivalence_check, gsb, rewriting)
 from conformal import cli
 from conftest import SIG_A2, a2_presentations, within_budget
 
@@ -81,18 +84,42 @@ def reference_complete(polys, sig, gens, *, limits=CompletionLimits(),
         f"no fixpoint within {limits.max_rounds} rounds")
 
 
+def assert_reducts_hold(reducts):
+    """Each entry of ``reducts`` agrees with a fresh division on its set:
+    a word recorded irreducible has no pattern, a word with a reduct still
+    has the pattern its division found, and a reduct leaves the remainder
+    of its word.  Returns the number of entries checked."""
+    rset, sig = reducts.rset, reducts.rset.sig
+    for w, r in reducts.items():
+        pat = rset.find_one(w)
+        if r is None:
+            assert pat is None, w
+        else:
+            assert pat.relation is reducts._relation[w], w
+            assert rewriting.reduce_poly(ConformalPolynomial(sig, dict(r)),
+                                   rset).remainder == \
+                rewriting.reduce_poly(ConformalPolynomial.monomial(sig, w),
+                                rset).remainder, w
+    return len(reducts)
+
+
 def recorded(monkeypatch, complete, run):
     """``run()`` with ``complete`` as the completion of ``gsb`` and
     ``envelope``.
 
-    Returns the result, the run's adds and removes on relation sets, and
-    the number of patterns it searched for (``RelationSet.find_one``
-    calls, those of ``interreduce`` included).
+    Returns the result, the run's adds and removes on relation sets, the
+    number of patterns it searched for (``RelationSet.find_one`` calls,
+    those of ``interreduce`` included), and the number of reducts entries
+    that survived a change of the set, each checked by
+    ``assert_reducts_hold`` after the change; the check's own searches are
+    not counted.
     """
     events = []
     searches = [0]
+    kept = [0]
     add, remove, find_one = RelationSet.add, RelationSet.remove, \
         RelationSet.find_one
+    sync = rewriting.KeptReducts.sync
 
     def recording_add(rset, poly):
         rel = add(rset, poly)
@@ -107,37 +134,46 @@ def recorded(monkeypatch, complete, run):
         searches[0] += 1
         return find_one(rset, *args, **kw)
 
+    def checking_sync(reducts):
+        sync(reducts)
+        counted = searches[0]
+        kept[0] += assert_reducts_hold(reducts)
+        searches[0] = counted
+
     with monkeypatch.context() as m:
         m.setattr(RelationSet, "add", recording_add)
         m.setattr(RelationSet, "remove", recording_remove)
         m.setattr(RelationSet, "find_one", counting_find_one)
+        m.setattr(rewriting.KeptReducts, "sync", checking_sync)
         m.setattr(gsb, "complete", complete)
         m.setattr(envelope, "complete", complete)
-        return run(), events, searches[0]
+        return run(), events, searches[0], kept[0]
 
 
 def assert_same_completion(monkeypatch, run):
     """``run()`` makes the same adds and removes and gives the same result
     with either completion, and the reuse searches for no more patterns;
-    returns the result and the searches that the reuse saved."""
-    new, new_events, new_searches = recorded(monkeypatch, reuse_complete,
-                                             run)
-    ref, ref_events, ref_searches = recorded(monkeypatch, reference_complete,
-                                             run)
+    returns the result, the searches that the reuse saved and the reducts
+    entries it kept across changes of the set."""
+    new, new_events, new_searches, kept = recorded(
+        monkeypatch, reuse_complete, run)
+    ref, ref_events, ref_searches, _ = recorded(
+        monkeypatch, reference_complete, run)
     assert new_events == ref_events
     assert new == ref
     assert new_searches <= ref_searches
-    return new, ref_searches - new_searches
+    return new, ref_searches - new_searches, kept
 
 
 def result_fields(res):
     return (res.basis, res.completed, res.rounds, res.added, res.diagnostic)
 
 
-def complete_file(name):
-    """``conformal complete -f presentations/NAME``, as a call."""
+def complete_file(name, **options):
+    """``conformal complete -f presentations/NAME`` with the option flags
+    given, as a call."""
     args = SimpleNamespace(command="complete",
-                           file=os.path.join(PRESENTATIONS, name))
+                           file=os.path.join(PRESENTATIONS, name), **options)
     ctx = cli._load_context(args)
 
     def run():
@@ -150,10 +186,23 @@ def complete_file(name):
 @pytest.mark.parametrize("name", ["square.alg", "virasoro.alg",
                                   "heisenberg_virasoro.alg"])
 def test_shipped_file(monkeypatch, name):
-    (basis, completed, *_), saved = assert_same_completion(
+    (basis, completed, *_), saved, kept = assert_same_completion(
         monkeypatch, complete_file(name))
     assert completed and basis
     assert saved > 0
+
+
+# smaller windows than the files' own leave their bases incomplete, so
+# completion adds relations and the reducts must survive the adds
+@pytest.mark.parametrize("name, options", [
+    ("virasoro.alg", {"relation_multiplier": 1}),
+    ("heisenberg_virasoro.alg", {"window": 1, "relation_multiplier": 2}),
+], ids=["virasoro-M1", "heisenberg_virasoro-W1-M2"])
+def test_shipped_file_in_a_smaller_window(monkeypatch, name, options):
+    (basis, completed, _, added, _), saved, kept = assert_same_completion(
+        monkeypatch, complete_file(name, **options))
+    assert completed and basis and added
+    assert saved > 0 and kept > 0
 
 
 def equiv_builtin(name, W):
@@ -165,18 +214,23 @@ def equiv_builtin(name, W):
     return run
 
 
-def test_builtin_virasoro_w2(monkeypatch):
-    (fields, report), saved = assert_same_completion(
-        monkeypatch, equiv_builtin("virasoro", 2))
+def assert_builtin_completes(monkeypatch, name, W):
+    (fields, report), saved, kept = assert_same_completion(
+        monkeypatch, equiv_builtin(name, W))
     assert fields[1] and report["forward_ok"] and report["backward_ok"]
-    assert saved > 0
+    assert saved > 0 and kept > 0
+
+
+def test_builtin_virasoro_w1(monkeypatch):
+    assert_builtin_completes(monkeypatch, "virasoro", 1)
+
+
+def test_builtin_virasoro_w2(monkeypatch):
+    assert_builtin_completes(monkeypatch, "virasoro", 2)
 
 
 def test_builtin_heisenberg_virasoro_w1(monkeypatch):
-    (fields, report), saved = assert_same_completion(
-        monkeypatch, equiv_builtin("heisenberg-virasoro", 1))
-    assert fields[1] and report["forward_ok"] and report["backward_ok"]
-    assert saved > 0
+    assert_builtin_completes(monkeypatch, "heisenberg-virasoro", 1)
 
 
 @settings(max_examples=60, deadline=None)

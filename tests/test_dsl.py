@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import os
 import random
 
 import props
@@ -87,6 +88,28 @@ def test_schema_parse_and_instantiate():
     sig = AlgebraSignature.indexed(["L"], 2)
     p = sc.instantiate({"i": 2, "j": -1}, sig)
     assert p == parse_poly("L_2 (0) L_-1 - L_0 (0) L_1", sig)
+
+
+def test_schema_equals_its_reparse():
+    line = ("q[i, j | i != 0 and j > -2]: "
+            "3/2 * H_i (1) D^2 L_{j+1} - (H_0 (1) L_{i+j}) (0) L_0")
+    a, b = parse_schema(line), parse_schema(line)
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) and " at 0x" not in repr(a)
+    assert a != parse_schema(line.replace("3/2", "5/2"))
+    assert a != parse_schema(line.replace("D^2", "D"))
+
+
+PRESENTATIONS = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "presentations")
+
+
+@pytest.mark.parametrize("name", ["virasoro.alg", "heisenberg_virasoro.alg"])
+def test_schemas_equal_after_a_presentation_round_trip(name):
+    with open(os.path.join(PRESENTATIONS, name)) as fh:
+        pf = parse_presentation(fh.read())
+    pf2 = parse_presentation(presentation_str(pf))
+    assert pf.schemas and pf2.schemas == pf.schemas
 
 
 def test_template_leaves_keep_index_forms():
@@ -178,6 +201,7 @@ def test_presentation_round_trip_keeps_left_nested_products(schema):
     printed = presentation_str(pf)
     assert "( L_i" in printed
     pf2 = parse_presentation(printed)
+    assert pf2.schemas == pf.schemas
     for i, j in [(1, 0), (-2, 3)]:
         env = {"i": i, "j": j}
         assert pf2.schemas[0].instantiate(env, pf.sig) == \
