@@ -20,8 +20,8 @@ The three primitives are ``_gen_mult`` (generator times word), ``_word_D``
 are frozen by convention, and callers must copy before mutating.
 ``_word_D`` is a closed form, and ``_word_mult`` is one pass over the
 junction offsets of its left word, one ``_gen_mult`` call per offset.
-Both build their words with ``tuple.__new__(NormalWord, ...)``, which
-skips the named tuple's Python-level ``__new__``.
+All three concatenate flat word tuples through ``tuple.__new__(NormalWord,
+...)``, which skips the constructor that takes (generator, index) pairs.
 
 Unevaluated input is one expression tree (``Gen``, ``Deriv``, ``Prod``,
 ``LinComb``): the parser builds it, a relation schema's template is such a
@@ -66,7 +66,7 @@ def _accum(dst: Terms, src: Terms, c) -> None:
             dst.pop(w, None)
 
 
-def _accum_pairs(dst: Terms, pairs, c) -> None:
+def _accum_items(dst: Terms, pairs, c) -> None:
     """``_accum`` over (word, stored coefficient) pairs, such as the
     reducts that ``rewriting.reduce_poly`` keeps."""
     for w, cw in pairs:
@@ -93,15 +93,15 @@ def _gen_mult(sig: AlgebraSignature, g: GeneratorSymbol, n: int,
     out = cache.get(key)
     if out is not None:
         return out
-    N = sig.N
+    N, new = sig.N, tuple.__new__
     if n < N:
-        out = {v.prepend(g, n): 1}
-    elif len(v.body) == 0:
-        if v.dpow == 0:
+        out = {new(NormalWord, (g, n) + v): 1}
+    elif len(v) == 2:
+        if v[1] == 0:
             out = {}
         else:
             # g(n) D^j b = D(g(n) D^(j-1) b) + n g(n-1) D^(j-1) b
-            v1 = NormalWord((), v.tail, v.dpow - 1)
+            v1 = new(NormalWord, (v[0], v[1] - 1))
             out = {}
             for w, c in _gen_mult(sig, g, n, v1).items():
                 _accum(out, _word_D(sig, w), c)
@@ -110,8 +110,8 @@ def _gen_mult(sig: AlgebraSignature, g: GeneratorSymbol, n: int,
     else:
         # g(n) (b(m) [v1]) = -sum_{k>=1} (-1)^k C(n,k) g(n-k) (b(m+k) [v1]),
         # valid because g(n)b vanishes at n >= N; inner products first.
-        b, m = v.body[0]
-        v1 = NormalWord(v.body[1:], v.tail, v.dpow)
+        b, m = v[0], v[1]
+        v1 = new(NormalWord, v[2:])
         out = {}
         for k in range(1, n + 1):
             inner = _gen_mult(sig, b, m + k, v1)
@@ -129,14 +129,13 @@ def _word_D(sig: AlgebraSignature, u: NormalWord) -> Terms:
     D-shift, D [b1(n1) ... bk(nk) D^i b] is the sum over the junctions j
     with nj > 0 of  -nj [u with nj lowered by one],  then  [u with D^(i+1)].
     The terms never collide and go in that order.  Not memoized."""
-    body, tail, dpow = u
     new = tuple.__new__
     out = {}
-    for j, (b, m) in enumerate(body):
+    for j in range(1, len(u) - 2, 2):
+        m = u[j]
         if m:
-            out[new(NormalWord, (body[:j] + (b.pair(m - 1),) + body[j + 1:],
-                                 tail, dpow))] = -m
-    out[new(NormalWord, (body, tail, dpow + 1))] = 1
+            out[new(NormalWord, u[:j] + (m - 1,) + u[j + 1:])] = -m
+    out[new(NormalWord, u[:-1] + (u[-1] + 1,))] = 1
     return out
 
 
@@ -153,12 +152,13 @@ def _word_mult(sig: AlgebraSignature, u: NormalWord, n: int,
     """
     if n < 0:
         raise ArithmeticError_("negative product index")
-    tail, i = u.tail, u.dpow
-    if not u.body and not i:
+    tail, i = u[-2], u[-1]
+    if len(u) == 2 and not i:
         return _gen_mult(sig, tail, n, v)
     heads = [((), n, 1)]  # (prefix, s, coefficient) per offset so far
-    for b, m in u.body:
-        heads = [(pre + (b.pair(m - t),), s + t,
+    for j in range(0, len(u) - 2, 2):
+        b, m = u[j], u[j + 1]
+        heads = [(pre + (b, m - t), s + t,
                   (-c if t % 2 else c) * comb(m, t))
                  for pre, s, c in heads for t in range(m + 1)]
     new = tuple.__new__
@@ -170,7 +170,7 @@ def _word_mult(sig: AlgebraSignature, u: NormalWord, n: int,
             c *= -perm(s, i) if i % 2 else perm(s, i)
             s -= i
         for w, cw in _gen_mult(sig, tail, s, v).items():
-            out[new(NormalWord, (pre + w.body, w.tail, w.dpow))] = c * cw
+            out[new(NormalWord, pre + w)] = c * cw
     return out
 
 
@@ -358,7 +358,8 @@ def word_expr(w: NormalWord) -> Expr:
     e: Expr = Gen(w.tail)
     if w.dpow:
         e = Deriv(e, w.dpow)
-    for g, n in reversed(w.body):
+    letters, juncs = w.letters(), w.junctions()
+    for g, n in zip(letters[-2::-1], juncs[::-1]):
         e = Prod(n, Gen(g), e)
     return e
 

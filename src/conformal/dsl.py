@@ -485,10 +485,10 @@ class RelationSchema:
                 GeneratorSymbol(x.gen.name, x.sub.eval(env)) for x in leaves]
         for g in gens:
             sig.check_gen(g)
-        out = {}
+        out, new = {}, tuple.__new__
         for c, ks, juncs, dpow in terms:
-            w = NormalWord(tuple(gens[k].pair(n) for k, n in zip(ks, juncs)),
-                           gens[ks[-1]], dpow)
+            w = new(NormalWord, [x for k, n in zip(ks, juncs + (dpow,))
+                                 for x in (gens[k], n)])
             out[w] = out.get(w, 0) + c
         return ConformalPolynomial(sig, out)
 

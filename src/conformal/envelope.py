@@ -80,7 +80,7 @@ class LieTable:
             if not 0 <= n < sig.N:
                 raise ValueError(f"table index {n} outside [0, {sig.N})")
             for w in val.terms:
-                if w.body:
+                if w.length > 1:
                     raise ValueError(
                         "table values must be combinations of D^t b words")
             sig.check_gen(x)
@@ -228,7 +228,7 @@ class SchemaIndex:
             for env in sc.solutions([(form, g.index or 0) for form, g
                                      in zip(forms, letters)], bound,
                                     outside=outside))
-        return [p for p in found if p.leading().flat() == sub]
+        return [p for p in found if p.leading()[:-1] == sub]
 
     def could_reduce(self, word: NormalWord) -> bool:
         """Whether an instance at any indices might reduce the word: a kept
@@ -346,7 +346,7 @@ def virasoro_irr_words(idx_radius: int, max_length: int,
     """The family  L_0(0)^k D^t L_i  within the bounds."""
     out = []
     for k in range(0, max_length):
-        body = (_L(0).pair(0),) * k
+        body = ((_L(0), 0),) * k
         for t in range(max_dpow + 1):
             for i in range(-idx_radius, idx_radius + 1):
                 out.append(NormalWord(body, _L(i), t))
@@ -371,15 +371,15 @@ def heisenberg_virasoro_irr_words(idx_radius: int, max_length: int,
             out.append(NormalWord(body, tail_fam(i), t))
 
     for l in range(0, max_length):
-        lpart = (_L(0).pair(0),) * l
+        lpart = ((_L(0), 0),) * l
         emit(lpart, _L)                                 # L_0(0)^l D^t L_i
         for h in range(0, max_length - l - 1):
-            h0s = (_H(0).pair(0),) * h
-            emit(h0s + (_H(-1).pair(0),) + lpart, _L)   # ... H_-1(0) ...
+            h0s = ((_H(0), 0),) * h
+            emit(h0s + ((_H(-1), 0),) + lpart, _L)      # ... H_-1(0) ...
             for n in (0, 1):
-                emit(h0s + (_H(0).pair(n),) + lpart, _L)  # ... H_0(n) ...
+                emit(h0s + ((_H(0), n),) + lpart, _L)   # ... H_0(n) ...
     for k in range(0, max_length):
-        emit((_H(0).pair(0),) * k, _H)                  # H_0(0)^k D^t H_i
+        emit(((_H(0), 0),) * k, _H)                     # H_0(0)^k D^t H_i
     return out
 
 

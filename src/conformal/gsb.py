@@ -90,9 +90,8 @@ def pair_compositions(f: Relation, g: Relation) -> List[Composition]:
         for ell in range(1, min(Kf, Kg)):
             if f.lead_flat[2 * (Kf - ell):] != g.lead_flat[: 2 * ell - 1]:
                 continue
-            c = gl.suffix_from(ell)
-            w = NormalWord(fl.body + (fl.tail.pair(gl.body[ell - 1][1]),)
-                           + c.body, c.tail, c.dpow)
+            # fl's letters, then gl's from its junction after letter ell-1
+            w = tuple.__new__(NormalWord, fl[:-1] + gl[2 * ell - 1:])
             out.append(Composition("intersection", f, g, w, None, None,
                                    at(f, w, 0) - at(g, w, Kf - ell)))
     return out

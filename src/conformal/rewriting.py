@@ -44,7 +44,7 @@ from itertools import chain
 from typing import Dict, Iterable, List, Optional
 
 from .words import AlgebraSignature, ConformalError, NormalWord, SignatureError
-from .algebra import (Coeff, ConformalPolynomial, Terms, _accum, _accum_pairs,
+from .algebra import (Coeff, ConformalPolynomial, Terms, _accum, _accum_items,
                       _word_mult, apply_D)
 
 
@@ -55,12 +55,12 @@ class RelationError(ConformalError):
 def slices(w: NormalWord, lengths: Iterable[int]):
     """The slices of w of the given (ascending) letter lengths, leftmost
     first, then shortest first: (start letter, flat slice, interior)."""
-    flat, K = w.flat(), w.length
+    K = len(w) >> 1
     for p in range(K):
         for L in lengths:
             if p + L > K:
                 break
-            yield p, flat[2 * p: 2 * (p + L) - 1], p + L < K
+            yield p, w[2 * p: 2 * (p + L) - 1], p + L < K
 
 
 def dpow_fits(s_dpow: int, interior: bool, w_dpow: int) -> bool:
@@ -84,7 +84,7 @@ class Relation:
                 f"{poly.leading_coeff()}")
         self.poly = poly
         self.lead = poly.leading()
-        self.lead_flat = self.lead.flat()
+        self.lead_flat = self.lead[:-1]
         self.canon = poly.canonical_key()
         self._words = None
         self._eval_cache: dict = {}
@@ -117,9 +117,9 @@ class Pattern:
     def describe(self) -> str:
         w, p, s = self.word, self.start, self.relation.lead
         q = p + s.length
-        head = f"{w.prefix_to(p)} ({w.body[p - 1][1]}) " if p else ""
+        head = f"{w.prefix_to(p)} ({w[2 * p - 1]}) " if p else ""
         if q < w.length:
-            return (f"[{head}s ({w.body[q - 1][1]}) {w.suffix_from(q)}] "
+            return (f"[{head}s ({w[2 * q - 1]}) {w.suffix_from(q)}] "
                     f"with s = {s}")
         d = f"D^{w.dpow - s.dpow} " if w.dpow > s.dpow else ""
         return f"[{head}{d}s] with s = {s}"
@@ -136,20 +136,19 @@ def eval_pattern(pat: Pattern) -> Terms:
     s = rel.lead
     q = p + s.length
     interior = q < w.length
-    if p < 0 or w.flat()[2 * p: 2 * q - 1] != rel.lead_flat or \
+    if p < 0 or w[2 * p: 2 * q - 1] != rel.lead_flat or \
             not dpow_fits(s.dpow, interior, w.dpow):
         raise RelationError(f"{s} does not occur at letter {p} of {w}")
     if interior:
-        m, c = w.body[q - 1][1], w.suffix_from(q)
+        m, c = w[2 * q - 1], w.suffix_from(q)
         out = {}
         for u, cu in rel.poly.terms.items():
             _accum(out, _word_mult(rel.poly.sig, u, m, c), cu)
     else:
         out = apply_D(rel.poly, w.dpow - s.dpow).terms
     if p:
-        a, new = w.body[:p], tuple.__new__
-        out = {new(NormalWord, (a + u.body, u.tail, u.dpow)): cu
-               for u, cu in out.items()}
+        a, new = w[:2 * p], tuple.__new__
+        out = {new(NormalWord, a + u): cu for u, cu in out.items()}
     cache[key] = out
     return out
 
@@ -409,7 +408,7 @@ def reduce_poly(p: ConformalPolynomial, rset: RelationSet, *,
         for u, cu in ev.items():
             if u != w:
                 r = reducts.get(u)
-                _accum_pairs(red, ((u, 1),) if r is None else r, -cu)
+                _accum_items(red, ((u, 1),) if r is None else r, -cu)
         reducts[w] = tuple(red.items())
     if isinstance(reducts, KeptReducts):
         reducts.note(searched)
@@ -432,8 +431,8 @@ def _settle(cur: Terms, remainder: Terms, reducts: dict, pairs, c) -> None:
                 irreducible.append((u, cu))
             else:
                 todo.append((r, c * cu))
-        _accum_pairs(cur, unsearched, c)
-        _accum_pairs(remainder, irreducible, c)
+        _accum_items(cur, unsearched, c)
+        _accum_items(remainder, irreducible, c)
 
 
 class KeptReducts(dict):
@@ -454,10 +453,15 @@ class KeptReducts(dict):
     word; the hit is that relation's first occurrence (``_start``), where
     the walk stopped.  Three indexes list words: by each flat slice their
     walk tried, by the relation they hit, and by a word whose reduct their
-    reduct inlined.  A dropped entry stays listed: the slice and relation
-    lookups skip a word whose current entry does not match, and an
-    inlining link that outlived its reduct can only drop an entry early,
-    which costs a search, never exactness.
+    reduct inlined.  ``note`` queues the searched words with their hit
+    starts, and ``sync`` lists them by slice before it reads its batch,
+    walking the lengths in ``_lens``: nothing changes the set between two
+    syncs, so those are the lengths their walks tried, and a walk that no
+    sync reads, as in a completion's last round, is never made.  A dropped
+    entry stays listed: the slice and relation lookups skip a word whose
+    current entry does not match, and an inlining link that outlived its
+    reduct can only drop an entry early, which costs a search, never
+    exactness.
     """
 
     def __init__(self, rset: RelationSet):
@@ -466,14 +470,14 @@ class KeptReducts(dict):
         self.synced = len(rset.log_since(0))
         self._lens = set(rset._length_set())
         self._relation: Dict[NormalWord, Optional[Relation]] = {}
+        self._queued: list = []     # (word, hit start or None)
         self._tried: Dict[tuple, list] = {}
         self._hit: Dict[Relation, list] = {}
         self._inlined_by: Dict[NormalWord, list] = {}
 
     def note(self, searched) -> None:
-        """Index the entries a division recorded: its (word, pattern or
-        None, evaluation) triples."""
-        lens, tried = self.rset._length_set(), self._tried
+        """Index the entries a division recorded, its (word, pattern or
+        None, evaluation) triples, and queue their walks."""
         for w, pat, ev in searched:
             rel = self._relation[w] = None if pat is None else pat.relation
             if rel is not None:
@@ -481,11 +485,7 @@ class KeptReducts(dict):
                 for u in ev:
                     if u != w and self.get(u) is not None:
                         self._inlined_by.setdefault(u, []).append(w)
-            for p, sub, _ in slices(w, lens):
-                tried.setdefault(sub, []).append(w)
-                if rel is not None and p == pat.start and \
-                        sub == rel.lead_flat:
-                    break
+            self._queued.append((w, None if pat is None else pat.start))
 
     def sync(self) -> None:
         """Drop the entries that the changes since the last sync reach."""
@@ -493,11 +493,19 @@ class KeptReducts(dict):
         new = rset.log_since(self.synced)
         self.synced += len(new)
         lens = set(rset._length_set())
+        queued, self._queued = self._queued, []
         if not lens <= self._lens:
             for index in (self, self._relation, self._tried, self._hit,
                           self._inlined_by):
                 index.clear()
         else:
+            walk, tried = sorted(self._lens), self._tried
+            for w, start in queued:
+                hit = self._relation[w]
+                for p, sub, _ in slices(w, walk):
+                    tried.setdefault(sub, []).append(w)
+                    if p == start and sub == hit.lead_flat:
+                        break
             doomed = []
             for rel in [r for r in self._hit if not r.alive]:
                 doomed.extend(w for w in self._hit.pop(rel)

@@ -10,17 +10,17 @@ is a well order whenever the generator order is.
 
 Words are the keys of every memo cache and terms dict, so they are made cheap
 to hash and compare: generators are interned (one object per name and index,
-compared by identity), word bodies are built from pairs that each generator
-shares out, and a word is a tuple of its fields, hashed and compared in C.
-The generator table and the per-generator pair tables are the only
-process-wide state; both grow through ``dict.setdefault``, which is atomic
-under the GIL.
+compared by identity), and a word is one flat tuple of its letters, junction
+indices and D power, hashed and compared in C.  The generator table is the
+only process-wide state; it grows through ``dict.setdefault``, which is
+atomic under the GIL.
 """
 
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Iterable, Optional, Sequence, Tuple
 
 
 class ConformalError(Exception):
@@ -35,12 +35,11 @@ class GeneratorSymbol:
     """A generator, either a bare name (``a``) or an indexed one (``L_-3``).
 
     Generators are interned: equal ``(name, index)`` give one object, so
-    equality and hashing are by identity.  Each generator also hands out the
-    shared ``(self, n)`` pairs that word bodies are made of, and keeps its
-    text, which words are printed from.
+    equality and hashing are by identity.  Each generator keeps its text,
+    which words are printed from.
     """
 
-    __slots__ = ("name", "index", "_pairs", "_text")
+    __slots__ = ("name", "index", "_text")
     _table: dict = {}
 
     def __new__(cls, name: str, index: Optional[int] = None):
@@ -52,7 +51,6 @@ class GeneratorSymbol:
         g = object.__new__(cls)
         object.__setattr__(g, "name", name)
         object.__setattr__(g, "index", index)
-        object.__setattr__(g, "_pairs", {})
         object.__setattr__(g, "_text",
                            name if index is None else f"{name}_{index}")
         return cls._table.setdefault((name, index), g)
@@ -65,15 +63,6 @@ class GeneratorSymbol:
 
     def __reduce__(self):
         return (GeneratorSymbol, (self.name, self.index))
-
-    def pair(self, n: int) -> Tuple["GeneratorSymbol", int]:
-        """The shared body pair ``(self, n)``; a negative ``n`` is not kept."""
-        p = self._pairs.get(n)
-        if p is None:
-            if n < 0:
-                return (self, n)
-            p = self._pairs.setdefault(n, (self, n))
-        return p
 
     def __repr__(self):
         return f"GeneratorSymbol(name={self.name!r}, index={self.index!r})"
@@ -126,76 +115,80 @@ class GeneratorOrder:
         return (fam, abs(idx), idx)
 
 
-class NormalWord(NamedTuple):
-    """An associative normal word.
+class NormalWord(tuple):
+    """An associative normal word b1(n1) ... bk(nk) D^i b(k+1), stored as
+    the one flat tuple  (b1, n1, ..., bk, nk, b(k+1), i).
 
-    ``body`` holds the (generator, junction index) pairs before the tail
-    letter, ``tail`` is the last generator, and ``dpow`` the D power on it.
-    The empty body gives length-1 words D^i b.
+    ``NormalWord(body, tail, dpow=0)`` builds it from the (generator,
+    junction index) pairs before the tail letter; the empty body gives
+    length-1 words D^i b.  The kernels build words by tuple concatenation
+    through ``tuple.__new__(NormalWord, ...)``, which skips that
+    constructor.  Dropping the D power gives the word's flat letter slice
+    ``w[:-1]``, the form leading words are indexed by, and ``w[2p: 2q-1]``
+    is the slice of letters p to q-1.
 
-    A word is the tuple ``(body, tail, dpow)``, so it hashes and compares
-    as that tuple does and equals the plain tuple with the same fields.
-    That is harmless: nothing keys one dict or set by both words and plain
-    3-tuples, and a flat slice ``(g0, n0, g1, ...)`` starts with a
-    generator, never with a body tuple.  Its ``<`` is the tuple's, not the
-    word order; ``AlgebraSignature.word_key`` gives that.
+    A word hashes and compares as its tuple does, so it equals the plain
+    tuple with the same items.  That is harmless: a word has even length
+    and a flat slice odd length, so no word equals a slice, and nothing
+    keys one dict or set by both words and other tuples of even length.
+    Its ``<`` is the tuple's, not the word order;
+    ``AlgebraSignature.word_key`` gives that.
     """
 
-    body: Tuple[Tuple[GeneratorSymbol, int], ...]
-    tail: GeneratorSymbol
-    dpow: int = 0
+    __slots__ = ()
+
+    def __new__(cls, body, tail: GeneratorSymbol, dpow: int = 0):
+        return tuple.__new__(cls, (*[x for pair in body for x in pair],
+                                   tail, dpow))
+
+    tail = property(itemgetter(-2))
+    dpow = property(itemgetter(-1))
 
     @property
     def length(self) -> int:
-        return len(self.body) + 1
+        return len(self) >> 1
 
     @property
     def is_dfree(self) -> bool:
-        return self.dpow == 0
+        return self[-1] == 0
 
     def letters(self) -> Tuple[GeneratorSymbol, ...]:
-        return tuple(g for g, _ in self.body) + (self.tail,)
+        return self[:-1:2]
 
     def junctions(self) -> Tuple[int, ...]:
-        return tuple(n for _, n in self.body)
+        return self[1:-2:2]
 
-    def flat(self) -> tuple:
-        """Alternating (g0, n0, g1, n1, ..., g_last) tuple, dpow excluded."""
-        out = []
-        for g, n in self.body:
-            out.append(g)
-            out.append(n)
-        out.append(self.tail)
-        return tuple(out)
+    def __reduce__(self):
+        return NormalWord, (tuple(zip(self[:-2:2], self[1:-2:2])),
+                            self[-2], self[-1])
 
     # structural edits -----------------------------------------------------
 
     def append_D(self, l: int) -> "NormalWord":
         if l == 0:
             return self
-        return NormalWord(self.body, self.tail, self.dpow + l)
+        return tuple.__new__(NormalWord, self[:-1] + (self[-1] + l,))
 
     def prepend(self, g: GeneratorSymbol, n: int) -> "NormalWord":
-        return NormalWord((g.pair(n),) + self.body, self.tail, self.dpow)
+        return tuple.__new__(NormalWord, (g, n) + self)
 
     def prefix_to(self, p: int) -> Optional["NormalWord"]:
         """D-free word made of the first ``p`` letters, or None when p == 0."""
         if p == 0:
             return None
-        body = self.body
-        tail = body[p - 1][0] if p <= len(body) else self.tail
-        return NormalWord(body[:p - 1], tail, 0)
+        return tuple.__new__(NormalWord, self[:2 * p - 1] + (0,))
 
     def suffix_from(self, p: int) -> "NormalWord":
         """Word made of the letters from position ``p`` on, keeping dpow."""
-        return NormalWord(self.body[p:], self.tail, self.dpow)
+        return tuple.__new__(NormalWord, self[2 * p:])
 
     def __str__(self):
-        d = self.dpow
-        head = "".join([f"{g._text} ({n}) " for g, n in self.body])
+        d = self[-1]
+        head = "".join([f"{self[j]._text} ({self[j + 1]}) "
+                        for j in range(0, len(self) - 2, 2)])
         if d:
             head += "D " if d == 1 else f"D^{d} "
-        return head + self.tail._text
+        return head + self[-2]._text
 
 
 def make_word(sig: "AlgebraSignature", *items, dpow: int = 0) -> NormalWord:
@@ -205,10 +198,9 @@ def make_word(sig: "AlgebraSignature", *items, dpow: int = 0) -> NormalWord:
     """
     if len(items) % 2 == 0:
         raise ValueError("expected an odd number of items: g0, n0, g1, ..., g_last")
-    body = tuple((items[i], items[i + 1]) for i in range(0, len(items) - 1, 2))
-    w = NormalWord(body, items[-1], dpow)
+    w = tuple.__new__(NormalWord, items + (dpow,))
     sig.check_word(w)
-    return NormalWord(tuple(g.pair(n) for g, n in body), w.tail, dpow)
+    return w
 
 
 class AlgebraSignature:
@@ -266,7 +258,7 @@ class AlgebraSignature:
 
     def check_word(self, w: NormalWord) -> None:
         N = self.N
-        for g, n in w.body:
+        for g, n in zip(w[:-2:2], w[1:-2:2]):
             self.check_gen(g)
             if not 0 <= n < N:
                 raise SignatureError(f"junction index {n} out of range [0, {N})")
@@ -282,12 +274,8 @@ class AlgebraSignature:
         """Weight tuple used for the lexicographic comparison of words."""
         key = self._wkey_cache.get(w)
         if key is None:
-            parts = [len(w.body) + 1]
-            for g, n in w.body:
-                parts.append(self.gen_key(g))
-                parts.append(n)
-            parts.append(self.gen_key(w.tail))
-            parts.append(w.dpow)
+            parts = [len(w) >> 1, *w]
+            parts[1:-1:2] = map(self.gen_key, w[:-1:2])
             key = tuple(parts)
             self._wkey_cache[w] = key
         return key

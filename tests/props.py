@@ -23,7 +23,7 @@ from conftest import random_word, random_poly
 
 def strip_tail_D(w: NormalWord) -> NormalWord:
     """The word with its tail D power dropped."""
-    return NormalWord(w.body, w.tail, 0) if w.dpow else w
+    return w.prefix_to(w.length) if w.dpow else w
 
 
 def splice(sig: AlgebraSignature, u: NormalWord, v: NormalWord) -> NormalWord:
@@ -34,8 +34,8 @@ def splice(sig: AlgebraSignature, u: NormalWord, v: NormalWord) -> NormalWord:
     power, every junction from the seam on being the maximal index N-1.
     """
     nm1 = sig.N - 1
-    body = u.body + (u.tail.pair(nm1),) + tuple(g.pair(nm1) for g, _ in v.body)
-    return NormalWord(body, v.tail, v.dpow)
+    top = NormalWord([(g, nm1) for g in v.letters()[:-1]], v.tail, v.dpow)
+    return _join(strip_tail_D(u), nm1, top)
 
 
 def word_leq(sig: AlgebraSignature, u, v) -> bool:
@@ -168,8 +168,7 @@ def check_product_bounds(rng: random.Random, cases: int) -> int:
         a = random_word(rng, sig, max_dpow=0)
         k = rng.randrange(0, sig.N)
         q = mult(sig, a, k, v)
-        joined_body = a.body + ((a.tail, k),) + v.body
-        exact = NormalWord(joined_body, v.tail, v.dpow)
+        exact = _join(a, k, v)
         assert q.leading() == exact and q.terms[exact] == 1
     return cases
 
@@ -229,7 +228,9 @@ def _random_relation_set(rng, sig, count=2):
 
 def _join(u: NormalWord, n: int, v: NormalWord) -> NormalWord:
     """The word u (n) v of a D-free u."""
-    return NormalWord(u.body + (u.tail.pair(n),) + v.body, v.tail, v.dpow)
+    return NormalWord(zip(u.letters() + v.letters()[:-1],
+                          u.junctions() + (n,) + v.junctions()),
+                      v.tail, v.dpow)
 
 
 def s_word(rel, a=None, n=None, m=None, c=None, i=0) -> Pattern:
@@ -366,10 +367,10 @@ def check_linearity(rng: random.Random, cases: int) -> int:
 
 
 def ref_word_D(u: NormalWord) -> dict:
-    if not u.body:
+    if u.length == 1:
         return {u.append_D(1): 1}
-    b, n1 = u.body[0]
-    u1 = NormalWord(u.body[1:], u.tail, u.dpow)
+    b, n1 = u.letters()[0], u.junctions()[0]
+    u1 = u.suffix_from(1)
     out = {}
     if n1 > 0:
         out[u1.prepend(b, n1 - 1)] = -n1
@@ -385,7 +386,7 @@ def ref_gen_mult(sig, g, n: int, v: NormalWord, memo: dict) -> dict:
         return out
     if n < sig.N:
         out = {v.prepend(g, n): 1}
-    elif not v.body:
+    elif v.length == 1:
         out = {}
         if v.dpow:
             v1 = NormalWord((), v.tail, v.dpow - 1)
@@ -394,8 +395,8 @@ def ref_gen_mult(sig, g, n: int, v: NormalWord, memo: dict) -> dict:
             if n > 0:
                 _accum(out, ref_gen_mult(sig, g, n - 1, v1, memo), n)
     else:
-        b, m = v.body[0]
-        v1 = NormalWord(v.body[1:], v.tail, v.dpow)
+        b, m = v.letters()[0], v.junctions()[0]
+        v1 = v.suffix_from(1)
         out = {}
         for k in range(1, n + 1):
             c = -comb(n, k) if k % 2 == 0 else comb(n, k)
@@ -407,7 +408,7 @@ def ref_gen_mult(sig, g, n: int, v: NormalWord, memo: dict) -> dict:
 
 def ref_word_mult(sig, u: NormalWord, n: int, v: NormalWord,
                   memo: dict) -> dict:
-    if not u.body:
+    if u.length == 1:
         i = u.dpow
         if i == 0:
             return ref_gen_mult(sig, u.tail, n, v, memo)
@@ -415,8 +416,8 @@ def ref_word_mult(sig, u: NormalWord, n: int, v: NormalWord,
             return {}
         c = perm(n, i) if i % 2 == 0 else -perm(n, i)
         return _scaled(ref_gen_mult(sig, u.tail, n - i, v, memo), c)
-    b, m0 = u.body[0]
-    u1 = NormalWord(u.body[1:], u.tail, u.dpow)
+    b, m0 = u.letters()[0], u.junctions()[0]
+    u1 = u.suffix_from(1)
     out = {}
     for t in range(0, m0 + 1):
         c = comb(m0, t) if t % 2 == 0 else -comb(m0, t)
@@ -443,8 +444,7 @@ def _kernel_word(rng: random.Random, sig) -> NormalWord:
     else:
         def draw():
             return GeneratorSymbol(rng.choice(sig.families), rng.randint(-2, 2))
-    body = tuple(draw().pair(rng.randrange(sig.N))
-                 for _ in range(rng.randint(0, 3)))
+    body = [(draw(), rng.randrange(sig.N)) for _ in range(rng.randint(0, 3))]
     return NormalWord(body, draw(), rng.randint(0, 3))
 
 

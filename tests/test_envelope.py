@@ -398,11 +398,11 @@ def _probe_words(draw, sig, leads):
     if leads and draw(st.booleans()):
         w = draw(st.sampled_from(leads))
         if draw(st.booleans()):
-            w = NormalWord(((draw(st.sampled_from(gens)),
-                             draw(st.integers(0, 1))),) + w.body, w.tail,
-                           w.dpow)
+            w = w.prepend(draw(st.sampled_from(gens)),
+                          draw(st.integers(0, 1)))
         if w.is_dfree and draw(st.booleans()):
-            w = NormalWord(w.body + (w.tail.pair(draw(st.integers(0, 1))),),
+            w = NormalWord(zip(w.letters(),
+                               w.junctions() + (draw(st.integers(0, 1)),)),
                            draw(st.sampled_from(gens)), 0)
         return w.append_D(draw(st.integers(0, 1)))
     body = tuple((draw(st.sampled_from(gens)), draw(st.integers(0, 1)))

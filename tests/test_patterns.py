@@ -169,7 +169,7 @@ def test_malformed_patterns_rejected(sig_a2):
     # the slice a (0) a at letter 0 matches the lead's flat word, but it is
     # interior, where only a D-free lead may occur
     w = parse_word("a (0) a (0) a", sig_a2)
-    assert w.flat()[:3] == rel.lead_flat
+    assert w.prefix_to(2)[:-1] == rel.lead_flat
     for bad in (Pattern(rel, w, 0), Pattern(rel, w, 2), Pattern(rel, w, -1),
                 Pattern(rel, parse_word("a (1) D a", sig_a2), 0)):
         with pytest.raises(RelationError):
@@ -181,8 +181,8 @@ def _hv_words(rng, sig, count):
     """Random words over L_i, H_i with |i| <= 6, beyond the W=1 instances."""
     gens = [gen(name, i) for name in ("L", "H") for i in range(-6, 7)]
     for _ in range(count):
-        body = tuple(rng.choice(gens).pair(rng.randrange(sig.N))
-                     for _ in range(rng.randint(0, 3)))
+        body = [(rng.choice(gens), rng.randrange(sig.N))
+                for _ in range(rng.randint(0, 3))]
         yield NormalWord(body, rng.choice(gens), rng.randint(0, 2))
 
 

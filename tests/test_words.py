@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from conformal import (AlgebraSignature, GeneratorOrder, GeneratorSymbol,
                        NormalWord, SignatureError, compare_words, gen,
                        make_word, parse_word)
+from conformal.rewriting import slices
 from conftest import random_word
-from props import splice, strip_tail_D
+from props import _kernel_sigs, _kernel_word, splice, strip_tail_D
 
 
 def test_weight_orders_by_length_first(sig_a2):
@@ -148,7 +149,6 @@ def test_invalid_generators_and_junctions_raise(sig_a2):
     a = gen("a")
     with pytest.raises(SignatureError):
         make_word(sig_a2, a, -1, a)
-    assert a.pair(-1) == (a, -1)
 
 
 def test_pickled_word_equals_and_hashes_alike(sig_xy3):
@@ -157,21 +157,14 @@ def test_pickled_word_equals_and_hashes_alike(sig_xy3):
     hash(w)
     back = pickle.loads(pickle.dumps(w))
     assert back == w and back.tail is x
-    assert hash(back) == hash(NormalWord(w.body, w.tail, w.dpow))
+    assert hash(back) == hash(NormalWord(zip(w.letters(), w.junctions()),
+                                         w.tail, w.dpow))
     assert copy.deepcopy(w) == w
     assert "_hash" not in repr(w)
     with pytest.raises(AttributeError):
         w.dpow = 2
     with pytest.raises(AttributeError):
-        w.body = ()
-
-
-def test_prepend_shares_body_pairs(sig_xy3):
-    x, y = sig_xy3.generators
-    u = make_word(sig_xy3, y, 0, x).prepend(x, 2)
-    v = make_word(sig_xy3, y, dpow=2).prepend(x, 2)
-    assert u.body[0] is v.body[0] is x.pair(2)
-    assert make_word(sig_xy3, x, 2, y).body[0] is x.pair(2)
+        w.tail = y
 
 
 def _reference_prefix(w, p):
@@ -198,17 +191,36 @@ def test_prefix_and_suffix_match_letter_reference(seed):
         assert w.suffix_from(p) == _reference_suffix(w, p)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10**6))
+def test_word_is_no_slice_and_keys_by_its_weight_tuple(seed):
+    # a word is its flat tuple with the D power last: even length, where
+    # every flat slice the search looks up has odd length
+    rng = random.Random(seed)
+    sig = rng.choice(_kernel_sigs())
+    w = _kernel_word(rng, sig)
+    subs = [sub for _, sub, _ in slices(w, range(1, w.length + 1))]
+    keyed = {w: "word"}
+    for sub in subs:
+        assert sub != w and sub not in {w: None}
+        keyed[sub] = "slice"
+    assert keyed[w] == "word" and len(keyed) == 1 + len(set(subs))
+    parts = [len(w.junctions()) + 1]
+    for g, n in zip(w.letters(), w.junctions()):
+        parts += [sig.gen_key(g), n]
+    assert sig.word_key(w) == tuple(parts + [sig.gen_key(w.tail), w.dpow])
+
+
 def test_interning_is_race_free_across_threads():
     # more threads than cores, switching as often as possible, all creating
-    # the same fresh generators and pairs: each must end with one object
+    # the same fresh generators: each must end with one object
     names = [f"race{i}" for i in range(5000)]
     results = [None] * 8
     start = threading.Barrier(len(results))
 
     def work(slot):
         start.wait()
-        results[slot] = [(g, g.pair(1))
-                         for g in (GeneratorSymbol(n, 5) for n in names)]
+        results[slot] = [GeneratorSymbol(n, 5) for n in names]
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -223,6 +235,5 @@ def test_interning_is_race_free_across_threads():
     finally:
         sys.setswitchinterval(old)
     for got in results[1:]:
-        assert all(g is h and p is q
-                   for (g, p), (h, q) in zip(got, results[0], strict=True))
-    assert results[0][0][0] is gen("race0", 5)
+        assert all(g is h for g, h in zip(got, results[0], strict=True))
+    assert results[0][0] is gen("race0", 5)
