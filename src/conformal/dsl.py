@@ -20,7 +20,9 @@ The parser builds the expression tree of ``algebra`` (``Gen``, ``Deriv``,
 ``IndexForm`` in ``Gen.sub``, constants included, so a schema's template is
 the same tree.  ``RelationSchema`` normalizes it once per locality bound
 with a placeholder generator per leaf, and ``instantiate(env)`` relabels
-that normal form.
+that normal form through a plan kept per bound.  A schema's side condition
+is compiled once into a Python predicate (``Constraint.admits``), which
+``solutions`` tests at every point it enumerates.
 """
 
 from __future__ import annotations
@@ -28,9 +30,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import gcd
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from .words import (AlgebraSignature, ConformalError, GeneratorOrder,
                     GeneratorSymbol, NormalWord)
@@ -154,8 +159,7 @@ class IndexForm:
 
 # constraints -----------------------------------------------------------------
 
-_CMP = {"<": int.__lt__, "<=": int.__le__, ">": int.__gt__,
-        ">=": int.__ge__, "==": int.__eq__, "!=": int.__ne__}
+_CMP = frozenset(("<", "<=", ">", ">=", "==", "!="))
 
 
 @dataclass(frozen=True)
@@ -163,31 +167,49 @@ class Constraint:
     """Boolean combination of chained integer comparisons."""
     node: tuple  # ("or", (...)) | ("and", (...)) | ("cmp", atoms, ops)
 
+    @cached_property
+    def admits(self) -> Callable[[Dict[str, int]], bool]:
+        """The constraint compiled once into a predicate of an assignment.
+
+        The node becomes one Python expression of ``env``: a chain
+        ``a < b <= c`` is Python's chained comparison, which holds exactly
+        when every adjacent pair does, an empty ``and`` is ``True`` and an
+        empty ``or`` is ``False``.  The source holds only integer literals,
+        quoted variable names, ``abs`` and the six comparison operators.
+        """
+        return eval(f"lambda env: {_c_src(self.node)}",
+                    {"__builtins__": {}, "abs": abs})
+
     def eval(self, env: Dict[str, int]) -> bool:
-        return _c_eval(self.node, env)
+        return self.admits(env)
 
     def __str__(self):
         return _c_str(self.node)
 
 
-def _c_eval(node, env) -> bool:
+_JUNCTIONS = {"and": " and ", "or": " or "}
+
+
+def _c_src(node) -> str:
     tag = node[0]
-    if tag == "or":
-        return any(_c_eval(n, env) for n in node[1])
-    if tag == "and":
-        return all(_c_eval(n, env) for n in node[1])
-    atoms, ops = node[1], node[2]
-    vals = [_atom_eval(a, env) for a in atoms]
-    return all(_CMP[op](x, y) for x, op, y in zip(vals, ops, vals[1:]))
+    if tag == "cmp":
+        atoms, ops = node[1], node[2]
+        out = _a_src(atoms[0])
+        for op, a in zip(ops, atoms[1:]):
+            if op not in _CMP:
+                raise ValueError(f"unknown comparison {op!r}")
+            out += f" {op} {_a_src(a)}"
+        return f"({out})"
+    if not node[1]:
+        return "True" if tag == "and" else "False"
+    return "(" + _JUNCTIONS[tag].join(_c_src(n) for n in node[1]) + ")"
 
 
-def _atom_eval(a, env) -> int:
+def _a_src(a) -> str:
     tag, v = a
     if tag == "int":
-        return v
-    if tag == "var":
-        return env[v]
-    return abs(env[v])
+        return repr(int(v))
+    return f"env[{v!r}]" if tag == "var" else f"abs(env[{v!r}])"
 
 
 def _c_str(node) -> str:
@@ -465,6 +487,8 @@ class RelationSchema:
                                         repr=False, compare=False)
     _plans: Dict[tuple, tuple] = field(default_factory=dict, init=False,
                                        repr=False, compare=False)
+    _instancers: Dict[int, tuple] = field(default_factory=dict, init=False,
+                                          repr=False, compare=False)
 
     def compiled(self, N: int) -> tuple:
         """The leaves, and per placeholder normal word over N (coefficient,
@@ -480,17 +504,42 @@ class RelationSchema:
 
     def instantiate(self, env: Dict[str, int],
                     sig: AlgebraSignature) -> ConformalPolynomial:
-        leaves, terms = self.compiled(sig.N)
-        gens = [x.gen if x.sub is None or not x.sub.vars else
-                GeneratorSymbol(x.gen.name, x.sub.eval(env)) for x in leaves]
-        for g in gens:
+        leaves, ints, terms = self._instancer(sig.N)
+        gens = []
+        for g in leaves:
+            if g.__class__ is not GeneratorSymbol:
+                name, k, coeffs = g
+                for v, c in coeffs:
+                    k += c * env[v]
+                g = GeneratorSymbol(name, k)
             sig.check_gen(g)
-        out, new = {}, tuple.__new__
-        for c, ks, juncs, dpow in terms:
-            w = new(NormalWord, [x for k, n in zip(ks, juncs + (dpow,))
-                                 for x in (gens[k], n)])
+            gens.append(g)
+        slots, out, new = gens + ints, {}, tuple.__new__
+        for c, word in terms:
+            w = new(NormalWord, word(slots))
             out[w] = out.get(w, 0) + c
         return ConformalPolynomial(sig, out)
+
+    def _instancer(self, N: int) -> tuple:
+        """``compiled(N)`` as a plan for ``instantiate``: per leaf its fixed
+        generator, or (family, constant, coefficients) of its index form;
+        the integers 0 .. the largest junction or D power; per term its
+        coefficient and an ``itemgetter`` that reads the word off the slot
+        list of the leaves' generators followed by those integers."""
+        plan = self._instancers.get(N)
+        if plan is None:
+            leaves, terms = self.compiled(N)
+            k = len(leaves)
+            top = max((n for _, _, juncs, dpow in terms
+                       for n in juncs + (dpow,)), default=0)
+            plan = self._instancers[N] = [
+                x.gen if x.sub is None or not x.sub.vars else
+                (x.gen.name, x.sub.const, x.sub.vars) for x in leaves
+            ], list(range(top + 1)), [
+                (c, itemgetter(*[s for j, n in zip(ks, juncs + (dpow,))
+                                 for s in (j, k + n)]))
+                for c, ks, juncs, dpow in terms]
+        return plan
 
     def solutions(self, eqs, bound: int,
                   outside: Optional[int] = None) -> Iterator[Dict[str, int]]:
@@ -531,7 +580,7 @@ class RelationSchema:
             return
         solved = [(name, sum(a * t for a, t in zip(coeffs, targets)) + const,
                    d, terms) for name, coeffs, const, d, terms in pivots]
-        admits = self.constraint.eval
+        admits = self.constraint.admits
         for vals in product(range(-bound, bound + 1), repeat=len(free_names)):
             env = dict(zip(free_names, vals))
             for name, base, d, terms in solved:

@@ -213,7 +213,12 @@ class SchemaIndex:
     def instances_for(self, sub: tuple, outside: Optional[int] = None
                       ) -> List[ConformalPolynomial]:
         """The monic instances whose leading word's flat tuple is the slice
-        ``sub``, each once, in template and solution order."""
+        ``sub``, each once, in template and solution order.
+
+        Each solution's raw instance is tested for its lead before it is
+        made monic, keyed and deduplicated (``_monic_prepare``).  That keeps
+        the same instances in the same order: scaling keeps the leading
+        word, so instances that deduplicate together lead alike."""
         letters = sub[0::2]
         templates = self.by_shape.get((tuple(g.name for g in letters),
                                        sub[1::2]))
@@ -223,12 +228,12 @@ class SchemaIndex:
         # covers every constraint of the built-in families (their side
         # conditions bound free variables by matched ones)
         bound = max((abs(g.index or 0) for g in letters), default=0) + 4
-        found = _monic_prepare(
-            sc.instantiate(env, self.sig) for sc, forms, _ in templates
-            for env in sc.solutions([(form, g.index or 0) for form, g
-                                     in zip(forms, letters)], bound,
-                                    outside=outside))
-        return [p for p in found if p.leading()[:-1] == sub]
+        raw = (sc.instantiate(env, self.sig) for sc, forms, _ in templates
+               for env in sc.solutions([(form, g.index or 0) for form, g
+                                        in zip(forms, letters)], bound,
+                                       outside=outside))
+        return _monic_prepare(p for p in raw
+                              if p and p.leading()[:-1] == sub)
 
     def could_reduce(self, word: NormalWord) -> bool:
         """Whether an instance at any indices might reduce the word: a kept

@@ -4,6 +4,7 @@ Every checker draws its own cases from a seeded generator, asserts the
 identity in exact arithmetic, and returns the number of cases it ran.
 """
 
+import operator
 import random
 from fractions import Fraction
 from math import comb, perm
@@ -13,7 +14,7 @@ from conformal import (AlgebraSignature, ConformalPolynomial, Deriv, Gen,
                        RelationSet, apply_D, eval_pattern, locality_bound,
                        mult, normalize, poly_mult, reduce_poly, word_expr)
 from conformal.algebra import _accum, _gen_mult, _scaled, _word_D, _word_mult
-from conformal.gsb import Composition
+from conformal.gsb import Composition, _monic_prepare
 from conformal.rewriting import Pattern, slices
 from conftest import random_word, random_poly
 
@@ -528,6 +529,33 @@ def reference_instance(schema, env, sig) -> ConformalPolynomial:
     return normalize(substitute(schema.template, env), sig)
 
 
+_REF_CMP = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
+            ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
+
+
+def ref_admits(node, env) -> bool:
+    """The constraint tree walked at ``env``, every atom of a chain valued
+    before any comparison: the reference for the compiled
+    ``Constraint.admits``."""
+    tag = node[0]
+    if tag == "or":
+        return any(ref_admits(n, env) for n in node[1])
+    if tag == "and":
+        return all(ref_admits(n, env) for n in node[1])
+    vals = [_ref_atom(a, env) for a in node[1]]
+    return all(_REF_CMP[op](x, y) for x, op, y in zip(vals, node[2],
+                                                      vals[1:]))
+
+
+def _ref_atom(a, env) -> int:
+    tag, v = a
+    if tag == "int":
+        return v
+    if tag == "var":
+        return env[v]
+    return abs(env[v])
+
+
 def ref_solutions(schema, eqs, bound: int, outside=None):
     """The per-call rational solver that ``RelationSchema.solutions``'s
     cached integer plan replaced, kept as the slow path it is checked
@@ -535,7 +563,7 @@ def ref_solutions(schema, eqs, bound: int, outside=None):
     then a walk of the free variables' box (the first varying fastest)
     that rejects a point where a pivot variable is not an integer."""
     from itertools import product
-    varnames, admits = schema.vars, schema.constraint.eval
+    varnames, node = schema.vars, schema.constraint.node
     n = len(varnames)
     pos = {v: k for k, v in enumerate(varnames)}
     rows = []
@@ -580,8 +608,26 @@ def ref_solutions(schema, eqs, bound: int, outside=None):
         else:
             inside = outside is not None and \
                 max(map(abs, env.values()), default=0) <= outside
-            if not inside and admits(env):
+            if not inside and ref_admits(node, env):
                 yield env
+
+
+def ref_instances_for(index, sub: tuple, outside=None):
+    """The lazy lookup that tested an instance's lead only after making it
+    monic: every solution of every template of the slice's shape is
+    instantiated, ``_monic_prepare`` scales, keys and deduplicates them,
+    and then the instances not leading at ``sub`` are dropped.  The
+    reference for ``SchemaIndex.instances_for``."""
+    letters = sub[0::2]
+    templates = index.by_shape.get((tuple(g.name for g in letters),
+                                    sub[1::2]), ())
+    bound = max((abs(g.index or 0) for g in letters), default=0) + 4
+    found = _monic_prepare(
+        sc.instantiate(env, index.sig) for sc, forms, _ in templates
+        for env in sc.solutions([(form, g.index or 0) for form, g
+                                 in zip(forms, letters)], bound,
+                                outside=outside))
+    return [p for p in found if p.leading()[:-1] == sub]
 
 
 def all_term_shapes(schemas):

@@ -90,6 +90,54 @@ def test_schema_parse_and_instantiate():
     assert p == parse_poly("L_2 (0) L_-1 - L_0 (0) L_1", sig)
 
 
+_VARS = ("i", "j", "k")
+
+
+@st.composite
+def _constraint_nodes(draw, depth=2):
+    """A constraint tree: ``or`` and ``and`` nodes, the empty ``and``
+    among them, over chains of one to three comparisons of int, var and
+    |var| atoms."""
+    if depth and draw(st.booleans()):
+        parts = draw(st.lists(_constraint_nodes(depth - 1), max_size=3))
+        return (draw(st.sampled_from(["or", "and"])) if parts else "and",
+                tuple(parts))
+    atom = st.one_of(st.tuples(st.just("int"), st.integers(-3, 3)),
+                     st.tuples(st.sampled_from(["var", "abs"]),
+                               st.sampled_from(_VARS)))
+    ops = draw(st.lists(st.sampled_from(["<", "<=", ">", ">=", "==", "!="]),
+                        min_size=1, max_size=3))
+    atoms = draw(st.lists(atom, min_size=len(ops) + 1,
+                          max_size=len(ops) + 1))
+    return ("cmp", tuple(atoms), tuple(ops))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_constraint_nodes(), st.lists(
+    st.fixed_dictionaries({v: st.integers(-4, 4) for v in _VARS}),
+    min_size=1, max_size=8))
+def test_compiled_constraint_matches_the_tree_walk(node, envs):
+    from conformal.dsl import Constraint
+    c = Constraint(node)
+    for env in envs:
+        assert c.eval(env) is props.ref_admits(node, env), (str(c), env)
+
+
+def test_compiled_constraint_matches_the_tree_walk_on_shipped_schemas():
+    from itertools import product
+    rng = range(-8, 9)
+    for stem in ("virasoro", "heisenberg_virasoro"):
+        with open(os.path.join(os.path.dirname(__file__), "..",
+                               "presentations", f"{stem}.alg")) as fh:
+            pf = parse_presentation(fh.read())
+        for sc in pf.schemas:
+            admits, node = sc.constraint.admits, sc.constraint.node
+            for vals in product(rng, repeat=len(sc.vars)):
+                env = dict(zip(sc.vars, vals))
+                assert admits(env) is props.ref_admits(node, env), \
+                    (sc.name, env)
+
+
 def test_schema_equals_its_reparse():
     line = ("q[i, j | i != 0 and j > -2]: "
             "3/2 * H_i (1) D^2 L_{j+1} - (H_0 (1) L_{i+j}) (0) L_0")

@@ -520,7 +520,7 @@ def _reference_keys(schemas, sig, radius):
     insts = (props.reference_instance(sc, env, sig) for sc in schemas
              for env in (dict(zip(sc.vars, v))
                          for v in product(rng, repeat=len(sc.vars)))
-             if sc.constraint.eval(env))
+             if props.ref_admits(sc.constraint.node, env))
     return sorted(p.canonical_key() for p in _monic_prepare(insts))
 
 
@@ -559,7 +559,8 @@ def test_solutions_without_equations_are_the_admitted_box(radius):
             box = (dict(zip(sc.vars, v))
                    for v in product(rng, repeat=len(sc.vars)))
             assert _assignments(sc.solutions([], radius)) == \
-                _assignments(env for env in box if sc.constraint.eval(env))
+                _assignments(env for env in box
+                             if props.ref_admits(sc.constraint.node, env))
 
 
 def _lead_equations():
@@ -650,7 +651,7 @@ def _assert_solutions_by_brute_force(sc, eqs, bound, outside=None):
     expected = [env for env in box
                 if all(form.eval(env) == t for form, t in eqs)
                 and all(abs(env[v]) <= bound for v in free)
-                and sc.constraint.eval(env)]
+                and props.ref_admits(sc.constraint.node, env)]
     every = list(sc.solutions(eqs, bound))
     assert _assignments(every) == _assignments(expected)
     if outside is not None:
@@ -723,6 +724,30 @@ def test_solutions_match_the_rational_solver_on_every_template():
                         _assert_solutions_as_reference(sc, eqs, 5, 3)
                         _assert_solutions_as_reference(sc, eqs, 2)
                 assert forms in sc._plans
+
+
+def _template_slices(index, targets):
+    """Per kept shape of the index, the slice with the given indices."""
+    from itertools import product
+    for names, juncs in index.by_shape:
+        for ts in product(targets, repeat=len(names)):
+            letters = [gen(g, t) for g, t in zip(names, ts)]
+            yield tuple(x for g, n in zip(letters, juncs + (None,))
+                        for x in (g, n))[:-1]
+
+
+def test_lookup_matches_the_monic_first_reference_on_every_template():
+    # dropping an instance that does not lead at the slice before making it
+    # monic keeps the same polynomials in the same order
+    from conformal.envelope import SchemaIndex
+    for pf in _shipped_family_files():
+        index = SchemaIndex(pf.schemas, pf.sig)
+        for sub in _template_slices(index, range(-6, 7)):
+            for outside in (None, 4):
+                got = index.instances_for(sub, outside=outside)
+                want = props.ref_instances_for(index, sub, outside)
+                assert [p.canonical_key() for p in got] == \
+                    [p.canonical_key() for p in want], (sub, outside)
 
 
 def test_one_plan_serves_consistent_non_integral_and_inconsistent_targets():
@@ -812,6 +837,8 @@ def test_compiled_instances_match_the_reference_hypothesis(text, N):
     for p in _monic_prepare(insts):
         assert index.could_reduce(p.leading())
         assert RelationSet(sig, [], lazy=index).has_reduction(p.leading())
+        sub = p.leading()[:-1]
+        assert index.instances_for(sub) == props.ref_instances_for(index, sub)
 
 
 @pytest.mark.parametrize("name", ["virasoro", "heisenberg-virasoro"])
