@@ -180,9 +180,6 @@ class Constraint:
         return eval(f"lambda env: {_c_src(self.node)}",
                     {"__builtins__": {}, "abs": abs})
 
-    def eval(self, env: Dict[str, int]) -> bool:
-        return self.admits(env)
-
     def __str__(self):
         return _c_str(self.node)
 

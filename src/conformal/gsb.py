@@ -27,7 +27,7 @@ from .algebra import (ConformalPolynomial, Terms, _accum, _gen_mult,
                       _word_mult, apply_D, locality_bound)
 from .rewriting import (KeptReducts, Pattern, ReductionTrace, Relation,
                         RelationSet, dpow_fits, eval_pattern, reduce_poly,
-                        slices)
+                        slice_keys, slices)
 
 
 @dataclass(slots=True, eq=False)
@@ -355,31 +355,31 @@ def _monic_prepare(polys: Iterable[ConformalPolynomial]):
 class SupportIndex:
     """Which members of a relation set a newly added leading word can reduce.
 
-    Every term word of every indexed relation contributes all its slices,
-    as the ``slices`` walk yields them to ``RelationSet``'s lookup; each
-    (interior, flat slice) key maps the relations having it to their
-    greatest D power there.  A leading word s can reduce a term exactly when
-    its flat tuple is a slice of the term and ``dpow_fits`` admits s there.
+    Every term word of every indexed relation contributes the keys of all
+    its slices (``slice_keys``); each key maps the relations having it to
+    their greatest D power there.  A leading word s can reduce a term
+    exactly when its flat tuple is a slice of the term and ``dpow_fits``
+    admits s there.  ``KeptReducts`` follows the set by the same rule.
 
     ``dirty`` holds the relations not yet checked irreducible against the
     set since the last add that could reduce them.  The index follows the
-    set's append-only log (``log_since``), so relations added by any path
-    (including lazy materialization) are seen at the next ``sync``;
-    ``synced`` is the length of the log indexed so far.
+    set's adds (``log_since``), so relations added by any path (including
+    lazy materialization) are seen at the next ``sync``; ``synced`` is the
+    number of adds indexed so far.
     """
 
     def __init__(self, rset: RelationSet):
         self.rset = rset
         self.dirty: set = set()
         self.synced = 0
-        # visit key of each indexed relation: (word key of the lead,
-        # -position in the log, relation); ascending order is the reverse of
-        # the interreduction visit order
+        # visit key of each indexed relation: (word key of the lead, -seq,
+        # relation); ascending order is the reverse of the interreduction
+        # visit order
         self.visit_key: Dict[Relation, tuple] = {}
         self._support: Dict[tuple, Dict[Relation, int]] = {}
 
     def sync(self) -> List[Relation]:
-        """Index the relations appended since the last sync.
+        """Index the live relations added since the last sync.
 
         Each of them is marked dirty, as is every indexed relation its
         leading word can reduce; returns the relations that this call
@@ -387,9 +387,8 @@ class SupportIndex:
         """
         marked: List[Relation] = []
         for rel in self.rset.log_since(self.synced):
-            if rel.alive:
-                self._add(rel, self.synced, marked)
-            self.synced += 1
+            self._add(rel, marked)
+        self.synced = self.rset.added
         return marked
 
     def _mark(self, rel: Relation, marked: List[Relation]) -> None:
@@ -397,7 +396,7 @@ class SupportIndex:
             self.dirty.add(rel)
             marked.append(rel)
 
-    def _add(self, rel: Relation, pos: int, marked: List[Relation]) -> None:
+    def _add(self, rel: Relation, marked: List[Relation]) -> None:
         lead = rel.lead
         for interior in (True, False):
             owners = self._support.get((interior, rel.lead_flat), {})
@@ -405,9 +404,9 @@ class SupportIndex:
                 if dpow_fits(lead.dpow, interior, dpow):
                     self._mark(other, marked)
         self._mark(rel, marked)
-        self.visit_key[rel] = (self.rset.sig.word_key(lead), -pos, rel)
+        self.visit_key[rel] = (self.rset.sig.word_key(lead), -rel.seq, rel)
         for w in rel.poly.terms:
-            for key in _support_keys(w):
+            for key in slice_keys(w):
                 owners = self._support.setdefault(key, {})
                 if owners.get(rel, -1) < w.dpow:
                     owners[rel] = w.dpow
@@ -417,18 +416,12 @@ class SupportIndex:
         self.dirty.discard(rel)
         del self.visit_key[rel]
         for w in rel.poly.terms:
-            for key in _support_keys(w):
+            for key in slice_keys(w):
                 owners = self._support.get(key)
                 if owners is not None:
                     owners.pop(rel, None)
                     if not owners:
                         del self._support[key]
-
-
-def _support_keys(w: NormalWord):
-    """The (interior, flat slice) keys of every slice of a word."""
-    for _, sub, interior in slices(w, range(1, w.length + 1)):
-        yield interior, sub
 
 
 def interreduce(rset: RelationSet,
@@ -465,7 +458,7 @@ def interreduce(rset: RelationSet,
     changed_any = False
     while True:
         index.sync()
-        horizon = -index.synced        # members at or after it join next pass
+        horizon = -index.synced    # -seq; members added since join next pass
         pending = sorted(visit_key[rel] for rel in dirty)
         changed = False
         while pending:
@@ -512,12 +505,12 @@ def complete(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
     compositions of relations that were sources before, the same objects in
     the same pre-sort order as a fresh enumeration would build.  Every
     composition is divided with ``reduce_poly``'s reducts, one
-    ``KeptReducts`` for the whole run.  An entry holds until a change
-    reaches a slice its walk tried (``RelationSet`` docstring), so after
-    each add and its interreduction the reducts drop only the entries that
-    the batch of new and retired relations reaches.  So each division
-    leaves the remainder of a division without them, and searches for no
-    pattern that division would not search for.
+    ``KeptReducts`` for the whole run.  After each add and its
+    interreduction the reducts drop the entries of the words that a new
+    lead occurs in and those whose hit relation retired; every other entry
+    keeps its word's leftmost pattern (``KeptReducts`` docstring).  So
+    each division leaves the remainder of a division without them, and
+    searches for no pattern that division would not search for.
     """
     rset = RelationSet(sig, _monic_prepare(polys))
     index = SupportIndex(rset)

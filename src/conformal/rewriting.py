@@ -30,10 +30,11 @@ p - c_w e = (p - c_w w) - c_w (e - w), whose words all lie below w, so by
 induction it leaves sum_{u != w} c_u R(u) - c_w sum_{u != w} e_u R(u),
 which is the claim.  ``reduce_poly(p, rset, reducts=r)`` records, for
 each word it searches, R(w) expanded as far as the words searched so far
-allow.  An entry holds until a change to the set reaches a slice its
-walk tried (``RelationSet``), so a check keeps one plain dict, which only
-materialization changes, and completion one ``KeptReducts``, which drops
-the entries its adds and retirements reach.
+allow.  An entry holds while its word keeps its leftmost pattern.
+Materialization changes no searched word's pattern (``RelationSet``), so
+a check, whose set only materializes, keeps one plain dict; completion
+keeps one ``KeptReducts``, which drops the entries its adds and
+retirements may change.
 """
 
 from __future__ import annotations
@@ -69,13 +70,21 @@ def dpow_fits(s_dpow: int, interior: bool, w_dpow: int) -> bool:
     return s_dpow == 0 if interior else s_dpow <= w_dpow
 
 
+def slice_keys(w: NormalWord):
+    """The (interior, flat slice) keys of every slice of a word: a lead
+    occurs in w exactly when, at the key of its flat tuple, ``dpow_fits``
+    admits it."""
+    for _, sub, interior in slices(w, range(1, w.length + 1)):
+        yield interior, sub
+
+
 class Relation:
     """A monic relation together with its precomputed leading data."""
 
     __slots__ = ("poly", "lead", "lead_flat", "canon", "_words", "_eval_cache",
-                 "alive")
+                 "alive", "seq")
 
-    def __init__(self, poly: ConformalPolynomial):
+    def __init__(self, poly: ConformalPolynomial, seq: Optional[int] = None):
         if poly.is_zero():
             raise RelationError("zero polynomial cannot be a relation")
         if not poly.is_monic():
@@ -89,6 +98,7 @@ class Relation:
         self._words = None
         self._eval_cache: dict = {}
         self.alive = True
+        self.seq = seq      # the number of adds before it in its set
 
     @property
     def words(self) -> tuple:
@@ -160,8 +170,10 @@ class RelationSet:
     to its relations in canonical order (by leading word, then by the whole
     polynomial), which each slice of a searched word looks up under the
     D-power rule; the slice walk order then is the order of the patterns.
-    Relations are appended to a log and never leave it (a removed one is
-    marked retired), and ``_live`` counts the live relations.
+    The set holds only its live relations, in the order they were added.
+    ``added`` counts the adds, and each relation's ``seq`` the adds before
+    it, so ``log_since(s)`` is the live relations added from the s-th add
+    on; a removed relation is marked retired (``alive``) and let go.
     ``lazy`` is the schema index of on-demand instances, or None.  Both
     searches walk a word's slices and stop at the first hit; a slice
     materializes the schema instances it leads just before it is looked
@@ -174,29 +186,27 @@ class RelationSet:
     the set that added the box, never to the shareable index, and
     ``remove`` refuses such a set, which must keep every eager instance.
 
-    ``reduce_poly``'s reducts follow one rule: an entry holds until a
-    change reaches a slice its walk tried.  The walk tried every slice up
-    to its hit, or every slice of an irreducible word.  A change reaches
-    one when it adds a relation whose lead occurs there before the hit, in
-    walk order by (start, length, canon), or retires the hit relation;
-    until then the word keeps its leftmost pattern, and so its reduct.
-    Materialization never reaches a tried slice: an instance is added
-    only at the slice it leads, just before that slice is first looked
-    up.  So on a set that changes only by materialization every entry
-    holds, a division with reducts searches only words that the
-    step-by-step division also searches, and the other words that one
-    searches have entries, whose walks reach only slices tried before:
-    both materialize the same instances, and ``materialized`` after each
-    division is the same.  Completion's adds and retirements do reach
-    tried slices; ``KeptReducts`` drops the entries they reach.
+    A check's reducts, one plain dict for ``reduce_poly``, never drop an
+    entry, and need not: materialization, the only change to a check's
+    set, changes no searched word's leftmost pattern.  A search walks
+    every slice up to its hit, or every slice of an irreducible word, and
+    an instance is added only at the slice it leads, just before that
+    slice is first looked up, so never at a slice a walk tried.  Each
+    entry thus keeps its word's pattern and its reduct, a division with
+    reducts searches only words that the step-by-step division also
+    searches, and the other words that one searches have entries, whose
+    walks reach only slices tried before: both materialize the same
+    instances, and ``materialized`` after each division is the same.
+    Completion's adds and retirements do change patterns; ``KeptReducts``
+    drops the entries they may change.
     """
 
     def __init__(self, sig: AlgebraSignature,
                  polys: Iterable[ConformalPolynomial] = (), *,
                  lazy=None, eager_radius: Optional[int] = None):
         self.sig = sig
-        self._relations: List[Relation] = []
-        self._live = 0
+        self._relations: Dict[int, Relation] = {}     # by seq
+        self.added = 0
         self._lead_index: Dict[tuple, List[Relation]] = {}
         self._lens: Dict[int, int] = {}
         self._lens_set = None
@@ -219,23 +229,29 @@ class RelationSet:
     # membership ------------------------------------------------------------
 
     def relations(self) -> List[Relation]:
-        return [r for r in self._relations if r.alive]
+        return list(self._relations.values())
 
     def polys(self) -> List[ConformalPolynomial]:
         return sorted((r.poly for r in self.relations()),
                       key=ConformalPolynomial.canonical_key)
 
     def __len__(self):
-        return self._live
+        return len(self._relations)
 
     def log_since(self, start: int) -> List[Relation]:
-        """The relations added at log positions ``start`` on, retired too."""
-        return self._relations[start:]
+        """The live relations with ``seq`` at least ``start``, in add order."""
+        out = []
+        for rel in reversed(self._relations.values()):
+            if rel.seq < start:
+                break
+            out.append(rel)
+        out.reverse()
+        return out
 
     def add(self, poly: ConformalPolynomial) -> Relation:
-        rel = Relation(poly)
-        self._relations.append(rel)
-        self._live += 1
+        rel = Relation(poly, self.added)
+        self._relations[rel.seq] = rel
+        self.added += 1
         self._canon.add(rel.canon)
         L = rel.lead.length
         if L not in self._lens:
@@ -251,8 +267,8 @@ class RelationSet:
             raise RelationError("cannot remove from a set that holds an "
                                 "eager window")
         rel.alive = False
-        rel._eval_cache.clear()     # the log keeps rel; no search finds it
-        self._live -= 1
+        rel._eval_cache.clear()     # a holder may keep rel; no search finds it
+        del self._relations[rel.seq]
         self._canon.discard(rel.canon)
         L = rel.lead.length
         self._lens[L] -= 1
@@ -438,102 +454,78 @@ def _settle(cur: Terms, remainder: Terms, reducts: dict, pairs, c) -> None:
 class KeptReducts(dict):
     """``reduce_poly``'s reducts for a relation set that changes.
 
-    An entry holds until a change reaches a slice its walk tried
-    (``RelationSet`` docstring).  ``sync`` reads the changes since the
-    last sync and drops only the entries they reach: those whose walk tried
-    a slice where a new lead occurs (under ``dpow_fits``) before the hit,
-    in walk order by (start, length, canon), and those whose hit relation
-    retired.  An entry whose reduct inlined a dropped entry's reduct goes
-    too, transitively; a word recorded irreducible appears raw in the
-    reducts that meet it, and once its own entry is gone the division
-    searches it again.  A new lead length, which no walk tried, drops every
-    entry.
+    An entry holds while its word w keeps its leftmost pattern.  ``sync``
+    reads the changes since the last sync and drops the entries of the
+    words that a new lead occurs in (under ``dpow_fits``, at any slice),
+    a new lead being that of a live relation added since, and of the words
+    whose hit relation retired.  The rest hold: if no new lead occurs in w
+    and w's hit relation is alive, then w's occurrences are the ones its
+    walk saw, minus retired ones, so w's leftmost pattern, which was the
+    first of them, and its evaluation are unchanged, and a word recorded
+    irreducible still has no occurrence.  An entry whose reduct inlined a
+    dropped entry's reduct goes too, transitively; a word recorded
+    irreducible appears raw in the reducts that meet it, and once its own
+    entry is gone the division searches it again.
 
-    ``_relation`` holds each entry's hit relation, None for an irreducible
-    word; the hit is that relation's first occurrence (``_start``), where
-    the walk stopped.  Three indexes list words: by each flat slice their
-    walk tried, by the relation they hit, and by a word whose reduct their
-    reduct inlined.  ``note`` queues the searched words with their hit
-    starts, and ``sync`` lists them by slice before it reads its batch,
-    walking the lengths in ``_lens``: nothing changes the set between two
-    syncs, so those are the lengths their walks tried, and a walk that no
-    sync reads, as in a completion's last round, is never made.  A dropped
-    entry stays listed: the slice and relation lookups skip a word whose
-    current entry does not match, and an inlining link that outlived its
-    reduct can only drop an entry early, which costs a search, never
-    exactness.
+    ``_relation`` holds the hit relation of every word noted, None for an
+    irreducible word or a dropped entry.  Three indexes list words: by
+    each (interior, flat slice) key of the word (``slice_keys``), by the
+    relation they hit, and by a word whose reduct their reduct inlined.
+    ``note`` queues a word the first time it is searched, and ``sync``
+    lists the queue by key before it reads its batch: a run that never
+    syncs again, as in a completion's last round, lists nothing, and a
+    word is listed by key once, however often its entry is dropped.  A
+    dropped entry's word stays listed: the key lookups skip a word
+    without an entry, the relation lookups one whose entry hit another
+    relation, and an inlining link that outlived its reduct can only drop
+    an entry early, which costs a search, never exactness.
     """
 
     def __init__(self, rset: RelationSet):
         super().__init__()
         self.rset = rset
-        self.synced = len(rset.log_since(0))
-        self._lens = set(rset._length_set())
+        self.synced = rset.added
         self._relation: Dict[NormalWord, Optional[Relation]] = {}
-        self._queued: list = []     # (word, hit start or None)
-        self._tried: Dict[tuple, list] = {}
+        self._queued: List[NormalWord] = []
+        self._by_key: Dict[tuple, List[NormalWord]] = {}
         self._hit: Dict[Relation, list] = {}
         self._inlined_by: Dict[NormalWord, list] = {}
 
     def note(self, searched) -> None:
         """Index the entries a division recorded, its (word, pattern or
-        None, evaluation) triples, and queue their walks."""
+        None, evaluation) triples, and queue the words first seen."""
         for w, pat, ev in searched:
+            if w not in self._relation:
+                self._queued.append(w)
             rel = self._relation[w] = None if pat is None else pat.relation
             if rel is not None:
                 self._hit.setdefault(rel, []).append(w)
                 for u in ev:
                     if u != w and self.get(u) is not None:
                         self._inlined_by.setdefault(u, []).append(w)
-            self._queued.append((w, None if pat is None else pat.start))
 
     def sync(self) -> None:
         """Drop the entries that the changes since the last sync reach."""
-        rset = self.rset
+        rset, by_key = self.rset, self._by_key
         new = rset.log_since(self.synced)
-        self.synced += len(new)
-        lens = set(rset._length_set())
-        queued, self._queued = self._queued, []
-        if not lens <= self._lens:
-            for index in (self, self._relation, self._tried, self._hit,
-                          self._inlined_by):
-                index.clear()
-        else:
-            walk, tried = sorted(self._lens), self._tried
-            for w, start in queued:
-                hit = self._relation[w]
-                for p, sub, _ in slices(w, walk):
-                    tried.setdefault(sub, []).append(w)
-                    if p == start and sub == hit.lead_flat:
-                        break
-            doomed = []
-            for rel in [r for r in self._hit if not r.alive]:
-                doomed.extend(w for w in self._hit.pop(rel)
-                              if w in self and self._relation[w] is rel)
-            for rel in new:
-                if rel.alive:
-                    doomed.extend(self._reached(rel))
-            self._drop(doomed)
-        self._lens = lens
+        self.synced = rset.added
+        for w in self._queued:
+            for key in slice_keys(w):
+                by_key.setdefault(key, []).append(w)
+        self._queued = []
+        doomed = []
+        for rel in [r for r in self._hit if not r.alive]:
+            doomed.extend(w for w in self._hit.pop(rel)
+                          if w in self and self._relation[w] is rel)
+        for rel in new:
+            doomed.extend(self._reached(rel))
+        self._drop(doomed)
 
     def _reached(self, rel: Relation) -> list:
-        """The entries with a tried slice where rel's lead occurs before
-        their hit."""
-        words = self._tried.get(rel.lead_flat)
-        if not words:
-            return []
-        out, kept = [], []
-        for w in words:
-            if w not in self:
-                continue
-            kept.append(w)
-            p, hit = _start(rel, w), self._relation[w]
-            if p is not None and (hit is None or (
-                    (p, rel.lead.length, rel.canon) <
-                    (_start(hit, w), hit.lead.length, hit.canon))):
-                out.append(w)
-        words[:] = dict.fromkeys(kept)
-        return out
+        """The entries whose word rel's lead occurs in."""
+        return [w for interior in (True, False)
+                for w in self._by_key.get((interior, rel.lead_flat), ())
+                if w in self and dpow_fits(rel.lead.dpow, interior, w.dpow)]
 
     def _drop(self, words) -> None:
         """Drop the entries of words, and of every reduct inlining them."""
@@ -542,17 +534,8 @@ class KeptReducts(dict):
             w = todo.pop()
             if w in self:
                 del self[w]
-                del self._relation[w]
+                self._relation[w] = None
                 todo.extend(self._inlined_by.pop(w, ()))
-
-
-def _start(rel: Relation, w: NormalWord) -> Optional[int]:
-    """The start letter of the first occurrence of rel's lead in w, if any."""
-    for p, sub, interior in slices(w, (rel.lead.length,)):
-        if sub == rel.lead_flat and \
-                dpow_fits(rel.lead.dpow, interior, w.dpow):
-            return p
-    return None
 
 
 # irreducible words --------------------------------------------------------

@@ -4,14 +4,14 @@
 enumerates every composition of the sources afresh and divides each one by
 the whole set step by step.  ``gsb.complete`` looks up the compositions of
 relations that were sources before and divides with ``reduce_poly``'s
-reducts, kept in one ``KeptReducts`` that drops only the entries a change
-to the set reaches.  It must make exactly the same adds and removes, in
-the same order, and return the same result, on every shipped
-presentation, on the built-ins and on random input, and never search for
-more patterns (``RelationSet.find_one`` calls); on the shipped
-presentations and the built-ins it must search for fewer.  After every
-add and its interreduction, every entry the reducts keep must agree with
-a fresh division on the set as it is then.
+reducts, kept in one ``KeptReducts`` that drops the entries of the words a
+new lead occurs in and of those whose hit relation retired.  It must make
+exactly the same adds and removes, in the same order, and return the same
+result, on every shipped presentation, on the built-ins and on random
+input, and never search for more patterns (``RelationSet.find_one``
+calls); on the shipped presentations and the built-ins it must search for
+fewer.  After every add and its interreduction, every entry the reducts
+keep must agree with a fresh division on the set as it is then.
 """
 
 import os
@@ -23,8 +23,9 @@ from hypothesis import given, settings
 from conformal import (CompletionLimits, ConformalPolynomial, IndexWindow,
                        RelationSet, builtin_example, envelope,
                        equivalence_check, gsb, rewriting)
-from conformal import cli
+from conformal import cli, parse_poly, parse_word
 from conftest import SIG_A2, a2_presentations, within_budget
+from props import all_occurrences
 
 PRESENTATIONS = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "presentations")
@@ -101,6 +102,53 @@ def assert_reducts_hold(reducts):
                 rewriting.reduce_poly(ConformalPolynomial.monomial(sig, w),
                                 rset).remainder, w
     return len(reducts)
+
+
+def test_sync_drops_the_words_a_new_lead_occurs_in():
+    # dividing x = a (1) a (0) a over f and h records, with their hits,
+    # x (f, inlining y's reduct), y = a (0) a (1) a (f, inlining u's),
+    # u = a (0) a (0) D a (h) and v = a (0) D^2 a (irreducible)
+    P = lambda text: parse_poly(text, SIG_A2)
+    W = lambda text: parse_word(text, SIG_A2)
+    rset = RelationSet(SIG_A2, [P("a (1) a - a (0) D a"),
+                                P("a (0) a (0) a - a (0) D a")])
+    f, h = sorted(rset.relations(), key=lambda r: r.lead.length)
+    reducts = rewriting.KeptReducts(rset)
+    x, y, u, v = map(W, ["a (1) a (0) a", "a (0) a (1) a",
+                         "a (0) a (0) D a", "a (0) D^2 a"])
+
+    def divide(w):
+        rewriting.reduce_poly(ConformalPolynomial.monomial(SIG_A2, w), rset,
+                              reducts=reducts)
+
+    def add_and_sync(text):
+        rel = rset.add(P(text))
+        occurs = {w for w in (x, y, u, v)
+                  if all_occurrences(RelationSet(SIG_A2, [rel.poly]), w)}
+        reducts.sync()
+        assert assert_reducts_hold(reducts)
+        return occurs
+
+    divide(x)
+    assert {w: reducts._relation[w] for w in reducts} == \
+        {x: f, y: f, u: h, v: None}
+    kept = dict(reducts)
+    # a lead of a length no walk tried, occurring in no entry's word
+    assert add_and_sync("a (1) a (1) a (1) a") == set()
+    assert reducts == kept
+    # a lead at x's hit's start but longer, so after the hit in walk order:
+    # x's pattern is still f's, and dividing x again gives the same reduct
+    assert add_and_sync("a (1) a (0) a") == {x}
+    assert set(reducts) == {y, u, v}
+    divide(x)
+    assert reducts == kept and rset.find_one(x).relation is f
+    # a lead in y alone drops y, and x, whose reduct inlined y's
+    assert add_and_sync("a (0) a (1) a") == {y}
+    assert set(reducts) == {u, v}
+    # retiring u's hit relation drops u
+    rset.remove(h)
+    reducts.sync()
+    assert set(reducts) == {v}
 
 
 def recorded(monkeypatch, complete, run):

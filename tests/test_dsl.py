@@ -83,8 +83,8 @@ def test_round_trip_hypothesis(seed):
 def test_schema_parse_and_instantiate():
     sc = parse_schema("s0[i, j | i != 0]: L_i (0) L_j - L_0 (0) L_{i+j}")
     assert sc.vars == ("i", "j")
-    assert sc.constraint.eval({"i": 1, "j": 0})
-    assert not sc.constraint.eval({"i": 0, "j": 5})
+    assert sc.constraint.admits({"i": 1, "j": 0})
+    assert not sc.constraint.admits({"i": 0, "j": 5})
     sig = AlgebraSignature.indexed(["L"], 2)
     p = sc.instantiate({"i": 2, "j": -1}, sig)
     assert p == parse_poly("L_2 (0) L_-1 - L_0 (0) L_1", sig)
@@ -120,7 +120,7 @@ def test_compiled_constraint_matches_the_tree_walk(node, envs):
     from conformal.dsl import Constraint
     c = Constraint(node)
     for env in envs:
-        assert c.eval(env) is props.ref_admits(node, env), (str(c), env)
+        assert c.admits(env) is props.ref_admits(node, env), (str(c), env)
 
 
 def test_compiled_constraint_matches_the_tree_walk_on_shipped_schemas():
@@ -365,7 +365,7 @@ def test_negated_integers_parse():
     assert parse_template("L_-3").parts[0][1].sub.const == -3
     sc = parse_schema("f[i | i > -2 and |i| <= 3]: L_i")
     assert [v for v in range(-5, 5)
-            if sc.constraint.eval({"i": v})] == [-1, 0, 1, 2, 3]
+            if sc.constraint.admits({"i": v})] == [-1, 0, 1, 2, 3]
     pf = parse_presentation(
         "algebra {\n    N = 2\n    generators = a_-1, a_2\n}\n"
         "options {\n    window = -4\n}\n")

@@ -105,12 +105,12 @@ def test_constraint_side_conditions():
     q0 = parse_schema(
         "q0[i, j, k | |i| >= |j| and i > 0 > j or i > j > 0 or i <= j < 0]: "
         "H_i (0) L_{j+k} - H_{i+j} (0) L_k + H_j (0) L_{i+k} - H_0 (0) L_{i+j+k}")
-    assert q0.constraint.eval({"i": 2, "j": -1, "k": 0})
-    assert not q0.constraint.eval({"i": 1, "j": -2, "k": 0})   # |i| < |j|
-    assert q0.constraint.eval({"i": 3, "j": 1, "k": 5})
-    assert q0.constraint.eval({"i": -1, "j": -1, "k": 0})
-    assert not q0.constraint.eval({"i": -1, "j": 0, "k": 0})
-    assert not q0.constraint.eval({"i": 0, "j": 0, "k": 0})
+    assert q0.constraint.admits({"i": 2, "j": -1, "k": 0})
+    assert not q0.constraint.admits({"i": 1, "j": -2, "k": 0})   # |i| < |j|
+    assert q0.constraint.admits({"i": 3, "j": 1, "k": 5})
+    assert q0.constraint.admits({"i": -1, "j": -1, "k": 0})
+    assert not q0.constraint.admits({"i": -1, "j": 0, "k": 0})
+    assert not q0.constraint.admits({"i": 0, "j": 0, "k": 0})
 
 
 def test_virasoro_identities_from_text():

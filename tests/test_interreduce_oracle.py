@@ -127,7 +127,7 @@ def test_heisenberg_virasoro_alg(monkeypatch):
         monkeypatch, complete_file("heisenberg_virasoro.alg"))[1]
 
 
-def test_standalone_interreduce_with_lazy_schemas():
+def test_standalone_interreduce_with_lazy_schemas(monkeypatch):
     # probes materialize out-of-window schema instances, which then take
     # part in the interreduction; a prefix of the set keeps this quick
     args = SimpleNamespace(
@@ -137,10 +137,16 @@ def test_standalone_interreduce_with_lazy_schemas():
     polys = ctx.rset.polys()[:130]
     rset = RelationSet(ctx.sig, polys, lazy=ctx.rset.lazy)
     ref = RelationSet(ctx.sig, polys, lazy=ctx.rset.lazy)
-    assert incremental_interreduce(rset) == full_rescan_interreduce(ref)
+    changed, events = recorded(monkeypatch, incremental_interreduce,
+                               lambda: incremental_interreduce(rset))
+    ref_changed, ref_events = recorded(monkeypatch, reference_interreduce,
+                                       lambda: full_rescan_interreduce(ref))
+    assert changed == ref_changed
     assert rset.materialized == ref.materialized > 0
-    assert [(r.canon, r.alive) for r in rset.log_since(0)] == \
-        [(r.canon, r.alive) for r in ref.log_since(0)]
+    assert any(e[0] == "remove" for e in events)
+    assert events == ref_events
+    assert [r.canon for r in rset.relations()] == \
+        [r.canon for r in ref.relations()]
 
 
 def equiv_builtin(name, W):

@@ -220,7 +220,7 @@ def test_live_count_follows_adds_and_removes(sig_a2):
                 rset.add(p.monic())
                 added += 1
         assert len(rset) == len(rset.relations())
-        assert len(rset.log_since(0)) == added
+        assert rset.added == added
     assert added > len(rset) > 0
 
 
