@@ -15,11 +15,13 @@ defining identities:
 * associativity:  (a (n) b) (m) c = sum_t (-1)^t C(n,t) a(n-t) (b(m+t) c)
 
 The three primitives are ``_gen_mult`` (generator times word), ``_word_D``
-(one derivation of a word) and ``_word_mult`` (word times word).  Only
-``_gen_mult`` recurses and is memoized on the signature; its cached dicts
-are frozen by convention, and callers must copy before mutating.
-``_word_D`` is a closed form, and ``_word_mult`` is one pass over the
-junction offsets of its left word, one ``_gen_mult`` call per offset.
+(one derivation of a word) and ``_word_mult`` (word times word).
+``_gen_mult`` interpolates a product at n >= N from the N products with
+n < N, so it recurses only along the word, never in n; it is memoized on
+the signature, its cached dicts are frozen by convention, and callers
+must copy before mutating.  ``_word_D`` is a closed form, and
+``_word_mult`` is one pass over the junction offsets of its left word, one
+``_gen_mult`` call per offset.
 All three concatenate flat word tuples through ``tuple.__new__(NormalWord,
 ...)``, which skips the constructor that takes (generator, index) pairs.
 
@@ -85,18 +87,42 @@ def _scaled(src: Terms, c) -> Terms:
     return {w: _coeff(c * cw) for w, cw in src.items()}
 
 
+def _lagrange_weights(N: int, n: int) -> Tuple[int, ...]:
+    """The weights L_j(n), j < N, of ``_gen_mult``'s interpolation."""
+    return tuple((-1) ** (N - 1 - j) * comb(n, j) * comb(n - j - 1, N - 1 - j)
+                 for j in range(N))
+
+
 def _gen_mult(sig: AlgebraSignature, g: GeneratorSymbol, n: int,
               v: NormalWord) -> Terms:
-    """Normalized product  g (n) [v]  as a terms dict.  Memoized, frozen."""
+    """Normalized product  g (n) [v]  as a terms dict.
+
+    For n < N the word (g, n) ++ v is normal and comes back as a fresh
+    one-word dict.  For n >= N the product is memoized and frozen.
+
+    For v = b (m) [v1], fix s = n + m and let f(k) = g (k) [b (s-k) v1] for
+    0 <= k <= s.  With g (p) b = 0 for p >= N, associativity gives
+    sum_t (-1)^t C(p, t) f(p-t) = 0 for N <= p <= s: every forward
+    difference of f at 0 of order N or more vanishes.  By Newton's
+    forward-difference formula f is then a polynomial in k of degree < N,
+    and Lagrange interpolation at k = j < N, where f(j) is (g, j) prefixed
+    to each word of [b (s-j) v1], gives
+
+        g (n) [b (m) v1] = sum_{j<N} L_j(n) (g, j) ++ [b (m+n-j) v1],
+        L_j(n) = (-1)^(N-1-j) C(n, j) C(n-j-1, N-1-j).
+
+    That is N products on the shorter word v1, so the recursion runs along
+    the word and never in n.  Distinct j give distinct prefixes, so each
+    term is assigned once.  For v = D^i b the D-power branch lowers i."""
+    N, new = sig.N, tuple.__new__
+    if n < N:
+        return {new(NormalWord, (g, n) + v): 1}
     key = (g, n, v)
     cache = sig._gm_cache
     out = cache.get(key)
     if out is not None:
         return out
-    N, new = sig.N, tuple.__new__
-    if n < N:
-        out = {new(NormalWord, (g, n) + v): 1}
-    elif len(v) == 2:
+    if len(v) == 2:
         if v[1] == 0:
             out = {}
         else:
@@ -108,18 +134,17 @@ def _gen_mult(sig: AlgebraSignature, g: GeneratorSymbol, n: int,
             if n > 0:
                 _accum(out, _gen_mult(sig, g, n - 1, v1), n)
     else:
-        # g(n) (b(m) [v1]) = -sum_{k>=1} (-1)^k C(n,k) g(n-k) (b(m+k) [v1]),
-        # valid because g(n)b vanishes at n >= N; inner products first.
-        b, m = v[0], v[1]
+        b, s = v[0], v[1] + n
         v1 = new(NormalWord, v[2:])
         out = {}
-        for k in range(1, n + 1):
-            inner = _gen_mult(sig, b, m + k, v1)
-            if not inner:
-                continue
-            c = -comb(n, k) if k % 2 == 0 else comb(n, k)
-            for w, cw in inner.items():
-                _accum(out, _gen_mult(sig, g, n - k, w), c * cw)
+        for j, c in enumerate(_lagrange_weights(N, n)):
+            k = s - j
+            if k < N:
+                out[new(NormalWord, (g, j, b, k) + v1)] = c
+            else:
+                pre = (g, j)
+                for w, cw in _gen_mult(sig, b, k, v1).items():
+                    out[new(NormalWord, pre + w)] = c * cw
     cache[key] = out
     return out
 

@@ -209,7 +209,8 @@ class AlgebraSignature:
     Generators are either a finite explicit tuple or a set of indexed
     families over all integers.  The signature also owns two memo caches:
     ``_wkey_cache`` maps a word to its ``word_key`` and ``_gm_cache`` maps
-    ``(g, n, v)`` to the normalized ``g (n) [v]`` of ``algebra._gen_mult``.
+    ``(g, n, v)`` to the normalized ``g (n) [v]`` of ``algebra._gen_mult``,
+    only for n >= N: a product with n < N is the word (g, n) ++ v.
     """
 
     __slots__ = ("N", "order", "generators", "families",
