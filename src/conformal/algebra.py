@@ -15,13 +15,18 @@ defining identities:
 * associativity:  (a (n) b) (m) c = sum_t (-1)^t C(n,t) a(n-t) (b(m+t) c)
 
 The three primitives are ``_gen_mult`` (generator times word), ``_word_D``
-(one derivation of a word) and ``_word_mult`` (word times word).
-``_gen_mult`` interpolates a product at n >= N from the N products with
-n < N, so it recurses only along the word, never in n; it is memoized on
-the signature, its cached dicts are frozen by convention, and callers
-must copy before mutating.  ``_word_D`` is a closed form, and
+(one derivation of a word) and ``_word_mult`` (word times word), each in
+one pass.  ``_gen_mult`` takes g (n) D^i b in closed form and interpolates
+g (n) [b (m) v1] at n >= N from the N products with n < N, so it recurses
+only along the word, never in n or in the D power; it is memoized on the
+signature, its cached dicts are frozen by convention, and callers must
+copy before mutating.  ``_word_D`` and ``_word_mult`` add c times their
+result into a dict of the caller's, normalized as ``_accum`` does, so no
+result is built only to be added again.  ``_word_D`` is a closed form, and
 ``_word_mult`` is one pass over the junction offsets of its left word, one
-``_gen_mult`` call per offset.
+``_gen_mult`` call per offset.  Vanishing is exact: g (n) [v] is zero
+exactly from ``locality_bound(g, v)`` on, so no product at or past the
+bound is computed, and the memo holds no zero product.
 All three concatenate flat word tuples through ``tuple.__new__(NormalWord,
 ...)``, which skips the constructor that takes (generator, index) pairs.
 
@@ -33,6 +38,7 @@ tree whose leaves may carry index forms, and ``normalize`` evaluates it.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import comb, perm
 from typing import Dict, Iterable, Optional, Tuple, Union
 
@@ -87,10 +93,17 @@ def _scaled(src: Terms, c) -> Terms:
     return {w: _coeff(c * cw) for w, cw in src.items()}
 
 
+@cache
 def _lagrange_weights(N: int, n: int) -> Tuple[int, ...]:
     """The weights L_j(n), j < N, of ``_gen_mult``'s interpolation."""
     return tuple((-1) ** (N - 1 - j) * comb(n, j) * comb(n - j - 1, N - 1 - j)
                  for j in range(N))
+
+
+def _gen_bound(N: int, v: NormalWord) -> int:
+    """``locality_bound`` of a generator and v: g (n) [v] = 0 exactly
+    for n >= N + dpow(v) + sum over v's junctions of (N-1 - nj)."""
+    return N + v[-1] + (N - 1) * ((len(v) >> 1) - 1) - sum(v[1:-2:2])
 
 
 def _gen_mult(sig: AlgebraSignature, g: GeneratorSymbol, n: int,
@@ -98,7 +111,22 @@ def _gen_mult(sig: AlgebraSignature, g: GeneratorSymbol, n: int,
     """Normalized product  g (n) [v]  as a terms dict.
 
     For n < N the word (g, n) ++ v is normal and comes back as a fresh
-    one-word dict.  For n >= N the product is memoized and frozen.
+    one-word dict.  For n >= N the product is memoized and frozen when it
+    is not zero; it is zero exactly from ``locality_bound(g, v)`` on.
+
+    For v = D^i b, the rule  g (n) D b = D(g (n) b) + n g (n-1) b  iterates
+    to  g (n) D^i b = sum_t C(i,t) n!/(n-t)! D^(i-t) [g (n-t) b].  By
+    locality only the t with n-t < N remain, where g (n-t) b is a normal
+    word, and  D^j [g (k) b] = sum_r C(j,r) (-1)^r k!/(k-r)! [g (k-r)
+    D^(j-r) b]  by Leibniz and the D-shift.  Collecting q = t + r, with
+    C(i,t) C(i-t,q-t) = C(i,q) C(q,t) and the partial alternating sum
+    sum_{t=lo}^{q} (-1)^(q-t) C(q,t) = (-1)^(q-lo) C(q-1, q-lo), gives
+
+        g (n) D^i b = sum_{q=lo}^{min(i,n)} (-1)^(q-lo) C(q-1, q-lo)
+                      n!/(n-q)! C(i,q) [g (n-q) D^(i-q) b],  lo = n-N+1.
+
+    Each q gives its own normal word; the sum is empty exactly when
+    n >= N + i.
 
     For v = b (m) [v1], fix s = n + m and let f(k) = g (k) [b (s-k) v1] for
     0 <= k <= s.  With g (p) b = 0 for p >= N, associativity gives
@@ -112,8 +140,13 @@ def _gen_mult(sig: AlgebraSignature, g: GeneratorSymbol, n: int,
         L_j(n) = (-1)^(N-1-j) C(n, j) C(n-j-1, N-1-j).
 
     That is N products on the shorter word v1, so the recursion runs along
-    the word and never in n.  Distinct j give distinct prefixes, so each
-    term is assigned once.  For v = D^i b the D-power branch lowers i."""
+    the word and never in n.  Distinct j give distinct prefixes and, for
+    n >= N, every L_j(n) is nonzero, so the product vanishes exactly when
+    every inner b (m+n-j) v1 does.  By induction along v, from the D-power
+    case, the bound is exact: an inner product with m+n-j at or past
+    ``locality_bound(b, v1)`` is zero and is skipped, and g (n) [v] is zero
+    exactly from  locality_bound(b, v1) + N-1 - m = locality_bound(g, v).
+    """
     N, new = sig.N, tuple.__new__
     if n < N:
         return {new(NormalWord, (g, n) + v): 1}
@@ -122,81 +155,116 @@ def _gen_mult(sig: AlgebraSignature, g: GeneratorSymbol, n: int,
     out = cache.get(key)
     if out is not None:
         return out
+    out = {}
     if len(v) == 2:
-        if v[1] == 0:
-            out = {}
-        else:
-            # g(n) D^j b = D(g(n) D^(j-1) b) + n g(n-1) D^(j-1) b
-            v1 = new(NormalWord, (v[0], v[1] - 1))
-            out = {}
-            for w, c in _gen_mult(sig, g, n, v1).items():
-                _accum(out, _word_D(sig, w), c)
-            if n > 0:
-                _accum(out, _gen_mult(sig, g, n - 1, v1), n)
+        b, i = v
+        lo = n - N + 1
+        for q in range(lo, min(i, n) + 1):
+            c = comb(q - 1, q - lo) * perm(n, q) * comb(i, q)
+            out[new(NormalWord, (g, n - q, b, i - q))] = \
+                -c if (q - lo) % 2 else c
     else:
         b, s = v[0], v[1] + n
         v1 = new(NormalWord, v[2:])
-        out = {}
-        for j, c in enumerate(_lagrange_weights(N, n)):
-            k = s - j
+        weights = _lagrange_weights(N, n)
+        # k = s - j falls as j rises; the inner product vanishes from bound on
+        for j in range(max(0, s - _gen_bound(N, v1) + 1), N):
+            c, k = weights[j], s - j
             if k < N:
                 out[new(NormalWord, (g, j, b, k) + v1)] = c
             else:
                 pre = (g, j)
                 for w, cw in _gen_mult(sig, b, k, v1).items():
                     out[new(NormalWord, pre + w)] = c * cw
-    cache[key] = out
+    if out:
+        cache[key] = out
     return out
 
 
-def _word_D(sig: AlgebraSignature, u: NormalWord) -> Terms:
-    """Normalized derivative  D [u], in closed form: by Leibniz and the
-    D-shift, D [b1(n1) ... bk(nk) D^i b] is the sum over the junctions j
-    with nj > 0 of  -nj [u with nj lowered by one],  then  [u with D^(i+1)].
-    The terms never collide and go in that order.  Not memoized."""
-    new = tuple.__new__
-    out = {}
-    for j in range(1, len(u) - 2, 2):
+def _word_D(sig: AlgebraSignature, u: NormalWord, dst: Terms, c) -> None:
+    """dst += c * D [u], in closed form: by Leibniz and the D-shift,
+    D [b1(n1) ... bk(nk) D^i b] is the sum over the junctions j with
+    nj > 0 of  -nj [u with nj lowered by one],  then  [u with D^(i+1)].
+    The terms never collide and are added in that order."""
+    new, get = tuple.__new__, dst.get
+    last = len(u) - 1  # the D power; the junctions sit at the odd j below
+    for j in range(1, len(u), 2):
         m = u[j]
-        if m:
-            out[new(NormalWord, u[:j] + (m - 1,) + u[j + 1:])] = -m
-    out[new(NormalWord, u[:-1] + (u[-1] + 1,))] = 1
-    return out
+        if j == last:
+            m, x = m + 1, c
+        elif m:
+            m, x = m - 1, -m * c
+        else:
+            continue
+        w = new(NormalWord, u[:j] + (m,) + u[j + 1:])
+        x += get(w, 0)
+        if x:
+            dst[w] = x if type(x) is int or x.denominator != 1 else x.numerator
+        else:
+            dst.pop(w, None)
+
+
+_NO_OFFSETS = (((), 0, 1),)
+
+
+def _word_plan(sig: AlgebraSignature, u: NormalWord) -> tuple:
+    """The junction offsets of u's body, kept per word on the signature:
+    (prefix, t1 + ... + tk, prod_j (-1)^tj C(mj, tj)) per offset, in
+    lexicographic order, t1 slowest."""
+    if len(u) == 2:
+        return _NO_OFFSETS
+    plan = sig._plan_cache.get(u)
+    if plan is None:
+        plan = [((), 0, 1)]
+        for j in range(0, len(u) - 2, 2):
+            b, m = u[j], u[j + 1]
+            plan = [(pre + (b, m - t), s + t,
+                     (-c if t % 2 else c) * comb(m, t))
+                    for pre, s, c in plan for t in range(m + 1)]
+        plan = sig._plan_cache[u] = tuple(plan)
+    return plan
 
 
 def _word_mult(sig: AlgebraSignature, u: NormalWord, n: int,
-               v: NormalWord) -> Terms:
-    """Normalized right-normed product  [u] (n) [v], in one pass.
+               v: NormalWord, dst: Terms, c) -> None:
+    """dst += c * [u] (n) [v], the normalized right-normed product, in one
+    pass.
 
     For u = b1(m1) ... bk(mk) D^i b, associativity expands the product over
     the junction offsets t = (t1, ..., tk), 0 <= tj <= mj, as the sum of
     prod_j (-1)^tj C(mj, tj)  b1(m1-t1) ... bk(mk-tk) [D^i b (s) v]  with
     s = n + t1 + ... + tk, and  D^i b (s) v = (-1)^i s!/(s-i)! b (s-i) v,
-    zero for i > s.  Distinct offsets give distinct prefixes, so no two
-    terms collide; the offsets go in lexicographic order, t1 slowest.
+    zero for i > s and, by ``_gen_mult``'s exact bound, for s-i at or past
+    ``locality_bound(b, v)``; those offsets are skipped.  Distinct offsets
+    give distinct prefixes, so no two terms of the product collide.
     """
     if n < 0:
         raise ArithmeticError_("negative product index")
+    N, new, get = sig.N, tuple.__new__, dst.get
     tail, i = u[-2], u[-1]
-    if len(u) == 2 and not i:
-        return _gen_mult(sig, tail, n, v)
-    heads = [((), n, 1)]  # (prefix, s, coefficient) per offset so far
-    for j in range(0, len(u) - 2, 2):
-        b, m = u[j], u[j + 1]
-        heads = [(pre + (b, m - t), s + t,
-                  (-c if t % 2 else c) * comb(m, t))
-                 for pre, s, c in heads for t in range(m + 1)]
-    new = tuple.__new__
-    out: Terms = {}
-    for pre, s, c in heads:
+    bound = _gen_bound(N, v)
+    for pre, s, k in _word_plan(sig, u):
+        s += n
         if i:
             if i > s:
                 continue
-            c *= -perm(s, i) if i % 2 else perm(s, i)
+            k *= -perm(s, i) if i % 2 else perm(s, i)
             s -= i
-        for w, cw in _gen_mult(sig, tail, s, v).items():
-            out[new(NormalWord, pre + w)] = c * cw
-    return out
+        if s >= bound:
+            continue
+        k *= c
+        if s < N:
+            terms = (((tail, s) + v, 1),)
+        else:
+            terms = _gen_mult(sig, tail, s, v).items()
+        for w, cw in terms:
+            w = new(NormalWord, pre + w)
+            x = get(w, 0) + k * cw
+            if x:
+                dst[w] = x if type(x) is int or x.denominator != 1 \
+                    else x.numerator
+            else:
+                dst.pop(w, None)
 
 
 class ConformalPolynomial:
@@ -420,7 +488,9 @@ def mult(sig: AlgebraSignature, u: NormalWord, n: int,
     """Normalized product [u] (n) [v] of two normal words."""
     sig.check_word(u)
     sig.check_word(v)
-    return ConformalPolynomial(sig, dict(_word_mult(sig, u, n, v)), _frozen=True)
+    out: Terms = {}
+    _word_mult(sig, u, n, v, out, 1)
+    return ConformalPolynomial(sig, out, _frozen=True)
 
 
 def poly_mult(p: ConformalPolynomial, n: int,
@@ -429,7 +499,7 @@ def poly_mult(p: ConformalPolynomial, n: int,
     out: Terms = {}
     for u, cu in p.terms.items():
         for v, cv in q.terms.items():
-            _accum(out, _word_mult(p.sig, u, n, v), cu * cv)
+            _word_mult(p.sig, u, n, v, out, cu * cv)
     return ConformalPolynomial(p.sig, out, _frozen=True)
 
 
@@ -441,7 +511,7 @@ def apply_D(p: ConformalPolynomial, j: int = 1) -> ConformalPolynomial:
     for _ in range(j):
         out: Terms = {}
         for w, c in terms.items():
-            _accum(out, _word_D(p.sig, w), c)
+            _word_D(p.sig, w, out, c)
         terms = out
     if terms is p.terms:
         return p
@@ -449,16 +519,14 @@ def apply_D(p: ConformalPolynomial, j: int = 1) -> ConformalPolynomial:
 
 
 def locality_bound(sig: AlgebraSignature, u: NormalWord, v: NormalWord) -> int:
-    """An M with  mult(u, n, v) == 0  for every n >= M.
+    """The M with  mult(u, n, v) == 0  exactly for n >= M.
 
     Closed form: dpow(u) + N + dpow(v) + sum over v's junctions of
     (N-1 - nj).  Each D on u shifts the index down by one, the base
     locality absorbs N, each D on v absorbs one more, and every junction
     of v can absorb up to N-1-nj raises before the inner product dies.
-    The formula is validated by an exhaustive vanishing sweep in the tests;
-    it is deliberately conservative for words with low junction indices.
+    For a generator ``_gen_mult``'s docstring proves the bound exact, and
+    for any u the offset t = 0 of ``_word_mult``, D^i b (n) v with
+    i <= n = M-1, is nonzero and shares its prefix with no other offset.
     """
-    N = sig.N
-    slack = sum(N - 1 - n for n in v.junctions())
-    return u.dpow + N + v.dpow + slack
-
+    return u.dpow + _gen_bound(sig.N, v)

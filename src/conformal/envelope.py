@@ -29,7 +29,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .words import (AlgebraSignature, ConformalError, GeneratorSymbol,
                     NormalWord)
-from .algebra import Coeff, ConformalPolynomial, _accum, _gen_mult, apply_D
+from .algebra import Coeff, ConformalPolynomial, _accum, apply_D, mult
 from .dsl import RelationSchema, parse_presentation
 from .rewriting import RelationSet, dpow_fits, reduce_poly, slices
 from .gsb import (CompletionLimits, CompletionResult, _monic_prepare,
@@ -99,8 +99,7 @@ def conjugate(sig: AlgebraSignature, y: GeneratorSymbol, n: int,
     terms = {}
     for k in range(0, max(0, sig.N - n)):
         c = Fraction((-1) ** (n + k), factorial(k))
-        inner = ConformalPolynomial(sig, dict(_gen_mult(
-            sig, y, n + k, NormalWord((), x, 0))))
+        inner = mult(sig, NormalWord((), y, 0), n + k, NormalWord((), x, 0))
         _accum(terms, apply_D(inner, k).terms, c)
     return ConformalPolynomial(sig, terms)
 
@@ -115,8 +114,7 @@ def enveloping_presentation(table: LieTable) -> List[ConformalPolynomial]:
 
     def relations():
         for (x, n, y), val in table.entries.items():
-            lead = ConformalPolynomial(sig, dict(_gen_mult(
-                sig, x, n, NormalWord((), y, 0))))
+            lead = mult(sig, NormalWord((), x, 0), n, NormalWord((), y, 0))
             yield lead - conjugate(sig, y, n, x) - val
 
     return sorted(_monic_prepare(relations()),

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from .words import AlgebraSignature, GeneratorSymbol, NormalWord
-from .algebra import (ConformalPolynomial, Terms, _accum, _gen_mult,
-                      _word_mult, apply_D, locality_bound)
+from .algebra import (ConformalPolynomial, Terms, _word_mult, apply_D,
+                      locality_bound)
 from .rewriting import (KeptReducts, Pattern, ReductionTrace, Relation,
                         RelationSet, dpow_fits, eval_pattern, reduce_poly,
                         slice_keys, slices)
@@ -113,17 +113,17 @@ def mult_compositions(f: Relation,
     right_ns = range(N if f.lead.dpow == 0 else 0,
                      N + max(u.dpow for u in terms_f))
     for b in gens:
+        bw = NormalWord((), b, 0)
         for n in left_ns:
             terms: Terms = {}
             for u, cu in terms_f.items():
-                _accum(terms, _gen_mult(sig, b, n, u), cu)
+                _word_mult(sig, bw, n, u, terms, cu)
             out.append(Composition("left_mult", f, None, None, b, n,
                                    ConformalPolynomial(sig, terms)))
-        bw = NormalWord((), b, 0)
         for n in right_ns:
             terms = {}
             for u, cu in terms_f.items():
-                _accum(terms, _word_mult(sig, u, n, bw), cu)
+                _word_mult(sig, u, n, bw, terms, cu)
             out.append(Composition("right_mult", f, None, None, b, n,
                                    ConformalPolynomial(sig, terms)))
     return out

@@ -153,7 +153,7 @@ def eval_pattern(pat: Pattern) -> Terms:
         m, c = w[2 * q - 1], w.suffix_from(q)
         out = {}
         for u, cu in rel.poly.terms.items():
-            _accum(out, _word_mult(rel.poly.sig, u, m, c), cu)
+            _word_mult(rel.poly.sig, u, m, c, out, cu)
     else:
         out = apply_D(rel.poly, w.dpow - s.dpow).terms
     if p:

@@ -207,14 +207,17 @@ class AlgebraSignature:
     """Generators plus the uniform locality bound N and the generator order.
 
     Generators are either a finite explicit tuple or a set of indexed
-    families over all integers.  The signature also owns two memo caches:
-    ``_wkey_cache`` maps a word to its ``word_key`` and ``_gm_cache`` maps
+    families over all integers.  The signature also owns three memo caches:
+    ``_wkey_cache`` maps a word to its ``word_key``; ``_gm_cache`` maps
     ``(g, n, v)`` to the normalized ``g (n) [v]`` of ``algebra._gen_mult``,
-    only for n >= N: a product with n < N is the word (g, n) ++ v.
+    only for n >= N and only when it is not zero (a product with n < N is
+    the word (g, n) ++ v, and one at or past the locality bound is zero);
+    ``_plan_cache`` maps a left word with junctions to the offset plan of
+    ``algebra._word_mult``.
     """
 
     __slots__ = ("N", "order", "generators", "families",
-                 "_wkey_cache", "_gm_cache")
+                 "_wkey_cache", "_gm_cache", "_plan_cache")
 
     def __init__(self, N: int, order: GeneratorOrder,
                  generators: Optional[Tuple[GeneratorSymbol, ...]] = None,
@@ -229,6 +232,7 @@ class AlgebraSignature:
         self.families = families
         self._wkey_cache = {}
         self._gm_cache = {}
+        self._plan_cache = {}
 
     @classmethod
     def finite(cls, names: Iterable, N: int) -> "AlgebraSignature":

@@ -93,19 +93,26 @@ def check_c2(rng: random.Random, cases: int) -> int:
 
 
 def check_locality(rng: random.Random, cases: int) -> int:
-    """Generator products vanish from N on; all products vanish from the bound."""
+    """Generator products vanish from N on; all products vanish from the
+    bound.  The engine skips the work past the bound, so the reference
+    kernels, which do not, must vanish there too."""
     sigs = _sigs()
+    memos = [{} for _ in sigs]
     for _ in range(cases):
-        sig = rng.choice(sigs)
+        k = rng.randrange(len(sigs))
+        sig, memo = sigs[k], memos[k]
         b = rng.choice(sig.generators)
         b2 = rng.choice(sig.generators)
         from conformal import make_word
         n = sig.N + rng.randrange(0, 4)
-        assert mult(sig, make_word(sig, b), n, make_word(sig, b2)).is_zero()
+        bw, b2w = make_word(sig, b), make_word(sig, b2)
+        assert mult(sig, bw, n, b2w).is_zero()
+        assert ref_word_mult(sig, bw, n, b2w, memo) == {}
         u = random_word(rng, sig)
         v = random_word(rng, sig)
         m = locality_bound(sig, u, v) + rng.randrange(0, 4)
         assert mult(sig, u, m, v).is_zero()
+        assert ref_word_mult(sig, u, m, v, memo) == {}
     return cases
 
 
@@ -361,13 +368,16 @@ def check_linearity(rng: random.Random, cases: int) -> int:
 # reference kernels -------------------------------------------------------------
 #
 # The recursive kernels that algebra's flat ones replaced, kept as the slow
-# path they are checked against: ref_word_D and ref_word_mult peel the first
-# letter of the left word, and ref_gen_mult recurses in n through the
-# associativity sum  g(n) (b(m) v1) = -sum_{k>=1} (-1)^k C(n,k) g(n-k)
-# (b(m+k) v1),  where algebra._gen_mult interpolates from the N products
-# with n < N; its D-power branch calls ref_word_D.  Only ref_gen_mult
-# memoizes, in a dict of the caller's, so they share no state with the
-# engine.
+# path they are checked against.  They return fresh dicts where the engine's
+# _word_mult and _word_D add into the caller's.  ref_word_D and
+# ref_word_mult peel the first letter of the left word and compute every
+# offset, also those past the locality bound that _word_mult skips.
+# ref_gen_mult recurses in n through the associativity sum
+# g(n) (b(m) v1) = -sum_{k>=1} (-1)^k C(n,k) g(n-k) (b(m+k) v1),  where
+# algebra._gen_mult interpolates from the N products with n < N, and its
+# D-power branch lowers the D power one step at a time through ref_word_D,
+# where _gen_mult has a closed form.  Only ref_gen_mult memoizes, in a dict
+# of the caller's, so they share no state with the engine.
 
 
 def ref_word_D(u: NormalWord) -> dict:
@@ -458,6 +468,20 @@ def _kernel_poly(rng: random.Random, sig) -> ConformalPolynomial:
                                      for _ in range(rng.randint(1, 3))})
 
 
+def word_product(sig, u: NormalWord, n: int, v: NormalWord, c=1) -> dict:
+    """c * [u] (n) [v] from ``_word_mult``, in a fresh dict."""
+    out: dict = {}
+    _word_mult(sig, u, n, v, out, c)
+    return out
+
+
+def word_derivative(sig, u: NormalWord, c=1) -> dict:
+    """c * D [u] from ``_word_D``, in a fresh dict."""
+    out: dict = {}
+    _word_D(sig, u, out, c)
+    return out
+
+
 def _listed(terms: dict) -> list:
     """Words, coefficients and their types, in insertion order."""
     return [(type(w), w, type(c), c) for w, c in terms.items()]
@@ -474,16 +498,31 @@ def check_kernels(rng: random.Random, cases: int) -> int:
     the reference kernels' terms: the same words, coefficient values and
     types.  Derivatives keep the references' insertion order; products are
     compared in word order, since _gen_mult interpolates where
-    ref_gen_mult recurses and inserts its terms in another order."""
+    ref_gen_mult recurses and inserts its terms in another order.  A
+    kernel adds c times its result into the caller's dict, so adding it
+    into the negated result leaves the dict empty."""
     sigs = _kernel_sigs()
+    coeffs = [-2, Fraction(-1, 2), 1, Fraction(2, 3), 3]
     for _ in range(cases):
         sig = rng.choice(sigs)
         memo: dict = {}
         u, v = _kernel_word(rng, sig), _kernel_word(rng, sig)
         n = rng.randint(0, locality_bound(sig, u, v))
-        assert _listed(_word_D(sig, u)) == _listed(ref_word_D(u))
-        assert (_sorted(sig, _word_mult(sig, u, n, v))
-                == _sorted(sig, ref_word_mult(sig, u, n, v, memo)))
+        c = rng.choice(coeffs)
+        ref_D, ref = ref_word_D(u), ref_word_mult(sig, u, n, v, memo)
+        assert _listed(word_derivative(sig, u)) == _listed(ref_D)
+        assert (_listed(word_derivative(sig, u, c))
+                == _listed(_scaled(ref_D, c)))
+        assert (_sorted(sig, word_product(sig, u, n, v))
+                == _sorted(sig, ref))
+        assert (_sorted(sig, word_product(sig, u, n, v, c))
+                == _sorted(sig, _scaled(ref, c)))
+        negated = _scaled(ref_D, -c)
+        _word_D(sig, u, negated, c)
+        assert negated == {}
+        negated = _scaled(ref, -c)
+        _word_mult(sig, u, n, v, negated, c)
+        assert negated == {}
         # n >= N with a D power on v takes _gen_mult's D-power branch
         g, m = u.tail, rng.randint(sig.N, sig.N + 3)
         assert (_sorted(sig, _gen_mult(sig, g, m, v))

@@ -19,7 +19,6 @@ from conformal import (AlgebraSignature, ConformalPolynomial, IndexWindow,
 from conformal.envelope import comp_window_filter
 from conformal.gsb import check_gsb_rset
 from conformal.rewriting import normal_words
-from conformal.algebra import _word_mult
 
 
 def _verdict(criterion: str, ok: bool, detail: str = ""):
@@ -212,14 +211,18 @@ def test_criterion_9_locality_bound_sweep():
     t0 = time.monotonic()
     checked = 0
     violations = []
+    # _word_mult skips what the bound says vanishes, so the reference
+    # kernels, which compute it, are swept too and must agree with it
     for N in (1, 2, 3):
         sig = AlgebraSignature.finite(["x", "y"], N)
         words = list(normal_words(sig, sig.generators, 3, 2))
+        memo: dict = {}
         for u in words:
             for v in words:
                 M = locality_bound(sig, u, v)
                 for n in range(M, M + 11):
-                    if _word_mult(sig, u, n, v):
+                    if (props.word_product(sig, u, n, v)
+                            or props.ref_word_mult(sig, u, n, v, memo)):
                         violations.append((u, n, v))
                 checked += 1
     elapsed = time.monotonic() - t0

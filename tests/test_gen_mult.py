@@ -1,16 +1,20 @@
-"""The generator product interpolates  g (n) [b (m) v1]  from n < N.
+"""The product kernels against the reference kernels of ``props``.
 
-``_gen_mult`` takes the product at n >= N as the polynomial of degree < N
-in n through its N normal values; ``props.ref_gen_mult`` still recurses in
-n through the associativity sum, and the two must agree.
+``_gen_mult`` takes  g (n) [b (m) v1]  at n >= N as the polynomial of
+degree < N in n through its N normal values, and  g (n) D^i b  in closed
+form; ``props.ref_gen_mult`` still recurses in n and in i, and the two must
+agree.  ``_word_mult`` and ``_word_D`` add into the caller's dict.
 """
 
 import random
+from fractions import Fraction
 from math import comb
 
 from conformal import (AlgebraSignature, NormalWord, locality_bound,
                        make_word, mult)
-from conformal.algebra import _gen_mult, _lagrange_weights
+from conformal.algebra import (_gen_mult, _lagrange_weights, _scaled, _word_D,
+                               _word_mult)
+from conformal.rewriting import normal_words
 from conftest import random_word
 import props
 
@@ -55,6 +59,71 @@ def test_gen_mult_matches_reference_at_every_index():
                     assert got == {}, (N, g, n, v)
 
 
+def test_d_power_closed_form_matches_reference():
+    # g (n) D^i b for n from N past the bound N + i, also with n < i
+    for N in range(1, 6):
+        sig = AlgebraSignature.finite(["x", "y"], N)
+        memo: dict = {}
+        for g in sig.generators:
+            for b in sig.generators:
+                for i in range(9):
+                    v = make_word(sig, b, dpow=i)
+                    for n in range(N, N + i + 3):
+                        got = _gen_mult(sig, g, n, v)
+                        assert (props._sorted(sig, got)
+                                == props._sorted(sig, props.ref_gen_mult(
+                                    sig, g, n, v, memo))), (N, g, n, v)
+                        assert bool(got) == (n < N + i), (N, n, i)
+
+
+def test_locality_bound_is_exact_for_generators():
+    # the reference kernel, which skips nothing, vanishes at the bound and
+    # not one index below it
+    cases = 0
+    for N in range(1, 6):
+        sig = AlgebraSignature.finite(["x", "y"], N)
+        memo: dict = {}
+        for v in normal_words(sig, sig.generators, 3, 4):
+            for g in sig.generators:
+                bound = locality_bound(sig, make_word(sig, g), v)
+                assert props.ref_gen_mult(sig, g, bound, v, memo) == {}
+                assert props.ref_gen_mult(sig, g, bound - 1, v, memo)
+                cases += 1
+    assert cases == 5100
+
+
+def test_kernels_add_into_the_callers_dict():
+    sig = AlgebraSignature.finite(["x", "y"], 3)
+    x, y = sig.generators
+    u = make_word(sig, x, 2, y, dpow=1)
+    v = make_word(sig, y, 1, x)
+    for n in range(locality_bound(sig, u, v)):
+        product = props.word_product(sig, u, n, v)
+        assert product
+        dst = {w: -c for w, c in product.items()}
+        _word_mult(sig, u, n, v, dst, 1)
+        assert dst == {}
+        # half the product twice: coefficients that end integral are ints
+        dst = {}
+        _word_mult(sig, u, n, v, dst, Fraction(1, 2))
+        assert props._listed(dst) == props._listed(
+            _scaled(product, Fraction(1, 2)))
+        _word_mult(sig, u, n, v, dst, Fraction(1, 2))
+        assert props._listed(dst) == props._listed(product)
+    derivative = props.word_derivative(sig, u)
+    dst = {w: -c for w, c in derivative.items()}
+    _word_D(sig, u, dst, 1)
+    assert dst == {}
+    dst = {}
+    _word_D(sig, u, dst, Fraction(1, 2))
+    _word_D(sig, u, dst, Fraction(1, 2))
+    assert props._listed(dst) == props._listed(derivative)
+    dst = {}
+    _word_D(sig, u, dst, Fraction(4, 2))
+    assert props._listed(dst) == props._listed(
+        props.word_derivative(sig, u, 2))
+
+
 def test_memo_holds_only_products_at_or_past_n():
     rng = random.Random(30)
     for N in (1, 2, 3):
@@ -65,5 +134,6 @@ def test_memo_holds_only_products_at_or_past_n():
             mult(sig, u, rng.randint(0, locality_bound(sig, u, v)), v)
         assert sig._gm_cache
         assert all(n >= N for _, n, _ in sig._gm_cache), N
+        assert all(sig._gm_cache.values()), N
         g, v = sig.generators[0], random_word(rng, sig)
         assert _gen_mult(sig, g, N - 1, v) is not _gen_mult(sig, g, N - 1, v)

@@ -3,9 +3,10 @@
 No consumer reads the term order of ``_gen_mult`` or ``_word_mult``:
 printing sorts, ``leading`` and ``reduce_poly`` take a ``max`` over unique
 word keys, and the arithmetic is exact.  Each command runs once as is and
-once with both kernels returning their dicts reversed, and its exit code,
-stdout and ``--json`` report must match byte for byte.  ``main`` runs
-the same comparison on one command line, for larger runs than these.
+once with ``_gen_mult`` returning its dicts reversed and ``_word_mult``
+adding its product into the caller's dict in reverse order, and its exit
+code, stdout and ``--json`` report must match byte for byte.  ``main``
+runs the same comparison on one command line, for larger runs than these.
 """
 
 import io
@@ -35,19 +36,31 @@ def run(args, json_path: Path):
 
 
 def reverse_kernels(set_attr=setattr) -> dict:
-    """Make both kernels return their dicts reversed in every conformal
-    module that holds them; the returned dict counts the wrapped calls."""
+    """Reverse both kernels' term order in every conformal module that
+    holds them: ``_gen_mult`` returns its dict reversed, and ``_word_mult``
+    adds its product into the caller's dict last term first.  The returned
+    dict counts the wrapped calls."""
     calls = dict.fromkeys(KERNELS, 0)
 
-    def reversed_kernel(name, kernel):
+    def reversed_gen_mult(kernel):
         def wrapped(*args):
-            calls[name] += 1
+            calls["_gen_mult"] += 1
             return dict(reversed(kernel(*args).items()))
         return wrapped
 
+    def reversed_word_mult(kernel):
+        def wrapped(sig, u, n, v, dst, c):
+            calls["_word_mult"] += 1
+            own: dict = {}
+            kernel(sig, u, n, v, own, c)
+            algebra._accum(dst, dict(reversed(own.items())), 1)
+        return wrapped
+
+    wrappers = {"_gen_mult": reversed_gen_mult,
+                "_word_mult": reversed_word_mult}
     for name in KERNELS:
         kernel = getattr(algebra, name)
-        wrapped = reversed_kernel(name, kernel)
+        wrapped = wrappers[name](kernel)
         for mod in list(sys.modules.values()):
             if (getattr(mod, "__name__", "").startswith("conformal")
                     and getattr(mod, name, None) is kernel):
