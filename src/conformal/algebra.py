@@ -64,19 +64,13 @@ def _coeff(c) -> Coeff:
 
 def _accum(dst: Terms, src: Terms, c) -> None:
     """dst += c * src, for stored coefficients ``src`` and ``c``."""
-    for w, cw in src.items():
-        v = dst.get(w, 0) + c * cw
-        if v:
-            if type(v) is not int and v.denominator == 1:
-                v = v.numerator
-            dst[w] = v
-        else:
-            dst.pop(w, None)
+    _accum_items(dst, src.items(), c)
 
 
 def _accum_items(dst: Terms, pairs, c) -> None:
     """``_accum`` over (word, stored coefficient) pairs, such as the
-    reducts that ``rewriting.reduce_poly`` keeps."""
+    reducts that ``rewriting.reduce_poly`` keeps: a zero is dropped, and an
+    integral ``Fraction`` is stored as an ``int``."""
     for w, cw in pairs:
         v = dst.get(w, 0) + c * cw
         if v:
@@ -271,9 +265,10 @@ class ConformalPolynomial:
     """A rational linear combination of normal words over one signature.
 
     Immutable: nothing writes to ``terms`` after construction, and each
-    ``_frozen=True`` caller hands over a dict of its own (a memo dict is
-    copied first).  So the leading word and the canonical key are computed
-    on first use and kept in ``_lead`` and ``_key``."""
+    ``_frozen=True`` caller hands over a dict it has just built and keeps
+    no other reference to; every other dict is copied.  So the leading word
+    and the canonical key are computed on first use and kept in ``_lead``
+    and ``_key``."""
 
     __slots__ = ("sig", "terms", "_lead", "_key")
 

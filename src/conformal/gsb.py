@@ -65,7 +65,7 @@ def pair_compositions(f: Relation, g: Relation) -> List[Composition]:
 
     def at(rel: Relation, w: NormalWord, p: int) -> ConformalPolynomial:
         return ConformalPolynomial(f.poly.sig,
-                                   dict(eval_pattern(Pattern(rel, w, p))))
+                                   eval_pattern(Pattern(rel, w, p)))
 
     # occurrences of gl in fl: interior ones are inclusions; the suffix one
     # is a right inclusion fl = a(n) gl D^i, or, when gl carries more D

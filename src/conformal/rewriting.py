@@ -81,8 +81,8 @@ def slice_keys(w: NormalWord):
 class Relation:
     """A monic relation together with its precomputed leading data."""
 
-    __slots__ = ("poly", "lead", "lead_flat", "canon", "_words", "_eval_cache",
-                 "alive", "seq")
+    __slots__ = ("poly", "lead", "lead_flat", "canon", "_words", "alive",
+                 "seq")
 
     def __init__(self, poly: ConformalPolynomial, seq: Optional[int] = None):
         if poly.is_zero():
@@ -96,7 +96,6 @@ class Relation:
         self.lead_flat = self.lead[:-1]
         self.canon = poly.canonical_key()
         self._words = None
-        self._eval_cache: dict = {}
         self.alive = True
         self.seq = seq      # the number of adds before it in its set
 
@@ -136,13 +135,10 @@ class Pattern:
 
 
 def eval_pattern(pat: Pattern) -> Terms:
-    """Normalized substitution of the relation into the pattern (frozen
-    dict), cached per relation by (word, start)."""
+    """Normalized substitution of the relation into the pattern, computed
+    on each call.  The caller must not mutate the dict: at letter 0 with no
+    extra D power it is the relation's own ``terms``."""
     rel, w, p = pat.relation, pat.word, pat.start
-    cache, key = rel._eval_cache, (w, p)
-    out = cache.get(key)
-    if out is not None:
-        return out
     s = rel.lead
     q = p + s.length
     interior = q < w.length
@@ -158,8 +154,7 @@ def eval_pattern(pat: Pattern) -> Terms:
         out = apply_D(rel.poly, w.dpow - s.dpow).terms
     if p:
         a, new = w[:2 * p], tuple.__new__
-        out = {new(NormalWord, a + u): cu for u, cu in out.items()}
-    cache[key] = out
+        return {new(NormalWord, a + u): cu for u, cu in out.items()}
     return out
 
 
@@ -267,7 +262,6 @@ class RelationSet:
             raise RelationError("cannot remove from a set that holds an "
                                 "eager window")
         rel.alive = False
-        rel._eval_cache.clear()     # a holder may keep rel; no search finds it
         del self._relations[rel.seq]
         self._canon.discard(rel.canon)
         L = rel.lead.length

@@ -333,6 +333,35 @@ def check_pattern_leading_law(rng: random.Random, cases: int) -> int:
     return cases
 
 
+def s_word_expr(pat: Pattern):
+    """The pattern's S-word as an expression tree: the relation as a
+    combination of its words, then (m) c or D^i, then one product per
+    prefix letter, the last letter innermost."""
+    rel, w, p = pat.relation, pat.word, pat.start
+    s = rel.lead
+    q = p + s.length
+    e = LinComb((c, word_expr(u)) for u, c in rel.poly.terms.items())
+    if q < w.length:
+        e = Prod(w[2 * q - 1], e, word_expr(w.suffix_from(q)))
+    else:
+        e = Deriv(e, w.dpow - s.dpow)
+    for j in reversed(range(p)):
+        e = Prod(w[2 * j + 1], Gen(w[2 * j]), e)
+    return e
+
+
+def check_s_word_values(rng: random.Random, cases: int) -> int:
+    """Every S-word evaluates to the normal form of its expression tree,
+    every coefficient included."""
+    sigs = _sigs()
+    for _ in range(cases):
+        sig = rng.choice(sigs)
+        rels = _random_relation_set(rng, sig).relations()
+        pat = random_s_word(rng, sig, rels)
+        assert normalize(s_word_expr(pat), sig).terms == eval_pattern(pat)
+    return cases
+
+
 def check_traces(rng: random.Random, cases: int) -> int:
     """Reduction traces reconstruct the input; remainders are fixpoints."""
     sigs = _sigs()
@@ -546,7 +575,8 @@ def check_kernels(rng: random.Random, cases: int) -> int:
 ALL_CHECKS = [check_c2, check_c3, check_locality, check_assoc,
               check_assoc_inverted, check_product_bounds,
               check_monotone_corollary, check_poly_product_bound,
-              check_pattern_leading_law, check_traces, check_linearity]
+              check_pattern_leading_law, check_traces, check_linearity,
+              check_s_word_values]
 
 
 def run_all(cases_per_check: int, seed: int = 20240817) -> int:

@@ -41,6 +41,10 @@ def test_pattern_leading_law():
     props.check_pattern_leading_law(random.Random(109), 120)
 
 
+def test_s_word_values():
+    props.check_s_word_values(random.Random(113), 120)
+
+
 def test_trace_soundness_and_idempotence():
     props.check_traces(random.Random(110), 120)
 
