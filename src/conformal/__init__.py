@@ -21,7 +21,6 @@ from .envelope import (BuiltinExample, EmbeddingReport, EquivalenceReport,
                        instantiate_schemas, kd_element, schema_shapes,
                        virasoro_table)
 from .dsl import (ParseError, PresentationFile, RelationSchema, parse_poly,
-                  parse_presentation, parse_schema, parse_word, poly_str,
-                  presentation_str)
+                  parse_presentation, parse_schema, parse_word, poly_str)
 
 __version__ = "0.1.0"

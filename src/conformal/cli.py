@@ -211,6 +211,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ParseError, ConformalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    except RecursionError:
+        print("error: the input is nested too deeply", file=sys.stderr)
+        return INPUT_ERROR
     if args.json:
         if args.timings:
             report.timings = {"total_s": round(time.monotonic() - t0, 3)}

@@ -140,22 +140,6 @@ class IndexForm:
     def eval(self, env: Dict[str, int]) -> int:
         return self.const + sum(c * env[v] for v, c in self.vars)
 
-    def __str__(self):
-        parts = []
-        for v, c in self.vars:
-            if c == 1:
-                parts.append(("+", v))
-            elif c == -1:
-                parts.append(("-", v))
-            else:
-                parts.append(("+" if c > 0 else "-", f"{abs(c)}{v}"))
-        if self.const or not parts:
-            parts.append(("+" if self.const >= 0 else "-", str(abs(self.const))))
-        out = ""
-        for sign, txt in parts:
-            out += (sign if out or sign == "-" else "") + txt
-        return out
-
 
 # constraints -----------------------------------------------------------------
 
@@ -179,9 +163,6 @@ class Constraint:
         """
         return eval(f"lambda env: {_c_src(self.node)}",
                     {"__builtins__": {}, "abs": abs})
-
-    def __str__(self):
-        return _c_str(self.node)
 
 
 _JUNCTIONS = {"and": " and ", "or": " or "}
@@ -207,28 +188,6 @@ def _a_src(a) -> str:
     if tag == "int":
         return repr(int(v))
     return f"env[{v!r}]" if tag == "var" else f"abs(env[{v!r}])"
-
-
-def _c_str(node) -> str:
-    tag = node[0]
-    if tag == "or":
-        return " or ".join(_c_str(n) for n in node[1])
-    if tag == "and":
-        return " and ".join(_c_str(n) for n in node[1])
-    atoms, ops = node[1], node[2]
-    out = _a_str(atoms[0])
-    for op, a in zip(ops, atoms[1:]):
-        out += f" {op} {_a_str(a)}"
-    return out
-
-
-def _a_str(a) -> str:
-    tag, v = a
-    if tag == "int":
-        return str(v)
-    if tag == "var":
-        return v
-    return f"|{v}|"
 
 
 TRUE = Constraint(("and", ()))
@@ -905,63 +864,3 @@ def _signed_sum(terms) -> str:
 def poly_str(p: ConformalPolynomial) -> str:
     """Canonical text form: terms descending, reduced fractional coefficients."""
     return _signed_sum((c, str(w)) for w, c in p.items_desc())
-
-
-def presentation_str(pf: PresentationFile) -> str:
-    """Canonical text of a presentation file; parses back to equal contents."""
-    sig = pf.sig
-    lines = ["algebra {"]
-    lines.append(f"    N = {sig.N}")
-    if sig.generators is not None:
-        lines.append("    generators = " + ", ".join(str(g) for g in sig.generators))
-        if sig.order.kind == "abs_then_signed":
-            names = list(dict.fromkeys(g.name for g in sig.generators))
-            rank = sorted(names, key=lambda n: -sig.order._rank[n])
-            lines.append("    order = abs_then_signed")
-            lines.append("    ranking = " + " > ".join(rank))
-    else:
-        lines.append("    family " + ", ".join(sig.families))
-        rank = sorted(sig.families, key=lambda n: -sig.order._rank[n])
-        lines.append("    ranking = " + " > ".join(rank))
-    lines.append("}")
-    lines.append("relations {")
-    for name, poly in pf.relations:
-        lines.append(f"    {name}: {poly_str(poly)}")
-    for sc in pf.schemas:
-        head = sc.name + "[" + ", ".join(sc.vars)
-        if sc.constraint.node != ("and", ()):
-            head += " | " + str(sc.constraint)
-        head += "]"
-        body = _template_str(sc.template)
-        lines.append(f"    {head}: {body}")
-    lines.append("}")
-    if pf.options:
-        lines.append("options {")
-        for k in sorted(pf.options):
-            lines.append(f"    {k} = {pf.options[k]}")
-        lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _template_str(t: Expr, prec: int = 0) -> str:
-    # prec: 1 summand, 2 right product operand, 3 left one or D's operand
-    if isinstance(t, LinComb):
-        out = _signed_sum((c, _template_str(e, 1)) for c, e in t.parts)
-        bare = len(t.parts) == 1 and t.parts[0][0] == 1 and prec < 3
-        return out if prec == 0 or bare else f"( {out} )"
-    if isinstance(t, Prod):
-        out = f"{_template_str(t.left, 3)} ({t.n}) {_template_str(t.right, 2)}"
-        return f"( {out} )" if prec > 2 else out
-    if isinstance(t, Deriv):
-        d = "D" if t.power == 1 else f"D^{t.power}"
-        return f"{d} {_template_str(t.expr, 3)}"
-    if isinstance(t, Gen):
-        name = t.gen.name
-        if t.sub is None:
-            return name
-        sub = str(t.sub)
-        if t.sub.vars and (len(t.sub.vars) > 1 or t.sub.const
-                           or t.sub.vars[0][1] != 1):
-            return f"{name}_{{{sub}}}"
-        return f"{name}_{sub}"
-    raise TypeError(type(t).__name__)

@@ -185,7 +185,6 @@ class SchemaIndex:
                  sig: AlgebraSignature):
         self.sig = sig
         self.schemas = list(schemas)
-        self._within: Dict[int, List[ConformalPolynomial]] = {}
         self.by_shape: Dict[tuple, List[tuple]] = {}  # (schema, forms, dpow)
         self.lengths = set()
         for sc in schemas:
@@ -202,11 +201,8 @@ class SchemaIndex:
                     self.lengths.add(len(key[0]))
 
     def instances_within(self, radius: int) -> List[ConformalPolynomial]:
-        """``instantiate_schemas`` of the index's schemas, kept per radius."""
-        if radius not in self._within:
-            self._within[radius] = instantiate_schemas(self.schemas,
-                                                       self.sig, radius)
-        return self._within[radius]
+        """``instantiate_schemas`` of the index's schemas."""
+        return instantiate_schemas(self.schemas, self.sig, radius)
 
     def instances_for(self, sub: tuple, outside: Optional[int] = None
                       ) -> List[ConformalPolynomial]:

@@ -265,7 +265,7 @@ def is_trivial(comp: Composition, rset: RelationSet,
     A nonzero remainder is inconclusive when the set's schema index says an
     instance might reduce one of its words (``SchemaIndex.could_reduce``):
     it may lie beyond the indices the lazy lookup tries.  ``reducts`` is
-    ``reduce_poly``'s: the same remainder, with a trace without steps.
+    ``reduce_poly``'s: the same remainder, and only the hits as steps.
     """
     trace = reduce_poly(comp.poly, rset, reducts=reducts)
     rem, lazy = trace.remainder, rset.lazy

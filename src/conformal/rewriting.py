@@ -16,8 +16,8 @@ the result's leading word is exactly w, with coefficient 1.
 Reduction repeatedly eliminates the greatest reducible word by its
 leftmost pattern, the one search there is: by the Composition-Diamond
 lemma the remainder modulo a Groebner-Shirshov basis does not depend on
-which pattern divides.  The trace's steps and remainder sum back to the
-input exactly (``tests/props.py::reconstruct`` checks this).
+which pattern divides.  Without kept reducts, the trace's steps and the
+remainder sum back to the input (``tests/props.py::reconstruct``).
 
 With the leftmost pattern fixed per word, the remainder is linear in the
 input, so a set that does not change can divide each word once.  Write
@@ -45,7 +45,7 @@ from itertools import chain
 from typing import Dict, Iterable, List, Optional
 
 from .words import AlgebraSignature, ConformalError, NormalWord, SignatureError
-from .algebra import (Coeff, ConformalPolynomial, Terms, _accum, _accum_items,
+from .algebra import (Coeff, ConformalPolynomial, Terms, _accum_items,
                       _word_mult, apply_D)
 
 
@@ -355,31 +355,30 @@ def reduce_poly(p: ConformalPolynomial, rset: RelationSet, *,
     not lie below the one searched before, or an evaluation without its
     word at coefficient 1, raises ``RelationError``.
 
-    With ``reducts``, a dict the caller keeps for one set and one
-    ``exclude``, each word is searched once while its entry holds
-    (``RelationSet`` docstring): a plain dict where nothing but
-    materialization changes the set, else a ``KeptReducts``, which drops
-    the entries other changes reach.  The division records None
-    for an irreducible word and, for a reducible word w whose pattern
-    evaluates to e, the reduct -sum_{u != w} e_u r(u), where r(u) is u's
-    reduct, or u where it has none.  A word is settled as it is met: one
-    recorded irreducible goes to the remainder, one with a reduct is
-    replaced by it, which has the same remainder (by linearity, module
-    docstring), so only words never searched are left to search.  The
-    trace has no steps.  The two divisions differ only in how they pass
-    through words searched before, so a word never searched has the same
-    coefficient in both: the division searches for no pattern that it
-    would not search for without reducts.
+    ``reducts`` is a dict kept for one set and one ``exclude``, in which
+    each word is searched once while its entry holds (``RelationSet``
+    docstring): a plain dict where nothing but materialization changes
+    the set, else a ``KeptReducts``, which drops the entries other changes
+    reach; without one, the division keeps its own.  After the loop it
+    records None for an irreducible word and, for a reducible word w whose
+    pattern evaluates to e, the reduct -sum_{u != w} e_u r(u), where r(u)
+    is u's reduct, or u where it has none.  A word is settled as it is
+    met: one recorded irreducible goes to the remainder, one with a reduct
+    is replaced by it, which has the same remainder (by linearity, module
+    docstring), so only words never searched are left to search.  A word
+    never searched has the same coefficient as without reducts, so the
+    division searches for no pattern that it would not search for without
+    them.  The trace's steps are the searches that hit; a reduct
+    substitution is none, so they sum back to the input only without kept
+    reducts.
     """
     sig = p.sig
+    reducts = {} if reducts is None else reducts
     remainder: Terms = {}
     steps: List[TraceStep] = []
-    searched = []   # (word, pattern or None, evaluation), with reducts
-    if reducts is None:
-        cur = dict(p.terms)
-    else:
-        cur = {}
-        _settle(cur, remainder, reducts, p.terms.items(), 1)
+    searched = []   # (word, pattern or None, evaluation)
+    cur: Terms = {}
+    _settle(cur, remainder, reducts, p.terms.items(), 1)
     wkey = sig.word_key
     last = None
     while cur:
@@ -392,18 +391,14 @@ def reduce_poly(p: ConformalPolynomial, rset: RelationSet, *,
         last = key
         pat = rset.find_one(w, exclude)
         if pat is None:
-            if reducts is not None:
-                searched.append((w, None, None))
+            searched.append((w, None, None))
             remainder[w] = cur.pop(w)
             continue
         c = cur[w]
         ev = eval_pattern(pat)
-        if reducts is None:
-            _accum(cur, ev, -c)
-            steps.append(TraceStep(pat, c))
-        else:
-            _settle(cur, remainder, reducts, ev.items(), -c)
-            searched.append((w, pat, ev))
+        _settle(cur, remainder, reducts, ev.items(), -c)
+        searched.append((w, pat, ev))
+        steps.append(TraceStep(pat, c))
         if w in cur:
             raise RelationError(
                 f"substituting {pat.describe()} did not cancel the leading "

@@ -204,6 +204,24 @@ def test_input_error_exit(tmp_path, capsys):
     assert main(["check", "-f", str(tmp_path / "missing.alg")]) == 3
     assert main(["normalize", "-f", str(tmp_path / "missing.alg"), "a"]) == 3
 
+
+def test_too_deeply_nested_input_is_an_input_error(tmp_path, capsys):
+    # the parser recurses into parentheses, and normalize along a product
+    # chain, so either input exhausts the recursion limit
+    head = "algebra {\n    N = 2\n    generators = a\n}\n"
+    deep = tmp_path / "deep.alg"
+    deep.write_text(head + "relations {\n    r: " + "(" * 400 + "a"
+                    + ")" * 400 + "\n}\n")
+    plain = tmp_path / "plain.alg"
+    plain.write_text(head)
+    capsys.readouterr()
+    assert main(["check", "-f", str(deep)]) == 3
+    chain = " (0) ".join(["a"] * 1500)
+    assert main(["normalize", "-f", str(plain), chain]) == 3
+    assert capsys.readouterr().err == \
+        "error: the input is nested too deeply\n" * 2
+
+
 def test_limit_env_vars_change_nothing(ex00, tmp_path, monkeypatch,
                                       capsys):
     # completion limits come from flags and the options block only, both
