@@ -497,17 +497,19 @@ class RelationSchema:
                 for c, ks, juncs, dpow in terms]
         return plan
 
-    def solutions(self, eqs, bound: int,
-                  outside: Optional[int] = None) -> Iterator[Dict[str, int]]:
+    def solutions(self, eqs, bound: int, outside: Optional[int] = None,
+                  within: Optional[int] = None
+                  ) -> Iterator[Dict[str, int]]:
         """The admitted integer assignments that solve the linear equations
         ``eqs``, (form, target) pairs where a form of None reads as 0.
 
         The forms are eliminated once (``_eliminate``), and the plan is kept
         per tuple of forms; only the targets change between calls.  The
-        cache is bounded because the forms are fixed per index: the lazy
-        lookup passes those of one ``SchemaIndex.by_shape`` template, and
-        the eager window none, so a schema keeps at most one plan per
-        template of its own plus one for ``()``.  A call tests the plan's
+        cache is bounded because the forms are fixed per index: both lookups
+        of ``SchemaIndex.instances_for`` pass those of one ``by_shape``
+        template, and ``instances_within`` none, so a schema keeps at most
+        one plan per template of its own plus one for ``()``, which only
+        ``instances_within`` uses.  A call tests the plan's
         consistency rows and computes each pivot's base from the targets,
         in integers.  The free variables range over [-bound, bound], the
         first varying fastest, and at each point a pivot variable is its
@@ -519,10 +521,12 @@ class RelationSchema:
         the box [-bound, bound]^vars.
 
         With ``outside = r`` only the solutions with some variable outside
-        [-r, r] are kept, tested before the constraint.  The eager window
-        ``solutions([], r)`` and the lazy lookup ``solutions(eqs, bound,
-        outside=r)`` are disjoint, and together they cover ``solutions(eqs,
-        bound)``.
+        [-r, r] are kept, and with ``within = r`` only those with every
+        variable in [-r, r]; both are tested before the constraint.  The
+        eager window ``solutions([], r)`` and the lazy lookup
+        ``solutions(eqs, bound, outside=r)`` are disjoint, and together
+        they cover ``solutions(eqs, bound)``.  ``solutions(eqs, r,
+        within=r)`` is the part of the eager window that solves ``eqs``.
         """
         eqs = list(eqs)
         forms = tuple(form for form, _ in eqs)
@@ -534,20 +538,29 @@ class RelationSchema:
         if any(sum(a * t for a, t in zip(coeffs, targets)) + const
                for coeffs, const in checks):
             return
-        solved = [(name, sum(a * t for a, t in zip(coeffs, targets)) + const,
-                   d, terms) for name, coeffs, const, d, terms in pivots]
+        names = free_names + [name for name, *_ in pivots]
+        solved = [(sum(a * t for a, t in zip(coeffs, targets)) + const, d,
+                   terms) for _, coeffs, const, d, terms in pivots]
         admits = self.constraint.admits
-        for vals in product(range(-bound, bound + 1), repeat=len(free_names)):
-            env = dict(zip(free_names, vals))
-            for name, base, d, terms in solved:
-                x, rem = divmod(base - sum(c * vals[k] for k, c in terms), d)
-                if rem:
+        # with ``within``, a point whose free variable lies beyond it is
+        # dropped, so the walk skips it, and a pivot beyond it rejects the
+        # point as soon as it is solved
+        top = bound if within is None else min(bound, within)
+        for vals in product(range(-top, top + 1), repeat=len(free_names)):
+            point = list(vals)
+            for base, d, terms in solved:
+                for k, c in terms:
+                    base -= c * vals[k]
+                x, rem = divmod(base, d)
+                if rem or within is not None and not -within <= x <= within:
                     break
-                env[name] = x
+                point.append(x)
             else:
-                inside = outside is not None and \
-                    max(map(abs, env.values()), default=0) <= outside
-                if not inside and admits(env):
+                if outside is not None and \
+                        max(map(abs, point), default=0) <= outside:
+                    continue
+                env = dict(zip(names, point))
+                if admits(env):
                     yield env
 
 

@@ -13,8 +13,10 @@ vanish by locality.
 
 Index windows make the integer-indexed families finite: ambiguities are
 formed from instances whose leading words lie in [-W, W], while reductions
-draw on the instances with free indices in [-M*W, M*W], held eagerly, and
-on those beyond, which a lazy lookup solves only outside that window.
+draw on the instances with free indices in [-M*W, M*W], the eager window,
+and on those beyond, which a lazy lookup solves only outside that window.
+A relation set holds the eager window's instances at a slice from just
+before the slice is first searched or probed for sources.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import factorial
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -139,8 +142,13 @@ def in_window(w: NormalWord, radius: int) -> bool:
 
 
 def comp_window_filter(radius: int, given=()):
-    """Keep relations with canonical key in ``given`` or lead in the window."""
-    return lambda rel: rel.canon in given or in_window(rel.lead, radius)
+    """Keep relations with canonical key in ``given`` or lead in the window.
+    The filter's ``radius`` tells ``check_gsb_rset`` which slices of an
+    eager box can lead a source."""
+    def keep(rel):
+        return rel.canon in given or in_window(rel.lead, radius)
+    keep.radius = radius
+    return keep
 
 
 # lazy instantiation --------------------------------------------------------
@@ -150,9 +158,9 @@ def comp_window_filter(radius: int, given=()):
 # schema index materializes exactly the needed instances on demand: a factor
 # of the stuck word is matched against every compiled schema term (any
 # template term, normalized) of the same letter shape, the admitted solutions
-# of the index equations (``RelationSchema.solutions``) with some index
-# beyond the held window are instantiated, and instances whose leading word
-# equals the factor join the relation set.
+# of the index equations (``RelationSchema.solutions``) whose instances lead
+# at the factor are instantiated, and they join the relation set.  A set
+# with an eager window looks up its part of the window there too.
 
 
 class SchemaIndex:
@@ -170,15 +178,17 @@ class SchemaIndex:
     ``sub``, that lead comes from a kept term, and terms of one length are
     kept or dropped together.
 
-    ``instances_for(sub, outside=r)`` skips every assignment with all
-    variables in [-r, r], before the constraint test; a ``RelationSet``
-    passes the radius of the eager window ``instances_within(r)`` that it
-    added itself.  That is sound: a skipped assignment passes the
-    constraint, so ``instances_within(r)`` yields it too, and its monic
-    instance is already in the set or is zero.  Either way the set would
-    have dropped it, so the relations, ``materialized`` and the tried
-    slices are unchanged.  The premise is that the set still holds every
-    eager instance, so ``RelationSet.remove`` refuses such a set.
+    A ``RelationSet`` with an eager radius r makes two lookups per slice,
+    both through ``instances_for``.  ``within=r`` gives the instances of
+    the box ``instances_within(r)`` that lead at the slice, the box's part
+    there, which the set adds uncounted.  ``outside=r`` skips every
+    assignment with all variables in [-r, r], before the constraint test.
+    That is sound: a skipped assignment passes the constraint, so the box
+    part yields it too, held by then, and its monic instance is already in
+    the set or is zero.  Either way the set would have dropped it, so the
+    relations, ``materialized`` and the tried slices are unchanged.  The
+    premise is that the set still holds every box instance of the slice,
+    so ``RelationSet.remove`` refuses such a set.
     """
 
     def __init__(self, schemas: Sequence[RelationSchema],
@@ -187,6 +197,7 @@ class SchemaIndex:
         self.schemas = list(schemas)
         self.by_shape: Dict[tuple, List[tuple]] = {}  # (schema, forms, dpow)
         self.lengths = set()
+        self._gen_keys: Dict[tuple, tuple] = {}
         for sc in schemas:
             leaves, terms = sc.compiled(sig.N)
             terms = [((tuple(leaves[k].gen.name for k in ks), juncs),
@@ -204,30 +215,95 @@ class SchemaIndex:
         """``instantiate_schemas`` of the index's schemas."""
         return instantiate_schemas(self.schemas, self.sig, radius)
 
-    def instances_for(self, sub: tuple, outside: Optional[int] = None
+    def instances_for(self, sub: tuple, outside: Optional[int] = None,
+                      within: Optional[int] = None
                       ) -> List[ConformalPolynomial]:
         """The monic instances whose leading word's flat tuple is the slice
         ``sub``, each once, in template and solution order.
 
-        Each solution's raw instance is tested for its lead before it is
-        made monic, keyed and deduplicated (``_monic_prepare``).  That keeps
-        the same instances in the same order: scaling keeps the leading
-        word, so instances that deduplicate together lead alike."""
+        With ``within = r`` they are the instances of the box
+        ``instances_within(r)`` that lead at ``sub``: the free variables
+        range over [-r, r], and a solution with any variable beyond is
+        skipped.  Otherwise they range over the slice's largest index plus
+        4, and ``outside`` is passed on to ``RelationSchema.solutions``.
+
+        A solution whose instance does not lead at ``sub`` is rejected
+        before it is instantiated, by ``_leads_at`` on its index keys
+        alone.  The rest are made monic, keyed and deduplicated
+        (``_monic_prepare``), which keeps the instances and their order:
+        scaling keeps the leading word."""
         letters = sub[0::2]
         templates = self.by_shape.get((tuple(g.name for g in letters),
                                        sub[1::2]))
         if not templates:
             return []
-        # free variables range over the slice's largest index plus 4, which
-        # covers every constraint of the built-in families (their side
-        # conditions bound free variables by matched ones)
-        bound = max((abs(g.index or 0) for g in letters), default=0) + 4
-        raw = (sc.instantiate(env, self.sig) for sc, forms, _ in templates
-               for env in sc.solutions([(form, g.index or 0) for form, g
-                                        in zip(forms, letters)], bound,
-                                       outside=outside))
-        return _monic_prepare(p for p in raw
-                              if p and p.leading()[:-1] == sub)
+        # the lookup's bound covers every constraint of the built-in
+        # families (their side conditions bound free variables by matched
+        # ones)
+        bound = within if within is not None else \
+            max((abs(g.index or 0) for g in letters), default=0) + 4
+        gen_key = self._gen_key
+        key = tuple(gen_key(x.name, x.index) if k % 2 == 0 else x
+                    for k, x in enumerate(sub))
+        out = []
+        for sc, forms, _ in templates:
+            leads = self._leads_at(sc, key)
+            out.extend(sc.instantiate(env, self.sig) for env in sc.solutions(
+                [(form, g.index or 0) for form, g in zip(forms, letters)],
+                bound, outside=outside, within=within) if leads(env))
+        return _monic_prepare(out)
+
+    def _gen_key(self, name: str, index: Optional[int]) -> tuple:
+        """``sig.gen_key`` of the generator ``name_index``, kept per index;
+        it raises as ``instantiate`` does for a generator outside the
+        signature."""
+        key = self._gen_keys.get((name, index))
+        if key is None:
+            key = self._gen_keys[name, index] = self.sig.gen_key(
+                GeneratorSymbol(name, index))
+        return key
+
+    def _leads_at(self, sc: RelationSchema, key: tuple):
+        """A test of an assignment: whether the instance of ``sc`` has a
+        leading word whose flat key is ``key``.
+
+        It reads the words off ``sc``'s ``instantiate`` plan with each
+        leaf's generator key in place of the generator, which gives each
+        word its ``word_key`` without its length, and keys are equal
+        exactly when words are.  It sums colliding words as ``instantiate``
+        does, so a cancelled word never leads, and takes the greatest word
+        with a nonzero coefficient by (length, key), the word order."""
+        leaves, ints, terms = sc._instancer(self.sig.N)
+        gen_key, known = self._gen_key, self._gen_keys
+        fixed = [gen_key(g.name, g.index) if g.__class__ is GeneratorSymbol
+                 else None for g in leaves]
+        indexed = [(j, g) for j, g in enumerate(leaves) if fixed[j] is None]
+
+        def leads(env) -> bool:
+            slots = fixed + ints
+            for j, (name, k, coeffs) in indexed:
+                for v, c in coeffs:
+                    k += c * env[v]
+                slots[j] = known.get((name, k)) or gen_key(name, k)
+            acc = {}
+            for c, word in terms:
+                w = word(slots)
+                acc[w] = acc.get(w, 0) + c
+            lead = max(((len(w), w) for w, c in acc.items() if c),
+                       default=None)
+            return lead is not None and lead[1][:-1] == key
+        return leads
+
+    def slices_within(self, radius: int):
+        """The flat slices of every lead-capable shape whose letters are
+        all in ``sig.family_generators(radius)``: a lead with every index
+        in [-radius, radius] has one of them as its flat tuple."""
+        gens = self.sig.family_generators(radius)
+        for names, juncs in self.by_shape:
+            for letters in product(*[[g for g in gens if g.name == name]
+                                     for name in names]):
+                yield tuple(x for g, n in zip(letters, juncs + (None,))
+                            for x in (g, n))[:-1]
 
     def could_reduce(self, word: NormalWord) -> bool:
         """Whether an instance at any indices might reduce the word: a kept

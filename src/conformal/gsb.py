@@ -278,11 +278,25 @@ def is_trivial(comp: Composition, rset: RelationSet,
     return CompositionVerdict(comp, verdict, rem, trace)
 
 
+def composition_sources(rset: RelationSet,
+                        comp_filter=None) -> List[Relation]:
+    """The relations of the set that pass ``comp_filter`` (all without
+    one), in add order.
+
+    A set with an eager box first holds the box instances that can pass
+    (``RelationSet.hold_box``): those that lead at a lead-capable slice
+    with every index within the filter's ``radius``, which is all the box
+    instances a ``comp_window_filter`` keeps, or else the whole box."""
+    rset.hold_box(getattr(comp_filter, "radius", None))
+    return [r for r in rset.relations()
+            if comp_filter is None or comp_filter(r)]
+
+
 def check_gsb_rset(rset: RelationSet, gens: Sequence[GeneratorSymbol], *,
                    comp_filter=None, keep: str = "failures") -> GsbReport:
-    """Divide every composition of the sources (the relations passing
-    ``comp_filter``, if given) by the whole set, in ``sort_key`` order, and
-    count them by type and by verdict.
+    """Divide every composition of the sources (``composition_sources``)
+    by the whole set, in ``sort_key`` order, and count them by type and by
+    verdict.
 
     Each composition is dropped from the sorted list once decided.  The
     report keeps what ``keep`` names: ``"failures"`` the non-trivial and
@@ -292,7 +306,8 @@ def check_gsb_rset(rset: RelationSet, gens: Sequence[GeneratorSymbol], *,
     the divisions is that of the sorted list either way, so every verdict
     and the materialized instances do not depend on ``keep``.
 
-    The set changes only by lazy materialization during the check, so
+    The set changes only by lazy materialization during the check (a
+    slice's part of the eager box included), so
     without traces every composition is divided with one dict of
     ``reduce_poly``'s ``reducts``, which searches each word once.  Its
     remainders, and the instances it materializes, are the step-by-step
@@ -302,9 +317,8 @@ def check_gsb_rset(rset: RelationSet, gens: Sequence[GeneratorSymbol], *,
     trivial_too = {"failures": False, "verdicts": True, "traces": True}[keep]
     traces = keep == "traces"
     reducts = None if traces else {}
-    source = [r for r in rset.relations()
-              if comp_filter is None or comp_filter(r)]
-    comps = enumerate_compositions(source, gens)
+    comps = enumerate_compositions(composition_sources(rset, comp_filter),
+                                   gens)
     verdicts: List[CompositionVerdict] = []
     counts: Dict[str, int] = {}
     tally = {"trivial": 0, "nontrivial": 0, "inconclusive": 0}
@@ -519,9 +533,8 @@ def complete(polys: Iterable[ConformalPolynomial], sig: AlgebraSignature,
     added_total = 0
     rounds = 0
     for rounds in range(1, limits.max_rounds + 1):
-        source = [r for r in rset.relations()
-                  if comp_filter is None or comp_filter(r)]
-        comps = enumerate_compositions(source, gens, memo)
+        comps = enumerate_compositions(composition_sources(rset, comp_filter),
+                                       gens, memo)
         added_this_round = 0
         for comp in comps:
             # interreduction may have replaced comp's source relations by

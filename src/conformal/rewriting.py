@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from itertools import chain
 from typing import Dict, Iterable, List, Optional
 
 from .words import AlgebraSignature, ConformalError, NormalWord, SignatureError
@@ -175,11 +174,28 @@ class RelationSet:
     up, so the hits at a slice never depend on earlier searches, and
     ``materialized`` counts the instances on the slices searches reached.
 
-    Given with ``lazy``, ``eager_radius`` r adds the index's instances
-    with free indices in [-r, r] (``SchemaIndex.instances_within``), and
-    the lookup then solves only beyond that box.  The radius belongs to
-    the set that added the box, never to the shareable index, and
-    ``remove`` refuses such a set, which must keep every eager instance.
+    Given with ``lazy``, ``eager_radius`` r makes the set stand for the
+    index's instances with every index in [-r, r] too (the box,
+    ``SchemaIndex.instances_within``), and the lookup then solves only
+    beyond it.  The set holds a slice's box instances from just before
+    the slice is first looked up: ``_materialize`` adds them, uncounted,
+    and then the instances beyond the box, counted in ``materialized``.
+    ``hold_box`` adds them earlier for the slices ``check_gsb_rset``
+    probes for sources, or adds the whole box.  Every search sees, at
+    every slice, exactly the relations a set holding the whole box from
+    the start would hold there, with no bound on the lookup: an instance
+    sits only in the bucket of its lead's flat word, a search reads a
+    slice's bucket only after materializing the slice, a bucket keeps
+    canonical order whatever the order of the adds, and the walk's
+    lengths already include every lead-capable length
+    (``SchemaIndex.lengths``).  An instance beyond the box that equals a
+    box instance has its lead, so at its slice the box instance is held
+    first and it is dropped uncounted, as it was against the whole box.
+    So hits, remainders and ``materialized`` are those of the whole box.
+    ``relations()`` and ``len`` cover what is held; ``polys()`` lists the
+    whole set, box included, without adding to it.  The radius belongs to
+    the set, never to the shareable index, and ``remove`` refuses such a
+    set, which must keep every eager instance.
 
     A check's reducts, one plain dict for ``reduce_poly``, never drop an
     entry, and need not: materialization, the only change to a check's
@@ -211,12 +227,12 @@ class RelationSet:
         self.lazy = lazy
         self.eager_radius = eager_radius
         self._lazy_tried = set()
+        self._box_held = set()      # slices whose box instances are held
+        self._box_full = eager_radius is None
         self.materialized = 0
-        if eager_radius is not None:
-            if lazy is None:
-                raise RelationError("an eager radius needs a schema index "
-                                    "(lazy), and none was given")
-            polys = chain(polys, lazy.instances_within(eager_radius))
+        if eager_radius is not None and lazy is None:
+            raise RelationError("an eager radius needs a schema index "
+                                "(lazy), and none was given")
         for p in sorted(polys, key=ConformalPolynomial.canonical_key):
             if p.canonical_key() not in self._canon:
                 self.add(p)
@@ -224,11 +240,17 @@ class RelationSet:
     # membership ------------------------------------------------------------
 
     def relations(self) -> List[Relation]:
+        """The relations held, in add order."""
         return list(self._relations.values())
 
     def polys(self) -> List[ConformalPolynomial]:
-        return sorted((r.poly for r in self.relations()),
-                      key=ConformalPolynomial.canonical_key)
+        """Every relation of the set in canonical order, the eager box's
+        instances not yet held too; it adds none of them."""
+        polys = {r.canon: r.poly for r in self._relations.values()}
+        if not self._box_full:
+            for p in self.lazy.instances_within(self.eager_radius):
+                polys.setdefault(p.canonical_key(), p)
+        return [polys[k] for k in sorted(polys)]
 
     def __len__(self):
         return len(self._relations)
@@ -274,11 +296,37 @@ class RelationSet:
         if not rels:
             del self._lead_index[rel.lead_flat]
 
+    def hold_box(self, radius: Optional[int] = None) -> None:
+        """Add the eager box's instances that lead at a lead-capable slice
+        with every index in [-radius, radius] (``SchemaIndex.slices_within``),
+        or the whole box when radius is None; uncounted."""
+        if self._box_full:
+            return
+        if radius is not None:
+            for sub in self.lazy.slices_within(radius):
+                self._hold_box_at(sub)
+            return
+        for p in self.lazy.instances_within(self.eager_radius):
+            if p.canonical_key() not in self._canon:
+                self.add(p)
+        self._box_full = True
+
+    def _hold_box_at(self, sub: tuple) -> None:
+        """Add the eager box's instances that lead at ``sub``, once."""
+        if self._box_full or sub in self._box_held:
+            return
+        self._box_held.add(sub)
+        for p in self.lazy.instances_for(sub, within=self.eager_radius):
+            if p.canonical_key() not in self._canon:
+                self.add(p)
+
     def _materialize(self, sub: tuple) -> None:
-        """Instantiate schema relations whose leading word equals ``sub``."""
+        """Instantiate schema relations whose leading word equals ``sub``:
+        the eager box's, uncounted, then those beyond it."""
         if self.lazy is None or sub in self._lazy_tried:
             return
         self._lazy_tried.add(sub)
+        self._hold_box_at(sub)
         for p in self.lazy.instances_for(sub, outside=self.eager_radius):
             if p.canonical_key() not in self._canon:
                 self.add(p)
@@ -359,8 +407,9 @@ def reduce_poly(p: ConformalPolynomial, rset: RelationSet, *,
     each word is searched once while its entry holds (``RelationSet``
     docstring): a plain dict where nothing but materialization changes
     the set, else a ``KeptReducts``, which drops the entries other changes
-    reach; without one, the division keeps its own.  After the loop it
-    records None for an irreducible word and, for a reducible word w whose
+    reach; without one, the division keeps an empty dict of its own and
+    records no entry.  Given one, after the loop it records None for an
+    irreducible word and, for a reducible word w whose
     pattern evaluates to e, the reduct -sum_{u != w} e_u r(u), where r(u)
     is u's reduct, or u where it has none.  A word is settled as it is
     met: one recorded irreducible goes to the remainder, one with a reduct
@@ -373,7 +422,8 @@ def reduce_poly(p: ConformalPolynomial, rset: RelationSet, *,
     reducts.
     """
     sig = p.sig
-    reducts = {} if reducts is None else reducts
+    own = reducts is None
+    reducts = {} if own else reducts
     remainder: Terms = {}
     steps: List[TraceStep] = []
     searched = []   # (word, pattern or None, evaluation)
@@ -403,6 +453,10 @@ def reduce_poly(p: ConformalPolynomial, rset: RelationSet, *,
             raise RelationError(
                 f"substituting {pat.describe()} did not cancel the leading "
                 f"word {w}, which its evaluation must hold with coefficient 1")
+    trace = ReductionTrace(steps, ConformalPolynomial(sig, remainder,
+                                                      _frozen=True))
+    if own:         # nothing would read the entries
+        return trace
     # searched words only descend, so no word searched here is met again
     # here, and its entry can wait until every smaller word has its own
     for w, pat, ev in reversed(searched):
@@ -417,7 +471,7 @@ def reduce_poly(p: ConformalPolynomial, rset: RelationSet, *,
         reducts[w] = tuple(red.items())
     if isinstance(reducts, KeptReducts):
         reducts.note(searched)
-    return ReductionTrace(steps, ConformalPolynomial(sig, remainder, _frozen=True))
+    return trace
 
 
 def _settle(cur: Terms, remainder: Terms, reducts: dict, pairs, c) -> None:
@@ -559,9 +613,9 @@ def irr_enumerate(rset: RelationSet, gens, max_length: int,
 
 def kd_basis(rset: RelationSet, gens, max_length: int) -> List[NormalWord]:
     """D-free irreducible words; requires every leading word to be D-free."""
-    for rel in rset.relations():
-        if not rel.lead.is_dfree:
+    for p in rset.polys():
+        if not p.leading().is_dfree:
             raise RelationError(
-                f"leading word {rel.lead} carries a D power; the D-free "
+                f"leading word {p.leading()} carries a D power; the D-free "
                 f"irreducible words do not span in that case")
     return irr_enumerate(rset, gens, max_length, 0)

@@ -710,6 +710,18 @@ def ref_instances_for(index, sub: tuple, outside=None):
     return [p for p in found if p.leading()[:-1] == sub]
 
 
+def eager_rset(sig, polys=(), *, lazy=None, eager_radius=None):
+    """A relation set built as it was before the eager box was held slice
+    by slice: with an eager radius, the index's whole box is instantiated
+    and added with the given relations when the set is made, so every later
+    box lookup finds its instances held.  The reference for ``RelationSet``
+    given ``eager_radius``; it takes the same arguments."""
+    polys = list(polys)
+    if eager_radius is not None and lazy is not None:
+        polys += lazy.instances_within(eager_radius)
+    return RelationSet(sig, polys, lazy=lazy, eager_radius=eager_radius)
+
+
 def all_term_shapes(schemas):
     """The (names, junctions, dpow) shape of every term of chain schemas
     b1 (n1) ... (nk) D^j b, zero coefficients and terms that cannot lead

@@ -50,8 +50,7 @@ def fields(c):
 
 
 def assert_same_enumeration(rset, gens, comp_filter):
-    source = [r for r in rset.relations()
-              if comp_filter is None or comp_filter(r)]
+    source = gsb.composition_sources(rset, comp_filter)
     fast = gsb.enumerate_compositions(source, gens)
     slow = enumerate_all(source, gens)
     assert [fields(c) for c in fast] == [fields(c) for c in slow]

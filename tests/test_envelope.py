@@ -235,6 +235,7 @@ def test_composition_example_index_one_family():
     ex = builtin_example("virasoro", IndexWindow(W=2, M=2))
     sig = ex.sig
     rset = ex.basis_rset()
+    rset.hold_box()
     by_lead = {str(r.lead): r for r in rset.relations()}
     from conformal import pair_compositions, is_trivial
     i, j, k = 1, 2, -1
@@ -774,7 +775,8 @@ def test_one_plan_serves_consistent_non_integral_and_inconsistent_targets():
 
 def test_plans_are_one_per_template_after_a_check():
     """Each schema keeps at most one plan per ``by_shape`` template of its
-    own, plus the eager window's plan of no forms."""
+    own after a check, which holds the eager box slice by slice; the plan
+    of no forms comes only with the whole box, which ``polys()`` reads."""
     import os
     from types import SimpleNamespace
     from conformal import cli
@@ -785,6 +787,13 @@ def test_plans_are_one_per_template_after_a_check():
     check_gsb_rset(ctx.rset, ctx.gens, comp_filter=ctx.sources)
     index = ctx.rset.lazy
     assert ctx.rset.materialized
+    for sc in index.schemas:
+        forms = [f for templates in index.by_shape.values()
+                 for s, f, _ in templates if s is sc]
+        assert () not in sc._plans
+        assert set(sc._plans) <= set(forms)
+        assert len(sc._plans) <= len(forms)
+    ctx.rset.polys()
     for sc in index.schemas:
         forms = [f for templates in index.by_shape.values()
                  for s, f, _ in templates if s is sc]

@@ -52,8 +52,7 @@ def builtin_inputs(name, W):
 
 def compositions(rset, gens, comp_filter):
     return gsb.enumerate_compositions(
-        [r for r in rset.relations()
-         if comp_filter is None or comp_filter(r)], gens)
+        gsb.composition_sources(rset, comp_filter), gens)
 
 
 def counted_searches(rset):
@@ -78,6 +77,8 @@ def assert_memo_divides_alike(inputs):
     comps = compositions(plain, gens, comp_filter)
     twins = compositions(memoed, gens, comp_filter)
     assert [c.describe() for c in comps] == [c.describe() for c in twins]
+    probed = plain.added
+    assert memoed.added == probed
     plain_searches, memo_searches = counted_searches(plain), \
         counted_searches(memoed)
     reducts = {}
@@ -90,9 +91,13 @@ def assert_memo_divides_alike(inputs):
     added = [(r.canon, r.lead_flat) for r in plain.log_since(start)]
     assert [(r.canon, r.lead_flat)
             for r in memoed.log_since(start)] == added
-    # the tried slices that added instances are the slices they lead
-    assert {flat for _, flat in added} <= plain._lazy_tried
-    assert {flat for _, flat in added} <= memoed._lazy_tried
+    # the slices that added instances are the slices they lead: a window
+    # slice probed for sources, or a slice the divisions tried
+    window = set() if plain.lazy is None else \
+        set(plain.lazy.slices_within(comp_filter.radius))
+    assert {flat for _, flat in added[:probed - start]} <= window
+    assert {flat for _, flat in added[probed - start:]} <= plain._lazy_tried
+    assert {flat for _, flat in added[probed - start:]} <= memoed._lazy_tried
     assert memo_searches[0] <= plain_searches[0]
     return len(comps)
 

@@ -228,6 +228,7 @@ def test_remove_refuses_a_set_that_holds_an_eager_window():
     # set sharing the index without the radius solves them again
     ex = builtin_example("virasoro", IndexWindow(W=1))
     rset = ex.basis_rset()
+    rset.hold_box()
     with pytest.raises(RelationError):
         rset.remove(rset.relations()[0])
     assert len(rset) == len(rset.relations()) == len(ex.basis)
