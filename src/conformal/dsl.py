@@ -497,16 +497,15 @@ class RelationSchema:
                 for c, ks, juncs, dpow in terms]
         return plan
 
-    def solutions(self, eqs, bound: int, outside: Optional[int] = None,
-                  within: Optional[int] = None
+    def solutions(self, eqs, bound: int, radius: Optional[int] = None
                   ) -> Iterator[Dict[str, int]]:
         """The admitted integer assignments that solve the linear equations
         ``eqs``, (form, target) pairs where a form of None reads as 0.
 
         The forms are eliminated once (``_eliminate``), and the plan is kept
         per tuple of forms; only the targets change between calls.  The
-        cache is bounded because the forms are fixed per index: both lookups
-        of ``SchemaIndex.instances_for`` pass those of one ``by_shape``
+        cache is bounded because the forms are fixed per index:
+        ``SchemaIndex.instances_for`` passes those of one ``by_shape``
         template, and ``instances_within`` none, so a schema keeps at most
         one plan per template of its own plus one for ``()``, which only
         ``instances_within`` uses.  A call tests the plan's
@@ -520,13 +519,14 @@ class RelationSchema:
         every variable is free, so the solutions are the admitted points of
         the box [-bound, bound]^vars.
 
-        With ``outside = r`` only the solutions with some variable outside
-        [-r, r] are kept, and with ``within = r`` only those with every
-        variable in [-r, r]; both are tested before the constraint.  The
-        eager window ``solutions([], r)`` and the lazy lookup
-        ``solutions(eqs, bound, outside=r)`` are disjoint, and together
-        they cover ``solutions(eqs, bound)``.  ``solutions(eqs, r,
-        within=r)`` is the part of the eager window that solves ``eqs``.
+        With ``radius = r`` one walk serves a lookup: it yields the box
+        part, the solutions with every variable in [-r, r], and the part
+        beyond, those with the free variables in [-bound, bound] and some
+        variable outside [-r, r], which a caller tells apart by the largest
+        absolute value.  The free variables range over [-max(bound, r),
+        max(bound, r)], and a point with one beyond ``bound`` is kept only
+        in the box.  Each part keeps its order in ``solutions(eqs, r)`` or
+        ``solutions(eqs, bound)``: the walk is lexicographic.
         """
         eqs = list(eqs)
         forms = tuple(form for form, _ in eqs)
@@ -542,23 +542,19 @@ class RelationSchema:
         solved = [(sum(a * t for a, t in zip(coeffs, targets)) + const, d,
                    terms) for _, coeffs, const, d, terms in pivots]
         admits = self.constraint.admits
-        # with ``within``, a point whose free variable lies beyond it is
-        # dropped, so the walk skips it, and a pivot beyond it rejects the
-        # point as soon as it is solved
-        top = bound if within is None else min(bound, within)
+        top = bound if radius is None else max(bound, radius)
         for vals in product(range(-top, top + 1), repeat=len(free_names)):
+            # only the box holds a point with a free variable beyond bound
+            box = top > bound and max(map(abs, vals), default=0) > bound
             point = list(vals)
             for base, d, terms in solved:
                 for k, c in terms:
                     base -= c * vals[k]
                 x, rem = divmod(base, d)
-                if rem or within is not None and not -within <= x <= within:
+                if rem or box and not -radius <= x <= radius:
                     break
                 point.append(x)
             else:
-                if outside is not None and \
-                        max(map(abs, point), default=0) <= outside:
-                    continue
                 env = dict(zip(names, point))
                 if admits(env):
                     yield env

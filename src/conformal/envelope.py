@@ -14,9 +14,9 @@ vanish by locality.
 Index windows make the integer-indexed families finite: ambiguities are
 formed from instances whose leading words lie in [-W, W], while reductions
 draw on the instances with free indices in [-M*W, M*W], the eager window,
-and on those beyond, which a lazy lookup solves only outside that window.
-A relation set holds the eager window's instances at a slice from just
-before the slice is first searched or probed for sources.
+and on those beyond it, which one lazy lookup per slice finds with the
+window's part there.  A relation set holds that part from just before the
+slice is first searched or probed for sources, the rest from its search.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def comp_window_filter(radius: int, given=()):
 # template term, normalized) of the same letter shape, the admitted solutions
 # of the index equations (``RelationSchema.solutions``) whose instances lead
 # at the factor are instantiated, and they join the relation set.  A set
-# with an eager window looks up its part of the window there too.
+# with an eager window takes its part of the window from the same lookup.
 
 
 class SchemaIndex:
@@ -178,17 +178,15 @@ class SchemaIndex:
     ``sub``, that lead comes from a kept term, and terms of one length are
     kept or dropped together.
 
-    A ``RelationSet`` with an eager radius r makes two lookups per slice,
-    both through ``instances_for``.  ``within=r`` gives the instances of
-    the box ``instances_within(r)`` that lead at the slice, the box's part
-    there, which the set adds uncounted.  ``outside=r`` skips every
-    assignment with all variables in [-r, r], before the constraint test.
-    That is sound: a skipped assignment passes the constraint, so the box
-    part yields it too, held by then, and its monic instance is already in
-    the set or is zero.  Either way the set would have dropped it, so the
-    relations, ``materialized`` and the tried slices are unchanged.  The
-    premise is that the set still holds every box instance of the slice,
-    so ``RelationSet.remove`` refuses such a set.
+    A ``RelationSet`` with an eager radius r looks a slice up once,
+    ``instances_for(sub, r)``, which sorts each instance by its assignment:
+    into the box part, the instances of ``instances_within(r)`` that lead
+    at the slice, when every variable is in [-r, r], else into the part
+    beyond.  Leaving the box's assignments out of the part beyond is exact:
+    their instances are in the box part, which the set holds first, so it
+    would drop them (or a zero) uncounted anyway.  The premise is that the
+    set still holds every box instance of the slice, so
+    ``RelationSet.remove`` refuses such a set.
     """
 
     def __init__(self, schemas: Sequence[RelationSchema],
@@ -215,17 +213,14 @@ class SchemaIndex:
         """``instantiate_schemas`` of the index's schemas."""
         return instantiate_schemas(self.schemas, self.sig, radius)
 
-    def instances_for(self, sub: tuple, outside: Optional[int] = None,
-                      within: Optional[int] = None
-                      ) -> List[ConformalPolynomial]:
+    def instances_for(self, sub: tuple, radius: Optional[int] = None
+                      ) -> tuple:
         """The monic instances whose leading word's flat tuple is the slice
-        ``sub``, each once, in template and solution order.
-
-        With ``within = r`` they are the instances of the box
-        ``instances_within(r)`` that lead at ``sub``: the free variables
-        range over [-r, r], and a solution with any variable beyond is
-        skipped.  Otherwise they range over the slice's largest index plus
-        4, and ``outside`` is passed on to ``RelationSchema.solutions``.
+        ``sub``, each once per part, in template and solution order, as
+        (box part, part beyond): ``RelationSchema.solutions(eqs, bound,
+        radius)`` walks each template once, with the bound the slice's
+        largest index plus 4, and a solution with every variable in
+        [-radius, radius] goes to the box part, empty without a radius.
 
         A solution whose instance does not lead at ``sub`` is rejected
         before it is instantiated, by ``_leads_at`` on its index keys
@@ -236,22 +231,25 @@ class SchemaIndex:
         templates = self.by_shape.get((tuple(g.name for g in letters),
                                        sub[1::2]))
         if not templates:
-            return []
+            return [], []
         # the lookup's bound covers every constraint of the built-in
         # families (their side conditions bound free variables by matched
         # ones)
-        bound = within if within is not None else \
-            max((abs(g.index or 0) for g in letters), default=0) + 4
+        bound = max((abs(g.index or 0) for g in letters), default=0) + 4
         gen_key = self._gen_key
         key = tuple(gen_key(x.name, x.index) if k % 2 == 0 else x
                     for k, x in enumerate(sub))
-        out = []
+        box, beyond = [], []
         for sc, forms, _ in templates:
             leads = self._leads_at(sc, key)
-            out.extend(sc.instantiate(env, self.sig) for env in sc.solutions(
-                [(form, g.index or 0) for form, g in zip(forms, letters)],
-                bound, outside=outside, within=within) if leads(env))
-        return _monic_prepare(out)
+            for env in sc.solutions(
+                    [(form, g.index or 0) for form, g in zip(forms, letters)],
+                    bound, radius):
+                if leads(env):
+                    part = beyond if radius is None or max(
+                        map(abs, env.values()), default=0) > radius else box
+                    part.append(sc.instantiate(env, self.sig))
+        return _monic_prepare(box), _monic_prepare(beyond)
 
     def _gen_key(self, name: str, index: Optional[int]) -> tuple:
         """``sig.gen_key`` of the generator ``name_index``, kept per index;

@@ -306,8 +306,8 @@ def check_gsb_rset(rset: RelationSet, gens: Sequence[GeneratorSymbol], *,
     the divisions is that of the sorted list either way, so every verdict
     and the materialized instances do not depend on ``keep``.
 
-    The set changes only by lazy materialization during the check (a
-    slice's part of the eager box included), so
+    The set changes only by lazy materialization during the check (one
+    lookup per slice, the source probe's included), so
     without traces every composition is divided with one dict of
     ``reduce_poly``'s ``reducts``, which searches each word once.  Its
     remainders, and the instances it materializes, are the step-by-step

@@ -176,12 +176,12 @@ class RelationSet:
 
     Given with ``lazy``, ``eager_radius`` r makes the set stand for the
     index's instances with every index in [-r, r] too (the box,
-    ``SchemaIndex.instances_within``), and the lookup then solves only
-    beyond it.  The set holds a slice's box instances from just before
-    the slice is first looked up: ``_materialize`` adds them, uncounted,
-    and then the instances beyond the box, counted in ``materialized``.
-    ``hold_box`` adds them earlier for the slices ``check_gsb_rset``
-    probes for sources, or adds the whole box.  Every search sees, at
+    ``SchemaIndex.instances_within``).  ``_materialize`` looks a slice
+    up once, just before its first search, and adds its box part,
+    uncounted, then its part beyond the box, counted in ``materialized``.
+    ``hold_box`` adds the box parts earlier for the slices
+    ``check_gsb_rset`` probes for sources, each slice's part beyond held
+    back for its first search, or adds the whole box.  Every search sees, at
     every slice, exactly the relations a set holding the whole box from
     the start would hold there, with no bound on the lookup: an instance
     sits only in the bucket of its lead's flat word, a search reads a
@@ -227,15 +227,13 @@ class RelationSet:
         self.lazy = lazy
         self.eager_radius = eager_radius
         self._lazy_tried = set()
-        self._box_held = set()      # slices whose box instances are held
+        self._beyond: Dict[tuple, list] = {}    # probed slices' parts beyond
         self._box_full = eager_radius is None
         self.materialized = 0
         if eager_radius is not None and lazy is None:
             raise RelationError("an eager radius needs a schema index "
                                 "(lazy), and none was given")
-        for p in sorted(polys, key=ConformalPolynomial.canonical_key):
-            if p.canonical_key() not in self._canon:
-                self.add(p)
+        self._add_new(sorted(polys, key=ConformalPolynomial.canonical_key))
 
     # membership ------------------------------------------------------------
 
@@ -278,6 +276,15 @@ class RelationSet:
                key=lambda r: r.canon)
         return rel
 
+    def _add_new(self, polys: Iterable[ConformalPolynomial]) -> int:
+        """Add, in order, those not yet held; the number added."""
+        n = 0
+        for p in polys:
+            if p.canonical_key() not in self._canon:
+                self.add(p)
+                n += 1
+        return n
+
     def remove(self, rel: Relation) -> None:
         # the lookup skips the eager instances, so the set must keep them
         if self.eager_radius is not None:
@@ -299,38 +306,32 @@ class RelationSet:
     def hold_box(self, radius: Optional[int] = None) -> None:
         """Add the eager box's instances that lead at a lead-capable slice
         with every index in [-radius, radius] (``SchemaIndex.slices_within``),
-        or the whole box when radius is None; uncounted."""
+        or the whole box when radius is None; uncounted.  A slice looked up
+        here keeps its part beyond the box until ``_materialize``."""
         if self._box_full:
             return
         if radius is not None:
             for sub in self.lazy.slices_within(radius):
-                self._hold_box_at(sub)
+                if sub not in self._lazy_tried and sub not in self._beyond:
+                    box, self._beyond[sub] = self.lazy.instances_for(
+                        sub, self.eager_radius)
+                    self._add_new(box)
             return
-        for p in self.lazy.instances_within(self.eager_radius):
-            if p.canonical_key() not in self._canon:
-                self.add(p)
+        self._add_new(self.lazy.instances_within(self.eager_radius))
         self._box_full = True
-
-    def _hold_box_at(self, sub: tuple) -> None:
-        """Add the eager box's instances that lead at ``sub``, once."""
-        if self._box_full or sub in self._box_held:
-            return
-        self._box_held.add(sub)
-        for p in self.lazy.instances_for(sub, within=self.eager_radius):
-            if p.canonical_key() not in self._canon:
-                self.add(p)
 
     def _materialize(self, sub: tuple) -> None:
         """Instantiate schema relations whose leading word equals ``sub``:
-        the eager box's, uncounted, then those beyond it."""
+        the eager box's, uncounted, unless ``hold_box`` added them, then
+        those beyond it, counted."""
         if self.lazy is None or sub in self._lazy_tried:
             return
         self._lazy_tried.add(sub)
-        self._hold_box_at(sub)
-        for p in self.lazy.instances_for(sub, outside=self.eager_radius):
-            if p.canonical_key() not in self._canon:
-                self.add(p)
-                self.materialized += 1
+        beyond = self._beyond.pop(sub, None)
+        if beyond is None:
+            box, beyond = self.lazy.instances_for(sub, self.eager_radius)
+            self._add_new(box)
+        self.materialized += self._add_new(beyond)
 
     # pattern search ----------------------------------------------------------
 

@@ -692,21 +692,49 @@ def ref_solutions(schema, eqs, bound: int, outside=None):
                 yield env
 
 
+def ref_box_solutions(schema, eqs, radius: int):
+    """The solutions with every variable in [-radius, radius], in the
+    order of their own walk: ``ref_solutions(schema, eqs, radius)``
+    filtered to the box.  The reference for the box part of
+    ``RelationSchema.solutions(eqs, bound, radius)``."""
+    return [env for env in ref_solutions(schema, eqs, radius)
+            if max(map(abs, env.values()), default=0) <= radius]
+
+
 def ref_instances_for(index, sub: tuple, outside=None):
     """The lazy lookup that tested an instance's lead only after making it
-    monic: every solution of every template of the slice's shape is
+    monic: every solution of every template of the slice's shape, with
+    some variable outside [-outside, outside] when that is given, is
     instantiated, ``_monic_prepare`` scales, keys and deduplicates them,
     and then the instances not leading at ``sub`` are dropped.  The
-    reference for ``SchemaIndex.instances_for``."""
+    reference for ``SchemaIndex.instances_for(sub, outside)[1]``, the part
+    beyond the box."""
+    bound = max((abs(g.index or 0) for g in sub[0::2]), default=0) + 4
+    return _ref_lookup(index, sub, lambda sc, eqs: [
+        env for env in sc.solutions(eqs, bound) if outside is None
+        or max(map(abs, env.values()), default=0) > outside])
+
+
+def ref_box_instances_for(index, sub: tuple, radius=None):
+    """The box part of the lookup as it was looked up on its own: the
+    solutions ``ref_box_solutions(eqs, radius)`` of every template of the
+    slice's shape, instantiated, made monic and filtered by lead as in
+    ``ref_instances_for``; none without a radius.  The reference for
+    ``SchemaIndex.instances_for(sub, radius)[0]``."""
+    if radius is None:
+        return []
+    return _ref_lookup(index, sub, lambda sc, eqs:
+                       ref_box_solutions(sc, eqs, radius))
+
+
+def _ref_lookup(index, sub: tuple, solve):
     letters = sub[0::2]
     templates = index.by_shape.get((tuple(g.name for g in letters),
                                     sub[1::2]), ())
-    bound = max((abs(g.index or 0) for g in letters), default=0) + 4
     found = _monic_prepare(
         sc.instantiate(env, index.sig) for sc, forms, _ in templates
-        for env in sc.solutions([(form, g.index or 0) for form, g
-                                 in zip(forms, letters)], bound,
-                                outside=outside))
+        for env in solve(sc, [(form, g.index or 0) for form, g
+                              in zip(forms, letters)]))
     return [p for p in found if p.leading()[:-1] == sub]
 
 

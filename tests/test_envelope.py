@@ -627,13 +627,14 @@ def test_row_reduce_small_cases():
     assert _row_reduce([]) == ([], [])
 
 
-def _assert_solutions_by_brute_force(sc, eqs, bound, outside=None):
+def _assert_solutions_by_brute_force(sc, eqs, bound, radius=None):
     # the reference reads the free variables (the columns that do not
     # raise the rank) and the reach of the pivot variables from the
     # reduced row echelon form, then filters a box that holds every
-    # solution whose free variables lie within the bound; with ``outside``
-    # the lookup beyond [-outside, outside] keeps the expected solutions
-    # with some variable outside it
+    # solution whose free variables lie within the bound; with ``radius``
+    # one walk yields the solutions with every variable in [-radius,
+    # radius], filtered from that box, and the expected solutions with
+    # some variable outside it
     from itertools import product
     from math import ceil
     col = {v: k for k, v in enumerate(sc.vars)}
@@ -655,22 +656,27 @@ def _assert_solutions_by_brute_force(sc, eqs, bound, outside=None):
                 and props.ref_admits(sc.constraint.node, env)]
     every = list(sc.solutions(eqs, bound))
     assert _assignments(every) == _assignments(expected)
-    if outside is not None:
-        # the lookup beyond the box and the solutions inside it partition
-        # the unrestricted solutions
-        beyond = list(sc.solutions(eqs, bound, outside=outside))
-        assert _assignments(beyond) == _assignments(
+    if radius is not None:
+        got = list(sc.solutions(eqs, bound, radius))
+        inside = [env for env in got
+                  if all(abs(x) <= radius for x in env.values())]
+        rng = range(-radius, radius + 1)
+        box = (dict(zip(sc.vars, v))
+               for v in product(rng, repeat=len(sc.vars)))
+        assert _assignments(inside) == _assignments(
+            env for env in box
+            if all(form.eval(env) == t for form, t in eqs)
+            and props.ref_admits(sc.constraint.node, env))
+        assert _assignments(got) == _assignments(inside + [
             env for env in expected
-            if any(abs(x) > outside for x in env.values()))
-        inside = [env for env in every
-                  if all(abs(x) <= outside for x in env.values())]
-        assert _assignments(every) == _assignments(beyond + inside)
+            if any(abs(x) > radius for x in env.values())])
 
 
 @settings(max_examples=100, deadline=None)
-@given(_lead_equations(), st.integers(0, 3), st.integers(0, 4))
-def test_solutions_match_a_brute_force_filter(lead, bound, outside):
-    _assert_solutions_by_brute_force(*lead, bound, outside)
+@given(_lead_equations(), st.integers(0, 3), st.integers(0, 5))
+def test_solutions_match_a_brute_force_filter(lead, bound, radius):
+    # the radius is drawn below, at and above the bound
+    _assert_solutions_by_brute_force(*lead, bound, radius)
 
 
 def _form(const=0, **coeffs):
@@ -693,23 +699,33 @@ def test_solutions_match_a_brute_force_filter_on_edge_cases(eqs):
     sc = parse_schema("e[i, j, k | i != k]: L_{i+i} (0) L_{j+k} "
                       "- L_{j+k} (0) L_{i+i}")
     for bound in range(3):
-        for outside in range(3):
-            _assert_solutions_by_brute_force(sc, eqs, bound, outside)
+        for radius in range(4):
+            _assert_solutions_by_brute_force(sc, eqs, bound, radius)
 
 
-def _assert_solutions_as_reference(sc, eqs, bound, outside=None):
+def _assert_solutions_as_reference(sc, eqs, bound, radius=None):
     """The cached integer plan yields what the per-call rational solver
     yields: the same assignments in the same order, keys in the same
-    order, so every materialization and report is unchanged."""
-    got = [list(env.items()) for env in sc.solutions(eqs, bound, outside)]
-    assert got == [list(env.items()) for env in
-                   props.ref_solutions(sc, eqs, bound, outside)]
+    order, so every materialization and report is unchanged.  With a
+    radius, the solutions in the box are the solver's in [-radius,
+    radius] (``props.ref_box_solutions``) and the rest the solver's
+    beyond it, each part in the solver's order."""
+    got = list(sc.solutions(eqs, bound, radius))
+    if radius is None:
+        want, beyond = props.ref_solutions(sc, eqs, bound), []
+    else:
+        want = props.ref_box_solutions(sc, eqs, radius)
+        beyond = props.ref_solutions(sc, eqs, bound, radius)
+        got.sort(key=lambda env: max(map(abs, env.values()), default=0)
+                 > radius)
+    assert [list(env.items()) for env in got] == \
+        [list(env.items()) for env in [*want, *beyond]]
 
 
 @settings(max_examples=200, deadline=None)
-@given(_lead_equations(), st.integers(0, 4), st.none() | st.integers(0, 4))
-def test_solutions_match_the_rational_solver(lead, bound, outside):
-    _assert_solutions_as_reference(*lead, bound, outside)
+@given(_lead_equations(), st.integers(0, 4), st.none() | st.integers(0, 5))
+def test_solutions_match_the_rational_solver(lead, bound, radius):
+    _assert_solutions_as_reference(*lead, bound, radius)
 
 
 def test_solutions_match_the_rational_solver_on_every_template():
@@ -723,6 +739,7 @@ def test_solutions_match_the_rational_solver_on_every_template():
                         eqs = [(form, t + k * step)
                                for k, form in enumerate(forms)]
                         _assert_solutions_as_reference(sc, eqs, 5, 3)
+                        _assert_solutions_as_reference(sc, eqs, 2, 4)
                         _assert_solutions_as_reference(sc, eqs, 2)
                 assert forms in sc._plans
 
@@ -739,16 +756,36 @@ def _template_slices(index, targets):
 
 def test_lookup_matches_the_monic_first_reference_on_every_template():
     # dropping an instance that does not lead at the slice before making it
-    # monic keeps the same polynomials in the same order
+    # monic keeps the same polynomials in the same order, and one walk
+    # gives the box part and the part beyond as two lookups did
     from conformal.envelope import SchemaIndex
     for pf in _shipped_family_files():
         index = SchemaIndex(pf.schemas, pf.sig)
         for sub in _template_slices(index, range(-6, 7)):
-            for outside in (None, 4):
-                got = index.instances_for(sub, outside=outside)
-                want = props.ref_instances_for(index, sub, outside)
-                assert [p.canonical_key() for p in got] == \
-                    [p.canonical_key() for p in want], (sub, outside)
+            for radius in (None, 0, 2, 4, 8):
+                got = index.instances_for(sub, radius)
+                want = (props.ref_box_instances_for(index, sub, radius),
+                        props.ref_instances_for(index, sub, radius))
+                assert [[p.canonical_key() for p in part] for part in got] \
+                    == [[p.canonical_key() for p in part] for part in want], \
+                    (sub, radius)
+
+
+def test_lookup_keeps_a_point_past_the_bound_only_in_the_box():
+    # the walk reaches past the lookup's bound (7) to the radius (8) for
+    # the box alone: k = -8 gives j = 11, outside both, which neither
+    # part may keep
+    from conformal.envelope import SchemaIndex
+    sig = AlgebraSignature.indexed(["H", "L"], 1, ranking=["H", "L"])
+    index = SchemaIndex([parse_schema(
+        "e[i, j, k]: L_i (0) L_{j+k} + H_j (0) H_k")], sig)
+    box, beyond = index.instances_for(parse_word("L_0 (0) L_3", sig)[:-1],
+                                      8)
+    assert len(box) == 14
+    assert beyond == [parse_poly(text, sig) for text in (
+        "L_0 (0) L_3 + H_10 (0) H_-7", "L_0 (0) L_3 + H_9 (0) H_-6")]
+    stray = parse_poly("L_0 (0) L_3 + H_11 (0) H_-8", sig)
+    assert stray not in box and stray not in beyond
 
 
 def test_one_plan_serves_consistent_non_integral_and_inconsistent_targets():
@@ -764,9 +801,9 @@ def test_one_plan_serves_consistent_non_integral_and_inconsistent_targets():
                     (2, 1, 3)]:   # i + j = 1 and 2i + 2j = 3
         eqs = list(zip(forms, targets))
         for bound in range(3):
-            for outside in (None, 0, 1):
-                _assert_solutions_by_brute_force(sc, eqs, bound, outside)
-                _assert_solutions_as_reference(sc, eqs, bound, outside)
+            for radius in (None, 0, 1, 3):
+                _assert_solutions_by_brute_force(sc, eqs, bound, radius)
+                _assert_solutions_as_reference(sc, eqs, bound, radius)
     assert list(sc._plans) == [tuple(forms)]
     # the plans stay out of equality and the repr
     assert not twin._plans
@@ -847,7 +884,11 @@ def test_compiled_instances_match_the_reference_hypothesis(text, N):
         assert index.could_reduce(p.leading())
         assert RelationSet(sig, [], lazy=index).has_reduction(p.leading())
         sub = p.leading()[:-1]
-        assert index.instances_for(sub) == props.ref_instances_for(index, sub)
+        assert index.instances_for(sub) == \
+            ([], props.ref_instances_for(index, sub))
+        assert index.instances_for(sub, 1) == \
+            (props.ref_box_instances_for(index, sub, 1),
+             props.ref_instances_for(index, sub, 1))
 
 
 @pytest.mark.parametrize("name", ["virasoro", "heisenberg-virasoro"])
